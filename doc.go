@@ -26,7 +26,9 @@
 //   - Cluster: k-center on an in-memory dataset, parallelised over
 //     goroutine-backed partitions (the MapReduce algorithm of the paper).
 //   - ClusterWithOutliers: k-center with z outliers, deterministic or
-//     randomized partitioning.
+//     randomized partitioning. Its second round — also the query of every
+//     z > 0 stream — is a radius search on the coreset union T that costs
+//     O(|T|^2 log|T|) whatever k is (see internal/outliers).
 //   - Gonzalez: the classic sequential 2-approximation (GMM), exposed as a
 //     baseline and building block.
 //   - NewStreamingKCenter / NewStreamingOutliers: one-pass streaming
@@ -71,11 +73,12 @@
 // # Parallelism and determinism
 //
 // All distance-dominated passes (the Gonzalez farthest-point scans,
-// nearest-center assignment, radius computation, and the outlier covering
-// loop) run on a shared parallel distance engine (internal/metric) that
-// chunks the point set across a bounded set of worker goroutines — each
-// chunk driven by the space's batched kernels — falling back to sequential
-// execution below a size cutoff. The WithWorkers option controls the degree:
+// nearest-center assignment, radius computation, and the outlier solver's
+// distance evaluations) run on a shared parallel distance engine
+// (internal/metric) that chunks the point set across a bounded set of worker
+// goroutines — each chunk driven by the space's batched kernels — falling
+// back to sequential execution below a size cutoff. The WithWorkers option
+// controls the degree:
 // 0 (the default) uses one worker per CPU, 1 forces the fully sequential
 // path.
 //

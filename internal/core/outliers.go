@@ -241,8 +241,9 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 // SequentialKCenterOutliers is the ell = 1 instantiation of KCenterOutliers:
 // the paper's "improved sequential algorithm", which builds a single coreset
 // of the whole input and then runs the radius search on it. Its running time
-// is O(|S||T| + k|T|^2 log|T|), a large improvement over the
-// O(k|S|^2 log|S|) CharikarEtAl baseline for |T| << |S|.
+// is O(|S||T| + |T|^2 log|T|) — one OutliersCluster evaluation is O(|T|^2)
+// whatever k is — a large improvement over the O(|S|^2 log|S|) of the same
+// search run on the whole input (the CharikarEtAl baseline) for |T| << |S|.
 func SequentialKCenterOutliers(points metric.Dataset, k, z, coresetSize int, epsHat float64, dist metric.Distance) (*OutliersResult, error) {
 	return KCenterOutliers(points, OutliersConfig{
 		K:           k,

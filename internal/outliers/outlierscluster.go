@@ -10,13 +10,17 @@
 //   - CharikarEtAl: the original unweighted 3-approximation baseline,
 //     recovered as OutliersCluster with epsHat = 0 and unit weights, searched
 //     over all pairwise distances (the Figure 8 baseline).
+//
+// One OutliersCluster evaluation on a set T costs O(|T|^2) whatever k is: the
+// ball weights of all candidates are computed once and then maintained
+// incrementally as points become covered (see evaluator), so a radius search
+// is O(|T|^2 log|T|) including the sort of the candidate radii.
 package outliers
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"coresetclustering/internal/metric"
 )
@@ -52,7 +56,10 @@ func Cluster(dist metric.Distance, set metric.WeightedSet, k int, r, epsHat floa
 	if err := validateClusterParams(set, k, r, epsHat); err != nil {
 		return nil, err
 	}
-	return clusterPairwise(metric.NewEngine(1), pairwiseFromSpace(metric.SpaceFor(dist), set), set, k, r, epsHat), nil
+	eng := metric.NewEngine(1)
+	ev := newEvaluator(eng, newDistRows(eng, metric.SpaceFor(dist), set.Points()), set, k, epsHat)
+	ev.probe(r)
+	return ev.result(), nil
 }
 
 // validateClusterParams checks the shared preconditions of Cluster and Solve.
@@ -72,36 +79,68 @@ func validateClusterParams(set metric.WeightedSet, k int, r, epsHat float64) err
 	return nil
 }
 
-// pairwise abstracts how pairwise distances between set elements are obtained:
-// either recomputed on demand or read from a precomputed matrix. The radius
-// search evaluates OutliersCluster many times over the same set, so caching
-// the matrix removes the dominant cost for moderate coreset sizes. Values
-// are always in the TRUE distance domain: the covering thresholds of
-// Algorithm 1 are true radii, and keeping the matrix in the true domain
-// means the conversion out of the space's surrogate is paid once per pair at
-// build time, never during the search.
-type pairwise func(i, j int) float64
-
-// pairwiseFromSpace evaluates the space's true distance on demand.
-func pairwiseFromSpace(sp metric.Space, set metric.WeightedSet) pairwise {
-	return func(i, j int) float64 { return sp.Distance(set[i].P, set[j].P) }
-}
-
-// maxCachedMatrixSize bounds the number of points for which Solve materialises
-// the full pairwise-distance matrix (memory is 8*n^2 bytes; 4096 points is
-// 128 MiB).
+// maxCachedMatrixSize bounds the number of points for which the full
+// pairwise-distance matrix is materialised (memory is 8*n^2 bytes; 4096
+// points is 128 MiB). Larger sets run the same evaluator on rows recomputed
+// into a scratch buffer each time one is needed.
 const maxCachedMatrixSize = 4096
 
-// pairwiseMatrix precomputes the full distance matrix of the set. The worker
-// owning row i runs one batched DistancesTo over the points after i, converts
-// the row out of the surrogate domain in place, and writes both mirror
-// cells, so every cell has exactly one writer (no race) and the number of
-// distance evaluations, n*(n-1)/2, is the same for any worker count. To
+// distRows serves the rows of the symmetric n×n matrix of pairwise distances
+// of a point set, with a zero diagonal. The radius search evaluates
+// OutliersCluster many times over the same set, so up to maxCachedMatrixSize
+// points the matrix is computed once and a row is a view into it; beyond
+// that a row is recomputed on request. Values are always in the TRUE
+// distance domain: the covering thresholds of Algorithm 1 are true radii,
+// and converting out of the space's surrogate as a row is produced keeps the
+// conversion out of the evaluator's loops. Both sources produce each row
+// with the space's batched DistancesTo kernel.
+//
+// Precondition: the space is symmetric to the last bit, d(a, b) == d(b, a) as
+// floats, as every built-in kernel is. The evaluator reads d(t, v) from row t
+// and, later, the same distance from row v. The cached matrix mirrors one
+// evaluation into both cells, so it is symmetric whatever the kernel; on-demand
+// rows are only as symmetric as the kernel, and then hold the matrix's values
+// bit for bit.
+type distRows struct {
+	sp     metric.Space
+	pts    metric.Dataset
+	matrix []float64 // row-major n×n, nil above maxCachedMatrixSize
+}
+
+// newDistRows picks the row source for the points: the cached matrix, built
+// on the engine's workers, or on-demand rows.
+func newDistRows(eng metric.Engine, sp metric.Space, pts metric.Dataset) *distRows {
+	d := &distRows{sp: sp, pts: pts}
+	if len(pts) <= maxCachedMatrixSize {
+		d.matrix = pairwiseMatrix(eng, sp, pts)
+	}
+	return d
+}
+
+// row returns row i: a read-only view into the cached matrix, or buf (of
+// length n) filled with the distances from point i.
+func (d *distRows) row(i int, buf []float64) []float64 {
+	n := len(d.pts)
+	if d.matrix != nil {
+		return d.matrix[i*n : (i+1)*n]
+	}
+	d.sp.DistancesTo(buf, d.pts[i], d.pts)
+	for j, s := range buf {
+		buf[j] = d.sp.FromSurrogate(s)
+	}
+	buf[i] = 0
+	return buf
+}
+
+// pairwiseMatrix precomputes the full distance matrix of the points. The
+// worker owning row i runs one batched DistancesTo over the points after i,
+// converts the row out of the surrogate domain in place, and writes both
+// mirror cells, so every cell has exactly one writer (no race) and the number
+// of distance evaluations, n*(n-1)/2, is the same for any worker count. To
 // balance the triangular workload, the chunked index v covers the row pair
 // (v, n-1-v): the two rows together always hold n-1 pairs.
-func pairwiseMatrix(eng metric.Engine, sp metric.Space, set metric.WeightedSet) pairwise {
-	n := len(set)
-	pts := set.Points()
+func pairwiseMatrix(eng metric.Engine, sp metric.Space, pts metric.Dataset) []float64 {
+	n := len(pts)
 	m := make([]float64, n*n)
 	fillRow := func(i int) {
 		row := m[i*n+i+1 : (i+1)*n]
@@ -126,86 +165,196 @@ func pairwiseMatrix(eng metric.Engine, sp metric.Space, set metric.WeightedSet) 
 			}
 		})
 	}
-	return func(i, j int) float64 { return m[i*n+j] }
+	return m
 }
 
-// clusterPairwise is the core of Algorithm 1, parameterised by the pairwise
-// distance accessor. The per-iteration scan for the heaviest ball is chunked
-// across the engine's workers: each candidate's ball weight is an exact
-// int64 sum over the (read-only during the scan) uncovered set, and the
-// per-chunk maxima are reduced in chunk order with strict comparisons, so
-// the selected center is identical to the sequential left-to-right scan.
-func clusterPairwise(eng metric.Engine, pd pairwise, set metric.WeightedSet, k int, r, epsHat float64) *ClusterResult {
+// candidateRadii returns the sorted distinct positive pairwise distances of
+// the points. These are the candidate radii of the search: the behaviour of
+// OutliersCluster changes only when r crosses a value at which some pairwise
+// distance enters or leaves one of the two balls, and searching the pairwise
+// distances themselves is the protocol of the original Charikar et al.
+// algorithm that the paper builds on. With a cached matrix the distances are
+// its upper triangle (no distance is evaluated a second time); otherwise they
+// come from the same batched kernel.
+func (d *distRows) candidateRadii() []float64 {
+	n := len(d.pts)
+	if n < 2 {
+		return nil
+	}
+	var ds []float64
+	if d.matrix != nil {
+		ds = make([]float64, 0, n*(n-1)/2)
+		for i := 0; i < n-1; i++ {
+			ds = append(ds, d.matrix[i*n+i+1:(i+1)*n]...)
+		}
+	} else {
+		ds = metric.PairwiseDistancesIn(d.sp, d.pts)
+	}
+	slices.Sort(ds)
+	out := ds[:0]
+	for _, v := range ds {
+		if v > 0 && (len(out) == 0 || v != out[len(out)-1]) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// evaluator runs OutliersCluster on one set at one radius after another,
+// reusing its buffers: the radius search is a sequence of probes on the same
+// rows, and only the last one's clustering is ever materialised.
+//
+// A probe computes the ball weight of every candidate once, from the rows,
+// and from then on keeps them current: when a point v becomes covered, w(v)
+// leaves the ball weight of exactly the candidates t with d(v, t) <=
+// (1+2*epsHat)*r, which is one more walk of row v. That walk takes d(v, t) for
+// the d(t, v) the first pass read in row t: see the precondition on distRows.
+// A point is covered at most once per probe, so a probe reads at most 2|T|+k
+// rows — O(|T|^2) instead of the k|T|^2 of recomputing every ball for every
+// center. Weights are int64 and the sums exact, so the maintained values
+// equal the recomputed ones and the selected centers are those of the
+// textbook greedy (referenceCluster in the tests).
+type evaluator struct {
+	eng     metric.Engine
+	rows    *distRows
+	set     metric.WeightedSet
+	weights []int64
+	total   int64
+	k       int
+	epsHat  float64
+
+	// State of the latest probe.
+	uncovered []bool
+	ballW     []int64 // uncovered weight within (1+2*epsHat)*r of each point
+	centers   []int
+	covered   []int // points covered by the latest center
+	// rowBufs holds one buffer for on-demand rows per chunk of the parallel
+	// ball-weight pass; views into the cached matrix never touch them.
+	rowBufs [][]float64
+}
+
+func newEvaluator(eng metric.Engine, rows *distRows, set metric.WeightedSet, k int, epsHat float64) *evaluator {
 	n := len(set)
-	ballRadius := (1 + 2*epsHat) * r
-	coverRadius := (3 + 4*epsHat) * r
-	uncovered := make([]bool, n)
-	for i := range uncovered {
-		uncovered[i] = true
+	e := &evaluator{
+		eng:       eng,
+		rows:      rows,
+		set:       set,
+		weights:   make([]int64, n),
+		k:         k,
+		epsHat:    epsHat,
+		uncovered: make([]bool, n),
+		ballW:     make([]int64, n),
+		centers:   make([]int, 0, min(k, n)),
+		covered:   make([]int, 0, n),
+		rowBufs:   make([][]float64, eng.NumChunksCost(n, n)),
 	}
-	uncoveredCount := n
+	for i, wp := range set {
+		e.weights[i] = wp.W
+		e.total += wp.W
+	}
+	for i := range e.rowBufs {
+		e.rowBufs[i] = make([]float64, n)
+	}
+	return e
+}
 
-	ballWeight := func(t int) int64 {
-		var w int64
-		for v := 0; v < n; v++ {
-			if uncovered[v] && pd(t, v) <= ballRadius {
-				w += set[v].W
+// probe runs OutliersCluster at radius r and returns the weight it leaves
+// uncovered; the clustering itself stays in the evaluator until the next
+// probe (see result). When rows are computed on demand the first pass over
+// them is chunked across the engine's workers, one writer per ball weight;
+// everything else is sequential, so the outcome does not depend on the worker
+// count.
+func (e *evaluator) probe(r float64) int64 {
+	n := len(e.set)
+	ballRadius := (1 + 2*e.epsHat) * r
+	coverRadius := (3 + 4*e.epsHat) * r
+	for i := range e.uncovered {
+		e.uncovered[i] = true
+	}
+	e.centers = e.centers[:0]
+	remaining, remainingW := n, e.total
+
+	ballWeights := func(chunk, lo, hi int) {
+		buf := e.rowBufs[chunk]
+		for t := lo; t < hi; t++ {
+			row := e.rows.row(t, buf)
+			weights := e.weights[:len(row)]
+			var w int64
+			for v, d := range row {
+				// A select, not a branch: whether a cell falls inside the ball
+				// is close to random for the predictor, and this form compiles
+				// to a conditional move. !(d <= r) rather than d > r keeps a
+				// NaN distance outside every ball.
+				wv := weights[v]
+				if !(d <= ballRadius) {
+					wv = 0
+				}
+				w += wv
 			}
+			e.ballW[t] = w
 		}
-		return w
+	}
+	// Only on-demand rows cost distance evaluations, the work the engine
+	// chunks. The pass over cached cells is bound by memory, not by cores.
+	if e.rows.matrix != nil || e.eng.Sequential(n*n) {
+		ballWeights(0, 0, n)
+	} else {
+		e.eng.ForEachChunkCost(n, n, ballWeights)
 	}
 
-	res := &ClusterResult{}
-	for len(res.CenterIndices) < k && uncoveredCount > 0 {
+	for len(e.centers) < e.k && remaining > 0 {
 		// Pick the point (covered or not) whose (1+2eps)r-ball has maximum
-		// aggregate uncovered weight.
-		bestIdx, bestWeight := -1, int64(-1)
-		if eng.Sequential(n * n) {
-			for t := 0; t < n; t++ {
-				if w := ballWeight(t); w > bestWeight {
-					bestWeight = w
-					bestIdx = t
-				}
-			}
-		} else {
-			nc := eng.NumChunksCost(n, n)
-			idxs := make([]int, nc)
-			weights := make([]int64, nc)
-			eng.ForEachChunkCost(n, n, func(chunk, lo, hi int) {
-				ci, cw := -1, int64(-1)
-				for t := lo; t < hi; t++ {
-					if w := ballWeight(t); w > cw {
-						cw = w
-						ci = t
-					}
-				}
-				idxs[chunk], weights[chunk] = ci, cw
-			})
-			for c := 0; c < nc; c++ {
-				if weights[c] > bestWeight {
-					bestWeight = weights[c]
-					bestIdx = idxs[c]
-				}
+		// aggregate uncovered weight; the lowest index wins ties.
+		best, bestW := -1, int64(-1)
+		for t, w := range e.ballW {
+			if w > bestW {
+				best, bestW = t, w
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		res.CenterIndices = append(res.CenterIndices, bestIdx)
-		res.Centers = append(res.Centers, set[bestIdx].P)
+		e.centers = append(e.centers, best)
 		// Remove from the uncovered set everything within (3+4eps)r of the
 		// new center.
-		for v := 0; v < n; v++ {
-			if uncovered[v] && pd(bestIdx, v) <= coverRadius {
-				uncovered[v] = false
-				uncoveredCount--
+		e.covered = e.covered[:0]
+		for v, d := range e.rows.row(best, e.rowBufs[0]) {
+			if e.uncovered[v] && d <= coverRadius {
+				e.uncovered[v] = false
+				e.covered = append(e.covered, v)
+				remainingW -= e.weights[v]
+			}
+		}
+		remaining -= len(e.covered)
+		if remaining == 0 || len(e.centers) == e.k {
+			break // no further selection reads the ball weights
+		}
+		for _, v := range e.covered {
+			w := e.weights[v]
+			row := e.rows.row(v, e.rowBufs[0])
+			ballW := e.ballW[:len(row)]
+			for t, d := range row {
+				dec := w
+				if !(d <= ballRadius) {
+					dec = 0
+				}
+				ballW[t] -= dec
 			}
 		}
 	}
-	for i, u := range uncovered {
+	return remainingW
+}
+
+// result materialises the clustering of the latest probe.
+func (e *evaluator) result() *ClusterResult {
+	res := &ClusterResult{CenterIndices: slices.Clone(e.centers)}
+	for _, c := range e.centers {
+		res.Centers = append(res.Centers, e.set[c].P)
+	}
+	for i, u := range e.uncovered {
 		if u {
 			res.Uncovered = append(res.Uncovered, i)
-			res.UncoveredWeight += set[i].W
+			res.UncoveredWeight += e.weights[i]
 		}
 	}
 	return res
@@ -273,11 +422,11 @@ func SolveWithWorkers(dist metric.Distance, set metric.WeightedSet, k int, z int
 	return SolveIn(metric.SpaceFor(dist), set, k, z, epsHat, strategy, workers)
 }
 
-// SolveIn is the Space form of Solve: the pairwise-matrix build and the
-// per-center heaviest-ball scans of every OutliersCluster evaluation are
-// chunked across workers goroutines (<= 0 selects one per CPU, 1 — the Solve
-// default — keeps the fully sequential path). The result is bit-identical
-// for any worker count.
+// SolveIn is the Space form of Solve: the distance evaluations — the
+// pairwise-matrix build or, above maxCachedMatrixSize points, the ball-weight
+// pass of every OutliersCluster evaluation — are chunked across workers
+// goroutines (<= 0 selects one per CPU, 1 — the Solve default — keeps the
+// fully sequential path). The result is bit-identical for any worker count.
 func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat float64, strategy SearchStrategy, workers int) (*SolveResult, error) {
 	if err := validateClusterParams(set, k, 0, epsHat); err != nil {
 		return nil, err
@@ -289,154 +438,98 @@ func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat flo
 		sp = metric.EuclideanSpace
 	}
 	eng := metric.NewEngine(workers)
+	return solve(newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat), z, strategy), nil
+}
 
-	// The search evaluates OutliersCluster many times on the same set, so for
-	// moderate sizes precompute the pairwise distance matrix once.
-	pd := pairwiseFromSpace(sp, set)
-	if len(set) <= maxCachedMatrixSize {
-		pd = pairwiseMatrix(eng, sp, set)
-	}
-
+// solve runs the radius search on the evaluator's set. Probes only report
+// the uncovered weight; the clustering is materialised once, from the state
+// left by the last probe, which is always the one at the chosen radius.
+func solve(ev *evaluator, z int64, strategy SearchStrategy) *SolveResult {
 	evals := 0
-	feasible := func(r float64) (*ClusterResult, bool) {
-		res := clusterPairwise(eng, pd, set, k, r, epsHat)
+	feasible := func(r float64) bool {
 		evals++
-		return res, res.UncoveredWeight <= z
+		return ev.probe(r) <= z
 	}
 
-	// Degenerate cases: k >= |T| means radius 0 covers everything (every
-	// point can be its own center), and likewise if the total weight beyond
-	// the k heaviest points is at most z.
-	if res, ok := feasible(0); ok {
-		return &SolveResult{
-			Centers:         res.Centers,
-			CenterIndices:   res.CenterIndices,
-			Radius:          0,
-			UncoveredWeight: res.UncoveredWeight,
-			Evaluations:     evals,
-		}, nil
+	// Radius 0 first. It is feasible in the degenerate cases: k >= |T| (every
+	// point can be its own center), or the total weight beyond the k heaviest
+	// locations is at most z. And when there is no candidate radius at all —
+	// every point coincides — its clustering is the answer whether or not it
+	// meets the budget.
+	chosen := 0.0
+	if !feasible(0) {
+		if candidates := ev.rows.candidateRadii(); len(candidates) > 0 {
+			chosen = search(candidates, ev.epsHat, strategy, feasible)
+		}
 	}
 
-	candidates := candidateRadii(sp, set.Points())
-	if len(candidates) == 0 {
-		// All points coincide: radius 0 was already feasible above unless the
-		// weight budget is impossible, in which case we just report radius 0.
-		res := clusterPairwise(eng, pd, set, k, 0, epsHat)
-		return &SolveResult{
-			Centers:         res.Centers,
-			CenterIndices:   res.CenterIndices,
-			Radius:          0,
-			UncoveredWeight: res.UncoveredWeight,
-			Evaluations:     evals,
-		}, nil
+	res := ev.result()
+	return &SolveResult{
+		Centers:         res.Centers,
+		CenterIndices:   res.CenterIndices,
+		Radius:          chosen,
+		UncoveredWeight: res.UncoveredWeight,
+		Evaluations:     evals,
 	}
+}
 
-	var chosen float64
-	var chosenRes *ClusterResult
-
-	switch strategy {
-	case SearchExhaustive:
+// search returns the radius the strategy settles on among the sorted
+// candidates; its last call of feasible is at that radius. feasible is a
+// pure function of the radius, and the largest candidate — the diameter, at
+// which the first center covers everything — always satisfies it.
+func search(candidates []float64, epsHat float64, strategy SearchStrategy, feasible func(r float64) bool) float64 {
+	last := len(candidates) - 1
+	if strategy == SearchExhaustive {
 		for _, r := range candidates {
-			if res, ok := feasible(r); ok {
-				chosen, chosenRes = r, res
+			if feasible(r) {
+				return r
+			}
+		}
+		return candidates[last]
+	}
+
+	// Binary search over the sorted candidate distances for the smallest
+	// feasible one. The greedy is not strictly monotone in r, but as in the
+	// paper the search treats it as such; the final result is always
+	// validated by an explicit clustering at the chosen radius.
+	lo, hi := 0, last
+	firstFeasible := last
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		if feasible(candidates[mid]) {
+			firstFeasible = mid
+			hi = mid - 1
+		} else {
+			lo = mid + 1
+		}
+	}
+	rHi := candidates[firstFeasible]
+	rLo := 0.0
+	if firstFeasible > 0 {
+		rLo = candidates[firstFeasible-1]
+	}
+	chosen := rHi
+	// Geometric refinement with step (1+delta) between rLo and rHi: walk up
+	// from rLo multiplying by (1+delta) and keep the first feasible value.
+	// This reproduces the (1+delta) multiplicative tolerance of the paper
+	// without materialising every distance.
+	if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) {
+		for r := rLo * (1 + delta); r < rHi; r *= 1 + delta {
+			if feasible(r) {
+				chosen = r
 				break
 			}
 		}
-	default: // SearchBinaryGeometric
-		// Binary search over the sorted candidate distances for the smallest
-		// feasible one. The greedy is not strictly monotone in r, but as in
-		// the paper the search treats it as such; the final result is always
-		// validated by an explicit clustering at the chosen radius.
-		lo, hi := 0, len(candidates)-1
-		firstFeasible := -1
-		for lo <= hi {
-			mid := (lo + hi) / 2
-			if _, ok := feasible(candidates[mid]); ok {
-				firstFeasible = mid
-				hi = mid - 1
-			} else {
-				lo = mid + 1
-			}
-		}
-		if firstFeasible < 0 {
-			firstFeasible = len(candidates) - 1
-		}
-		rHi := candidates[firstFeasible]
-		rLo := 0.0
-		if firstFeasible > 0 {
-			rLo = candidates[firstFeasible-1]
-		}
-		chosen = rHi
-		// Geometric refinement with step (1+delta) between rLo and rHi: walk
-		// up from rLo multiplying by (1+delta) and keep the first feasible
-		// value. This reproduces the (1+delta) multiplicative tolerance of
-		// the paper without materialising every distance.
-		if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) {
-			for r := rLo * (1 + delta); r < rHi; r *= 1 + delta {
-				if _, ok := feasible(r); ok {
-					chosen = r
-					break
-				}
-			}
-		}
-		res, ok := feasible(chosen)
-		if !ok {
-			// Extremely defensive: fall back to the largest candidate, which
-			// always covers everything (every point is within the diameter of
-			// any center).
-			chosen = candidates[len(candidates)-1]
-			res, _ = feasible(chosen)
-		}
-		chosenRes = res
 	}
-
-	if chosenRes == nil {
-		// No candidate was feasible (can only happen if z is smaller than the
-		// weight that k centers can ever leave uncovered at the diameter,
-		// which cannot occur: at the maximum pairwise distance a single
-		// center covers everything). Guard anyway.
-		chosen = candidates[len(candidates)-1]
-		chosenRes = clusterPairwise(eng, pd, set, k, chosen, epsHat)
-	}
-
-	return &SolveResult{
-		Centers:         chosenRes.Centers,
-		CenterIndices:   chosenRes.CenterIndices,
-		Radius:          chosen,
-		UncoveredWeight: chosenRes.UncoveredWeight,
-		Evaluations:     evals,
-	}, nil
-}
-
-// candidateRadii returns the sorted distinct positive pairwise distances of
-// the points. These are the candidate radii of the search: the behaviour of
-// OutliersCluster changes only when r crosses a value at which some pairwise
-// distance enters or leaves one of the two balls, and searching the pairwise
-// distances themselves is the protocol of the original Charikar et al.
-// algorithm that the paper builds on. Rows are computed with the space's
-// batched kernel; the values are true distances.
-func candidateRadii(sp metric.Space, points metric.Dataset) []float64 {
-	ds := metric.PairwiseDistancesIn(sp, points)
-	if len(ds) == 0 {
-		return nil
-	}
-	sort.Float64s(ds)
-	out := ds[:0]
-	prev := math.Inf(-1)
-	for _, d := range ds {
-		if d > 0 && d != prev {
-			out = append(out, d)
-			prev = d
-		}
-	}
-	return out
+	feasible(chosen)
+	return chosen
 }
 
 // CharikarEtAl runs the original sequential 3-approximation algorithm for the
 // k-center problem with z outliers on an unweighted point set: unit weights,
 // epsHat = 0, and an exhaustive search over all pairwise distances (smallest
 // feasible first). This is the CHARIKARETAL baseline of Figure 8; its running
-// time is O(k |S|^2 log|S|)-ish and it is only meant for datasets of at most a
+// time is O(|S|^2 log|S|) and it is only meant for datasets of at most a
 // few tens of thousands of points.
 func CharikarEtAl(dist metric.Distance, points metric.Dataset, k, z int) (*SolveResult, error) {
 	if z < 0 {

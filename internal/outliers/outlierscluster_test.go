@@ -2,6 +2,7 @@ package outliers
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -347,17 +348,16 @@ func TestDelta(t *testing.T) {
 
 func TestCandidateRadii(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}, {1}, {3}}
-	got := candidateRadii(metric.EuclideanSpace, ds)
 	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("candidateRadii = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
+	cached := newDistRows(metric.NewEngine(1), metric.EuclideanSpace, ds)
+	onDemand := &distRows{sp: metric.EuclideanSpace, pts: ds}
+	for _, rows := range []*distRows{cached, onDemand} {
+		if got := rows.candidateRadii(); !slices.Equal(got, want) {
 			t.Fatalf("candidateRadii = %v, want %v", got, want)
 		}
 	}
-	if got := candidateRadii(metric.EuclideanSpace, metric.Dataset{{5}}); got != nil {
+	single := newDistRows(metric.NewEngine(1), metric.EuclideanSpace, metric.Dataset{{5}})
+	if got := single.candidateRadii(); got != nil {
 		t.Errorf("singleton candidates = %v, want nil", got)
 	}
 }

@@ -65,9 +65,10 @@ func TestSolveDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSolveDistanceBudgetAcrossWorkers: the cached pairwise matrix must cost
-// exactly n*(n-1)/2 distance evaluations regardless of the worker count (the
-// half-matrix contract of pairwiseMatrix).
+// TestSolveDistanceBudgetAcrossWorkers: a whole solve must cost exactly
+// n*(n-1)/2 distance evaluations regardless of the worker count — the
+// half-matrix contract of pairwiseMatrix, with the candidate radii and every
+// probe read from that matrix.
 func TestSolveDistanceBudgetAcrossWorkers(t *testing.T) {
 	set := parallelTestSet(600, 2, 9)
 	n := int64(len(set))
@@ -76,8 +77,7 @@ func TestSolveDistanceBudgetAcrossWorkers(t *testing.T) {
 		if _, err := SolveWithWorkers(c.Distance, set, 5, 10, 0, SearchBinaryGeometric, w); err != nil {
 			t.Fatal(err)
 		}
-		// candidateRadii evaluates all pairs once more on top of the matrix.
-		want := n * (n - 1)
+		want := n * (n - 1) / 2
 		if got := c.Calls(); got != want {
 			t.Fatalf("workers=%d: %d distance calls, want exactly %d", w, got, want)
 		}
