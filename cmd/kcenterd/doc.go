@@ -14,7 +14,8 @@
 //	POST   /streams/{name}/ingest        alias for /points (same negotiated handler)
 //	POST   /streams/{name}/advance       move a window stream's clock: {"to": ts}
 //	GET    /streams/{name}/centers       extract the current k centers
-//	POST   /streams/{name}/snapshot      serialize the stream (octet-stream)
+//	GET    /streams/{name}/snapshot      serialize the stream (octet-stream, strong ETag; If-None-Match answers 304)
+//	POST   /streams/{name}/snapshot      alias for the GET (same handler)
 //	POST   /streams/{name}/restore       recreate the stream from a sketch body
 //	DELETE /streams/{name}               drop the stream
 //	POST   /merge                        merge base64 sketches {"sketches": [...]}
@@ -119,7 +120,8 @@
 // multi-node role: a stateless coordinator that hash-partitions ingest
 // batches across a fixed set of shard daemons (-shards, comma-separated
 // addresses) with per-shard retries, probes shard health into /healthz and
-// /metrics, and periodically pulls shard snapshots and merges them — the
+// /metrics, and periodically pulls shard snapshots (conditionally, by ETag:
+// an unchanged shard answers 304) and merges them when one changed — the
 // paper's round-2 composition — into a cached cluster-wide view served at
 // /streams/{name}/centers, /stats and /snapshot. See the README's "Cluster"
 // section for topology and consistency caveats.

@@ -140,6 +140,17 @@
 //     and trailing bytes are rejected with the typed ErrSketch* errors, and
 //     the codec never panics on arbitrary input.
 //
+// Because a sketch is a deterministic function of the stream (and recovery
+// is byte-identical), its bytes identify its state: the kcenterd daemon
+// serves every snapshot under a strong ETag — 128 bits of the bytes'
+// SHA-256, hashed once per pulled version — and answers a matching
+// If-None-Match with 304 Not Modified. The router role builds round 2 on
+// that: it keeps each shard's last snapshot with its tag, pulls
+// conditionally, and re-runs MergeSketches and extraction only when some
+// shard's bytes changed, merging fresh and kept snapshots in shard order so
+// the result is the one an unconditional pull of every shard would give; a
+// shard that restarts into the same bytes is revalidated, not re-pulled.
+//
 // # Sliding windows
 //
 // The insertion-only streams never forget: once observed, a point influences
@@ -181,7 +192,7 @@
 // cmd/kcenterd serves this subsystem over HTTP: named streams with batch
 // ingest (POST /streams/{name}/points), extraction (GET
 // /streams/{name}/centers), introspection (GET /streams/{name}/stats),
-// durable snapshots (POST /streams/{name}/snapshot), revival (POST
+// durable snapshots (GET /streams/{name}/snapshot), revival (POST
 // /streams/{name}/restore) and coordinator-side merging (POST /merge).
 // Window streams are created with ?window=N and/or ?windowDur=D on first
 // ingest, accept an optional per-point "timestamps" array, and evict

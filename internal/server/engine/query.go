@@ -52,17 +52,18 @@ func (e *Engine) Centers(ctx context.Context, name string) (StreamStats, kcenter
 
 // Snapshot serializes the named stream's newest published view — wait-free
 // like the other reads, and memoised, so back-to-back snapshots at an
-// unchanged version serialize once and answer byte-identically.
-func (e *Engine) Snapshot(ctx context.Context, name string) ([]byte, error) {
+// unchanged version serialize (and hash) once and answer byte-identically.
+// tag is the sketch's strong validator (SketchTag).
+func (e *Engine) Snapshot(ctx context.Context, name string) (snap []byte, tag string, err error) {
 	st, ok := e.Lookup(name)
 	if !ok {
-		return nil, errf(CodeUnknownStream, "unknown stream %q", name)
+		return nil, "", errf(CodeUnknownStream, "unknown stream %q", name)
 	}
 	if err := st.gate(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	_, serialize := obs.StartSpan(ctx, "snapshot")
-	snap, hit, err := st.view.Load().Snapshot()
+	snap, tag, hit, err := st.view.Load().SnapshotTag()
 	if hit {
 		serialize.SetAttr("cache", "hit")
 	} else {
@@ -70,9 +71,9 @@ func (e *Engine) Snapshot(ctx context.Context, name string) ([]byte, error) {
 	}
 	serialize.End()
 	if err != nil {
-		return nil, wrapErr(CodeInternal, err)
+		return nil, "", wrapErr(CodeInternal, err)
 	}
-	return snap, nil
+	return snap, tag, nil
 }
 
 // Restore recreates the named stream from a serialized sketch, replacing any

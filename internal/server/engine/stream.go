@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -90,6 +92,9 @@ type QueryView struct {
 	snap        []byte
 	snapErr     error
 	snapDone    bool
+
+	tagOnce sync.Once
+	snapTag string // SketchTag(snap), filled by the first SnapshotTag
 }
 
 // Centers returns the view's extraction for the given parameters, memoised;
@@ -119,6 +124,29 @@ func (v *QueryView) Snapshot() (snap []byte, hit bool, err error) {
 		return v.snap, false, v.snapErr
 	}
 	return v.snap, true, v.snapErr
+}
+
+// SnapshotTag is Snapshot plus the sketch's validator (see SketchTag), hashed
+// on first request and memoised beside the bytes: one hash per pulled
+// version, none for views nobody pulls (compaction takes Snapshot alone), and
+// outside the view mutex, so extraction readers never wait on a hash.
+func (v *QueryView) SnapshotTag() (snap []byte, tag string, hit bool, err error) {
+	snap, hit, err = v.Snapshot()
+	if err != nil {
+		return nil, "", hit, err
+	}
+	v.tagOnce.Do(func() { v.snapTag = SketchTag(snap) })
+	return snap, v.snapTag, hit, nil
+}
+
+// SketchTag is the strong validator of a serialized sketch: the first 128
+// bits of its SHA-256, in hex. It depends on the bytes alone — no process
+// counter, clock or name — so equal tags mean equal sketches across restarts,
+// recoveries and daemons, which is what lets a router skip re-pulling and
+// re-merging a shard whose tag it already holds.
+func SketchTag(sketch []byte) string {
+	sum := sha256.Sum256(sketch)
+	return hex.EncodeToString(sum[:16])
 }
 
 // Stream is one hosted stream, split into a mutable ingest side and an

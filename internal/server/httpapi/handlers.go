@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 
 	kcenter "coresetclustering"
 	"coresetclustering/internal/metric"
@@ -194,12 +195,19 @@ func (s *server) handleCenters(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serializes the newest published view — wait-free like the
 // other reads, and memoised, so back-to-back snapshots at an unchanged
-// version serialize once and answer byte-identically.
+// version serialize once and answer byte-identically. The response carries
+// the sketch's strong ETag, and a request whose If-None-Match already names
+// it is answered 304 with no body: a router (or any poller) holding the
+// bytes pays one header round trip, not a transfer. Serves GET and, as the
+// wire-compatible alias, POST.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	snap, err := s.eng.Snapshot(r.Context(), name)
+	snap, tag, err := s.eng.Snapshot(r.Context(), name)
 	if err != nil {
 		engineError(w, err)
+		return
+	}
+	if NotModified(w, r, StrongETag(tag)) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -211,6 +219,28 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		s.eng.Logger.Warn("snapshot: short write to client", "stream", name,
 			"written", n, "size", len(snap), "err", err)
 	}
+}
+
+// StrongETag formats a sketch validator (engine.SketchTag) as a strong HTTP
+// entity tag.
+func StrongETag(tag string) string { return `"` + tag + `"` }
+
+// NotModified sets the response's ETag and, when the request's If-None-Match
+// lists it (or is "*"), answers 304 Not Modified with no body and reports
+// true. Comparison is the weak one RFC 9110 prescribes for If-None-Match (a
+// W/ prefix on either side is ignored); a header that is absent, malformed or
+// names other tags reports false and the caller sends the full 200.
+func NotModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
+	opaque := strings.TrimPrefix(etag, "W/")
+	for _, cand := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+		cand = strings.TrimSpace(cand)
+		if cand == "*" || strings.TrimPrefix(cand, "W/") == opaque {
+			w.WriteHeader(http.StatusNotModified)
+			return true
+		}
+	}
+	return false
 }
 
 func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {

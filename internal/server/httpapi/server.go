@@ -309,6 +309,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("POST /streams/{name}/ingest", s.handleIngest)
 	mux.HandleFunc("POST /streams/{name}/advance", s.handleAdvance)
 	mux.HandleFunc("GET /streams/{name}/centers", s.handleCenters)
+	mux.HandleFunc("GET /streams/{name}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /streams/{name}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /streams/{name}/restore", s.handleRestore)
 	mux.HandleFunc("DELETE /streams/{name}", s.handleDelete)

@@ -533,3 +533,281 @@ func TestRouterValidationAndPassthrough(t *testing.T) {
 		t.Fatalf("stream v missing from cluster listing %v", list.Streams)
 	}
 }
+
+// fetch performs one request with an optional If-None-Match and returns the
+// response with its body already read.
+func fetch(t *testing.T, method, url, ifNoneMatch string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// pullCounts reads kcenterd_router_shard_pulls_total for one shard.
+type pullCounts struct{ modified, notModified, absent int64 }
+
+func pullsOf(srv *server, sp *shardProc) pullCounts {
+	return pullCounts{
+		modified:    srv.m.ShardPulls.With(sp.addr, "modified").Value(),
+		notModified: srv.m.ShardPulls.With(sp.addr, "not_modified").Value(),
+		absent:      srv.m.ShardPulls.With(sp.addr, "absent").Value(),
+	}
+}
+
+// TestClusterConditionalRefresh walks the router's version-aware read path
+// against real durable shard processes: an idle stream is merged once however
+// often it is refreshed; when one shard moves, only that shard's bytes travel
+// and the merge equals an unconditional pull-and-merge of every shard; a dead
+// shard fails the refresh even though the router holds its last snapshot; and
+// a shard that comes back byte-identical from its WAL is recognised by its
+// ETag and costs no merge.
+func TestClusterConditionalRefresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns daemon processes")
+	}
+	shards := []*shardProc{
+		startShard(t, "-persist-dir "+t.TempDir()+" -fsync always"),
+		startShard(t, "-persist-dir "+t.TempDir()+" -fsync always"),
+	}
+	ts, srv := newTestRouter(t, shards)
+	ds := clusteredPoints(400, 3, 21)
+	var ack ingestAck
+	if resp := postJSON(t, ts.URL+"/streams/s/points?k=4&budget=64", map[string]any{"points": ds[:300]}, &ack); resp.StatusCode != http.StatusOK || ack.Shards != 2 {
+		t.Fatalf("ingest: status %d over %d shards", resp.StatusCode, ack.Shards)
+	}
+	centersURL := ts.URL + "/streams/s/centers?refresh=1"
+	snapshotURL := ts.URL + "/streams/s/snapshot"
+
+	// unconditional is the merge the parent design ran on every refresh: pull
+	// every shard's full snapshot, merge in shard order.
+	unconditional := func() []byte {
+		t.Helper()
+		blobs := make([][]byte, len(shards))
+		for i, sp := range shards {
+			resp, body := fetch(t, http.MethodPost, "http://"+sp.addr+"/streams/s/snapshot", "")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("shard %d snapshot: status %d", i, resp.StatusCode)
+			}
+			blobs[i] = body
+		}
+		merged, err := kcenter.MergeSketches(blobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return merged
+	}
+
+	// Idle stream: N forced refreshes, one merge.
+	var first centersResponse
+	if resp := getJSON(t, centersURL, &first); resp.StatusCode != http.StatusOK || first.Observed != 300 {
+		t.Fatalf("first refresh: status %d observed %d", resp.StatusCode, first.Observed)
+	}
+	const idleRefreshes = 5
+	hits := srv.m.MergeCacheHits.Value()
+	for i := 0; i < idleRefreshes; i++ {
+		var again centersResponse
+		getJSON(t, centersURL, &again)
+		if fmt.Sprint(again.Centers) != fmt.Sprint(first.Centers) || again.Observed != 300 || again.MergedAgeMs != 0 {
+			t.Fatalf("revalidated refresh %d: observed %d age %dms centers %v, want the first answer at age 0",
+				i, again.Observed, again.MergedAgeMs, again.Centers)
+		}
+	}
+	if got := srv.m.Merges.Value(); got != 1 {
+		t.Fatalf("%d merges after %d refreshes of an idle stream, want 1", got, 1+idleRefreshes)
+	}
+	if got := srv.m.MergeCacheHits.Value() - hits; got != idleRefreshes {
+		t.Fatalf("%d cache hits for %d revalidated refreshes", got, idleRefreshes)
+	}
+	for i, sp := range shards {
+		if got, want := pullsOf(srv, sp), (pullCounts{modified: 1, notModified: idleRefreshes}); got != want {
+			t.Fatalf("shard %d pulls %+v, want %+v", i, got, want)
+		}
+	}
+	_, idleSketch := fetch(t, http.MethodGet, snapshotURL, "")
+	if !bytes.Equal(idleSketch, unconditional()) {
+		t.Fatal("cached merged sketch differs from an unconditional pull-and-merge")
+	}
+
+	// One shard ingests (directly, so the other provably does not move): the
+	// next refresh transfers that shard alone and merges it with the kept
+	// snapshot of the other.
+	if resp := postJSON(t, "http://"+shards[0].addr+"/streams/s/points", map[string]any{"points": ds[300:]}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct ingest: status %d", resp.StatusCode)
+	}
+	var moved centersResponse
+	getJSON(t, centersURL, &moved)
+	if moved.Observed != 400 || moved.Shards != 2 {
+		t.Fatalf("after one shard moved: observed %d from %d shards, want 400 from 2", moved.Observed, moved.Shards)
+	}
+	if got := srv.m.Merges.Value(); got != 2 {
+		t.Fatalf("%d merges after one shard moved, want 2", got)
+	}
+	if got, want := pullsOf(srv, shards[0]), (pullCounts{modified: 2, notModified: idleRefreshes}); got != want {
+		t.Fatalf("moved shard pulls %+v, want %+v", got, want)
+	}
+	if got, want := pullsOf(srv, shards[1]), (pullCounts{modified: 1, notModified: idleRefreshes + 1}); got != want {
+		t.Fatalf("idle shard pulls %+v, want %+v", got, want)
+	}
+	snapResp, movedSketch := fetch(t, http.MethodGet, snapshotURL, "")
+	if !bytes.Equal(movedSketch, unconditional()) {
+		t.Fatal("merge of one fresh and one kept snapshot differs from an unconditional pull-and-merge")
+	}
+
+	// The router's own reads are conditional too: the merged sketch's ETag,
+	// strong on /snapshot and weak on /centers, answers 304 while it holds.
+	etag := snapResp.Header.Get("ETag")
+	if etag == "" || strings.HasPrefix(etag, "W/") {
+		t.Fatalf("router snapshot ETag %q, want a strong tag", etag)
+	}
+	for _, u := range []string{snapshotURL, centersURL} {
+		resp, body := fetch(t, http.MethodGet, u, etag)
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("%s with the current tag: status %d, %d body bytes, want an empty 304", u, resp.StatusCode, len(body))
+		}
+	}
+	if resp, _ := fetch(t, http.MethodGet, centersURL, ""); resp.Header.Get("ETag") != "W/"+etag {
+		t.Fatalf("router centers ETag %q, want W/%s", resp.Header.Get("ETag"), etag)
+	}
+
+	// SIGKILL the idle shard. The router still holds its last snapshot and
+	// must not answer from it.
+	victim := shards[1]
+	if err := victim.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	victim.cmd.Wait()
+	victim.cmd = nil
+	resp := getJSON(t, centersURL, nil)
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("refresh with a dead shard and a warm cache: status %d, want 502", resp.StatusCode)
+	}
+	if code, _ := errorBody(t, resp); code != "shard_unavailable" {
+		t.Fatalf("refresh with a dead shard: code %q, want shard_unavailable", code)
+	}
+
+	// WAL rejoin: the recovered state is byte-identical, so its ETag is the
+	// one the router holds — the first refresh is correct and merge-free.
+	launchShard(t, victim)
+	merges, before := srv.m.Merges.Value(), pullsOf(srv, victim)
+	var rejoined centersResponse
+	if resp := getJSON(t, centersURL, &rejoined); resp.StatusCode != http.StatusOK {
+		t.Fatalf("refresh after rejoin: status %d", resp.StatusCode)
+	}
+	if rejoined.Observed != 400 || rejoined.Shards != 2 {
+		t.Fatalf("after rejoin: observed %d from %d shards, want 400 from 2", rejoined.Observed, rejoined.Shards)
+	}
+	if _, sketch := fetch(t, http.MethodGet, snapshotURL, ""); !bytes.Equal(sketch, unconditional()) {
+		t.Fatal("merged sketch after rejoin differs from an unconditional pull-and-merge")
+	}
+	after := pullsOf(srv, victim)
+	if after.notModified != before.notModified+1 || after.modified != before.modified || srv.m.Merges.Value() != merges {
+		t.Fatalf("byte-identical rejoin cost a transfer or a merge: pulls %+v -> %+v, merges %d -> %d",
+			before, after, merges, srv.m.Merges.Value())
+	}
+
+	// The refresher's trace names the same decisions: what each shard
+	// answered, and whether the merge span merged or only revalidated.
+	refresherTrace := func() string {
+		t.Helper()
+		srv.refreshKnown()
+		root := srv.tracer.Recent()[0].Detail().Root
+		results := make(map[string]string)
+		cache := ""
+		for _, sp := range root.Children {
+			switch sp.Name {
+			case "shard.pull":
+				results[sp.Attrs["shard"]] = sp.Attrs["result"]
+			case "merge":
+				cache = sp.Attrs["cache"]
+			}
+		}
+		return results[shards[0].addr] + " " + results[shards[1].addr] + " cache=" + cache
+	}
+	if got, want := refresherTrace(), "not_modified not_modified cache=revalidated"; got != want {
+		t.Fatalf("idle refresher trace: %q, want %q", got, want)
+	}
+	postJSON(t, "http://"+shards[0].addr+"/streams/s/points", map[string]any{"points": ds[:10]}, nil)
+	if got, want := refresherTrace(), "modified not_modified cache=merged"; got != want {
+		t.Fatalf("refresher trace after shard 0 moved: %q, want %q", got, want)
+	}
+}
+
+// TestRouterForgetsUnknownStreams bounds the router's per-stream tables by
+// the streams that exist: names nobody hosts (a thousand junk reads, a batch
+// every shard rejects) never enter them, and a stream deleted on the shards
+// leaves them — blob cache included — on the refresher's next pass, after
+// which the refresher pulls live streams only.
+func TestRouterForgetsUnknownStreams(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns daemon processes")
+	}
+	shards := []*shardProc{startShard(t, ""), startShard(t, "")}
+	ts, srv := newTestRouter(t, shards)
+	tables := func() (known, views int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.known), len(srv.views)
+	}
+
+	ds := clusteredPoints(200, 2, 3)
+	postJSON(t, ts.URL+"/streams/live/points", map[string]any{"points": ds}, nil)
+	if resp := getJSON(t, ts.URL+"/streams/live/centers?refresh=1", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("live centers: status %d", resp.StatusCode)
+	}
+	known, views := tables()
+	if known != 1 || views != 1 {
+		t.Fatalf("one live stream: %d known, %d views", known, views)
+	}
+
+	for i := 0; i < 1000; i++ {
+		if resp := getJSON(t, fmt.Sprintf("%s/streams/junk-%d/centers", ts.URL, i), nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("junk read %d: status %d, want 404", i, resp.StatusCode)
+		}
+	}
+	if resp := postJSON(t, ts.URL+"/streams/rejected/points?k=abc", map[string]any{"points": ds}, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch with a bad creation parameter: status %d, want 400", resp.StatusCode)
+	}
+	if k, v := tables(); k != known || v != views {
+		t.Fatalf("after 1000 junk reads and a rejected batch: %d known, %d views, want %d and %d", k, v, known, views)
+	}
+
+	postJSON(t, ts.URL+"/streams/doomed/points", map[string]any{"points": ds}, nil)
+	getJSON(t, ts.URL+"/streams/doomed/centers?refresh=1", nil)
+	if k, v := tables(); k != known+1 || v != views+1 {
+		t.Fatalf("with a second live stream: %d known, %d views", k, v)
+	}
+	for _, sp := range shards {
+		if resp, _ := fetch(t, http.MethodDelete, "http://"+sp.addr+"/streams/doomed", ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("deleting doomed on %s: status %d", sp.addr, resp.StatusCode)
+		}
+	}
+	srv.refreshKnown()
+	if k, v := tables(); k != known || v != views {
+		t.Fatalf("after the deleted stream's refresh: %d known, %d views, want %d and %d", k, v, known, views)
+	}
+
+	sends := make([]int64, len(shards))
+	for i, sp := range shards {
+		sends[i] = srv.m.ShardSends.With(sp.addr).Value()
+	}
+	srv.refreshKnown()
+	for i, sp := range shards {
+		if got := srv.m.ShardSends.With(sp.addr).Value() - sends[i]; got != 1 {
+			t.Fatalf("a refresher pass sent %d requests to shard %d, want 1 (the live stream)", got, i)
+		}
+	}
+}

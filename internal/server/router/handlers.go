@@ -26,12 +26,18 @@ type centersResponse struct {
 }
 
 // handleCenters serves cluster-wide centers from the cached merged view;
-// ?refresh=1 forces a re-pull and re-merge before answering.
+// ?refresh=1 forces a revalidation against every shard before answering. The
+// ETag is the merged sketch's, weak because mergedAgeMs moves between
+// identical views: a poller sending it back as If-None-Match gets a bodiless
+// 304 while the centers it holds are still the cluster's.
 func (s *server) handleCenters(w http.ResponseWriter, r *http.Request) {
 	force := r.URL.Query().Get("refresh") == "1"
 	res, err := s.getMerged(r.Context(), r.PathValue("name"), force)
 	if err != nil {
 		httpapi.EngineError(w, err)
+		return
+	}
+	if httpapi.NotModified(w, r, "W/"+res.etag) {
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, centersResponse{
@@ -45,12 +51,16 @@ func (s *server) handleCenters(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the merged global sketch itself — a valid restore
 // body for any shard daemon, so an operator can materialise the cluster-wide
-// state as a single stream.
+// state as a single stream — under the same strong-ETag / If-None-Match
+// contract as a shard's snapshot route.
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	force := r.URL.Query().Get("refresh") == "1"
 	res, err := s.getMerged(r.Context(), r.PathValue("name"), force)
 	if err != nil {
 		httpapi.EngineError(w, err)
+		return
+	}
+	if httpapi.NotModified(w, r, res.etag) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -81,7 +91,7 @@ type statsResponse struct {
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	path := "/streams/" + url.PathEscape(name) + "/stats"
-	resps, errs := s.broadcast(r, http.MethodGet, path, "", nil)
+	resps, errs := s.broadcast(r, shardReq{method: http.MethodGet, path: path})
 
 	out := statsResponse{Stream: name, Shards: make([]shardStreamStat, len(s.shards))}
 	present := 0
@@ -132,7 +142,8 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	path := "/streams/" + url.PathEscape(name) + "/advance"
-	resps, errs := s.broadcast(r, http.MethodPost, path, "application/json", body)
+	resps, errs := s.broadcast(r, shardReq{method: http.MethodPost, path: path,
+		contentType: "application/json", body: body})
 
 	var observed int64
 	advanced := 0
@@ -167,7 +178,7 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 
 // handleList unions the shard stream listings into one sorted name list.
 func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
-	resps, errs := s.broadcast(r, http.MethodGet, "/streams", "", nil)
+	resps, errs := s.broadcast(r, shardReq{method: http.MethodGet, path: "/streams"})
 	names := make(map[string]struct{})
 	answered := 0
 	for i := range s.shards {
@@ -205,7 +216,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // broadcast sends the same request to every shard concurrently and collects
 // each answer (or error) by shard index.
-func (s *server) broadcast(r *http.Request, method, path, contentType string, body []byte) ([]shardResp, []error) {
+func (s *server) broadcast(r *http.Request, rq shardReq) ([]shardResp, []error) {
 	resps := make([]shardResp, len(s.shards))
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -215,7 +226,7 @@ func (s *server) broadcast(r *http.Request, method, path, contentType string, bo
 			defer wg.Done()
 			_, span := obsStartSpan(r, "shard.send")
 			span.SetAttr("shard", sh.addr)
-			resps[i], errs[i] = s.sendShard(r.Context(), sh, method, path, contentType, body, span)
+			resps[i], errs[i] = s.sendShard(r.Context(), sh, rq, span)
 			if errs[i] != nil {
 				span.SetAttr("error", errs[i].Error())
 			} else {

@@ -142,7 +142,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	name := r.PathValue("name")
-	s.remember(name)
 
 	// Partition per point into per-shard flat frames.
 	_, part := obs.StartSpan(r.Context(), "partition")
@@ -196,7 +195,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			_, span := obs.StartSpan(r.Context(), "shard.send")
 			span.SetAttr("shard", sh.addr)
 			span.SetAttr("points", strconv.Itoa(parts[idx].Len()))
-			resp, err := s.sendShard(r.Context(), sh, http.MethodPost, path, httpapi.BinaryContentType, body, span)
+			resp, err := s.sendShard(r.Context(), sh, shardReq{method: http.MethodPost, path: path,
+				contentType: httpapi.BinaryContentType, body: body}, span)
 			if err != nil {
 				span.SetAttr("error", err.Error())
 			} else {
@@ -235,6 +235,9 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		observed += stats.Observed
 		sent++
 	}
+	// Only a name every touched shard acknowledged is worth keeping fresh: a
+	// rejected batch may never have created the stream anywhere.
+	s.remember(name)
 	if m := s.m; m != nil {
 		m.IngestBatches.Add(1)
 		m.IngestPoints.Add(int64(len(points)))
@@ -262,11 +265,22 @@ func relayShardError(w http.ResponseWriter, resp shardResp) {
 	w.Write(resp.body)
 }
 
-// shardResp is one shard's answer: status, body, and the trace ID its
-// daemon assigned (so router spans can link to shard-side traces).
+// shardReq is one logical request to a shard. ifNoneMatch, when set, makes it
+// conditional: a shard whose current ETag matches answers 304 with no body.
+type shardReq struct {
+	method, path string
+	contentType  string
+	body         []byte
+	ifNoneMatch  string
+}
+
+// shardResp is one shard's answer: status, body, the body's ETag (snapshot
+// pulls only), and the trace ID its daemon assigned (so router spans can link
+// to shard-side traces).
 type shardResp struct {
 	status  int
 	body    []byte
+	etag    string
 	traceID string
 }
 
@@ -276,14 +290,14 @@ type shardResp struct {
 // return immediately. When a span is supplied, the outbound request carries
 // its W3C traceparent so the shard joins the router's trace, and the shard's
 // X-Trace-ID lands on the span for cross-daemon correlation.
-func (s *server) sendShard(ctx context.Context, sh *shard, method, path, contentType string, body []byte, span *obs.Span) (shardResp, error) {
+func (s *server) sendShard(ctx context.Context, sh *shard, rq shardReq, span *obs.Span) (shardResp, error) {
 	backoff := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if m := s.m; m != nil {
 			m.ShardSends.With(sh.addr).Add(1)
 		}
-		resp, err := s.sendOnce(ctx, sh, method, path, contentType, body, span)
+		resp, err := s.sendOnce(ctx, sh, rq, span)
 		if err == nil && resp.status < http.StatusInternalServerError {
 			return resp, nil
 		}
@@ -312,19 +326,22 @@ func (s *server) sendShard(ctx context.Context, sh *shard, method, path, content
 }
 
 // sendOnce is a single attempt of sendShard.
-func (s *server) sendOnce(ctx context.Context, sh *shard, method, path, contentType string, body []byte, span *obs.Span) (shardResp, error) {
+func (s *server) sendOnce(ctx context.Context, sh *shard, rq shardReq, span *obs.Span) (shardResp, error) {
 	reqCtx, cancel := context.WithTimeout(ctx, s.cfg.shardTimeout)
 	defer cancel()
 	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+	if rq.body != nil {
+		rd = bytes.NewReader(rq.body)
 	}
-	req, err := http.NewRequestWithContext(reqCtx, method, sh.base+path, rd)
+	req, err := http.NewRequestWithContext(reqCtx, rq.method, sh.base+rq.path, rd)
 	if err != nil {
 		return shardResp{}, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if rq.contentType != "" {
+		req.Header.Set("Content-Type", rq.contentType)
+	}
+	if rq.ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", rq.ifNoneMatch)
 	}
 	if span != nil {
 		req.Header.Set("traceparent", span.Traceparent())
@@ -348,7 +365,8 @@ func (s *server) sendOnce(ctx context.Context, sh *shard, method, path, contentT
 	if int64(len(respBody)) > s.cfg.maxBody {
 		return shardResp{}, fmt.Errorf("response exceeds %d bytes", s.cfg.maxBody)
 	}
-	out := shardResp{status: resp.StatusCode, body: respBody, traceID: resp.Header.Get("X-Trace-ID")}
+	out := shardResp{status: resp.StatusCode, body: respBody,
+		etag: resp.Header.Get("ETag"), traceID: resp.Header.Get("X-Trace-ID")}
 	if span != nil && out.traceID != "" {
 		span.SetAttr("shardTraceId", out.traceID)
 	}

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -165,6 +166,9 @@ func (s *server) probeOnce() {
 				sh.setState("unreachable: " + err.Error())
 				return
 			}
+			// Drained, not just closed: a body left unread costs the probe its
+			// keep-alive connection.
+			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
 				sh.setState("ok")

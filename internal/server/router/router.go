@@ -74,7 +74,7 @@ type server struct {
 
 	mu     sync.Mutex
 	views  map[string]*mergedView // per-stream cached global view
-	known  map[string]struct{}    // stream names seen via ingest or query
+	known  map[string]struct{}    // streams some shard hosts; the refresher's worklist
 	closed chan struct{}          // closes on shutdown; stops background loops
 }
 
@@ -96,6 +96,7 @@ type metrics struct {
 	ShardRetries  *obs.CounterVec // shard
 	ShardFailures *obs.CounterVec // shard
 	ShardSendDur  *obs.HistogramVec
+	ShardPulls    *obs.CounterVec // shard, result
 
 	Merges         *obs.Counter
 	MergeFailures  *obs.Counter
@@ -134,12 +135,16 @@ func newMetrics() *metrics {
 			"Latency of one shard request (per attempt).",
 			obs.DefDurationBuckets, "shard"),
 
+		ShardPulls: r.CounterVec("kcenterd_router_shard_pulls_total",
+			"Conditional snapshot pulls answered by each shard: modified (200, new bytes), not_modified (304) or absent (404 unknown_stream).",
+			"shard", "result"),
+
 		Merges: r.Counter("kcenterd_router_merges_total",
-			"Merged-view refreshes (shard snapshot pulls + MergeSketches)."),
+			"Merged-view refreshes that ran MergeSketches because a shard's snapshot changed."),
 		MergeFailures: r.Counter("kcenterd_router_merge_failures_total",
 			"Merged-view refreshes that failed."),
 		MergeCacheHits: r.Counter("kcenterd_router_merge_cache_hits_total",
-			"Global-view queries answered from the cached merge."),
+			"Global-view queries answered from the cached merge: still fresh, or revalidated by every shard."),
 	}
 }
 
@@ -165,7 +170,7 @@ func newServer(cfg config) *server {
 	s := &server{
 		cfg:    cfg,
 		eng:    engine.New(engine.Config{}),
-		client: &http.Client{},
+		client: &http.Client{Transport: shardTransport()},
 		logger: obs.NewLogger(io.Discard, obs.LevelInfo),
 		m:      newMetrics(),
 		views:  make(map[string]*mergedView),
@@ -185,6 +190,22 @@ func newServer(cfg config) *server {
 		})
 	}
 	return s
+}
+
+// shardIdleConns is the keep-alive pool per shard. Ingest fan-out, snapshot
+// pulls, stats broadcasts and probes of concurrent client requests all talk
+// to the same few hosts; the default transport keeps two idle connections per
+// host and closes the rest, so anything past two requests in flight would
+// re-dial on every burst.
+const shardIdleConns = 64
+
+// shardTransport is http.DefaultTransport with a per-host idle pool sized
+// for fan-out and no process-wide cap beneath it.
+func shardTransport() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0
+	t.MaxIdleConnsPerHost = shardIdleConns
+	return t
 }
 
 // Run is the router role's entry point, handed the post--role argument list
@@ -311,6 +332,7 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("POST /streams/{name}/ingest", s.handleIngest)
 	mux.HandleFunc("POST /streams/{name}/advance", s.handleAdvance)
 	mux.HandleFunc("GET /streams/{name}/centers", s.handleCenters)
+	mux.HandleFunc("GET /streams/{name}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /streams/{name}/snapshot", s.handleSnapshot)
 	return http.MaxBytesHandler(s.withObs(mux), s.cfg.maxBody)
 }
