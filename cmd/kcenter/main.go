@@ -47,6 +47,7 @@ type result struct {
 	Randomized       bool            `json:"randomized,omitempty"`
 	Partitions       int             `json:"partitions,omitempty"`
 	CoresetUnionSize int             `json:"coresetUnionSize,omitempty"`
+	Evaluations      int64           `json:"distanceEvaluations,omitempty"` // spent by the greedy (GMM) runs
 	Budget           int             `json:"budget,omitempty"`
 	WorkingMemory    int             `json:"workingMemory,omitempty"`
 	Radius           float64         `json:"radius"`
@@ -194,6 +195,7 @@ func runPlain(points kcenter.Dataset, space kcenter.Space, k, mu int, eps float6
 		K:                k,
 		Partitions:       res.Stats.Partitions,
 		CoresetUnionSize: res.Stats.CoresetUnionSize,
+		Evaluations:      res.Stats.DistanceEvaluations,
 		Radius:           res.Radius,
 		Centers:          res.Centers,
 		coresetTime:      res.Stats.CoresetTime,
@@ -213,6 +215,7 @@ func runOutliers(points kcenter.Dataset, space kcenter.Space, k, z, mu int, eps 
 		Randomized:       randomized,
 		Partitions:       res.Stats.Partitions,
 		CoresetUnionSize: res.Stats.CoresetUnionSize,
+		Evaluations:      res.Stats.DistanceEvaluations,
 		Radius:           res.Radius,
 		Centers:          res.Centers,
 		coresetTime:      res.Stats.CoresetTime,

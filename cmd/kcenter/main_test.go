@@ -131,6 +131,9 @@ func TestRunJSONOutput(t *testing.T) {
 	if len(res.Centers) != 5 || res.Radius <= 0 {
 		t.Errorf("JSON result missing centers/radius: %+v", res)
 	}
+	if res.Evaluations <= 0 || !bytes.Contains(out.Bytes(), []byte(`"distanceEvaluations"`)) {
+		t.Errorf("JSON result missing distanceEvaluations: %s", out.String())
+	}
 	for _, c := range res.Centers {
 		if len(c) != res.Dimensions {
 			t.Errorf("center dimension %d, want %d", len(c), res.Dimensions)

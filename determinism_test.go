@@ -312,3 +312,57 @@ func TestCrossPathGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestFusedTailMatchesTwoPasses: Cluster and ClusterWithOutliers take their
+// reported radius and their assignment from ONE nearest-center pass. On the
+// determinism fixtures both must equal what the two separate passes (Radius /
+// RadiusExcluding, then Assign) return, and a counting space must see the
+// tail cost n*k evaluations, not 2*n*k: everything it counts beyond the
+// greedy runs' own Stats.DistanceEvaluations.
+func TestFusedTailMatchesTwoPasses(t *testing.T) {
+	ds := clusteredTestData(10000, 4, 12, 1)
+	n, k := len(ds), 10
+	for _, w := range []int{1, 8} {
+		cs := metric.NewCountingSpace(metric.EuclideanSpace)
+		got, err := Cluster(ds, k, WithSpace(cs), WithWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tail := cs.Evaluations() - got.Stats.DistanceEvaluations; got.Stats.DistanceEvaluations <= 0 || tail != int64(n*k) {
+			t.Fatalf("Cluster workers=%d: %d evaluations outside the greedy runs (%d inside), want n*k = %d", w, tail, got.Stats.DistanceEvaluations, n*k)
+		}
+		eng := metric.NewEngine(w)
+		want := &Clustering{
+			Centers:    got.Centers,
+			Radius:     eng.Radius(metric.EuclideanSpace, ds, got.Centers),
+			Assignment: eng.Assign(metric.EuclideanSpace, ds, got.Centers),
+		}
+		requireSameClustering(t, "Cluster vs two passes", want, got)
+	}
+
+	ds = clusteredTestData(9000, 3, 8, 3)
+	n, k = len(ds), 6
+	const z = 20
+	out, err := ClusterWithOutliers(ds, k, z, WithWorkers(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := metric.NewEngine(8)
+	if want := eng.RadiusExcluding(metric.EuclideanSpace, ds, out.Centers, z); out.Radius != want {
+		t.Fatalf("ClusterWithOutliers radius = %v, want %v", out.Radius, want)
+	}
+	dists, assignment := eng.NearestBatch(metric.EuclideanSpace, ds, out.Centers)
+	for i := range assignment {
+		if out.Assignment[i] != assignment[i] {
+			t.Fatalf("ClusterWithOutliers assignment[%d] = %d, want %d", i, out.Assignment[i], assignment[i])
+		}
+	}
+	for i, idx := range farthestIndices(dists, z) {
+		if out.Outliers[i] != idx {
+			t.Fatalf("ClusterWithOutliers outlier[%d] = %d, want %d", i, out.Outliers[i], idx)
+		}
+	}
+	if out.Stats.DistanceEvaluations <= 0 {
+		t.Fatalf("ClusterWithOutliers reports %d distance evaluations", out.Stats.DistanceEvaluations)
+	}
+}

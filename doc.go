@@ -70,6 +70,23 @@
 // flat-buffer format, and the dataset loaders auto-detect it (CSV parsing is
 // the unchanged fallback).
 //
+// # The greedy, pruned exactly
+//
+// Every algorithm above is built on the greedy farthest-point loop (GMM). Its
+// textbook form evaluates each new center against all n points; the
+// implementation (internal/gmm) proves most of those evaluations unnecessary
+// with the triangle inequality — a center c cannot capture a point p owned
+// by b when d(c,b) >= 2*d(p,b), nor any point of b's cluster when
+// d(c,b) >= 2*(cluster radius) — and evaluates only the rest, with the same
+// batched kernel, so centers, radii and assignments are bit-identical to the
+// textbook loop. Runs start on the textbook loop and switch once, by a rule
+// that reads only the data (a sampled probe at geometrically spaced center
+// counts), when at least half the points are provably skippable. The
+// Euclidean, Manhattan, Chebyshev and Angular spaces opt in through
+// metric.Pruner; CosineSpace (no triangle inequality) and custom distance
+// functions keep exactly k*n evaluations. RunStats.DistanceEvaluations
+// reports what a run spent.
+//
 // # Parallelism and determinism
 //
 // All distance-dominated passes (the Gonzalez farthest-point scans,

@@ -94,9 +94,11 @@ func KCenterViaEngine(points metric.Dataset, cfg KCenterConfig) (*KCenterResult,
 	for _, p := range round2 {
 		centers[p.Key] = p.Value
 	}
+	_, assignment, radius := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, centers, 0)
 	return &KCenterResult{
 		Centers:          centers,
-		Radius:           metric.NewEngine(cfg.Workers).Radius(cfg.Space, points, centers),
+		Radius:           radius,
+		Assignment:       assignment,
 		CoresetUnionSize: len(round1),
 		LocalMemoryPeak:  maxInt(stats1.LocalMemory, stats2.LocalMemory),
 	}, nil

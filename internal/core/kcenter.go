@@ -93,6 +93,15 @@ type KCenterResult struct {
 	Centers metric.Dataset
 	// Radius is r_T(S) computed over the full input (the clustering radius).
 	Radius float64
+	// Assignment maps every input point to the index of its closest center,
+	// from the same nearest-center pass that produced Radius.
+	Assignment []int
+	// DistanceEvaluations is the number of distance evaluations the GMM runs
+	// of both rounds performed (every partition's coreset plus the run on
+	// the union); the final radius/assignment pass adds |S|*K on top. The
+	// textbook loop needs sum_i |S_i|*|T_i| + |T|*K. KCenterViaEngine does
+	// not track it.
+	DistanceEvaluations int64
 	// CoresetUnionSize is |T|, the number of points gathered by the second
 	// round's reducer.
 	CoresetUnionSize int
@@ -164,9 +173,12 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 	}
 	finalTime := time.Since(start)
 
+	// One nearest-center pass gives the radius and the assignment.
+	_, assignment, radius := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, final.Centers, 0)
 	res := &KCenterResult{
 		Centers:          final.Centers,
-		Radius:           metric.NewEngine(cfg.Workers).Radius(cfg.Space, points, final.Centers),
+		Radius:           radius,
+		Assignment:       assignment,
 		CoresetUnionSize: len(union),
 		LocalMemoryPeak:  maxInt(execStats.LocalMemoryPeak, len(union)),
 		CoresetTime:      coresetTime,
@@ -174,12 +186,14 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 		PartitionSizes:   make([]int, len(parts)),
 		CoresetSizes:     make([]int, len(coresets)),
 	}
+	res.DistanceEvaluations = final.Evaluations
 	for i, p := range parts {
 		res.PartitionSizes[i] = len(p)
 	}
 	for i, c := range coresets {
 		if c != nil {
 			res.CoresetSizes[i] = c.Size()
+			res.DistanceEvaluations += c.Evaluations
 		}
 	}
 	return res, nil

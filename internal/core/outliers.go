@@ -124,6 +124,15 @@ type OutliersResult struct {
 	// Radius is the outlier-aware radius over the full input: the maximum
 	// distance to the centers after discarding the Z farthest points.
 	Radius float64
+	// Distances and Assignment hold every input point's distance to and the
+	// index of its closest center, from the same nearest-center pass that
+	// produced Radius.
+	Distances  []float64
+	Assignment []int
+	// DistanceEvaluations is the number of distance evaluations the
+	// first-round GMM runs performed (every partition's coreset); the
+	// second-round radius search and the final |S|*K pass are not counted.
+	DistanceEvaluations int64
 	// SearchRadius is the candidate radius the second-round search settled
 	// on (r~min in the paper).
 	SearchRadius float64
@@ -213,9 +222,14 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 	}
 	solveTime := time.Since(start)
 
+	// One nearest-center pass gives the radius, the distances the caller
+	// picks the outliers from, and the assignment.
+	dists, assignment, radius := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, solved.Centers, cfg.Z)
 	res := &OutliersResult{
 		Centers:           solved.Centers,
-		Radius:            metric.NewEngine(cfg.Workers).RadiusExcluding(cfg.Space, points, solved.Centers, cfg.Z),
+		Radius:            radius,
+		Distances:         dists,
+		Assignment:        assignment,
 		SearchRadius:      solved.Radius,
 		UncoveredWeight:   solved.UncoveredWeight,
 		CoresetUnionSize:  len(union),
@@ -233,6 +247,7 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 	for i, c := range coresets {
 		if c != nil {
 			res.CoresetSizes[i] = c.Size()
+			res.DistanceEvaluations += c.Evaluations
 		}
 	}
 	return res, nil

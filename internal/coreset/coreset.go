@@ -98,6 +98,10 @@ type Coreset struct {
 	// SourceSize is the number of points of the partition the coreset was
 	// built from.
 	SourceSize int
+	// Evaluations is the number of distance evaluations the GMM run spent
+	// (gmm.Result.Evaluations): at most len(Points) * SourceSize plus the
+	// pruned phase's center-to-center ones, far fewer on clustered input.
+	Evaluations int64
 }
 
 // Weighted returns the coreset as a weighted point set, the form consumed by
@@ -149,6 +153,7 @@ func Build(dist metric.Distance, partition metric.Dataset, spec Spec) (*Coreset,
 		ProxyRadius: res.Radius,
 		RadiusAtRef: res.RadiusAtK,
 		SourceSize:  len(partition),
+		Evaluations: res.Evaluations,
 	}, nil
 }
 

@@ -7,6 +7,12 @@
 // GMM is a 2-approximation for k-center (Gonzalez, 1985) and, crucially for
 // the coreset constructions, Lemma 1 of the paper shows that when run on a
 // subset X of S it still guarantees r_T(X) <= 2 * r*_k(S).
+//
+// The textbook loop evaluates every new center against all n points. On
+// spaces that declare the metric.Pruner capability the implementation skips,
+// exactly, every evaluation the triangle inequality decides in advance (see
+// pruned.go): same centers, radii and assignment, bit for bit, for a fraction
+// of the evaluations once the centers resolve the input's structure.
 package gmm
 
 import (
@@ -42,14 +48,23 @@ type Result struct {
 	// Assignment maps every input point to the index (into Centers) of its
 	// closest center.
 	Assignment []int
+	// Evaluations is the number of surrogate distance evaluations the run
+	// performed, the center-to-center ones of the pruned phase and of the
+	// probes that decide to enter it included. The textbook loop needs
+	// len(Centers) * len(points).
+	Evaluations int64
+	// PrunedAt is the number of centers already selected when the run left
+	// the dense phase for the pruned one; 0 means it never did.
+	PrunedAt int
 }
 
 // Runner bundles the metric space with the parallelism degree of the
-// distance engine. Every per-iteration O(n) pass of the greedy (the farthest
-// scan and the nearest-center cache update) is chunked across Workers
-// goroutines and runs on the space's batched UpdateNearest kernel in the
-// surrogate domain; results are bit-identical to the sequential path for any
-// worker count (see the determinism contract in internal/metric/parallel.go).
+// distance engine. Every per-iteration pass of the greedy (the farthest scan
+// and the nearest-center cache update of the dense phase, the survivor
+// evaluation of the pruned one) is chunked across Workers goroutines and
+// runs on the space's batched kernels in the surrogate domain; results are
+// bit-identical to the sequential path for any worker count (see the
+// determinism contract in internal/metric/parallel.go).
 type Runner struct {
 	// Dist is the metric. When Space is nil it is upgraded to its native
 	// Space (built-in functions) or wrapped in the identity-surrogate
@@ -238,72 +253,96 @@ func (r Runner) RunToRadius(points metric.Dataset, targetRadius float64, maxCent
 }
 
 // state maintains, for every input point, the SURROGATE distance to the
-// closest center selected so far, allowing each new center to be added in
-// O(n) distance evaluations (the standard O(k*n) implementation of GMM) —
-// the cache is only ever min-merged against the single new center per round
-// via the space's batched UpdateNearest kernel, never rebuilt by a full
-// rescan. The two O(n) passes per iteration (farthest scan, cache update)
-// run on the parallel distance engine; per-point cache entries are only ever
+// closest center selected so far. It starts in the DENSE phase: each new
+// center costs n distance evaluations (the standard O(k*n) implementation of
+// GMM) — the cache is only ever min-merged against the single new center per
+// round via the space's batched UpdateNearest kernel, never rebuilt by a full
+// rescan. The two O(n) passes per iteration (farthest scan, cache update) run
+// on the parallel distance engine; per-point cache entries are only ever
 // written by the worker owning that point's chunk, so the caches stay
 // coherent without locks, and all reductions follow the engine's
-// deterministic ordering. Radii are converted out of the surrogate domain
-// once per selection round (one FromSurrogate per reported radius, never one
-// per evaluation).
+// deterministic ordering. On a space with the metric.Pruner capability the
+// state may move, once and for good, to the PRUNED phase of pruned.go, which
+// evaluates only the points a new center can capture; both phases leave the
+// same bits in every field below. Radii are converted out of the surrogate
+// domain once per selection round (one FromSurrogate per reported radius,
+// never one per evaluation).
 type state struct {
-	sp      metric.Space
-	eng     metric.Engine
-	points  metric.Dataset
-	centers []int     // indices into points, in selection order
-	minDist []float64 // minDist[i] = surrogate d(points[i], current centers)
-	closest []int     // closest[i] = index into centers of the closest center
-	radii   []float64 // radii[j] = TRUE radius after j+1 centers were selected
+	sp       metric.Space
+	eng      metric.Engine
+	points   metric.Dataset
+	centers  []int     // indices into points, in selection order
+	minDist  []float64 // minDist[i] = surrogate d(points[i], current centers)
+	closest  []int     // closest[i] = index into centers of the closest center
+	radii    []float64 // radii[j] = TRUE radius after j+1 centers were selected
+	isCenter []bool    // isCenter[i] = points[i] was selected
+	cursor   int       // every point before cursor is a center (firstNonCenter)
+	evals    int64     // surrogate evaluations performed so far
+
+	pruner // the pruned phase and the probe that enters it
 }
 
 func newState(r Runner, points metric.Dataset, seedIndex int) *state {
 	st := &state{
-		sp:      r.space(),
-		eng:     metric.NewEngine(r.Workers),
-		points:  points,
-		minDist: make([]float64, len(points)),
-		closest: make([]int, len(points)),
+		sp:       r.space(),
+		eng:      metric.NewEngine(r.Workers),
+		points:   points,
+		minDist:  make([]float64, len(points)),
+		closest:  make([]int, len(points)),
+		isCenter: make([]bool, len(points)),
 	}
 	for i := range st.minDist {
 		st.minDist[i] = math.Inf(1) // "no center yet"
 	}
-	seed := points[seedIndex]
-	st.radii = append(st.radii, st.updateCaches(seed, 0))
-	st.centers = append(st.centers, seedIndex)
+	st.initPruner()
+	st.add(seedIndex)
 	return st
 }
 
-// updateCaches min-merges the caches against a newly selected center c (with
-// index newIdx into centers) and returns the new TRUE radius
-// FromSurrogate(max_i minDist[i]). The pass is chunked across the engine's
-// workers; each chunk's partial max is reduced in chunk order, which yields
-// the exact same float as the sequential scan (max is associative and
-// commutative, and FromSurrogate is monotone).
+// add makes points[idx] the next center: it min-merges the caches against it
+// — in the phase the state is in — and records the new TRUE radius.
+func (st *state) add(idx int) {
+	c := st.points[idx]
+	newIdx := len(st.centers)
+	var m float64
+	if st.enterOrStayPruned(c) {
+		m = st.updatePruned(c, newIdx)
+	} else {
+		m = st.updateCaches(c, newIdx)
+	}
+	st.centers = append(st.centers, idx)
+	st.isCenter[idx] = true
+	radius := 0.0
+	if !math.IsInf(m, -1) {
+		radius = st.sp.FromSurrogate(m)
+	}
+	st.radii = append(st.radii, radius)
+}
+
+// updateCaches is the dense update: it min-merges the caches against a newly
+// selected center c (with index newIdx into centers) over ALL points and
+// returns the new maximum of minDist (-Inf for no points). The pass is
+// chunked across the engine's workers; each chunk's partial max is reduced in
+// chunk order, which yields the exact same float as the sequential scan (max
+// is associative and commutative).
 func (st *state) updateCaches(c metric.Point, newIdx int) float64 {
 	n := len(st.points)
-	var m float64
+	st.evals += int64(n)
 	if st.eng.Sequential(n) {
-		m = st.sp.UpdateNearest(st.minDist, st.closest, c, newIdx, st.points)
-	} else {
-		nc := st.eng.NumChunks(n)
-		maxes := make([]float64, nc)
-		st.eng.ForEachChunk(n, func(chunk, lo, hi int) {
-			maxes[chunk] = st.sp.UpdateNearest(st.minDist[lo:hi], st.closest[lo:hi], c, newIdx, st.points[lo:hi])
-		})
-		m = math.Inf(-1)
-		for _, v := range maxes {
-			if v > m {
-				m = v
-			}
+		return st.sp.UpdateNearest(st.minDist, st.closest, c, newIdx, st.points)
+	}
+	nc := st.eng.NumChunks(n)
+	maxes := make([]float64, nc)
+	st.eng.ForEachChunk(n, func(chunk, lo, hi int) {
+		maxes[chunk] = st.sp.UpdateNearest(st.minDist[lo:hi], st.closest[lo:hi], c, newIdx, st.points[lo:hi])
+	})
+	m := math.Inf(-1)
+	for _, v := range maxes {
+		if v > m {
+			m = v
 		}
 	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return st.sp.FromSurrogate(m)
+	return m
 }
 
 func (st *state) size() int { return len(st.centers) }
@@ -318,10 +357,13 @@ func (st *state) addFarthest() bool {
 	if len(st.centers) >= len(st.points) {
 		return false
 	}
-	// Find the farthest point (parallel argmax over the surrogate caches;
-	// ties resolve to the lowest index, as in a sequential left-to-right
-	// scan).
-	far, farDist := st.eng.ArgMax(st.minDist)
+	// Find the farthest point; ties resolve to the lowest index, as in a
+	// sequential left-to-right scan. Dense: a parallel argmax over the
+	// surrogate caches. Pruned: already known from the cluster summaries.
+	far, farDist := st.nextFar, st.nextFarDist
+	if !st.isPruned() {
+		far, farDist = st.eng.ArgMax(st.minDist)
+	}
 	if far < 0 {
 		return false
 	}
@@ -334,25 +376,21 @@ func (st *state) addFarthest() bool {
 			return false
 		}
 	}
-	newIdx := len(st.centers)
-	st.centers = append(st.centers, far)
-	st.radii = append(st.radii, st.updateCaches(st.points[far], newIdx))
+	st.add(far)
 	return true
 }
 
 // firstNonCenter returns the index of the first point that is not already a
-// center, or -1 if all points are centers.
+// center, or -1 if all points are centers. Centers are never unselected, so
+// the scan resumes where the previous call stopped: O(n) over a whole run.
 func (st *state) firstNonCenter() int {
-	isCenter := make(map[int]bool, len(st.centers))
-	for _, c := range st.centers {
-		isCenter[c] = true
+	for st.cursor < len(st.points) && st.isCenter[st.cursor] {
+		st.cursor++
 	}
-	for i := range st.points {
-		if !isCenter[i] {
-			return i
-		}
+	if st.cursor == len(st.points) {
+		return -1
 	}
-	return -1
+	return st.cursor
 }
 
 // result snapshots the state into a Result. refCenters selects which entry of
@@ -376,6 +414,8 @@ func (st *state) result(refCenters int) *Result {
 		Radius:        st.currentRadius(),
 		RadiusAtK:     radiusAtK,
 		Assignment:    assignment,
+		Evaluations:   st.evals,
+		PrunedAt:      st.prunedAt,
 	}
 }
 

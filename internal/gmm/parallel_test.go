@@ -120,9 +120,14 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestRunnerDistanceBudgetAcrossWorkers checks that parallelism changes only
-// the schedule, never the work: a k-center run performs exactly k*n distance
-// evaluations (one initialisation pass plus k-1 update passes) whatever the
-// worker count.
+// the schedule, never the work. Through the adapter (a custom or instrumented
+// distance function) a k-center run performs exactly k*n distance
+// evaluations — one initialisation pass plus k-1 update passes, never pruned
+// — whatever the worker count. On a native space that can prune, the count
+// is data-dependent but identical for every worker count and never above
+// k*n + k(k-1)/2 (every center evaluated against all points and all earlier
+// centers) plus the probes' center-to-center evaluations, at most 3k; on
+// clustered input it must come in under half the textbook k*n.
 func TestRunnerDistanceBudgetAcrossWorkers(t *testing.T) {
 	n, k := 9000, 7
 	ds := parallelTestDataset(n, 2, 11)
@@ -136,18 +141,41 @@ func TestRunnerDistanceBudgetAcrossWorkers(t *testing.T) {
 		}
 	}
 
-	// The native Space path must stay on the same budget: the nearest-center
-	// cache is min-merged against the single new center per round via
-	// UpdateNearest (one pass of n evaluations per selected center), never
-	// rebuilt by a full rescan against all selected centers — a rescanning
-	// implementation would need n*k*(k+1)/2 evaluations instead of k*n.
-	for _, w := range []int{1, 8} {
-		cs := metric.NewCountingSpace(metric.EuclideanSpace)
-		if _, err := (Runner{Space: cs, Workers: w}).Run(ds, k, 0); err != nil {
-			t.Fatal(err)
+	// The native Space path: the nearest-center cache is min-merged against
+	// the single new center per round, never rebuilt by a full rescan against
+	// all selected centers — a rescanning implementation would need
+	// n*k*(k+1)/2 evaluations.
+	for _, tc := range []struct {
+		name    string
+		ds      metric.Dataset
+		k       int
+		halfOfN bool // clustered: under half the textbook k*n
+	}{
+		{name: "gaussian", ds: ds, k: k},
+		{name: "gaussian-many-centers", ds: ds, k: 200},
+		{name: "blobs", ds: blobsFixture(n, 8, 10, 11), k: 200, halfOfN: true},
+	} {
+		dense := int64(tc.k * n)
+		budget := dense + int64(tc.k*(tc.k-1)/2+3*tc.k)
+		var first int64
+		for i, w := range []int{1, 2, 8} {
+			cs := metric.NewCountingSpace(metric.EuclideanSpace)
+			if _, err := (Runner{Space: cs, Workers: w}).Run(tc.ds, tc.k, 0); err != nil {
+				t.Fatal(err)
+			}
+			got := cs.Evaluations()
+			if i == 0 {
+				first = got
+			}
+			if got != first || got > budget {
+				t.Fatalf("%s, workers=%d: %d evaluations, want the %d of workers=1 and at most %d", tc.name, w, got, first, budget)
+			}
+			if tc.halfOfN && 2*got > dense {
+				t.Fatalf("%s, workers=%d: %d evaluations, want at most half of k*n = %d", tc.name, w, got, dense)
+			}
 		}
-		if got, want := cs.Evaluations(), int64(k*n); got != want {
-			t.Fatalf("space path, workers=%d: %d evaluations, want exactly %d", w, got, want)
+		if tc.k < firstProbe && first != dense {
+			t.Fatalf("%s: %d evaluations below the first probe, want exactly k*n = %d", tc.name, first, dense)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"coresetclustering/internal/selection"
@@ -232,6 +233,33 @@ func (e Engine) NearestBatch(sp Space, points Dataset, centers Dataset) ([]float
 		dists[i] = sp.FromSurrogate(s)
 	}
 	return dists, idxs
+}
+
+// NearestRadius is the fused tail of the two-round solvers: ONE
+// nearest-center pass yields every point's true distance to and index of its
+// closest center together with the radius after discarding the z farthest
+// points (z <= 0: the plain radius). The radius is bit-identical to Radius /
+// RadiusExcluding and the other two results to NearestBatch — max and order
+// statistics commute with the monotone FromSurrogate — for half the distance
+// evaluations of calling them in turn.
+func (e Engine) NearestRadius(sp Space, points Dataset, centers Dataset, z int) (dists []float64, idxs []int, radius float64) {
+	dists, idxs = e.surrogateNearest(sp, points, centers)
+	switch {
+	case len(points) == 0 || z >= len(points):
+	case z <= 0:
+		_, m := argMaxSeq(dists, 0, len(dists))
+		radius = sp.FromSurrogate(m)
+	default:
+		// Dropping the z largest leaves the (n-z)-th smallest; select on a
+		// copy, the caller needs the distances in point order.
+		if s, err := selection.SelectInPlace(slices.Clone(dists), len(dists)-z-1); err == nil {
+			radius = sp.FromSurrogate(s)
+		}
+	}
+	for i, s := range dists {
+		dists[i] = sp.FromSurrogate(s)
+	}
+	return dists, idxs, radius
 }
 
 // Assign maps every point to the index of its closest center, chunking the

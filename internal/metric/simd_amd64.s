@@ -53,6 +53,12 @@ TEXT ·argNearestEucAVX(SB), NOSPLIT, $0-64
 	MOVQ  $-1, R11
 	XORQ  R8, R8
 
+	// Pin the row loop to a cache-line start: the 33-byte dimloop then sits
+	// inside one 64-byte line wherever the linker puts the function. Left to
+	// the 32-byte function alignment it straddled two lines in every other
+	// build, which moved single-point ArgNearest (the streaming Observe
+	// kernel) by 4-8 % whenever unrelated code changed size.
+	PCALIGN $64
 rowloop:
 	CMPQ R8, DX
 	JGE  rowdone
@@ -110,6 +116,7 @@ TEXT ·distancesToEucAVX(SB), NOSPLIT, $0-72
 
 	XORQ R8, R8
 
+	PCALIGN $64               // as in argNearestEucAVX
 drowloop:
 	CMPQ R8, DX
 	JGE  drowdone

@@ -261,6 +261,14 @@ type RunStats struct {
 	// CoresetTime and FinalTime are the durations of the two rounds.
 	CoresetTime time.Duration
 	FinalTime   time.Duration
+	// DistanceEvaluations is the number of distance evaluations spent inside
+	// the greedy farthest-point (GMM) runs: every partition's coreset
+	// construction plus, for Cluster and Gonzalez, the run that selects the
+	// final centers. The textbook greedy needs (centers selected) x (points)
+	// per run; on spaces that satisfy the triangle inequality the exact
+	// pruning described in the README usually needs far fewer. The final
+	// assignment pass (n*k) and the outlier radius search are not counted.
+	DistanceEvaluations int64
 }
 
 // Clustering is the result of Cluster.
@@ -329,13 +337,14 @@ func Cluster(points Dataset, k int, opts ...Option) (*Clustering, error) {
 	return &Clustering{
 		Centers:    res.Centers,
 		Radius:     res.Radius,
-		Assignment: metric.NewEngine(o.workers).Assign(o.space, points, res.Centers),
+		Assignment: res.Assignment,
 		Stats: RunStats{
-			Partitions:       ell,
-			CoresetUnionSize: res.CoresetUnionSize,
-			LocalMemoryPeak:  res.LocalMemoryPeak,
-			CoresetTime:      res.CoresetTime,
-			FinalTime:        res.FinalTime,
+			Partitions:          ell,
+			CoresetUnionSize:    res.CoresetUnionSize,
+			LocalMemoryPeak:     res.LocalMemoryPeak,
+			CoresetTime:         res.CoresetTime,
+			FinalTime:           res.FinalTime,
+			DistanceEvaluations: res.DistanceEvaluations,
 		},
 	}, nil
 }
@@ -426,20 +435,18 @@ func ClusterWithOutliers(points Dataset, k, z int, opts ...Option) (*OutliersClu
 	if err != nil {
 		return nil, err
 	}
-	// One nearest-center pass feeds both the outlier selection and the
-	// assignment.
-	dists, assignment := metric.NewEngine(o.workers).NearestBatch(o.space, points, res.Centers)
 	return &OutliersClustering{
 		Centers:    res.Centers,
 		Radius:     res.Radius,
-		Outliers:   farthestIndices(dists, z),
-		Assignment: assignment,
+		Outliers:   farthestIndices(res.Distances, z),
+		Assignment: res.Assignment,
 		Stats: RunStats{
-			Partitions:       ell,
-			CoresetUnionSize: res.CoresetUnionSize,
-			LocalMemoryPeak:  res.LocalMemoryPeak,
-			CoresetTime:      res.CoresetTime,
-			FinalTime:        res.SolveTime,
+			Partitions:          ell,
+			CoresetUnionSize:    res.CoresetUnionSize,
+			LocalMemoryPeak:     res.LocalMemoryPeak,
+			CoresetTime:         res.CoresetTime,
+			FinalTime:           res.SolveTime,
+			DistanceEvaluations: res.DistanceEvaluations,
 		},
 	}, nil
 }
@@ -470,7 +477,7 @@ func Gonzalez(points Dataset, k int, opts ...Option) (*Clustering, error) {
 		Centers:    res.Centers,
 		Radius:     res.Radius,
 		Assignment: res.Assignment,
-		Stats:      RunStats{Partitions: 1, CoresetUnionSize: len(points), LocalMemoryPeak: len(points)},
+		Stats:      RunStats{Partitions: 1, CoresetUnionSize: len(points), LocalMemoryPeak: len(points), DistanceEvaluations: res.Evaluations},
 	}, nil
 }
 
