@@ -299,7 +299,7 @@ func BenchmarkStreamingDoubling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d, err := streaming.NewDoubling(metric.Euclidean, 200)
+		d, err := streaming.NewDoublingIn(metric.EuclideanSpace, 200)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func BenchmarkAblationRadiusSearch(b *testing.B) {
 	b.Run("binary-geometric", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := outliers.Solve(metric.Euclidean, set, 8, 10, 0.25, outliers.SearchBinaryGeometric); err != nil {
+			if _, err := outliers.SolveIn(metric.EuclideanSpace, set, 8, 10, 0.25, outliers.SearchBinaryGeometric, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -367,7 +367,7 @@ func BenchmarkAblationRadiusSearch(b *testing.B) {
 	b.Run("exhaustive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := outliers.Solve(metric.Euclidean, set, 8, 10, 0.25, outliers.SearchExhaustive); err != nil {
+			if _, err := outliers.SolveIn(metric.EuclideanSpace, set, 8, 10, 0.25, outliers.SearchExhaustive, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

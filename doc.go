@@ -35,7 +35,11 @@
 //     algorithms with a fixed working-memory budget.
 //   - NewWindowedKCenter / NewWindowedOutliers: sliding-window streaming —
 //     summarise only the last W points and/or the last D time units instead
-//     of the whole stream (see below).
+//     of the whole stream (see below). All four streaming types are one
+//     implementation (internal/clusterer) parameterised by the kind of
+//     extraction and the presence of a window; they share one method set,
+//     and Observe refuses non-finite, zero-dimensional and
+//     dimension-mismatched points before any state changes.
 //   - Snapshot / RestoreStreamingKCenter / RestoreStreamingOutliers /
 //     MergeSketches: durable, mergeable sketches of streaming state for
 //     sharded deployments (see below).
@@ -177,8 +181,10 @@
 // points of the last WithWindowDuration time units, or the intersection when
 // both are set.
 //
-// Internally (internal/window) the stream is decomposed into a ring of
-// timestamped buckets, each an independent doubling coreset of at most
+// A windowed clusterer is the insertion-only clusterer with a different
+// state behind it (internal/clusterer holds exactly one of the two):
+// instead of one doubling coreset, the stream is decomposed (internal/window)
+// into a ring of timestamped buckets, each an independent doubling coreset of at most
 // budget points over a contiguous stream slice. Buckets coalesce in the
 // exponential-histogram discipline — sizes grow geometrically towards the
 // past, at most a constant number per size class — so the ring holds O(log

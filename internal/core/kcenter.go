@@ -99,8 +99,7 @@ type KCenterResult struct {
 	// DistanceEvaluations is the number of distance evaluations the GMM runs
 	// of both rounds performed (every partition's coreset plus the run on
 	// the union); the final radius/assignment pass adds |S|*K on top. The
-	// textbook loop needs sum_i |S_i|*|T_i| + |T|*K. KCenterViaEngine does
-	// not track it.
+	// textbook loop needs sum_i |S_i|*|T_i| + |T|*K.
 	DistanceEvaluations int64
 	// CoresetUnionSize is |T|, the number of points gathered by the second
 	// round's reducer.

@@ -54,18 +54,6 @@ func TestKCenterDeterminismAcrossWorkers(t *testing.T) {
 		t.Fatalf("KCenter radius = %v, want %v", got.Radius, want.Radius)
 	}
 
-	wantEng, err := KCenterViaEngine(ds, seqCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEng, err := KCenterViaEngine(ds, parCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCenters(t, "KCenterViaEngine", wantEng.Centers, gotEng.Centers)
-	if gotEng.Radius != wantEng.Radius {
-		t.Fatalf("KCenterViaEngine radius = %v, want %v", gotEng.Radius, wantEng.Radius)
-	}
 }
 
 // TestKCenterOutliersDeterminismAcrossWorkers: same contract for the outlier

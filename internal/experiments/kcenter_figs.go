@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/core"
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/sketch"
 	"coresetclustering/internal/stats"
 	"coresetclustering/internal/streaming"
 )
@@ -249,11 +251,11 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 				seed := cfg.Seed + int64(run)*101 + int64(mult)
 
 				radius, tput, _, err := runStream(w, seed, func() (streaming.Processor, func() (metric.Dataset, error), int) {
-					cs, err := streaming.NewCoresetStream(nil, w.K, mult*w.K)
+					cs, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: w.K, Tau: mult * w.K})
 					if err != nil {
 						panic(err) // configuration is validated above; mult >= 1 implies tau >= k
 					}
-					return cs, cs.Result, mult * w.K
+					return cs, cs.Centers, mult * w.K
 				})
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 3 CoresetStream %s mult=%d: %w", w.Name, mult, err)

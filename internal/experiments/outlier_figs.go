@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"time"
 
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/core"
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/mapreduce"
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/sketch"
 	"coresetclustering/internal/stats"
 	"coresetclustering/internal/streaming"
 )
@@ -268,7 +270,9 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 				shuffled := dataset.Shuffle(w.Points, seed)
 
 				// CoresetOutliers.
-				co, err := streaming.NewCoresetOutliers(nil, cfg.K, cfg.Z, mult*(cfg.K+cfg.Z), cfg.EpsHat)
+				co, err := clusterer.New(clusterer.Params{
+					Kind: sketch.KindOutliers, K: cfg.K, Z: cfg.Z, Tau: mult * (cfg.K + cfg.Z), EpsHat: cfg.EpsHat,
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -280,11 +284,11 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 5 CoresetOutliers %s mu=%d: %w", w.Name, mult, err)
 				}
-				cres, err := co.Result()
+				ccenters, err := co.Centers()
 				if err != nil {
 					return nil, err
 				}
-				radius := metric.NewEngine(1).RadiusExcluding(metric.EuclideanSpace, shuffled, cres.Centers, cfg.Z)
+				radius := metric.NewEngine(1).RadiusExcluding(metric.EuclideanSpace, shuffled, ccenters, cfg.Z)
 				coresetCell.radii = append(coresetCell.radii, radius)
 				coresetCell.throughput = append(coresetCell.throughput, stats.Throughput(int64(len(shuffled)), elapsed))
 				coresetCell.spaces = append(coresetCell.spaces, float64(co.WorkingMemory()))

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,87 +51,6 @@ func TestSplitIndexes(t *testing.T) {
 		if covered != tt.n {
 			t.Errorf("splitIndexes(%d,%d) covers %d, want %d", tt.n, tt.parts, covered, tt.n)
 		}
-	}
-}
-
-func TestRoundWordCount(t *testing.T) {
-	// Classic word count: validates mapping, shuffling by key, reducing and
-	// stats accounting.
-	docs := []Pair[int, string]{
-		{Key: 1, Value: "a b a"},
-		{Key: 2, Value: "b c"},
-		{Key: 3, Value: "a"},
-	}
-	mapper := func(p Pair[int, string]) ([]Pair[string, int], error) {
-		var out []Pair[string, int]
-		for _, w := range strings.Fields(p.Value) {
-			out = append(out, Pair[string, int]{Key: w, Value: 1})
-		}
-		return out, nil
-	}
-	reducer := func(key string, values []int) ([]Pair[string, int], error) {
-		sum := 0
-		for _, v := range values {
-			sum += v
-		}
-		return []Pair[string, int]{{Key: key, Value: sum}}, nil
-	}
-	out, stats, err := Round(Config{Workers: 2}, docs, mapper, reducer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, p := range out {
-		counts[p.Key] = p.Value
-	}
-	if counts["a"] != 3 || counts["b"] != 2 || counts["c"] != 1 {
-		t.Errorf("word counts = %v", counts)
-	}
-	if stats.InputPairs != 3 || stats.ShuffledPairs != 6 || stats.ReducerCount != 3 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if stats.LocalMemory != 3 {
-		t.Errorf("LocalMemory = %d, want 3 (key 'a')", stats.LocalMemory)
-	}
-	if stats.AggregateMemory != 6 {
-		t.Errorf("AggregateMemory = %d, want 6", stats.AggregateMemory)
-	}
-	if stats.OutputPairs != 3 {
-		t.Errorf("OutputPairs = %d, want 3", stats.OutputPairs)
-	}
-}
-
-func TestRoundErrors(t *testing.T) {
-	input := []Pair[int, int]{{Key: 1, Value: 1}}
-	id := func(p Pair[int, int]) ([]Pair[int, int], error) { return []Pair[int, int]{p}, nil }
-	sum := func(k int, vs []int) ([]Pair[int, int], error) { return nil, nil }
-	if _, _, err := Round[int, int, int, int, int, int](Config{}, input, nil, sum); err == nil {
-		t.Error("nil mapper accepted")
-	}
-	if _, _, err := Round[int, int, int, int, int, int](Config{}, input, id, nil); err == nil {
-		t.Error("nil reducer accepted")
-	}
-	failMap := func(p Pair[int, int]) ([]Pair[int, int], error) { return nil, errors.New("boom") }
-	if _, _, err := Round(Config{}, input, failMap, sum); err == nil {
-		t.Error("mapper error not propagated")
-	}
-	failRed := func(k int, vs []int) ([]Pair[int, int], error) { return nil, errors.New("boom") }
-	if _, _, err := Round(Config{}, input, id, failRed); err == nil {
-		t.Error("reducer error not propagated")
-	}
-}
-
-func TestRoundEmptyInput(t *testing.T) {
-	id := func(p Pair[int, int]) ([]Pair[int, int], error) { return []Pair[int, int]{p}, nil }
-	count := func(k int, vs []int) ([]Pair[int, int], error) {
-		return []Pair[int, int]{{Key: k, Value: len(vs)}}, nil
-	}
-	out, stats, err := Round(Config{}, nil, id, count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 0 || stats.InputPairs != 0 {
-		t.Errorf("empty input produced output %v, stats %+v", out, stats)
 	}
 }
 

@@ -43,6 +43,36 @@ func (UniformPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Da
 	return parts, nil
 }
 
+// splitIndexes divides [0,n) into at most parts contiguous half-open ranges of
+// near-equal length. Empty ranges are omitted.
+func splitIndexes(n, parts int) [][2]int {
+	if n <= 0 {
+		return nil
+	}
+	if parts <= 0 {
+		parts = 1
+	}
+	if parts > n {
+		parts = n
+	}
+	out := make([][2]int, 0, parts)
+	base := n / parts
+	rem := n % parts
+	start := 0
+	for i := 0; i < parts; i++ {
+		size := base
+		if i < rem {
+			size++
+		}
+		if size == 0 {
+			continue
+		}
+		out = append(out, [2]int{start, start + size})
+		start += size
+	}
+	return out
+}
+
 // RandomPartitioner assigns each point to a part chosen uniformly and
 // independently at random — the first round of the randomized algorithm of
 // Section 3.2.1. A nil Rand uses a fixed seed so runs are reproducible unless

@@ -1,3 +1,12 @@
+// Package mapreduce provides the in-process MapReduce/MPC substrate on which
+// the paper's 2-round algorithms run in this repository (standing in for the
+// 16-node Spark cluster of the original experiments). The clustering
+// algorithms are "reducer-heavy" — their map phase is a trivial
+// constant-space key assignment — so the substrate is exactly what they use:
+// a Partitioner that distributes the input over ell reducers, and
+// MapPartitions, which runs one function per partition on parallel
+// goroutines with local- and aggregate-memory accounting in the spirit of
+// the MR(ML, MA) model.
 package mapreduce
 
 import (

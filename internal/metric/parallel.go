@@ -418,39 +418,3 @@ func (e Engine) MinPairwiseDistance(sp Space, points Dataset) float64 {
 	}
 	return sp.FromSurrogate(m)
 }
-
-// Package-level compatibility wrappers. They keep the Distance-typed
-// signatures of the v1 engine: the distance function is upgraded to its
-// native Space when it is one of the built-ins (SpaceFor), or wrapped in the
-// identity-surrogate adapter otherwise, so instrumented distances still see
-// every evaluation.
-
-// ParallelDistanceToSet computes min_{x in set} dist(p, x) and the index of
-// the closest point on up to workers goroutines (<= 0 selects one per CPU).
-func ParallelDistanceToSet(dist Distance, p Point, set Dataset, workers int) (float64, int) {
-	return NewEngine(workers).DistanceToSet(SpaceFor(dist), p, set)
-}
-
-// ParallelAssign maps every point to the index of its closest center on up to
-// workers goroutines (<= 0 selects one per CPU).
-func ParallelAssign(dist Distance, points Dataset, centers Dataset, workers int) []int {
-	return NewEngine(workers).Assign(SpaceFor(dist), points, centers)
-}
-
-// ParallelRadius computes max_{s in points} d(s, centers) on up to workers
-// goroutines (<= 0 selects one per CPU).
-func ParallelRadius(dist Distance, points Dataset, centers Dataset, workers int) float64 {
-	return NewEngine(workers).Radius(SpaceFor(dist), points, centers)
-}
-
-// ParallelRadiusExcluding computes the outlier-aware radius on up to workers
-// goroutines (<= 0 selects one per CPU).
-func ParallelRadiusExcluding(dist Distance, points Dataset, centers Dataset, z, workers int) float64 {
-	return NewEngine(workers).RadiusExcluding(SpaceFor(dist), points, centers, z)
-}
-
-// NearestBatch computes every point's closest-center distance and index on up
-// to workers goroutines (<= 0 selects one per CPU).
-func NearestBatch(dist Distance, points Dataset, centers Dataset, workers int) ([]float64, []int) {
-	return NewEngine(workers).NearestBatch(SpaceFor(dist), points, centers)
-}

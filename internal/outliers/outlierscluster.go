@@ -401,32 +401,16 @@ const (
 	SearchExhaustive
 )
 
-// Solve finds (an estimate of) the minimum radius r such that
+// SolveIn finds (an estimate of) the minimum radius r such that
 // OutliersCluster(set, k, r, epsHat) leaves uncovered weight at most z, and
 // returns the clustering computed at that radius. The search follows the
 // given strategy; SearchBinaryGeometric reproduces the paper's second-round
-// procedure.
-// Unlike the gmm package (whose wrappers default to the auto-parallel
-// engine), Solve pins workers to 1: it backs the CharikarEtAl sequential
-// baselines, whose reported running times must reflect a truly sequential
-// schedule. Parallel callers use SolveWithWorkers explicitly.
-func Solve(dist metric.Distance, set metric.WeightedSet, k int, z int64, epsHat float64, strategy SearchStrategy) (*SolveResult, error) {
-	return SolveWithWorkers(dist, set, k, z, epsHat, strategy, 1)
-}
-
-// SolveWithWorkers is Solve with the distance engine's parallelism degree
-// made explicit. The scalar distance function is upgraded to its native
-// Space when it is a built-in (batched matrix build, surrogate-domain row
-// kernels), or wrapped in the identity-surrogate adapter otherwise.
-func SolveWithWorkers(dist metric.Distance, set metric.WeightedSet, k int, z int64, epsHat float64, strategy SearchStrategy, workers int) (*SolveResult, error) {
-	return SolveIn(metric.SpaceFor(dist), set, k, z, epsHat, strategy, workers)
-}
-
-// SolveIn is the Space form of Solve: the distance evaluations — the
-// pairwise-matrix build or, above maxCachedMatrixSize points, the ball-weight
-// pass of every OutliersCluster evaluation — are chunked across workers
-// goroutines (<= 0 selects one per CPU, 1 — the Solve default — keeps the
-// fully sequential path). The result is bit-identical for any worker count.
+// procedure. The distance evaluations — the pairwise-matrix build or, above
+// maxCachedMatrixSize points, the ball-weight pass of every OutliersCluster
+// evaluation — are chunked across workers goroutines (<= 0 selects one per
+// CPU; 1 keeps the fully sequential path, which the CharikarEtAl baselines
+// pin so their reported running times reflect a truly sequential schedule).
+// The result is bit-identical for any worker count.
 func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat float64, strategy SearchStrategy, workers int) (*SolveResult, error) {
 	if err := validateClusterParams(set, k, 0, epsHat); err != nil {
 		return nil, err
@@ -536,7 +520,7 @@ func CharikarEtAl(dist metric.Distance, points metric.Dataset, k, z int) (*Solve
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)
 	}
 	set := metric.Unweighted(points)
-	return Solve(dist, set, k, int64(z), 0, SearchBinaryGeometric)
+	return SolveIn(metric.SpaceFor(dist), set, k, int64(z), 0, SearchBinaryGeometric, 1)
 }
 
 // CharikarEtAlExhaustive is CharikarEtAl with the exhaustive (linear-scan)
@@ -547,5 +531,5 @@ func CharikarEtAlExhaustive(dist metric.Distance, points metric.Dataset, k, z in
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)
 	}
 	set := metric.Unweighted(points)
-	return Solve(dist, set, k, int64(z), 0, SearchExhaustive)
+	return SolveIn(metric.SpaceFor(dist), set, k, int64(z), 0, SearchExhaustive, 1)
 }

@@ -66,16 +66,16 @@ func TestClusterErrors(t *testing.T) {
 
 func TestSolveErrors(t *testing.T) {
 	set := metric.Unweighted(metric.Dataset{{0}, {1}})
-	if _, err := Solve(metric.Euclidean, nil, 1, 0, 0, SearchBinaryGeometric); err == nil {
+	if _, err := SolveIn(metric.EuclideanSpace, nil, 1, 0, 0, SearchBinaryGeometric, 1); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := Solve(metric.Euclidean, set, 0, 0, 0, SearchBinaryGeometric); err == nil {
+	if _, err := SolveIn(metric.EuclideanSpace, set, 0, 0, 0, SearchBinaryGeometric, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Solve(metric.Euclidean, set, 1, -1, 0, SearchBinaryGeometric); err == nil {
+	if _, err := SolveIn(metric.EuclideanSpace, set, 1, -1, 0, SearchBinaryGeometric, 1); err == nil {
 		t.Error("negative z accepted")
 	}
-	if _, err := Solve(metric.Euclidean, set, 1, 0, -1, SearchBinaryGeometric); err == nil {
+	if _, err := SolveIn(metric.EuclideanSpace, set, 1, 0, -1, SearchBinaryGeometric, 1); err == nil {
 		t.Error("negative epsHat accepted")
 	}
 	if _, err := CharikarEtAl(metric.Euclidean, metric.Dataset{{0}}, 1, -1); err == nil {
@@ -247,11 +247,11 @@ func TestSolveStrategiesAgree(t *testing.T) {
 	ds := randomDataset(rng, 30, 2, 20)
 	set := metric.Unweighted(ds)
 	k, z := 3, int64(2)
-	exh, err := Solve(metric.Euclidean, set, k, z, 0, SearchExhaustive)
+	exh, err := SolveIn(metric.EuclideanSpace, set, k, z, 0, SearchExhaustive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := Solve(metric.Euclidean, set, k, z, 0, SearchBinaryGeometric)
+	bin, err := SolveIn(metric.EuclideanSpace, set, k, z, 0, SearchBinaryGeometric, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSolveStrategiesAgree(t *testing.T) {
 func TestSolveDegenerateCases(t *testing.T) {
 	// k >= |T|: radius 0 is feasible.
 	set := metric.Unweighted(metric.Dataset{{0, 0}, {5, 5}})
-	res, err := Solve(metric.Euclidean, set, 2, 0, 0.1, SearchBinaryGeometric)
+	res, err := SolveIn(metric.EuclideanSpace, set, 2, 0, 0.1, SearchBinaryGeometric, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSolveDegenerateCases(t *testing.T) {
 	}
 	// All points coincide.
 	same := metric.Unweighted(metric.Dataset{{1, 1}, {1, 1}, {1, 1}})
-	res, err = Solve(metric.Euclidean, same, 1, 0, 0.1, SearchBinaryGeometric)
+	res, err = SolveIn(metric.EuclideanSpace, same, 1, 0, 0.1, SearchBinaryGeometric, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestSolveDegenerateCases(t *testing.T) {
 		t.Errorf("coincident points: radius=%v uncovered=%d, want 0/0", res.Radius, res.UncoveredWeight)
 	}
 	// z larger than total weight.
-	res, err = Solve(metric.Euclidean, set, 1, 100, 0, SearchBinaryGeometric)
+	res, err = SolveIn(metric.EuclideanSpace, set, 1, 100, 0, SearchBinaryGeometric, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,11 +314,11 @@ func TestSolveWeightedVsUnweightedConsistency(t *testing.T) {
 		}
 	}
 	k, z := 2, int64(3)
-	wres, err := Solve(metric.Euclidean, weighted, k, z, 0, SearchExhaustive)
+	wres, err := SolveIn(metric.EuclideanSpace, weighted, k, z, 0, SearchExhaustive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ures, err := Solve(metric.Euclidean, metric.Unweighted(expanded), k, z, 0, SearchExhaustive)
+	ures, err := SolveIn(metric.EuclideanSpace, metric.Unweighted(expanded), k, z, 0, SearchExhaustive, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,12 @@ func TestSolveDeterminismAcrossWorkers(t *testing.T) {
 		SearchExhaustive:      parallelTestSet(120, 3, 5),
 	}
 	for strategy, set := range sets {
-		want, err := SolveWithWorkers(metric.Euclidean, set, 8, 25, 0.25, strategy, 1)
+		want, err := SolveIn(metric.EuclideanSpace, set, 8, 25, 0.25, strategy, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{0, 2, 8} {
-			got, err := SolveWithWorkers(metric.Euclidean, set, 8, 25, 0.25, strategy, w)
+			got, err := SolveIn(metric.EuclideanSpace, set, 8, 25, 0.25, strategy, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestSolveDistanceBudgetAcrossWorkers(t *testing.T) {
 	n := int64(len(set))
 	for _, w := range []int{1, 8} {
 		c := metric.NewCounter(metric.Euclidean)
-		if _, err := SolveWithWorkers(c.Distance, set, 5, 10, 0, SearchBinaryGeometric, w); err != nil {
+		if _, err := SolveIn(metric.SpaceFor(c.Distance), set, 5, 10, 0, SearchBinaryGeometric, w); err != nil {
 			t.Fatal(err)
 		}
 		want := n * (n - 1) / 2

@@ -5,7 +5,7 @@ import (
 	"sort"
 	"sync"
 
-	kcenter "coresetclustering"
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/obs"
 	"coresetclustering/internal/persist"
 	"coresetclustering/internal/sketch"
@@ -106,25 +106,23 @@ type CreateParams struct {
 
 // newCore builds a streaming clusterer for the given parameters. The space
 // name resolves to a full metric Space (batched kernels + surrogate), so
-// ingest runs on the native hot path. Positive winSize/winDur select the
-// sliding-window flavour.
-func (e *Engine) newCore(spaceName string, k, z, budget int, winSize, winDur int64) (streamCore, error) {
+// ingest runs on the native hot path. Positive winSize/winDur select a
+// sliding window; a positive z the outlier-aware kind (a stream that must be
+// outlier-aware with z = 0 can only arrive as a restored sketch, which
+// carries its own kind).
+func (e *Engine) newCore(spaceName string, k, z, budget int, winSize, winDur int64) (*clusterer.Clusterer, error) {
 	space, _, err := sketch.SpaceByName(spaceName)
 	if err != nil {
 		return nil, err
 	}
-	opts := []kcenter.Option{kcenter.WithSpace(space), kcenter.WithWorkers(e.Cfg.Workers)}
-	if winSize > 0 || winDur > 0 {
-		opts = append(opts, kcenter.WithWindowSize(int(winSize)), kcenter.WithWindowDuration(winDur))
-		if z > 0 {
-			return kcenter.NewWindowedOutliers(k, z, budget, opts...)
-		}
-		return kcenter.NewWindowedKCenter(k, budget, opts...)
+	p := clusterer.Params{
+		Kind: sketch.KindKCenter, Space: space, K: k, Z: z, Tau: budget, Workers: e.Cfg.Workers,
+		WindowSize: winSize, WindowDuration: winDur,
 	}
 	if z > 0 {
-		return kcenter.NewStreamingOutliers(k, z, budget, opts...)
+		p.Kind, p.EpsHat = sketch.KindOutliers, clusterer.DefaultEpsHat
 	}
-	return kcenter.NewStreamingKCenter(k, budget, opts...)
+	return clusterer.New(p)
 }
 
 // flavourMismatch rejects window parameters aimed at an existing
@@ -184,7 +182,7 @@ func (e *Engine) getOrCreate(name string, p CreateParams) (*Stream, error) {
 	if err != nil {
 		return nil, wrapErr(CodeInvalidParam, err)
 	}
-	st = &Stream{core: core, K: p.K, Z: p.Z, Budget: budget, Space: e.Cfg.Dist, WinSize: p.WinSize, WinDur: p.WinDur}
+	st = newStream(core)
 	if e.Store != nil {
 		// Journal the creation before the name becomes visible. Holding e.mu
 		// across the disk write serialises creation against a concurrent

@@ -79,7 +79,9 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 		// locking the name to the wrong flavour. (The locked re-check below
 		// stays authoritative against creation races.)
 		if st, ok := e.Lookup(name); ok {
-			if _, isWin := st.core.(windowCore); !isWin {
+			// The flavour of a hosted stream never changes, so the pointer
+			// read needs no stream mutex.
+			if st.core.Window() == nil {
 				return StreamStats{}, errf(CodeNotWindowed,
 					"timestamps are only accepted by window streams (create with ?window= or ?windowDur=)")
 			}
@@ -101,14 +103,14 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 		st.Mu.Unlock()
 		return StreamStats{}, err
 	}
-	if st.dim != 0 && batch.Dim() != st.dim {
+	if dim := st.core.Dim(); dim != 0 && batch.Dim() != dim {
 		st.Mu.Unlock()
 		return StreamStats{}, errf(CodeDimensionMismatch,
-			"batch dimension %d does not match stream dimension %d", batch.Dim(), st.dim)
+			"batch dimension %d does not match stream dimension %d", batch.Dim(), dim)
 	}
 	if timestamps != nil {
-		wc, ok := st.core.(windowCore)
-		if !ok {
+		w := st.core.Window()
+		if w == nil {
 			st.Mu.Unlock()
 			return StreamStats{}, errf(CodeNotWindowed,
 				"timestamps are only accepted by window streams (create with ?window= or ?windowDur=)")
@@ -116,7 +118,7 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 		// The stream's clock only moves forward; checked up front so the
 		// whole batch is rejected before any point lands — and before it is
 		// journaled, so a record that would fail replay is never written.
-		if last := wc.LastTimestamp(); timestamps[0] < last {
+		if last := w.Now(); timestamps[0] < last {
 			st.Mu.Unlock()
 			return StreamStats{}, errf(CodeInvalidTimestamps,
 				"batch starts at timestamp %d, stream is already at %d", timestamps[0], last)
@@ -143,24 +145,17 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 	_, apply := obs.StartSpan(ctx, "apply")
 	apply.SetAttr("points", strconv.Itoa(len(batch)))
 	var applyErr error
-	if timestamps != nil {
-		wc := st.core.(windowCore)
-		for i, pt := range batch {
-			if applyErr = ApplyPointHook(i); applyErr != nil {
-				break
-			}
-			if applyErr = wc.ObserveAt(pt, timestamps[i]); applyErr != nil {
-				break
-			}
+	for i, pt := range batch {
+		if applyErr = ApplyPointHook(i); applyErr != nil {
+			break
 		}
-	} else {
-		for i, pt := range batch {
-			if applyErr = ApplyPointHook(i); applyErr != nil {
-				break
-			}
-			if applyErr = st.core.Observe(pt); applyErr != nil {
-				break
-			}
+		if timestamps != nil {
+			applyErr = st.core.Observe(pt, timestamps[i])
+		} else {
+			applyErr = st.core.Process(pt)
+		}
+		if applyErr != nil {
+			break
 		}
 	}
 	apply.End()
@@ -177,7 +172,6 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 		return StreamStats{}, wrapErr(CodeStreamFailed,
 			fmt.Errorf("batch failed to apply after it was journaled; %w: %v", ErrFailed, applyErr))
 	}
-	st.dim = batch.Dim()
 	st.version++
 	_, publish := obs.StartSpan(ctx, "publish")
 	st.publishLocked(e.Metrics)
@@ -222,8 +216,8 @@ func (e *Engine) Advance(ctx context.Context, name string, to int64) (StreamStat
 		st.Mu.Unlock()
 		return StreamStats{}, err
 	}
-	wc, ok := st.core.(windowCore)
-	if !ok {
+	w := st.core.Window()
+	if w == nil {
 		st.Mu.Unlock()
 		return StreamStats{}, errf(CodeNotWindowed, "only window streams have a clock to advance")
 	}
@@ -233,7 +227,7 @@ func (e *Engine) Advance(ctx context.Context, name string, to int64) (StreamStat
 		st.Mu.Unlock()
 		return StreamStats{}, errf(CodeInvalidTimestamps, "advance target %d is negative", to)
 	}
-	if last := wc.LastTimestamp(); to < last {
+	if last := w.Now(); to < last {
 		st.Mu.Unlock()
 		return StreamStats{}, errf(CodeInvalidTimestamps,
 			"advance target %d precedes the stream clock %d", to, last)
@@ -250,7 +244,7 @@ func (e *Engine) Advance(ctx context.Context, name string, to int64) (StreamStat
 		pending = p
 	}
 	_, apply := obs.StartSpan(ctx, "apply")
-	if err := wc.Advance(to); err != nil {
+	if err := st.core.Advance(to); err != nil {
 		apply.End()
 		// Same divergence as a mid-batch apply failure: the journal holds a
 		// record the in-memory state rejected.

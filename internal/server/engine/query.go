@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	kcenter "coresetclustering"
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/obs"
 )
 
@@ -82,14 +83,11 @@ func (e *Engine) Snapshot(ctx context.Context, name string) (snap []byte, tag st
 // (not the client's bytes) is persisted so later compactions are
 // byte-identical to it.
 func (e *Engine) Restore(name string, data []byte) (StreamStats, error) {
-	core, info, err := e.restoreCore(data)
+	core, err := clusterer.Restore(data, e.Cfg.Workers)
 	if err != nil {
 		return StreamStats{}, wrapErr(CodeBadSketch, err)
 	}
-	st := &Stream{
-		core: core, K: info.K, Z: info.Z, Budget: info.Budget, dim: info.Dimensions,
-		Space: info.Distance, WinSize: info.WindowSize, WinDur: info.WindowDuration,
-	}
+	st := newStream(core)
 	var snap []byte
 	if e.Store != nil {
 		if snap, err = core.Snapshot(); err != nil {
@@ -133,30 +131,6 @@ func (e *Engine) Restore(name string, data []byte) (StreamStats, error) {
 	return e.StatsFromView(name, st, st.view.Load()), nil
 }
 
-// restoreCore revives a sketch of any kind — insertion-only or windowed,
-// plain or outlier-aware — as a live stream core.
-func (e *Engine) restoreCore(data []byte) (streamCore, *kcenter.SketchInfo, error) {
-	info, err := kcenter.InspectSketch(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	var core streamCore
-	switch {
-	case info.Window && info.Outliers:
-		core, err = kcenter.RestoreWindowedOutliers(data, kcenter.WithWorkers(e.Cfg.Workers))
-	case info.Window:
-		core, err = kcenter.RestoreWindowedKCenter(data, kcenter.WithWorkers(e.Cfg.Workers))
-	case info.Outliers:
-		core, err = kcenter.RestoreStreamingOutliers(data, kcenter.WithWorkers(e.Cfg.Workers))
-	default:
-		core, err = kcenter.RestoreStreamingKCenter(data, kcenter.WithWorkers(e.Cfg.Workers))
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return core, info, nil
-}
-
 // MergeResult is the outcome of merging shard sketches: the merged sketch
 // bytes, the total points it accounts for, and (when non-empty) the global
 // centers extracted from it.
@@ -182,12 +156,12 @@ func (e *Engine) Merge(blobs [][]byte) (MergeResult, error) {
 		}
 		return MergeResult{}, wrapErr(CodeBadSketch, err)
 	}
-	core, info, err := e.restoreCore(merged)
+	core, err := clusterer.Restore(merged, e.Cfg.Workers)
 	if err != nil {
 		return MergeResult{}, wrapErr(CodeInternal, err)
 	}
-	res := MergeResult{Sketch: merged, Observed: info.Observed}
-	if info.Observed > 0 {
+	res := MergeResult{Sketch: merged, Observed: core.Processed()}
+	if res.Observed > 0 {
 		centers, err := core.Centers()
 		if err != nil {
 			return MergeResult{}, wrapErr(CodeInternal, err)

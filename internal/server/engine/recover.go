@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
-	kcenter "coresetclustering"
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/obs"
 	"coresetclustering/internal/persist"
 )
@@ -59,29 +59,17 @@ func (e *Engine) AdoptRecovered(recovered []*persist.Recovered) {
 // rebuildStream revives one recovered stream: snapshot first, then the
 // journal tail on top, exactly the order the records were acknowledged in.
 func (e *Engine) rebuildStream(rec *persist.Recovered) (*Stream, error) {
-	var (
-		core streamCore
-		meta persist.Meta
-		dim  int
-		err  error
-	)
+	var st *Stream
 	if rec.Snapshot != nil {
-		var info *kcenter.SketchInfo
-		core, info, err = e.restoreCore(rec.Snapshot)
+		core, err := clusterer.Restore(rec.Snapshot, e.Cfg.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: %w", err)
 		}
-		meta = persist.Meta{
-			K:              info.K,
-			Z:              info.Z,
-			Budget:         info.Budget,
-			Space:          info.Distance,
-			WindowSize:     info.WindowSize,
-			WindowDuration: info.WindowDuration,
-		}
+		st = newStream(core)
 		// The snapshot must describe the stream the journal was written for:
 		// a swapped or stale file silently changing k, the metric space or
 		// the window geometry would corrupt every later answer.
+		meta := streamMeta(st)
 		if rec.HaveMeta && meta != rec.Meta {
 			return nil, fmt.Errorf("snapshot metadata %+v does not match journaled metadata %+v", meta, rec.Meta)
 		}
@@ -90,61 +78,41 @@ func (e *Engine) rebuildStream(rec *persist.Recovered) (*Stream, error) {
 				return nil, err
 			}
 		}
-		dim = info.Dimensions
 	} else {
-		meta = rec.Meta
-		core, err = e.newCore(meta.Space, meta.K, meta.Z, meta.Budget, meta.WindowSize, meta.WindowDuration)
+		m := rec.Meta
+		core, err := e.newCore(m.Space, m.K, m.Z, m.Budget, m.WindowSize, m.WindowDuration)
 		if err != nil {
 			return nil, err
 		}
+		st = newStream(core)
 	}
+	// A timestamped batch or an advance journaled for an insertion-only
+	// stream fails its replay below: the clusterer refuses both.
 	for i, r := range rec.Tail {
+		var err error
 		switch r.Op {
 		case persist.OpBatch:
-			if r.Timestamps != nil {
-				wc, ok := core.(windowCore)
-				if !ok {
-					return nil, fmt.Errorf("record %d: timestamped batch journaled for a non-window stream", i)
+			for j, p := range r.Points {
+				if r.Timestamps != nil {
+					err = st.core.Observe(p, r.Timestamps[j])
+				} else {
+					err = st.core.Process(p)
 				}
-				for j, p := range r.Points {
-					if err := wc.ObserveAt(p, r.Timestamps[j]); err != nil {
-						return nil, fmt.Errorf("record %d: replay: %w", i, err)
-					}
+				if err != nil {
+					break
 				}
-			} else {
-				for _, p := range r.Points {
-					if err := core.Observe(p); err != nil {
-						return nil, fmt.Errorf("record %d: replay: %w", i, err)
-					}
-				}
-			}
-			if dim == 0 {
-				dim = r.Points.Dim()
 			}
 		case persist.OpAdvance:
-			wc, ok := core.(windowCore)
-			if !ok {
-				return nil, fmt.Errorf("record %d: advance journaled for a non-window stream", i)
-			}
-			if err := wc.Advance(r.AdvanceTo); err != nil {
-				return nil, fmt.Errorf("record %d: replay: %w", i, err)
-			}
+			err = st.core.Advance(r.AdvanceTo)
 		default:
 			return nil, fmt.Errorf("record %d: unexpected op %v in replay tail", i, r.Op)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("record %d: replay: %w", i, err)
+		}
 	}
 	stats := rec.Stats
-	st := &Stream{
-		core:     core,
-		K:        meta.K,
-		Z:        meta.Z,
-		Budget:   meta.Budget,
-		Space:    meta.Space,
-		WinSize:  meta.WindowSize,
-		WinDur:   meta.WindowDuration,
-		dim:      dim,
-		recovery: &stats,
-	}
+	st.recovery = &stats
 	st.log.Store(rec.Log)
 	st.publishLocked(e.Metrics)
 	return st, nil

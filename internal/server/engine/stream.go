@@ -3,55 +3,13 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	kcenter "coresetclustering"
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/persist"
 )
-
-// streamCore is the surface shared by the plain and the outlier-aware
-// streaming clusterers, windowed or not.
-type streamCore interface {
-	Observe(p kcenter.Point) error
-	Centers() (kcenter.Dataset, error)
-	Snapshot() ([]byte, error)
-	Observed() int64
-	WorkingMemory() int
-}
-
-// windowCore is the additional surface of sliding-window streams: timestamped
-// ingest, explicit clock advances and live-window introspection.
-type windowCore interface {
-	streamCore
-	ObserveAt(p kcenter.Point, ts int64) error
-	Advance(ts int64) error
-	LastTimestamp() int64
-	LiveBuckets() int
-	LivePoints() int64
-	EvictedBuckets() int64
-	EvictedPoints() int64
-}
-
-// cloneCore returns an independent copy-on-write copy of a core: the clone
-// answers Centers and Snapshot without touching the original, so it can be
-// published as an immutable query view while ingest keeps mutating the
-// original under the stream mutex.
-func cloneCore(c streamCore) streamCore {
-	switch v := c.(type) {
-	case *kcenter.StreamingKCenter:
-		return v.Clone()
-	case *kcenter.StreamingOutliers:
-		return v.Clone()
-	case *kcenter.WindowedKCenter:
-		return v.Clone()
-	case *kcenter.WindowedOutliers:
-		return v.Clone()
-	default:
-		panic(fmt.Sprintf("unclonable stream core %T", c))
-	}
-}
 
 // ExtractKey identifies one cached extraction within a view. Today the only
 // key in play is the stream's own (k, z) — the version axis of the cache is
@@ -78,7 +36,7 @@ type extractResult struct {
 // unchanged version is therefore a cache hit, byte-identical to the first
 // answer; publishing a new view is the whole invalidation story.
 type QueryView struct {
-	core    streamCore
+	core    *clusterer.Clusterer
 	Version int64  // mutations applied in-process when this view was published
 	WalSeq  uint64 // newest journaled sequence folded into the view (0 without a log)
 
@@ -159,9 +117,8 @@ func SketchTag(sketch []byte) string {
 // swap fails loudly instead of acknowledging a write into an orphaned object.
 type Stream struct {
 	Mu      sync.Mutex
-	core    streamCore // mutable ingest side; only touched under Mu
-	version int64      // mutations applied in-process; under Mu
-	dim     int        // fixed by the first batch (0 = not yet known); under Mu
+	core    *clusterer.Clusterer // mutable ingest side; only touched under Mu
+	version int64                // mutations applied in-process; under Mu
 
 	// Stream parameters, immutable after creation: safe to read lock-free.
 	K, Z    int
@@ -196,27 +153,39 @@ func (st *Stream) View() *QueryView { return st.view.Load() }
 // Log returns the stream's durability handle (nil without a store).
 func (st *Stream) Log() *persist.Log { return st.log.Load() }
 
+// newStream wraps a clusterer — fresh, restored or recovered — as a hosted
+// stream; every parameter the stream reports is read off the clusterer.
+func newStream(core *clusterer.Clusterer) *Stream {
+	st := &Stream{core: core, K: core.K(), Z: core.Z(), Budget: core.Tau(), Space: core.Space().Name()}
+	if w := core.Window(); w != nil {
+		st.WinSize, st.WinDur = w.MaxCount(), w.MaxAge()
+	}
+	return st
+}
+
 // publishLocked snapshots the ingest side into a fresh immutable QueryView
-// and swaps it in for readers, crediting the publish (and, for window
-// streams, the evictions since the last publish) to the daemon metrics.
+// (a clone: O(budget) for an insertion-only stream, copy-on-write bucket
+// sharing for a window) and swaps it in for readers, crediting the publish
+// (and, for window streams, the evictions since the last publish) to the
+// daemon metrics.
 // Caller holds st.Mu (or has exclusive access during construction); m may be
 // nil for an uninstrumented engine.
 func (st *Stream) publishLocked(m *Metrics) {
 	v := &QueryView{
-		core:          cloneCore(st.core),
+		core:          st.core.Clone(),
 		Version:       st.version,
-		Observed:      st.core.Observed(),
+		Observed:      st.core.Processed(),
 		WorkingMemory: st.core.WorkingMemory(),
-		Dim:           st.dim,
+		Dim:           st.core.Dim(),
 	}
-	if wc, ok := st.core.(windowCore); ok {
+	if w := st.core.Window(); w != nil {
 		v.Window = &WindowStats{
 			Size:        st.WinSize,
 			Duration:    st.WinDur,
-			LiveBuckets: wc.LiveBuckets(),
-			LivePoints:  wc.LivePoints(),
+			LiveBuckets: w.LiveBuckets(),
+			LivePoints:  w.LivePoints(),
 		}
-		eb, ep := wc.EvictedBuckets(), wc.EvictedPoints()
+		eb, ep := w.EvictedBuckets(), w.EvictedPoints()
 		if m != nil {
 			m.EvictedBuckets.Add(eb - st.lastEvictedBuckets)
 			m.EvictedPoints.Add(ep - st.lastEvictedPoints)

@@ -11,16 +11,16 @@ import (
 // the given dimensionality from a clustered stream.
 func benchSketch(b *testing.B, n, dim, k, tau int, seed int64) *Sketch {
 	b.Helper()
-	cs, err := streaming.NewCoresetStream(metric.Euclidean, k, tau)
+	d, err := streaming.NewDoublingIn(metric.EuclideanSpace, tau)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, p := range clusteredBenchData(n, dim, seed) {
-		if err := cs.Process(p); err != nil {
+		if err := d.Process(p); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return FromState(KindKCenter, 1, k, 0, 0, cs.Doubling().State())
+	return FromState(KindKCenter, 1, k, 0, 0, d.State())
 }
 
 func clusteredBenchData(n, dim int, seed int64) metric.Dataset {

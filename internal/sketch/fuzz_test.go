@@ -10,16 +10,16 @@ import (
 
 // fuzzSeedSketch builds a small valid sketch for the fuzz corpus.
 func fuzzSeedSketch(points metric.Dataset, k, tau int) []byte {
-	cs, err := streaming.NewCoresetStream(metric.Euclidean, k, tau)
+	d, err := streaming.NewDoublingIn(metric.EuclideanSpace, tau)
 	if err != nil {
 		panic(err)
 	}
 	for _, p := range points {
-		if err := cs.Process(p); err != nil {
+		if err := d.Process(p); err != nil {
 			panic(err)
 		}
 	}
-	enc, err := Encode(FromState(KindKCenter, 1, k, 0, 0, cs.Doubling().State()))
+	enc, err := Encode(FromState(KindKCenter, 1, k, 0, 0, d.State()))
 	if err != nil {
 		panic(err)
 	}
@@ -59,7 +59,7 @@ func FuzzSketchDecode(f *testing.F) {
 		if !bytes.Equal(reenc, data) {
 			t.Fatalf("round-trip not byte-identical: %d in, %d out", len(data), len(reenc))
 		}
-		if _, err := streaming.RestoreDoubling(nil, s.State()); err != nil {
+		if _, err := streaming.RestoreDoublingIn(nil, s.State()); err != nil {
 			t.Fatalf("RestoreDoubling rejected a decoded sketch: %v", err)
 		}
 	})

@@ -51,13 +51,13 @@ func Merge(sketches ...*Sketch) (*Sketch, error) {
 			}
 		}
 	}
-	dist, err := DistanceByID(base.DistID)
+	sp, err := SpaceByID(base.DistID)
 	if err != nil {
 		return nil, err
 	}
 	ds := make([]*streaming.Doubling, len(sketches))
 	for i, s := range sketches {
-		d, err := streaming.RestoreDoubling(dist, s.State())
+		d, err := streaming.RestoreDoublingIn(sp, s.State())
 		if err != nil {
 			return nil, fmt.Errorf("sketch %d: %w: %v", i, ErrCorrupt, err)
 		}

@@ -1,9 +1,10 @@
 // Package sketch makes the coreset state of the streaming algorithms a
 // first-class, durable, mergeable value. A Sketch captures the complete
-// doubling-algorithm state of a CoresetStream or CoresetOutliers — budget,
-// lower bound phi, processed count, and the weighted coreset points — plus
-// the query-time parameters (k, z, epsHat) and the identity of the distance
-// function, so that a sketch is fully self-describing.
+// doubling-algorithm state of a streaming clusterer (internal/clusterer) —
+// budget, lower bound phi, processed count, and the weighted coreset points —
+// plus the kind of extraction the clusterer runs, its query-time parameters
+// (k, z, epsHat) and the identity of the distance function, so that a sketch
+// is fully self-describing.
 //
 // Sketches serve the paper's composability property operationally: shards of
 // a stream can be summarised independently, snapshotted into compact byte
@@ -47,13 +48,19 @@ var (
 	ErrIncompatible = errors.New("sketch: incompatible sketches")
 )
 
-// Kind discriminates the two stream flavours a sketch can capture.
+// Kind discriminates the two extractions a streaming clusterer can run on its
+// coreset at query time, and so the two kinds of sketch. It is a parameter of
+// the clusterer in its own right, independent of z and of whether the stream
+// is windowed.
 type Kind uint8
 
 const (
-	// KindKCenter is a plain k-center stream (CoresetStream).
+	// KindKCenter is a plain k-center stream: GMM on the coreset (the paper's
+	// CoresetStream).
 	KindKCenter Kind = 1
-	// KindOutliers is a k-center-with-z-outliers stream (CoresetOutliers).
+	// KindOutliers is a k-center-with-z-outliers stream: the weighted
+	// OutliersCluster radius search on the coreset, also when z = 0 (the
+	// paper's CoresetOutliers).
 	KindOutliers Kind = 2
 )
 

@@ -37,19 +37,27 @@ func clusteredData(n, dim, blobs int, seed int64) metric.Dataset {
 	return ds
 }
 
-// streamSketch runs points through a CoresetStream and snapshots it.
-func streamSketch(t *testing.T, points metric.Dataset, k, tau int) *Sketch {
+// doublingState runs points through a doubling coreset of budget tau — the
+// state a streaming clusterer snapshots.
+func doublingState(t *testing.T, sp metric.Space, points metric.Dataset, tau int) streaming.DoublingState {
 	t.Helper()
-	cs, err := streaming.NewCoresetStream(metric.Euclidean, k, tau)
+	d, err := streaming.NewDoublingIn(sp, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range points {
-		if err := cs.Process(p); err != nil {
+		if err := d.Process(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return FromState(KindKCenter, 1, k, 0, 0, cs.Doubling().State())
+	return d.State()
+}
+
+// streamSketch runs points through a plain k-center stream's state and
+// snapshots it.
+func streamSketch(t *testing.T, points metric.Dataset, k, tau int) *Sketch {
+	t.Helper()
+	return FromState(KindKCenter, 1, k, 0, 0, doublingState(t, metric.EuclideanSpace, points, tau))
 }
 
 func TestRoundTripGolden(t *testing.T) {
@@ -60,16 +68,7 @@ func TestRoundTripGolden(t *testing.T) {
 		"kcenter-empty":       streamSketch(t, nil, 8, 64),
 	}
 	// An outliers sketch, for kind coverage.
-	co, err := streaming.NewCoresetOutliers(metric.Manhattan, 4, 10, 80, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range data {
-		if err := co.Process(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cases["outliers-initialized"] = FromState(KindOutliers, 2, 4, 10, 0.25, co.Doubling().State())
+	cases["outliers-initialized"] = FromState(KindOutliers, 2, 4, 10, 0.25, doublingState(t, metric.ManhattanSpace, data, 80))
 
 	for name, sk := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -382,19 +381,15 @@ func TestMergeQualityProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := streaming.RestoreDoubling(metric.Euclidean, merged.State())
+	d, err := streaming.RestoreDoublingIn(metric.EuclideanSpace, merged.State())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := streaming.RestoreCoresetStream(metric.Euclidean, k, d)
+	extracted, err := gmm.Runner{Space: metric.EuclideanSpace}.Run(d.Coreset().Points(), k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	centers, err := cs.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mergedRadius := metric.Radius(metric.Euclidean, data, centers)
+	mergedRadius := metric.Radius(metric.Euclidean, data, extracted.Centers)
 
 	base, err := gmm.Runner{Dist: metric.Euclidean}.Run(data, k, 0)
 	if err != nil {

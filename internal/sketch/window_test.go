@@ -40,7 +40,7 @@ func buildWindowSketch(t testing.TB, kind Kind, k, z int, epsHat float64, tau in
 		{0, 64, 70, 70, 90},
 	}
 	for _, b := range bounds {
-		d, err := streaming.NewDoubling(nil, tau)
+		d, err := streaming.NewDoublingIn(nil, tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func FuzzWindowDecode(f *testing.F) {
 			t.Fatalf("round-trip not byte-identical: %d in, %d out", len(data), len(re))
 		}
 		for i, b := range ws.Buckets {
-			if _, err := streaming.RestoreDoubling(nil, b.Payload.State()); err != nil {
+			if _, err := streaming.RestoreDoublingIn(nil, b.Payload.State()); err != nil {
 				t.Fatalf("RestoreDoubling rejected decoded bucket %d: %v", i, err)
 			}
 		}

@@ -40,14 +40,8 @@ type Doubling struct {
 	processed int64
 }
 
-// NewDoubling returns a Doubling processor with the given coreset budget tau
-// (at least 1). A nil distance defaults to Euclidean; built-in distances are
-// upgraded to their native metric spaces.
-func NewDoubling(dist metric.Distance, tau int) (*Doubling, error) {
-	return NewDoublingIn(metric.SpaceFor(dist), tau)
-}
-
-// NewDoublingIn is NewDoubling on an explicit metric space.
+// NewDoublingIn returns a Doubling processor on the given metric space (nil
+// defaults to Euclidean) with coreset budget tau (at least 1).
 func NewDoublingIn(sp metric.Space, tau int) (*Doubling, error) {
 	if tau < 1 {
 		return nil, fmt.Errorf("streaming: tau must be at least 1, got %d", tau)
@@ -233,16 +227,11 @@ func (d *Doubling) State() DoublingState {
 	return st
 }
 
-// RestoreDoubling reconstructs a Doubling processor from a previously
-// captured state. The state is validated structurally (budget, weights,
-// coordinate finiteness, invariant (d)); a nil distance defaults to
-// Euclidean. The state's points are deep-copied, so the caller may keep
+// RestoreDoublingIn reconstructs a Doubling processor on the given metric
+// space (nil defaults to Euclidean) from a previously captured state. The
+// state is validated structurally (budget, weights, coordinate finiteness,
+// invariant (d)). The state's points are deep-copied, so the caller may keep
 // mutating its copy.
-func RestoreDoubling(dist metric.Distance, st DoublingState) (*Doubling, error) {
-	return RestoreDoublingIn(metric.SpaceFor(dist), st)
-}
-
-// RestoreDoublingIn is RestoreDoubling on an explicit metric space.
 func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
 	if st.Tau < 1 {
 		return nil, fmt.Errorf("streaming: restore: tau must be at least 1, got %d", st.Tau)

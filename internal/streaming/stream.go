@@ -1,9 +1,10 @@
 // Package streaming implements the Streaming-model side of the paper:
 //
 //   - the weighted doubling algorithm (a weighted extension of Charikar,
-//     Chekuri, Feder, Motwani 2004) used as the 1-pass coreset construction;
-//   - CoresetStream / CoresetOutliers: the paper's coreset-based streaming
-//     algorithms for k-center without and with outliers;
+//     Chekuri, Feder, Motwani 2004) used as the 1-pass coreset construction.
+//     The paper's coreset-based streaming algorithms for k-center without
+//     and with outliers are this state plus a query-time extraction; that
+//     composition is internal/clusterer, one layer up;
 //   - BaseStream / BaseOutliers: re-implementations of the McCutchen–Khuller
 //     (2008) streaming baselines the paper compares against in Figures 3
 //     and 5;
@@ -17,6 +18,7 @@ package streaming
 
 import (
 	"errors"
+	"fmt"
 
 	"coresetclustering/internal/metric"
 )
@@ -30,6 +32,26 @@ type Processor interface {
 	WorkingMemory() int
 	// Processed returns the number of points consumed so far.
 	Processed() int64
+}
+
+// CheckPoint is the admission check of a streaming state whose points have
+// dimension dim (0 = not yet fixed): the point must be non-nil, have at least
+// one coordinate, all of them finite, and match dim. It reads nothing but its
+// arguments, so a rejected point never perturbs the state it was aimed at.
+func CheckPoint(p metric.Point, dim int) error {
+	if p == nil {
+		return errors.New("streaming: nil point")
+	}
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("streaming: %w", err)
+	}
+	if p.Dim() == 0 {
+		return errors.New("streaming: zero-dimensional point")
+	}
+	if dim != 0 && p.Dim() != dim {
+		return fmt.Errorf("streaming: point has dimension %d, want %d: %w", p.Dim(), dim, metric.ErrDimensionMismatch)
+	}
+	return nil
 }
 
 // Source yields the points of a stream one at a time.

@@ -105,7 +105,7 @@ func TestDrainErrors(t *testing.T) {
 	if _, err := Drain(NewSliceSource(nil), nil); err == nil {
 		t.Error("nil processor accepted")
 	}
-	d, _ := NewDoubling(metric.Euclidean, 4)
+	d, _ := NewDoublingIn(metric.EuclideanSpace, 4)
 	if _, err := Drain(nil, d); err == nil {
 		t.Error("nil source accepted")
 	}
@@ -116,10 +116,10 @@ func TestDrainErrors(t *testing.T) {
 }
 
 func TestNewDoublingValidation(t *testing.T) {
-	if _, err := NewDoubling(metric.Euclidean, 0); err == nil {
+	if _, err := NewDoublingIn(metric.EuclideanSpace, 0); err == nil {
 		t.Error("tau=0 accepted")
 	}
-	if d, err := NewDoubling(nil, 3); err != nil || d == nil {
+	if d, err := NewDoublingIn(nil, 3); err != nil || d == nil {
 		t.Errorf("nil distance should default: %v", err)
 	}
 }
@@ -131,7 +131,7 @@ func TestDoublingInvariantsProperty(t *testing.T) {
 		n := 30 + rng.Intn(100)
 		tau := 3 + rng.Intn(10)
 		ds := randomDataset(rng, n, 3, 100)
-		d, err := NewDoubling(metric.Euclidean, tau)
+		d, err := NewDoublingIn(metric.EuclideanSpace, tau)
 		if err != nil {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestDoublingInvariantEPhiLowerBound(t *testing.T) {
 		n := 8 + rng.Intn(6)
 		tau := 2 + rng.Intn(2)
 		ds := randomDataset(rng, n, 2, 20)
-		d, err := NewDoubling(metric.Euclidean, tau)
+		d, err := NewDoublingIn(metric.EuclideanSpace, tau)
 		if err != nil {
 			return false
 		}
@@ -182,7 +182,7 @@ func TestDoublingCoverageInvariantC(t *testing.T) {
 	// Invariant (c): every processed point is within 8*phi of some center.
 	rng := rand.New(rand.NewSource(3))
 	ds := randomDataset(rng, 300, 3, 50)
-	d, err := NewDoubling(metric.Euclidean, 12)
+	d, err := NewDoublingIn(metric.EuclideanSpace, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDoublingCoverageInvariantC(t *testing.T) {
 
 func TestDoublingSmallStreams(t *testing.T) {
 	// Fewer than tau+1 points: the coreset is the stream itself, unit weights.
-	d, err := NewDoubling(metric.Euclidean, 10)
+	d, err := NewDoublingIn(metric.EuclideanSpace, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDoublingSmallStreams(t *testing.T) {
 func TestDoublingDuplicateInitialPoints(t *testing.T) {
 	// All initial points identical: the algorithm must not divide by zero and
 	// must keep functioning as distinct points arrive later.
-	d, err := NewDoubling(metric.Euclidean, 3)
+	d, err := NewDoublingIn(metric.EuclideanSpace, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,153 +246,6 @@ func TestDoublingDuplicateInitialPoints(t *testing.T) {
 	}
 	if d.Coreset().TotalWeight() != 20 {
 		t.Errorf("total weight = %d, want 20", d.Coreset().TotalWeight())
-	}
-}
-
-func TestNewCoresetStreamValidation(t *testing.T) {
-	if _, err := NewCoresetStream(nil, 0, 5); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewCoresetStream(nil, 5, 3); err == nil {
-		t.Error("tau<k accepted")
-	}
-}
-
-func TestCoresetStreamQuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	k := 5
-	ds := clusteredDataset(rng, k, 200, 3, 100, 1)
-	cs, err := NewCoresetStream(nil, k, 8*k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, cs, ds)
-	centers, err := cs.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(centers) != k {
-		t.Fatalf("centers = %d, want %d", len(centers), k)
-	}
-	r := metric.Radius(metric.Euclidean, ds, centers)
-	if r > 20 {
-		t.Errorf("radius = %v, want small for well-separated blobs", r)
-	}
-	if cs.WorkingMemory() > 8*k {
-		t.Errorf("working memory = %d exceeds tau = %d", cs.WorkingMemory(), 8*k)
-	}
-	if cs.Processed() != int64(len(ds)) {
-		t.Errorf("processed = %d, want %d", cs.Processed(), len(ds))
-	}
-	if _, err := (&CoresetStream{k: 1, space: metric.EuclideanSpace, doubling: mustDoubling(t, 2)}).Result(); err == nil {
-		t.Error("Result on empty stream should fail")
-	}
-}
-
-func mustDoubling(t *testing.T, tau int) *Doubling {
-	t.Helper()
-	d, err := NewDoubling(metric.Euclidean, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-func TestCoresetStreamTwoPlusEpsShape(t *testing.T) {
-	// Against brute force on small instances, the streaming algorithm with a
-	// generous tau stays within a small constant factor of optimal.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 15 + rng.Intn(10)
-		k := 1 + rng.Intn(3)
-		ds := randomDataset(rng, n, 2, 50)
-		cs, err := NewCoresetStream(nil, k, 4*k)
-		if err != nil {
-			return false
-		}
-		for _, p := range ds {
-			if err := cs.Process(p); err != nil {
-				return false
-			}
-		}
-		centers, err := cs.Result()
-		if err != nil {
-			return false
-		}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, k)
-		if err != nil {
-			return false
-		}
-		if opt == 0 {
-			return true
-		}
-		r := metric.Radius(metric.Euclidean, ds, centers)
-		// The worst-case guarantee with a size-limited coreset is weaker than
-		// 2+eps, but it must stay within the doubling algorithm's constant.
-		return r <= 10*opt+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Errorf("streaming k-center quality out of range: %v", err)
-	}
-}
-
-func TestNewCoresetOutliersValidation(t *testing.T) {
-	if _, err := NewCoresetOutliers(nil, 0, 1, 5, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewCoresetOutliers(nil, 1, -1, 5, 0); err == nil {
-		t.Error("z<0 accepted")
-	}
-	if _, err := NewCoresetOutliers(nil, 3, 3, 4, 0); err == nil {
-		t.Error("tau<k+z accepted")
-	}
-	if _, err := NewCoresetOutliers(nil, 1, 1, 5, -0.1); err == nil {
-		t.Error("negative epsHat accepted")
-	}
-}
-
-func TestCoresetOutliersQuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	k, z := 3, 8
-	base := clusteredDataset(rng, k, 150, 2, 100, 1)
-	ds := withOutliers(rng, base, z)
-	co, err := NewCoresetOutliers(nil, k, z, 4*(k+z), 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, co, ds)
-	res, err := co.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) > k {
-		t.Fatalf("centers = %d, want <= %d", len(res.Centers), k)
-	}
-	if res.UncoveredWeight > int64(z) {
-		t.Errorf("uncovered weight = %d, want <= %d", res.UncoveredWeight, z)
-	}
-	r := metric.RadiusExcluding(metric.Euclidean, ds, res.Centers, z)
-	if r > 20 {
-		t.Errorf("outlier-aware radius = %v, want small", r)
-	}
-	if co.WorkingMemory() > 4*(k+z) {
-		t.Errorf("working memory %d exceeds tau %d", co.WorkingMemory(), 4*(k+z))
-	}
-	if co.Processed() != int64(len(ds)) {
-		t.Errorf("processed = %d, want %d", co.Processed(), len(ds))
-	}
-	if len(co.Coreset()) == 0 {
-		t.Error("coreset accessor returned nothing")
-	}
-}
-
-func TestCoresetOutliersEmptyResult(t *testing.T) {
-	co, err := NewCoresetOutliers(nil, 1, 0, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := co.Result(); err == nil {
-		t.Error("Result on empty stream should fail")
 	}
 }
 
@@ -549,31 +402,6 @@ func TestBaseOutliersShortStream(t *testing.T) {
 	}
 }
 
-func TestCoresetOutliersBeatsBaseOutliersSpaceShape(t *testing.T) {
-	// Figure 5's qualitative claim: at comparable quality CoresetOutliers
-	// uses far less memory than BaseOutliers. We check the memory ordering
-	// directly for the standard parameterisation mu = m = 2.
-	rng := rand.New(rand.NewSource(9))
-	k, z := 3, 10
-	base := clusteredDataset(rng, k, 100, 2, 100, 1)
-	ds := withOutliers(rng, base, z)
-
-	co, err := NewCoresetOutliers(nil, k, z, 2*(k+z), 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bo, err := NewBaseOutliers(nil, k, z, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(t, co, ds)
-	feed(t, bo, ds)
-	if co.WorkingMemory() >= bo.WorkingMemory() {
-		t.Errorf("CoresetOutliers memory (%d) not below BaseOutliers memory (%d)",
-			co.WorkingMemory(), bo.WorkingMemory())
-	}
-}
-
 func TestTwoPassOutliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	k, z := 3, 5
@@ -662,7 +490,7 @@ func TestMergeDoublingsRestoresInvariants(t *testing.T) {
 		for _, c := range coords {
 			st.Points = append(st.Points, metric.WeightedPoint{P: metric.Point{c}, W: 1})
 		}
-		d, err := RestoreDoubling(metric.Euclidean, st)
+		d, err := RestoreDoublingIn(metric.EuclideanSpace, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -701,7 +529,7 @@ func TestMergeDoublingsInvariantsProperty(t *testing.T) {
 		ds := clusteredDataset(rng, 5, 30, 3, 100, 2)
 		procs := make([]*Doubling, shards)
 		for i := range procs {
-			d, err := NewDoubling(metric.Euclidean, tau)
+			d, err := NewDoublingIn(metric.EuclideanSpace, tau)
 			if err != nil {
 				return false
 			}

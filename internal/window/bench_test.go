@@ -1,18 +1,20 @@
-package window
+package window_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/sketch"
+	"coresetclustering/internal/window"
 )
 
 // benchData is shared by the ingest and query benchmarks.
 func benchData(n int) metric.Dataset {
 	rng := rand.New(rand.NewSource(99))
-	return clusteredData(rng, n, 8, 10, 1)
+	return window.ClusteredData(rng, n, 8, 10, 1)
 }
 
 // BenchmarkWindowIngest measures steady-state ingest throughput (points/op)
@@ -22,7 +24,7 @@ func BenchmarkWindowIngest(b *testing.B) {
 	for _, W := range []int64{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("W=%d", W), func(b *testing.B) {
 			const tau = 64
-			w, err := New(Config{Tau: tau, MaxCount: W})
+			w, err := window.New(window.Config{Tau: tau, MaxCount: W})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -53,7 +55,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 				k   = 8
 				tau = 64
 			)
-			s, err := NewKCenterStream(nil, k, tau, Config{MaxCount: W})
+			s, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: k, Tau: tau, WindowSize: W})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -69,7 +71,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 				if err := s.Observe(data[i%len(data)], 0); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := s.Result(); err != nil {
+				if _, err := s.Centers(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -82,7 +84,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 // restore.
 func BenchmarkWindowSnapshot(b *testing.B) {
 	const W = 10_000
-	s, err := NewKCenterStream(nil, 8, 64, Config{MaxCount: W})
+	s, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 8, Tau: 64, WindowSize: W})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,19 +97,11 @@ func BenchmarkWindowSnapshot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws, err := s.Sketch()
+		blob, err := s.Snapshot()
 		if err != nil {
 			b.Fatal(err)
 		}
-		blob, err := sketch.EncodeWindow(ws)
-		if err != nil {
-			b.Fatal(err)
-		}
-		decoded, err := sketch.DecodeWindow(blob)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := RestoreKCenterStream(decoded); err != nil {
+		if _, err := clusterer.Restore(blob, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,21 @@
-package window
+package window_test
+
+// The windowed streams are clusterer.Clusterer — one layer up — over this
+// package's Window; their quality, round-trip and worker-invariance tests stay
+// beside the window they exercise, in the external test package because
+// internal/clusterer imports this one.
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/gmm"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/outliers"
+	"coresetclustering/internal/sketch"
+	"coresetclustering/internal/window"
 )
 
 // TestWindowedQualityProperty is the windowed analogue of the sketch merge
@@ -25,9 +34,9 @@ func TestWindowedQualityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		W := int64(200 + rng.Intn(600))
 		tau := (8 + rng.Intn(9)) * k
-		data := clusteredData(rng, n, dim, k, 1)
+		data := window.ClusteredData(rng, n, dim, k, 1)
 
-		s, err := NewKCenterStream(nil, k, tau, Config{MaxCount: W})
+		s, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: k, Tau: tau, WindowSize: W})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,13 +50,13 @@ func TestWindowedQualityProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i > int(W) && (i%701 == 0 || i == len(data)-1) {
-				assertWindowQuality(t, s.Window(), data, func() (metric.Dataset, error) { return s.Result() }, k, seed, i)
+				assertWindowQuality(t, s.Window(), data, s.Centers, k, seed, i)
 			}
 		}
 	}
 }
 
-func assertWindowQuality(t *testing.T, w *Window, data metric.Dataset, result func() (metric.Dataset, error), k int, seed int64, step int) {
+func assertWindowQuality(t *testing.T, w *window.Window, data metric.Dataset, result func() (metric.Dataset, error), k int, seed int64, step int) {
 	t.Helper()
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatalf("seed %d step %d: %v", seed, step, err)
@@ -86,7 +95,7 @@ func TestWindowedOutliersQualityProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		W := int64(300 + rng.Intn(400))
 		tau := (8 + rng.Intn(5)) * (k + z)
-		data := clusteredData(rng, n, dim, k, 1)
+		data := window.ClusteredData(rng, n, dim, k, 1)
 		// Sprinkle far-away junk: roughly z outliers per window span.
 		for i := range data {
 			if rng.Intn(int(W)/z) == 0 {
@@ -98,7 +107,7 @@ func TestWindowedOutliersQualityProperty(t *testing.T) {
 			}
 		}
 
-		s, err := NewOutliersStream(nil, k, z, tau, 0.25, Config{MaxCount: W})
+		s, err := clusterer.New(clusterer.Params{Kind: sketch.KindOutliers, K: k, Z: z, Tau: tau, EpsHat: 0.25, WindowSize: W})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +126,7 @@ func TestWindowedOutliersQualityProperty(t *testing.T) {
 	}
 }
 
-func assertOutlierWindowQuality(t *testing.T, s *OutliersStream, data metric.Dataset, k, z int, seed int64, step int) {
+func assertOutlierWindowQuality(t *testing.T, s *clusterer.Clusterer, data metric.Dataset, k, z int, seed int64, step int) {
 	t.Helper()
 	w := s.Window()
 	if err := w.CheckInvariants(); err != nil {
@@ -158,5 +167,130 @@ func assertOutlierWindowQuality(t *testing.T, s *OutliersStream, data metric.Dat
 	if bound := (2 + 1.0) * base.Radius; base.Radius > 0 && radius > bound {
 		t.Errorf("seed %d step %d: windowed outlier radius %v exceeds (2+eps)*Gonzalez(k+z) = %v",
 			seed, step, radius, bound)
+	}
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	const W = 256
+	rng := rand.New(rand.NewSource(6))
+	data := window.ClusteredData(rng, 1500, 3, 4, 1)
+	orig, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 5, Tau: 40, WindowSize: W})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range data[:1000] {
+		if err := orig.Observe(p, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored, err := clusterer.Restore(mustEncode(t, orig), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Bit-identical across the round-trip: same centers now...
+	c1, err := orig.Centers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := restored.Centers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	window.AssertSameDataset(t, c1, c2, "restored centers")
+
+	// ...and identical evolution: feeding both the same suffix keeps the
+	// snapshots byte-identical.
+	for i, p := range data[1000:] {
+		ts := int64(1000 + i)
+		if err := orig.Observe(p, ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := restored.Observe(p, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b1 := mustEncode(t, orig)
+	b2 := mustEncode(t, restored)
+	if !bytes.Equal(b1, b2) {
+		t.Error("snapshots diverged after identical suffixes")
+	}
+	if err := restored.Window().CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+func mustEncode(t *testing.T, s *clusterer.Clusterer) []byte {
+	t.Helper()
+	b, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestWorkerInvariance: windowed extraction is bit-identical for every worker
+// count, for both stream flavours.
+func TestWorkerInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	data := window.ClusteredData(rng, 1200, 4, 5, 1)
+
+	build := func(workers int) (metric.Dataset, metric.Dataset) {
+		plain, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 6, Tau: 48, Workers: workers, WindowSize: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outl, err := clusterer.New(clusterer.Params{Kind: sketch.KindOutliers, K: 4, Z: 6, Tau: 80, EpsHat: 0.25, Workers: workers, WindowSize: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range data {
+			if err := plain.Observe(p, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if err := outl.Observe(p, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pc, err := plain.Centers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		oc, err := outl.Centers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pc, oc
+	}
+
+	p1, o1 := build(1)
+	for _, workers := range []int{2, 8} {
+		p, o := build(workers)
+		window.AssertSameDataset(t, p1, p, "plain centers across workers")
+		window.AssertSameDataset(t, o1, o, "outlier centers across workers")
+	}
+}
+
+func TestStreamConstructorValidation(t *testing.T) {
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 0, Tau: 8, WindowSize: 10}); err == nil {
+		t.Error("k=0 accepted")
+	}
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 4, Tau: 3, WindowSize: 10}); err == nil {
+		t.Error("tau<k accepted")
+	}
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 4, Tau: 8, WindowSize: -1}); err == nil {
+		t.Error("negative window bound accepted")
+	}
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindOutliers, K: 2, Z: 3, Tau: 4, EpsHat: 0.25, WindowSize: 10}); err == nil {
+		t.Error("tau<k+z accepted")
+	}
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindOutliers, K: 2, Z: -1, Tau: 8, EpsHat: 0.25, WindowSize: 10}); err == nil {
+		t.Error("z<0 accepted")
+	}
+	if _, err := clusterer.New(clusterer.Params{Kind: sketch.KindOutliers, K: 2, Z: 1, Tau: 8, EpsHat: -1, WindowSize: 10}); err == nil {
+		t.Error("negative epsHat accepted")
+	}
+	if _, err := clusterer.Restore([]byte("KCWN"), 0); err == nil {
+		t.Error("truncated window sketch restored")
 	}
 }

@@ -192,17 +192,8 @@ func New(cfg Config) (*Window, error) {
 // dimensionality) before any state changes, so a rejected point never
 // perturbs the window.
 func (w *Window) Observe(p metric.Point, ts int64) error {
-	if p == nil {
-		return errors.New("window: nil point")
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("window: %w", err)
-	}
-	if p.Dim() == 0 {
-		return errors.New("window: zero-dimensional point")
-	}
-	if w.dim != 0 && p.Dim() != w.dim {
-		return fmt.Errorf("window: point has dimension %d, want %d: %w", p.Dim(), w.dim, metric.ErrDimensionMismatch)
+	if err := streaming.CheckPoint(p, w.dim); err != nil {
+		return err
 	}
 	if ts < 0 {
 		return fmt.Errorf("%w: got %d", ErrNegativeTimestamp, ts)

@@ -1,14 +1,12 @@
 package window
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"coresetclustering/internal/metric"
-	"coresetclustering/internal/sketch"
 )
 
 // clusteredData scatters n points around `blobs` well-separated anchors.
@@ -282,81 +280,6 @@ func TestQueryCache(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	const W = 256
-	rng := rand.New(rand.NewSource(6))
-	data := clusteredData(rng, 1500, 3, 4, 1)
-	orig, err := NewKCenterStream(nil, 5, 40, Config{MaxCount: W})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range data[:1000] {
-		if err := orig.Observe(p, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ws, err := orig.Sketch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := sketch.EncodeWindow(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := sketch.DecodeWindow(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := RestoreKCenterStream(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Bit-identical across the round-trip: same centers now...
-	c1, err := orig.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := restored.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDataset(t, c1, c2, "restored centers")
-
-	// ...and identical evolution: feeding both the same suffix keeps the
-	// snapshots byte-identical.
-	for i, p := range data[1000:] {
-		ts := int64(1000 + i)
-		if err := orig.Observe(p, ts); err != nil {
-			t.Fatal(err)
-		}
-		if err := restored.Observe(p, ts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b1 := mustEncode(t, orig)
-	b2 := mustEncode(t, restored)
-	if !bytes.Equal(b1, b2) {
-		t.Error("snapshots diverged after identical suffixes")
-	}
-	if err := restored.Window().CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func mustEncode(t *testing.T, s *KCenterStream) []byte {
-	t.Helper()
-	ws, err := s.Sketch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sketch.EncodeWindow(ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 func assertSameDataset(t *testing.T, a, b metric.Dataset, what string) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -366,74 +289,6 @@ func assertSameDataset(t *testing.T, a, b metric.Dataset, what string) {
 		if !a[i].Equal(b[i]) {
 			t.Fatalf("%s: point %d differs: %v vs %v", what, i, a[i], b[i])
 		}
-	}
-}
-
-// TestWorkerInvariance: windowed extraction is bit-identical for every worker
-// count, for both stream flavours.
-func TestWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	data := clusteredData(rng, 1200, 4, 5, 1)
-
-	build := func(workers int) (metric.Dataset, metric.Dataset) {
-		plain, err := NewKCenterStream(nil, 6, 48, Config{MaxCount: 300})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain.SetWorkers(workers)
-		outl, err := NewOutliersStream(nil, 4, 6, 80, 0.25, Config{MaxCount: 300})
-		if err != nil {
-			t.Fatal(err)
-		}
-		outl.SetWorkers(workers)
-		for i, p := range data {
-			if err := plain.Observe(p, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-			if err := outl.Observe(p, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pc, err := plain.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		or, err := outl.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pc, or.Centers
-	}
-
-	p1, o1 := build(1)
-	for _, workers := range []int{2, 8} {
-		p, o := build(workers)
-		assertSameDataset(t, p1, p, "plain centers across workers")
-		assertSameDataset(t, o1, o, "outlier centers across workers")
-	}
-}
-
-func TestStreamConstructorValidation(t *testing.T) {
-	if _, err := NewKCenterStream(nil, 0, 8, Config{MaxCount: 10}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := NewKCenterStream(nil, 4, 3, Config{MaxCount: 10}); err == nil {
-		t.Error("tau<k accepted")
-	}
-	if _, err := NewKCenterStream(nil, 4, 8, Config{}); err == nil {
-		t.Error("missing window bound accepted")
-	}
-	if _, err := NewOutliersStream(nil, 2, 3, 4, 0.25, Config{MaxCount: 10}); err == nil {
-		t.Error("tau<k+z accepted")
-	}
-	if _, err := NewOutliersStream(nil, 2, -1, 8, 0.25, Config{MaxCount: 10}); err == nil {
-		t.Error("z<0 accepted")
-	}
-	if _, err := NewOutliersStream(nil, 2, 1, 8, -1, Config{MaxCount: 10}); err == nil {
-		t.Error("negative epsHat accepted")
-	}
-	if _, err := RestoreKCenterStream(nil); err == nil {
-		t.Error("nil sketch restored")
 	}
 }
 

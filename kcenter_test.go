@@ -363,7 +363,7 @@ func TestDefaultEll(t *testing.T) {
 func TestFarthestIndices(t *testing.T) {
 	points := Dataset{{0}, {1}, {50}, {100}}
 	centers := Dataset{{0}}
-	dists, _ := metric.NearestBatch(Euclidean, points, centers, 1)
+	dists, _ := metric.NewEngine(1).NearestBatch(metric.EuclideanSpace, points, centers)
 	got := farthestIndices(dists, 2)
 	if len(got) != 2 || got[0] != 3 || got[1] != 2 {
 		t.Errorf("farthestIndices = %v, want [3 2]", got)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"coresetclustering/internal/sketch"
-	"coresetclustering/internal/streaming"
 )
 
 // Sketch errors, re-exported from the codec so callers can branch on them
@@ -51,106 +50,6 @@ func (e *mergeIncompatibleError) Error() string { return e.cause.Error() }
 func (e *mergeIncompatibleError) Unwrap() error { return e.cause }
 
 func (e *mergeIncompatibleError) Is(target error) bool { return target == ErrMergeIncompatible }
-
-// Snapshot serializes the complete state of the streaming clusterer into a
-// compact, self-describing binary sketch: the doubling-algorithm state
-// (budget, lower bound, weighted coreset points), the query parameter k, and
-// the identity of the distance function. The sketch can be persisted, shipped
-// across machines, restored with RestoreStreamingKCenter, and merged with
-// sketches of other shards via MergeSketches; observation may continue after
-// the call.
-//
-// Only the built-in distances (Euclidean, Manhattan, Chebyshev, Angular,
-// Cosine) are serializable; a custom WithDistance function yields
-// ErrSketchUnknownDistance because the receiving machine could not
-// reconstruct it.
-func (s *StreamingKCenter) Snapshot() ([]byte, error) {
-	id, err := sketch.SpaceID(s.inner.Space())
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	return sketch.Encode(sketch.FromState(
-		sketch.KindKCenter, id, s.inner.K(), 0, 0, s.inner.Doubling().State()))
-}
-
-// RestoreStreamingKCenter reconstructs a streaming clusterer from a sketch
-// produced by Snapshot (or MergeSketches). The metric space and all
-// parameters come from the sketch itself (sketches are named after their
-// space, so decoding resolves the full batched-kernel substrate, not just a
-// scalar distance); options may tune the runtime
-// behaviour of the restored stream (WithWorkers), while WithDistance is
-// ignored. The restored stream is fully live: it can keep observing points,
-// answer Centers, and be snapshotted again.
-func RestoreStreamingKCenter(data []byte, opts ...Option) (*StreamingKCenter, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	sk, err := sketch.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if sk.Kind != sketch.KindKCenter {
-		return nil, fmt.Errorf("kcenter: %w: sketch is %s, want k-center", ErrSketchIncompatible, sk.Kind)
-	}
-	sp, err := sk.Space()
-	if err != nil {
-		return nil, err
-	}
-	d, err := streaming.RestoreDoublingIn(sp, sk.State())
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner, err := streaming.RestoreCoresetStream(nil, sk.K, d)
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner.SetWorkers(o.workers)
-	return &StreamingKCenter{inner: inner}, nil
-}
-
-// Snapshot serializes the complete state of the streaming outlier clusterer,
-// including z and the radius-search slack epsHat, with the same semantics as
-// (*StreamingKCenter).Snapshot.
-func (s *StreamingOutliers) Snapshot() ([]byte, error) {
-	id, err := sketch.SpaceID(s.inner.Space())
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	return sketch.Encode(sketch.FromState(
-		sketch.KindOutliers, id, s.inner.K(), s.inner.Z(), s.inner.EpsHat(), s.inner.Doubling().State()))
-}
-
-// RestoreStreamingOutliers reconstructs a streaming outlier clusterer from a
-// sketch produced by (*StreamingOutliers).Snapshot (or MergeSketches over
-// such sketches), with the same semantics as RestoreStreamingKCenter.
-func RestoreStreamingOutliers(data []byte, opts ...Option) (*StreamingOutliers, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	sk, err := sketch.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if sk.Kind != sketch.KindOutliers {
-		return nil, fmt.Errorf("kcenter: %w: sketch is %s, want k-center-with-outliers", ErrSketchIncompatible, sk.Kind)
-	}
-	sp, err := sk.Space()
-	if err != nil {
-		return nil, err
-	}
-	d, err := streaming.RestoreDoublingIn(sp, sk.State())
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner, err := streaming.RestoreCoresetOutliers(nil, sk.K, sk.Z, sk.EpsHat, d)
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner.SetWorkers(o.workers)
-	return &StreamingOutliers{inner: inner, z: sk.Z}, nil
-}
 
 // MergeSketches unions two or more sketches built on independent shards of a
 // stream and re-runs the doubling reduction so the merged sketch is back

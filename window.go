@@ -1,9 +1,6 @@
 package kcenter
 
 import (
-	"errors"
-	"fmt"
-
 	"coresetclustering/internal/sketch"
 	"coresetclustering/internal/window"
 )
@@ -24,132 +21,72 @@ var (
 	ErrNegativeTimestamp = window.ErrNegativeTimestamp
 )
 
+// windowStream adds the sliding-window method set — timestamped ingest, the
+// explicit clock and live-window introspection — to the shared one, declared
+// once for both windowed types.
+type windowStream struct{ stream }
+
+// ObserveAt consumes the next point with an explicit timestamp (non-negative,
+// non-decreasing across calls, in caller-defined units — the same units as
+// WithWindowDuration).
+func (s windowStream) ObserveAt(p Point, ts int64) error { return s.c.Observe(p, ts) }
+
+// Advance moves the window's notion of "now" forward to ts without observing
+// a point, evicting buckets that age out of a duration window.
+func (s windowStream) Advance(ts int64) error { return s.c.Advance(ts) }
+
+// LivePoints reports how many stream points the live window currently
+// summarises.
+func (s windowStream) LivePoints() int64 { return s.c.Window().LivePoints() }
+
+// LiveBuckets reports the number of live buckets (O(log window)).
+func (s windowStream) LiveBuckets() int { return s.c.Window().LiveBuckets() }
+
+// EvictedBuckets reports the lifetime count of buckets evicted from the
+// window; EvictedPoints the stream points those buckets summarised.
+func (s windowStream) EvictedBuckets() int64 { return s.c.Window().EvictedBuckets() }
+
+// EvictedPoints reports the lifetime count of stream points inside evicted
+// buckets.
+func (s windowStream) EvictedPoints() int64 { return s.c.Window().EvictedPoints() }
+
+// LiveRange returns the contiguous observation-order range [start, end) of
+// the points the live window summarises; start == end means the window is
+// empty.
+func (s windowStream) LiveRange() (start, end int64) { return s.c.Window().LiveRange() }
+
+// LastTimestamp returns the newest observed (or advanced-to) timestamp.
+func (s windowStream) LastTimestamp() int64 { return s.c.Window().Now() }
+
 // WindowedKCenter is a sliding-window k-center clusterer: it summarises only
 // the most recent part of the stream — the last WithWindowSize points, the
 // last WithWindowDuration time units, or both — instead of the entire prefix.
 //
-// Internally the stream is decomposed into a ring of timestamped buckets,
-// each holding an independent doubling coreset of at most budget points;
-// buckets coalesce exponential-histogram style (so the ring holds
-// O(log window) buckets and working memory stays O(budget * log window)),
-// whole buckets are evicted as they age out, and Centers merges the live
-// buckets under the original budget before extracting k centers. The live
-// summary always covers at least the requested window and overshoots it by at
-// most the span of the oldest live bucket.
+// It is the same clusterer as StreamingKCenter with a different state behind
+// it: the stream is decomposed into a ring of timestamped buckets, each
+// holding an independent doubling coreset of at most budget points; buckets
+// coalesce exponential-histogram style (so the ring holds O(log window)
+// buckets and working memory stays O(budget * log window)), whole buckets are
+// evicted as they age out, and Centers extracts k centers from the union of
+// the live buckets' coresets. The live summary always covers at least the
+// requested window and overshoots it by at most the span of the oldest live
+// bucket.
 //
 // The determinism contract extends to windows: eviction and coalescing are
 // driven only by observed counts and explicitly supplied timestamps (never a
 // clock), so results are bit-identical across worker counts and across a
 // Snapshot -> Restore round-trip.
-type WindowedKCenter struct {
-	inner *window.KCenterStream
-}
+type WindowedKCenter struct{ windowStream }
 
 // NewWindowedKCenter creates a sliding-window k-center clusterer with the
 // given per-bucket coreset budget (in points, at least k). At least one of
 // WithWindowSize and WithWindowDuration must be supplied.
 func NewWindowedKCenter(k, budget int, opts ...Option) (*WindowedKCenter, error) {
-	o, err := buildOptions(opts)
+	c, err := newClusterer(sketch.KindKCenter, true, k, 0, budget, opts)
 	if err != nil {
 		return nil, err
 	}
-	if o.windowSize == 0 && o.windowDuration == 0 {
-		return nil, errors.New("kcenter: a windowed stream needs WithWindowSize or WithWindowDuration")
-	}
-	inner, err := window.NewKCenterStream(o.space, k, budget, window.Config{
-		MaxCount: o.windowSize,
-		MaxAge:   o.windowDuration,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner.SetWorkers(o.workers)
-	return &WindowedKCenter{inner: inner}, nil
-}
-
-// Observe consumes the next point of the stream. The point inherits the
-// newest observed timestamp (0 before the first ObserveAt), which is exactly
-// right for purely count-based windows; duration windows should use
-// ObserveAt.
-func (s *WindowedKCenter) Observe(p Point) error {
-	return s.inner.Observe(p, s.inner.Window().Now())
-}
-
-// ObserveAt consumes the next point with an explicit timestamp (non-negative,
-// non-decreasing across calls, in caller-defined units — the same units as
-// WithWindowDuration).
-func (s *WindowedKCenter) ObserveAt(p Point, ts int64) error { return s.inner.Observe(p, ts) }
-
-// ObserveAll consumes a batch of points in order, all at the newest observed
-// timestamp.
-func (s *WindowedKCenter) ObserveAll(points Dataset) error {
-	for _, p := range points {
-		if err := s.Observe(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Advance moves the window's notion of "now" forward to ts without observing
-// a point, evicting buckets that age out of a duration window.
-func (s *WindowedKCenter) Advance(ts int64) error { return s.inner.Advance(ts) }
-
-// Clone returns a copy-on-write copy of the clusterer: a point-in-time
-// snapshot that answers Centers and Snapshot — and can even keep observing —
-// independently of the original. Sealed window buckets are immutable and
-// shared, so a clone costs O(log window) pointer copies plus one small open
-// bucket; see (*StreamingKCenter).Clone for the query-view pattern it serves.
-func (s *WindowedKCenter) Clone() *WindowedKCenter {
-	return &WindowedKCenter{inner: s.inner.Clone()}
-}
-
-// Centers returns k centers summarising the live window. ErrWindowEmpty means
-// everything has been evicted. Observation may continue afterwards.
-func (s *WindowedKCenter) Centers() (Dataset, error) { return s.inner.Result() }
-
-// Observed reports how many points have been consumed over the stream's
-// lifetime, evicted ones included.
-func (s *WindowedKCenter) Observed() int64 { return s.inner.Window().Observed() }
-
-// LivePoints reports how many stream points the live window currently
-// summarises.
-func (s *WindowedKCenter) LivePoints() int64 { return s.inner.Window().LivePoints() }
-
-// LiveBuckets reports the number of live buckets (O(log window)).
-func (s *WindowedKCenter) LiveBuckets() int { return s.inner.Window().LiveBuckets() }
-
-// EvictedBuckets reports the lifetime count of buckets evicted from the
-// window; EvictedPoints the stream points those buckets summarised.
-func (s *WindowedKCenter) EvictedBuckets() int64 { return s.inner.Window().EvictedBuckets() }
-
-// EvictedPoints reports the lifetime count of stream points inside evicted
-// buckets.
-func (s *WindowedKCenter) EvictedPoints() int64 { return s.inner.Window().EvictedPoints() }
-
-// LiveRange returns the contiguous observation-order range [start, end) of
-// the points the live window summarises; start == end means the window is
-// empty.
-func (s *WindowedKCenter) LiveRange() (start, end int64) { return s.inner.Window().LiveRange() }
-
-// LastTimestamp returns the newest observed (or advanced-to) timestamp.
-func (s *WindowedKCenter) LastTimestamp() int64 { return s.inner.Window().Now() }
-
-// WorkingMemory reports the number of points currently retained,
-// O(budget * log window).
-func (s *WindowedKCenter) WorkingMemory() int { return s.inner.Window().WorkingMemory() }
-
-// Snapshot serializes the complete window state — stream parameters, window
-// geometry, bucket boundaries and each bucket's coreset — into a compact,
-// self-describing binary sketch (magic KCWN), with the same strict-validation
-// and determinism guarantees as the insertion-only sketches. Restore with
-// RestoreWindowedKCenter.
-func (s *WindowedKCenter) Snapshot() ([]byte, error) {
-	ws, err := s.inner.Sketch()
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	return sketch.EncodeWindow(ws)
+	return &WindowedKCenter{windowStream{stream{c}}}, nil
 }
 
 // RestoreWindowedKCenter reconstructs a sliding-window clusterer from a
@@ -158,149 +95,53 @@ func (s *WindowedKCenter) Snapshot() ([]byte, error) {
 // behaviour (WithWorkers). The restored stream is fully live and answers
 // Centers bit-identically to the stream it was captured from.
 func RestoreWindowedKCenter(data []byte, opts ...Option) (*WindowedKCenter, error) {
-	o, err := buildOptions(opts)
+	c, err := restoreClusterer(data, sketch.KindKCenter, true, opts)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := sketch.DecodeWindow(data)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := window.RestoreKCenterStream(ws)
-	if err != nil {
-		return nil, err
-	}
-	inner.SetWorkers(o.workers)
-	return &WindowedKCenter{inner: inner}, nil
+	return &WindowedKCenter{windowStream{stream{c}}}, nil
+}
+
+// Clone returns a copy-on-write copy of the clusterer: a point-in-time
+// snapshot that answers Centers and Snapshot — and can even keep observing —
+// independently of the original. Sealed window buckets are immutable and
+// shared, so a clone costs O(log window) pointer copies plus one small open
+// bucket; see (*StreamingKCenter).Clone for the query-view pattern it serves.
+func (s *WindowedKCenter) Clone() *WindowedKCenter {
+	return &WindowedKCenter{windowStream{stream{s.c.Clone()}}}
 }
 
 // WindowedOutliers is the sliding-window clusterer for the k-center problem
 // with z outliers: the same bucketed window decomposition as WindowedKCenter,
-// with the weighted outlier-aware radius search run on the merged live
-// coreset at query time.
-type WindowedOutliers struct {
-	inner *window.OutliersStream
-}
+// with the weighted outlier-aware radius search run on the union of the live
+// coresets at query time.
+type WindowedOutliers struct{ windowStream }
 
 // NewWindowedOutliers creates a sliding-window clusterer for k centers and z
 // outliers with the given per-bucket coreset budget (in points, at least
 // k+z). At least one of WithWindowSize and WithWindowDuration must be
 // supplied.
 func NewWindowedOutliers(k, z, budget int, opts ...Option) (*WindowedOutliers, error) {
-	o, err := buildOptions(opts)
+	c, err := newClusterer(sketch.KindOutliers, true, k, z, budget, opts)
 	if err != nil {
 		return nil, err
 	}
-	if o.windowSize == 0 && o.windowDuration == 0 {
-		return nil, errors.New("kcenter: a windowed stream needs WithWindowSize or WithWindowDuration")
-	}
-	inner, err := window.NewOutliersStream(o.space, k, z, budget, 0.25, window.Config{
-		MaxCount: o.windowSize,
-		MaxAge:   o.windowDuration,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	inner.SetWorkers(o.workers)
-	return &WindowedOutliers{inner: inner}, nil
-}
-
-// Observe consumes the next point of the stream at the newest observed
-// timestamp; duration windows should use ObserveAt.
-func (s *WindowedOutliers) Observe(p Point) error {
-	return s.inner.Observe(p, s.inner.Window().Now())
-}
-
-// ObserveAt consumes the next point with an explicit timestamp.
-func (s *WindowedOutliers) ObserveAt(p Point, ts int64) error { return s.inner.Observe(p, ts) }
-
-// ObserveAll consumes a batch of points in order, all at the newest observed
-// timestamp.
-func (s *WindowedOutliers) ObserveAll(points Dataset) error {
-	for _, p := range points {
-		if err := s.Observe(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Advance moves the window's notion of "now" forward to ts without observing
-// a point, evicting buckets that age out of a duration window.
-func (s *WindowedOutliers) Advance(ts int64) error { return s.inner.Advance(ts) }
-
-// Clone returns a copy-on-write copy of the clusterer, with the same
-// semantics as (*WindowedKCenter).Clone.
-func (s *WindowedOutliers) Clone() *WindowedOutliers {
-	return &WindowedOutliers{inner: s.inner.Clone()}
-}
-
-// Centers returns at most k centers summarising the live window; up to z of
-// the live points may be left uncovered (the outliers).
-func (s *WindowedOutliers) Centers() (Dataset, error) {
-	res, err := s.inner.Result()
-	if err != nil {
-		return nil, err
-	}
-	return res.Centers, nil
-}
-
-// Observed reports how many points have been consumed over the stream's
-// lifetime, evicted ones included.
-func (s *WindowedOutliers) Observed() int64 { return s.inner.Window().Observed() }
-
-// LivePoints reports how many stream points the live window currently
-// summarises.
-func (s *WindowedOutliers) LivePoints() int64 { return s.inner.Window().LivePoints() }
-
-// LiveBuckets reports the number of live buckets (O(log window)).
-func (s *WindowedOutliers) LiveBuckets() int { return s.inner.Window().LiveBuckets() }
-
-// EvictedBuckets reports the lifetime count of buckets evicted from the
-// window; EvictedPoints the stream points those buckets summarised.
-func (s *WindowedOutliers) EvictedBuckets() int64 { return s.inner.Window().EvictedBuckets() }
-
-// EvictedPoints reports the lifetime count of stream points inside evicted
-// buckets.
-func (s *WindowedOutliers) EvictedPoints() int64 { return s.inner.Window().EvictedPoints() }
-
-// LiveRange returns the contiguous observation-order range [start, end) of
-// the points the live window summarises.
-func (s *WindowedOutliers) LiveRange() (start, end int64) { return s.inner.Window().LiveRange() }
-
-// LastTimestamp returns the newest observed (or advanced-to) timestamp.
-func (s *WindowedOutliers) LastTimestamp() int64 { return s.inner.Window().Now() }
-
-// WorkingMemory reports the number of points currently retained,
-// O(budget * log window).
-func (s *WindowedOutliers) WorkingMemory() int { return s.inner.Window().WorkingMemory() }
-
-// Snapshot serializes the complete window state with the same semantics as
-// (*WindowedKCenter).Snapshot.
-func (s *WindowedOutliers) Snapshot() ([]byte, error) {
-	ws, err := s.inner.Sketch()
-	if err != nil {
-		return nil, fmt.Errorf("kcenter: %w", err)
-	}
-	return sketch.EncodeWindow(ws)
+	return &WindowedOutliers{windowStream{stream{c}}}, nil
 }
 
 // RestoreWindowedOutliers reconstructs a sliding-window outlier clusterer
 // from a sketch produced by (*WindowedOutliers).Snapshot, with the same
 // semantics as RestoreWindowedKCenter.
 func RestoreWindowedOutliers(data []byte, opts ...Option) (*WindowedOutliers, error) {
-	o, err := buildOptions(opts)
+	c, err := restoreClusterer(data, sketch.KindOutliers, true, opts)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := sketch.DecodeWindow(data)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := window.RestoreOutliersStream(ws)
-	if err != nil {
-		return nil, err
-	}
-	inner.SetWorkers(o.workers)
-	return &WindowedOutliers{inner: inner}, nil
+	return &WindowedOutliers{windowStream{stream{c}}}, nil
+}
+
+// Clone returns a copy-on-write copy of the clusterer, with the same
+// semantics as (*WindowedKCenter).Clone.
+func (s *WindowedOutliers) Clone() *WindowedOutliers {
+	return &WindowedOutliers{windowStream{stream{s.c.Clone()}}}
 }
