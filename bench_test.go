@@ -9,6 +9,7 @@ package kcenter
 // sizes, more repetitions) are produced by `go run ./cmd/experiments`.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -293,21 +294,25 @@ func BenchmarkCoresetConstruction(b *testing.B) {
 }
 
 // BenchmarkStreamingDoubling measures the per-point cost of the weighted
-// doubling algorithm (the streaming coreset construction).
+// doubling algorithm (the streaming coreset construction) at a small budget
+// and at the daemon's, where the O(budget^2) merge rounds weigh most.
 func BenchmarkStreamingDoubling(b *testing.B) {
 	ds := benchPoints(20000, 7, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, err := streaming.NewDoublingIn(metric.EuclideanSpace, 200)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range ds {
-			if err := d.Process(p); err != nil {
-				b.Fatal(err)
+	for _, tau := range []int{200, 2048} {
+		b.Run(fmt.Sprintf("budget=%d", tau), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				d, err := streaming.NewDoublingIn(metric.EuclideanSpace, tau)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, p := range ds {
+					if err := d.Process(p); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 

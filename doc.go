@@ -44,6 +44,18 @@
 //     MergeSketches: durable, mergeable sketches of streaming state for
 //     sharded deployments (see below).
 //
+// # Points are values
+//
+// A streaming clusterer retains the points it observes by reference and never
+// writes them: a point is immutable from the moment Observe (ObserveAll,
+// ObserveAt) accepts it, and the caller must not modify it afterwards.
+// Everything inside builds on that — Clone, Snapshot, the sliding window's
+// bucket merges and query unions, and the sketch merge chain copy only
+// (point, weight) headers and share the coordinate arrays, so their cost does
+// not grow with the dimension and a query allocates a constant number of
+// objects. Centers is where points leave the clusterer: it returns copies,
+// which are the caller's to keep or change.
+//
 // # Metric spaces: Space vs Distance
 //
 // Distance evaluations dominate every algorithm here, so the metric is a
@@ -142,9 +154,10 @@
 //     afterwards. Only built-in distances are serializable — a custom
 //     WithDistance function yields ErrSketchUnknownDistance, because a
 //     closure cannot be reconstructed on another machine.
-//   - Clone is Snapshot's in-process sibling: an O(budget) copy-on-write
-//     deep copy of the clusterer's bounded state (windowed clones share
-//     their immutable sealed buckets). The clone is a fully live,
+//   - Clone is Snapshot's in-process sibling: an O(budget) copy of the
+//     clusterer's bounded state — its (point, weight) headers; coordinates
+//     are immutable and shared, and windowed clones share their immutable
+//     sealed buckets too. The clone is a fully live,
 //     snapshot-isolated stream — ingest into either side never shows
 //     through to the other, and feeding both the same suffix reproduces
 //     bit-identical states (the determinism contract extends to clones).

@@ -156,7 +156,9 @@ func Restore(data []byte, workers int) (*Clusterer, error) {
 
 // Process consumes the next point of the stream; on a sliding window the
 // point inherits the newest observed timestamp, which is exactly right for a
-// purely count-based window. It implements streaming.Processor.
+// purely count-based window. The point is retained by reference and never
+// written: the caller must not modify it afterwards. It implements
+// streaming.Processor.
 func (c *Clusterer) Process(p metric.Point) error {
 	if c.win != nil {
 		return c.win.Observe(p, c.win.Now())
@@ -202,24 +204,33 @@ type Result struct {
 
 // Result runs the stream's extraction on the maintained coreset — of the
 // whole stream, or of the live window. It can be called at any time;
-// observation may continue afterwards.
+// observation may continue afterwards. The extraction reads the retained
+// points in place; this is where points leave the module, so the at most k
+// centers are returned as copies the caller may modify.
 func (c *Clusterer) Result() (*Result, error) {
-	cs, err := c.coreset()
-	if err != nil {
-		return nil, err
+	if c.win == nil && c.doubling.Processed() == 0 {
+		return nil, ErrEmpty
 	}
 	if c.kind == sketch.KindKCenter {
-		res, err := gmm.Runner{Space: c.space, Workers: c.workers}.Run(cs.Points(), c.k, 0)
+		pts, err := c.points()
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Centers: res.Centers}, nil
+		res, err := gmm.Runner{Space: c.space, Workers: c.workers}.Run(pts, c.k, 0)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Centers: res.Centers.Clone()}, nil
+	}
+	cs, err := c.coreset()
+	if err != nil {
+		return nil, err
 	}
 	solved, err := outliers.SolveIn(c.space, cs, c.k, int64(c.z), c.epsHat, outliers.SearchBinaryGeometric, c.workers)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Centers: solved.Centers, SearchRadius: solved.Radius, UncoveredWeight: solved.UncoveredWeight}, nil
+	return &Result{Centers: solved.Centers.Clone(), SearchRadius: solved.Radius, UncoveredWeight: solved.UncoveredWeight}, nil
 }
 
 // Centers is Result reduced to the centers.
@@ -231,24 +242,29 @@ func (c *Clusterer) Centers() (metric.Dataset, error) {
 	return res.Centers, nil
 }
 
-// coreset returns the weighted coreset the extraction runs on. The window's
-// union is memoised and shared, so callers must not modify the result.
+// coreset returns the weighted coreset the outlier search runs on: fresh
+// headers over the retained points (ErrEmptyWindow from a drained window).
 func (c *Clusterer) coreset() (metric.WeightedSet, error) {
 	if c.win != nil {
 		return c.win.Coreset()
 	}
-	cs := c.doubling.Coreset()
-	if len(cs) == 0 {
-		return nil, ErrEmpty
+	return c.doubling.Coreset(), nil
+}
+
+// points returns the coreset's points alone, which is all GMM reads.
+func (c *Clusterer) points() (metric.Dataset, error) {
+	if c.win != nil {
+		return c.win.Points()
 	}
-	return cs, nil
+	return c.doubling.AppendPoints(make(metric.Dataset, 0, c.doubling.WorkingMemory())), nil
 }
 
 // Clone returns an independent copy: it answers queries and keeps observing
 // without the original seeing it, and vice versa. An insertion-only stream
-// deep-copies its at most tau+1 points; a window shares its immutable sealed
-// buckets and copies only the open one (see (*window.Window).Clone). Only the
-// metric space is shared.
+// copies its at most tau+1 (point, weight) headers; a window shares its
+// immutable sealed buckets and copies only the open one's headers (see
+// (*window.Window).Clone). The coordinate arrays, immutable once observed,
+// and the metric space are shared.
 func (c *Clusterer) Clone() *Clusterer {
 	cp := *c
 	if c.win != nil {

@@ -30,15 +30,6 @@ func (ws WeightedSet) TotalWeight() int64 {
 	return t
 }
 
-// Clone returns a deep copy of the weighted set.
-func (ws WeightedSet) Clone() WeightedSet {
-	out := make(WeightedSet, len(ws))
-	for i, wp := range ws {
-		out[i] = WeightedPoint{P: wp.P.Clone(), W: wp.W}
-	}
-	return out
-}
-
 // Unweighted wraps a plain dataset into a weighted set with unit weights,
 // which is how the unweighted CharikarEtAl baseline is expressed in terms of
 // the weighted OutliersCluster routine.

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"fmt"
 	"testing"
 
 	"coresetclustering/internal/metric"
@@ -71,15 +72,23 @@ func BenchmarkSketchDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkSketchMerge measures the whole merge chain (State -> Restore ->
+// MergeDoublings -> State) at a small budget over four shards and at the
+// daemon's budget over two (what a router does per refresh).
 func BenchmarkSketchMerge(b *testing.B) {
-	shards := make([]*Sketch, 4)
-	for i := range shards {
-		shards[i] = benchSketch(b, 10000, 16, 50, 400, int64(i+10))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Merge(shards...); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct{ tau, shards, n int }{{400, 4, 10000}, {2048, 2, 20000}} {
+		b.Run(fmt.Sprintf("budget=%d", c.tau), func(b *testing.B) {
+			shards := make([]*Sketch, c.shards)
+			for i := range shards {
+				shards[i] = benchSketch(b, c.n, 16, 50, c.tau, int64(i+10))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Merge(shards...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,9 +12,13 @@ import (
 // property. All sketches must agree on kind, distance, k, z, epsHat, budget
 // and point dimensionality; anything else is ErrIncompatible.
 //
+// The inputs are only read: the merged sketch has headers of its own and
+// shares the coordinate arrays of the points it kept, which — like every
+// point admitted to a coreset — must not be written afterwards.
+//
 // Determinism: the merge is fully sequential (it never touches the parallel
 // distance engine), its result depends only on the argument order, and
-// merging a single sketch returns an equivalent copy. The merged Processed
+// merging a single sketch returns an equivalent sketch. The merged Processed
 // count is the sum of the inputs', so weights keep accounting for every
 // original point exactly once.
 func Merge(sketches ...*Sketch) (*Sketch, error) {

@@ -112,7 +112,9 @@ func (s *Sketch) Dim() int {
 	return s.Points[0].P.Dim()
 }
 
-// State converts the sketch's doubling fields into a streaming.DoublingState.
+// State converts the sketch's doubling fields into a streaming.DoublingState
+// over the same Points (no copy: restoring takes its own headers and only
+// reads the coordinates).
 func (s *Sketch) State() streaming.DoublingState {
 	return streaming.DoublingState{
 		Tau:         s.Tau,
@@ -123,8 +125,8 @@ func (s *Sketch) State() streaming.DoublingState {
 	}
 }
 
-// FromState builds a sketch from a doubling state plus the stream's
-// query-time parameters.
+// FromState builds a sketch over a doubling state's Points (no copy) plus the
+// stream's query-time parameters.
 func FromState(kind Kind, distID uint8, k, z int, epsHat float64, st streaming.DoublingState) *Sketch {
 	return &Sketch{
 		Kind:        kind,

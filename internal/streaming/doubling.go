@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"coresetclustering/internal/metric"
 )
@@ -28,12 +29,18 @@ import (
 // kernel over a maintained point view of the centers (no per-point
 // allocations); the one conversion out of the surrogate domain per processed
 // point is the only square root (Euclidean) the hot path pays.
+//
+// Points are immutable once admitted: a processed point is retained by
+// reference and its coordinates are never written, here or in any package
+// built on this one. What a Doubling owns is the slice of (point, weight)
+// headers — weights do change in place — so Clone, State, Coreset, restoring
+// and merging copy headers and share the coordinate arrays.
 type Doubling struct {
 	space metric.Space
 	tau   int
 
-	centers metric.WeightedSet
-	pts     metric.Dataset // pts[i] == centers[i].P, maintained alongside
+	centers metric.WeightedSet // headers owned by this processor; nil while buffering
+	pts     metric.Dataset     // pts[i] == centers[i].P, maintained alongside
 	phi     float64
 
 	initBuf   metric.Dataset // first tau+1 points, buffered until initialisation
@@ -54,21 +61,6 @@ func NewDoublingIn(sp metric.Space, tau int) (*Doubling, error) {
 
 // Space returns the metric space the processor runs on.
 func (d *Doubling) Space() metric.Space { return d.space }
-
-// syncPts rebuilds the point view of the centers.
-func (d *Doubling) syncPts() {
-	d.pts = d.pts[:0]
-	for _, c := range d.centers {
-		d.pts = append(d.pts, c.P)
-	}
-}
-
-// minPairwise is the minimum true pairwise distance of the current centers
-// (+Inf with fewer than two). The center count is bounded by tau+1, so the
-// sequential engine path is always the right one.
-func (d *Doubling) minPairwise() float64 {
-	return metric.NewEngine(1).MinPairwiseDistance(d.space, d.pts)
-}
 
 // Process implements Processor.
 func (d *Doubling) Process(p metric.Point) error {
@@ -107,16 +99,12 @@ func (d *Doubling) Process(p metric.Point) error {
 // initialize turns the buffered first tau+1 points into the initial weighted
 // center set and applies the merge rule until invariants (a) and (b) hold.
 func (d *Doubling) initialize() {
-	d.centers = make(metric.WeightedSet, 0, d.tau+1)
-	for _, p := range d.initBuf {
-		d.centers = append(d.centers, metric.WeightedPoint{P: p, W: 1})
-	}
-	d.initBuf = nil
-	d.syncPts()
+	d.centers = metric.Unweighted(d.initBuf) // tau+1 headers: room for the update rule's append
+	d.pts, d.initBuf = d.initBuf, nil
 	// Collapse exact duplicates first so that coincident initial points do
-	// not force phi to zero forever.
-	d.mergeCloserThan(0)
-	minDist := d.minPairwise()
+	// not force phi to zero forever; the same sweep yields the survivors'
+	// minimum pairwise distance.
+	minDist := d.mergeCloserThan(0)
 	if math.IsInf(minDist, 1) {
 		// All initial points coincide: a single center remains and phi stays
 		// zero until genuinely distinct points arrive (invariant (e) holds
@@ -140,7 +128,8 @@ func (d *Doubling) initialize() {
 // now number tau+1.
 func (d *Doubling) merge() {
 	if d.phi == 0 {
-		minDist := d.minPairwise()
+		// At most tau+1 centers: the sequential engine path is the right one.
+		minDist := metric.NewEngine(1).MinPairwiseDistance(d.space, d.pts)
 		if math.IsInf(minDist, 1) {
 			return
 		}
@@ -153,45 +142,75 @@ func (d *Doubling) merge() {
 
 // mergeCloserThan greedily merges centers at distance <= threshold, folding
 // the weight of the discarded center into the survivor (which corresponds to
-// re-targeting the proxy function). Comparisons run in the true distance
-// domain; the survivor sets are tiny (at most tau+1), so this is never a hot
-// path.
-func (d *Doubling) mergeCloserThan(threshold float64) {
-	kept := make(metric.WeightedSet, 0, len(d.centers))
-	for _, c := range d.centers {
-		merged := false
-		for i := range kept {
-			if d.space.Distance(kept[i].P, c.P) <= threshold {
-				kept[i].W += c.W
-				merged = true
-				break
+// re-targeting the proxy function): scanning in order, a center is discarded
+// into the first survivor within the threshold and survives otherwise. It
+// returns the minimum true pairwise distance of the survivors (+Inf with
+// fewer than two), which is what lets initialize and MergeDoublings fold
+// duplicates and bootstrap phi in one triangular sweep.
+//
+// This is the O(n^2) part of the algorithm — every merge round, every
+// initialisation, every union — so it runs on the batched kernel: each
+// survivor evaluates one DistancesTo row against the centers after it. The
+// row holds Surrogate(survivor, later), the argument order of the scalar rule
+// Distance(survivor, candidate) and of MinPairwiseDistance, so nothing is
+// asked of the space beyond the Space contract (in particular no bitwise
+// symmetry). The threshold is compared in the true distance domain, as
+// invariant (b) states it; the minimum is reduced in the surrogate domain and
+// converted once. Survivors are compacted in place: the headers are owned.
+func (d *Doubling) mergeCloserThan(threshold float64) float64 {
+	n := len(d.centers)
+	buf := make([]float64, 2*n)
+	row, near := buf[:n], buf[n:] // near[j]: min surrogate from a survivor before j
+	into := make([]int32, n)      // into[j]: the survivor j is discarded into, -1 while none
+	for j := range near {
+		near[j] = math.Inf(1)
+		into[j] = -1
+	}
+	minS := math.Inf(1)
+	kept := 0
+	for j, c := range d.centers {
+		if t := into[j]; t >= 0 {
+			d.centers[t].W += c.W
+			continue
+		}
+		if near[j] < minS {
+			minS = near[j]
+		}
+		d.centers[kept], d.pts[kept] = c, c.P
+		r := row[j+1:]
+		d.space.DistancesTo(r, c.P, d.pts[j+1:])
+		for l, s := range r {
+			l += j + 1
+			switch {
+			case into[l] >= 0:
+			case d.space.FromSurrogate(s) <= threshold:
+				into[l] = int32(kept)
+			case s < near[l]:
+				near[l] = s
 			}
 		}
-		if !merged {
-			kept = append(kept, c)
-		}
+		kept++
 	}
-	d.centers = kept
-	d.syncPts()
+	clear(d.centers[kept:]) // drop the references to the discarded points
+	clear(d.pts[kept:])
+	d.centers, d.pts = d.centers[:kept], d.pts[:kept]
+	return d.space.FromSurrogate(minS)
 }
 
-// Clone returns a deep copy of the processor: the copy and the original can
-// keep processing points independently and neither observes the other's
-// mutations. Only the metric space (immutable by contract) is shared. The
-// state is bounded by tau+1 points, so a clone is cheap — this is what the
-// daemon's copy-on-write query views are built from.
+// Clone returns an independent copy of the processor: the copy and the
+// original can keep processing points and neither observes the other's
+// mutations. The copy has its own headers (weights, order, buffer) and shares
+// the immutable coordinate arrays and the metric space, so a clone costs
+// O(tau) header words whatever the dimension — this is what the daemon's
+// copy-on-write query views are built from.
 func (d *Doubling) Clone() *Doubling {
-	cp := &Doubling{space: d.space, tau: d.tau, phi: d.phi, processed: d.processed}
-	// centers' nil-ness is semantic (nil = still buffering), so it must be
-	// preserved: WeightedSet.Clone would turn nil into an empty non-nil set.
-	if d.centers != nil {
-		cp.centers = d.centers.Clone()
-		cp.syncPts()
-	}
-	if d.initBuf != nil {
-		cp.initBuf = d.initBuf.Clone()
-	}
-	return cp
+	cp := *d
+	// slices.Clone keeps nil nil: centers' nil-ness is semantic (still
+	// buffering).
+	cp.centers = slices.Clone(d.centers)
+	cp.pts = slices.Clone(d.pts)
+	cp.initBuf = slices.Clone(d.initBuf)
+	return &cp
 }
 
 // DoublingState is the complete, self-contained state of a Doubling
@@ -214,24 +233,24 @@ type DoublingState struct {
 	Points metric.WeightedSet
 }
 
-// State returns a deep copy of the processor's state, suitable for
-// serialization. The processor can keep being used afterwards.
+// State returns the processor's state, suitable for serialization: Points is
+// a fresh header slice over the shared coordinate arrays. The processor can
+// keep being used afterwards.
 func (d *Doubling) State() DoublingState {
-	st := DoublingState{Tau: d.tau, Phi: d.phi, Processed: d.processed}
-	if d.centers == nil {
-		st.Points = metric.Unweighted(d.initBuf).Clone()
-		return st
+	return DoublingState{
+		Tau:         d.tau,
+		Phi:         d.phi,
+		Processed:   d.processed,
+		Initialized: d.Initialized(),
+		Points:      d.Coreset(),
 	}
-	st.Initialized = true
-	st.Points = d.centers.Clone()
-	return st
 }
 
 // RestoreDoublingIn reconstructs a Doubling processor on the given metric
 // space (nil defaults to Euclidean) from a previously captured state. The
 // state is validated structurally (budget, weights, coordinate finiteness,
-// invariant (d)). The state's points are deep-copied, so the caller may keep
-// mutating its copy.
+// invariant (d)). The processor takes its own copy of the headers and shares
+// the coordinate arrays, which the caller must not write afterwards.
 func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
 	if st.Tau < 1 {
 		return nil, fmt.Errorf("streaming: restore: tau must be at least 1, got %d", st.Tau)
@@ -273,7 +292,7 @@ func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
 			if wp.W != 1 {
 				return nil, fmt.Errorf("streaming: restore: uninitialised state carries weight %d != 1", wp.W)
 			}
-			d.initBuf = append(d.initBuf, wp.P.Clone())
+			d.initBuf = append(d.initBuf, wp.P)
 		}
 		d.processed = st.Processed
 		return d, nil
@@ -287,8 +306,8 @@ func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
 	if total != st.Processed {
 		return nil, fmt.Errorf("streaming: restore: weights sum to %d, processed %d", total, st.Processed)
 	}
-	d.centers = st.Points.Clone()
-	d.syncPts()
+	d.centers = slices.Clone(st.Points)
+	d.pts = d.centers.Points()
 	d.phi = st.Phi
 	d.processed = st.Processed
 	return d, nil
@@ -337,7 +356,7 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 		}
 		for _, d := range ds {
 			for _, p := range d.initBuf {
-				if err := out.Process(p.Clone()); err != nil {
+				if err := out.Process(p); err != nil {
 					return nil, err
 				}
 			}
@@ -346,23 +365,23 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	}
 	var phi float64
 	var processed int64
-	var union metric.WeightedSet
+	size := 0
 	for _, d := range ds {
 		processed += d.processed
-		if d.centers != nil {
-			if d.phi > phi {
-				phi = d.phi
-			}
-			union = append(union, d.centers.Clone()...)
-		} else {
-			union = append(union, metric.Unweighted(d.initBuf).Clone()...)
+		size += d.WorkingMemory()
+		if d.centers != nil && d.phi > phi {
+			phi = d.phi
 		}
 	}
-	out := &Doubling{space: sp, tau: tau, centers: union, phi: phi, processed: processed}
-	out.syncPts()
+	union := make(metric.WeightedSet, 0, size)
+	for _, d := range ds {
+		union = d.AppendCoreset(union)
+	}
+	out := &Doubling{space: sp, tau: tau, centers: union, pts: union.Points(), phi: phi, processed: processed}
 	// Collapse exact duplicates across shards (free: zero-distance merges
-	// never hurt coverage).
-	out.mergeCloserThan(0)
+	// never hurt coverage); the same sweep measures the survivors' minimum
+	// pairwise distance.
+	minDist := out.mergeCloserThan(0)
 	// Centers from different shards can lie arbitrarily close together, so
 	// the union can violate invariant (b) even when it fits the budget. One
 	// merge-rule round restores it: phi doubles, the shards' 8*phi coverage
@@ -370,7 +389,7 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	// proxy by at most another 4*phi_new — so (c) still holds at 8*phi_new,
 	// and the survivors are pairwise more than 4*phi_new apart by
 	// construction.
-	if min := out.minPairwise(); min <= 4*out.phi {
+	if minDist <= 4*out.phi {
 		out.merge()
 	}
 	// Then apply the merge rule until the budget holds.
@@ -394,14 +413,36 @@ func (d *Doubling) Processed() int64 { return d.processed }
 // Phi returns the current lower bound phi on r*_tau of the processed prefix.
 func (d *Doubling) Phi() float64 { return d.phi }
 
+// Initialized reports whether the initial buffering phase has completed.
+func (d *Doubling) Initialized() bool { return d.centers != nil }
+
 // Coreset returns the current weighted coreset. If fewer than tau+1 points
 // have been processed the buffered points are returned with unit weights.
-// The returned set is a copy and can be modified freely.
+// The returned headers are the caller's (weights and order can be changed
+// freely); the coordinate arrays are shared and must not be written.
 func (d *Doubling) Coreset() metric.WeightedSet {
-	if d.centers == nil {
-		return metric.Unweighted(d.initBuf).Clone()
+	return d.AppendCoreset(make(metric.WeightedSet, 0, d.WorkingMemory()))
+}
+
+// AppendCoreset appends the headers of Coreset to dst and returns the
+// extended slice, for callers assembling a union of several coresets in one
+// pre-sized slice.
+func (d *Doubling) AppendCoreset(dst metric.WeightedSet) metric.WeightedSet {
+	if d.centers != nil {
+		return append(dst, d.centers...)
 	}
-	return d.centers.Clone()
+	for _, p := range d.initBuf {
+		dst = append(dst, metric.WeightedPoint{P: p, W: 1})
+	}
+	return dst
+}
+
+// AppendPoints appends the points of Coreset, without their weights, to dst.
+func (d *Doubling) AppendPoints(dst metric.Dataset) metric.Dataset {
+	if d.centers != nil {
+		return append(dst, d.pts...)
+	}
+	return append(dst, d.initBuf...)
 }
 
 // Tau returns the configured coreset budget.

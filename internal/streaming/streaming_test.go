@@ -550,3 +550,28 @@ func TestMergeDoublingsInvariantsProperty(t *testing.T) {
 		t.Errorf("merged doubling invariants violated: %v", err)
 	}
 }
+
+// TestDoublingCloneCopiesHeadersOnly guards the cost model of Clone: a
+// constant number of allocations (the struct and its header slices) however
+// many points are retained, because coordinates are shared, not copied.
+func TestDoublingCloneCopiesHeadersOnly(t *testing.T) {
+	const tau = 2048
+	d, err := NewDoublingIn(metric.EuclideanSpace, tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(t, d, randomDataset(rand.New(rand.NewSource(21)), 3*tau, 8, 100))
+	if d.WorkingMemory() < tau/4 {
+		t.Fatalf("only %d points retained; the guard needs a well-filled coreset", d.WorkingMemory())
+	}
+	var cp *Doubling
+	if allocs := testing.AllocsPerRun(10, func() { cp = d.Clone() }); allocs > 4 {
+		t.Errorf("Clone of %d retained points made %v allocations, want at most 4", d.WorkingMemory(), allocs)
+	}
+	if &cp.centers[0] == &d.centers[0] || &cp.pts[0] == &d.pts[0] {
+		t.Error("clone shares a header slice with the original")
+	}
+	if &cp.centers[0].P[0] != &d.centers[0].P[0] {
+		t.Error("clone copied coordinates instead of sharing them")
+	}
+}

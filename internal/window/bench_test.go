@@ -45,9 +45,9 @@ func BenchmarkWindowIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowQuery measures query latency (merge + GMM extraction)
+// BenchmarkWindowQuery measures query latency (union + GMM extraction)
 // against a filled window, across window sizes. Each iteration observes one
-// point first so the memoised merge never short-circuits the measurement.
+// point first, as a live stream does between queries.
 func BenchmarkWindowQuery(b *testing.B) {
 	for _, W := range []int64{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("W=%d", W), func(b *testing.B) {

@@ -49,11 +49,16 @@
 // fixed argument order, and the extraction step runs on the worker-count
 // invariant distance engine. Results are therefore bit-identical across
 // worker counts and across a snapshot -> restore round-trip.
+//
+// Points are immutable once observed (see streaming.Doubling): buckets,
+// clones, coalesced buckets and query unions hold headers over the same
+// coordinate arrays, and nothing in this package writes a coordinate.
 package window
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"coresetclustering/internal/gmm"
 	"coresetclustering/internal/metric"
@@ -139,8 +144,6 @@ type Window struct {
 
 	evictedBuckets int64 // lifetime count of buckets dropped by evict
 	evictedPoints  int64 // lifetime count of points inside those buckets
-
-	union metric.WeightedSet // memoised query-time coreset union; nil when stale
 }
 
 // New validates the configuration and returns an empty Window.
@@ -217,7 +220,6 @@ func (w *Window) Observe(p metric.Point, ts int64) error {
 	w.open.count++
 	w.open.endSeq = w.seq
 	w.open.endTS = ts
-	w.union = nil
 	if w.open.count >= int64(w.base) {
 		w.sealed = append(w.sealed, w.open)
 		w.open = nil
@@ -242,11 +244,7 @@ func (w *Window) Advance(ts int64) error {
 		return fmt.Errorf("%w: got %d after %d", ErrTimestampOrder, ts, w.lastTS)
 	}
 	w.lastTS = ts
-	before := w.LiveBuckets()
 	w.evict()
-	if w.LiveBuckets() != before {
-		w.union = nil
-	}
 	return nil
 }
 
@@ -254,21 +252,19 @@ func (w *Window) Advance(ts int64) error {
 // answer queries and keep observing points independently. Sealed buckets are
 // IMMUTABLE once sealed — Observe only mutates the open bucket, coalesce
 // builds new buckets instead of editing old ones, and evict merely drops
-// references — so the clone shares the sealed buckets and deep-copies only
-// the open one. The cost is O(chi * log W) pointer copies plus at most one
-// small (level-0, < Base points) doubling clone, which is what makes
-// per-mutation view publication affordable for the daemon.
+// references — so the clone shares the sealed buckets and clones only the
+// open one (its headers; coordinates are shared everywhere). The cost is
+// O(chi * log W) pointer copies plus at most one small (level-0, < Base
+// points) doubling clone, which is what makes per-mutation view publication
+// affordable for the daemon.
 func (w *Window) Clone() *Window {
 	cp := *w
-	cp.sealed = append([]*bucket(nil), w.sealed...)
+	cp.sealed = slices.Clone(w.sealed)
 	if w.open != nil {
 		ob := *w.open
 		ob.proc = w.open.proc.Clone()
 		cp.open = &ob
 	}
-	// The memoised union is rebuilt on the clone's first query; sharing it
-	// would let one side's append grow into the other's backing array.
-	cp.union = nil
 	return &cp
 }
 
@@ -323,16 +319,12 @@ func (w *Window) coalesce() error {
 //
 // The merge is fully sequential and depends only on the argument order.
 func (w *Window) mergeBucketStates(a, b *streaming.Doubling) (*streaming.Doubling, error) {
-	sa, sb := a.State(), b.State()
-	if !sa.Initialized && !sb.Initialized {
+	if !a.Initialized() && !b.Initialized() {
 		return streaming.MergeDoublings(a, b)
 	}
-	phiSrc := sa.Phi
-	if sb.Phi > phiSrc {
-		phiSrc = sb.Phi
-	}
-	union := foldDuplicates(append(a.Coreset(), b.Coreset()...))
-	processed := sa.Processed + sb.Processed
+	phiSrc := max(a.Phi(), b.Phi())
+	union := make(metric.WeightedSet, 0, a.WorkingMemory()+b.WorkingMemory())
+	union = foldDuplicates(b.AppendCoreset(a.AppendCoreset(union)))
 	if len(union) > w.tau {
 		pts := union.Points()
 		res, err := gmm.Runner{Space: w.space, Workers: 1}.Run(pts, w.tau, 0)
@@ -352,15 +344,17 @@ func (w *Window) mergeBucketStates(a, b *streaming.Doubling) (*streaming.Doublin
 	return streaming.RestoreDoublingIn(w.space, streaming.DoublingState{
 		Tau:         w.tau,
 		Phi:         phiSrc,
-		Processed:   processed,
+		Processed:   a.Processed() + b.Processed(),
 		Initialized: true,
 		Points:      union,
 	})
 }
 
 // foldDuplicates folds coincident points into one weighted entry (first
-// occurrence wins), preserving order and total weight. Sets are at most a
-// few tau points, so the quadratic scan is never a hot path.
+// occurrence wins), preserving order and total weight, in place. The scan is
+// quadratic in at most 2*tau+2 points, but a pair costs one coordinate
+// comparison unless the points agree on a prefix (a few percent of a
+// coalesce in the lib_streaming profile).
 func foldDuplicates(set metric.WeightedSet) metric.WeightedSet {
 	out := set[:0]
 	for _, wp := range set {
@@ -457,22 +451,32 @@ func (w *Window) live() []*bucket {
 // the paper's round-2 pattern. Coincident points across buckets are NOT
 // folded — extraction handles split weights identically, and a quadratic
 // dedup over the whole union would dominate query time at large windows.
-// The result is memoised until the next mutation; callers must not modify it
-// (Clone first).
+// A query costs one pre-sized copy of the headers: they are the caller's,
+// the coordinate arrays are shared and must not be written.
 func (w *Window) Coreset() (metric.WeightedSet, error) {
-	if w.union != nil {
-		return w.union, nil
-	}
-	live := w.live()
-	if len(live) == 0 {
+	n := w.WorkingMemory()
+	if n == 0 {
 		return nil, ErrEmptyWindow
 	}
-	var union metric.WeightedSet
-	for _, b := range live {
-		union = append(union, b.proc.Coreset()...)
+	union := make(metric.WeightedSet, 0, n)
+	for _, b := range w.live() {
+		union = b.proc.AppendCoreset(union)
 	}
-	w.union = union
-	return w.union, nil
+	return union, nil
+}
+
+// Points is Coreset without the weights, for the extraction that ignores
+// them (GMM).
+func (w *Window) Points() (metric.Dataset, error) {
+	n := w.WorkingMemory()
+	if n == 0 {
+		return nil, ErrEmptyWindow
+	}
+	pts := make(metric.Dataset, 0, n)
+	for _, b := range w.live() {
+		pts = b.proc.AppendPoints(pts)
+	}
+	return pts, nil
 }
 
 // CoverageBound returns the radius within which every live point has a proxy
@@ -556,14 +560,15 @@ func (w *Window) LiveRange() (start, end int64) {
 }
 
 // WorkingMemory returns the number of points currently retained: the sum of
-// all live bucket coresets (each bounded by tau+1) plus the memoised query
-// union, so the total is O(tau * log W).
+// all live bucket coresets (each bounded by tau+1), O(tau * log W). It is a
+// function of the window's state alone; queries and clones retain no points
+// of their own.
 func (w *Window) WorkingMemory() int {
 	var n int
 	for _, b := range w.live() {
 		n += b.proc.WorkingMemory()
 	}
-	return n + len(w.union)
+	return n
 }
 
 // BucketInfo describes one live bucket; it is exported for introspection

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/sketch"
 )
 
 // clusteredData scatters n points around `blobs` well-separated anchors.
@@ -255,28 +256,77 @@ func TestCoresetCovers(t *testing.T) {
 	}
 }
 
-// TestQueryCache checks that the query-time union is memoised between
-// mutations and invalidated by them.
-func TestQueryCache(t *testing.T) {
+// TestCoresetHeadersAreTheCallers checks the query contract: every Coreset
+// call hands out fresh headers over the retained coordinates, so a caller
+// rewriting weights (or order) perturbs neither the window nor the next
+// query, and Points is the same union without the weights.
+func TestCoresetHeadersAreTheCallers(t *testing.T) {
 	w := mustWindow(t, Config{Tau: 8, MaxCount: 50})
 	feedCount(t, w, clusteredData(rand.New(rand.NewSource(5)), 60, 2, 3, 1))
 	m1, err := w.Coreset()
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i := range m1 {
+		m1[i].W = -7
+	}
+	m1[0], m1[len(m1)-1] = m1[len(m1)-1], m1[0]
 	m2, _ := w.Coreset()
-	if &m1[0] != &m2[0] {
-		t.Error("repeated Coreset without mutation rebuilt the union")
+	if &m1[0] == &m2[0] {
+		t.Fatal("two queries share one header slice")
+	}
+	if m2.TotalWeight() != w.LivePoints() {
+		t.Errorf("union weight %d != live points %d after a caller rewrote the previous union", m2.TotalWeight(), w.LivePoints())
+	}
+	if err := w.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	pts, err := w.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != len(m2) {
+		t.Fatalf("Points has %d entries, Coreset %d", len(pts), len(m2))
+	}
+	for i := range pts {
+		if &pts[i][0] != &m2[i].P[0] {
+			t.Fatalf("entry %d: Points and Coreset disagree (or copied coordinates)", i)
+		}
 	}
 	if err := w.Observe(metric.Point{1, 2}, 0); err != nil {
 		t.Fatal(err)
 	}
 	m3, _ := w.Coreset()
-	if &m3[0] == &m1[0] {
-		t.Error("Observe did not invalidate the memoised union")
-	}
 	if m3.TotalWeight() != w.LivePoints() {
 		t.Errorf("union weight %d != live points %d", m3.TotalWeight(), w.LivePoints())
+	}
+}
+
+// TestWorkingMemoryIsAFunctionOfState: the retained-point count does not
+// depend on whether the window has been queried, and a clone and a
+// snapshot -> restore copy report what their source reports.
+func TestWorkingMemoryIsAFunctionOfState(t *testing.T) {
+	w := mustWindow(t, Config{Tau: 16, MaxCount: 400})
+	feedCount(t, w, clusteredData(rand.New(rand.NewSource(6)), 700, 3, 4, 1))
+	before := w.WorkingMemory()
+	if _, err := w.Coreset(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Points(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.WorkingMemory(); got != before {
+		t.Errorf("working memory %d before a query, %d after", before, got)
+	}
+	if got := w.Clone().WorkingMemory(); got != before {
+		t.Errorf("clone reports %d retained points, source %d", got, before)
+	}
+	restored, err := FromSketch(w.Sketch(sketch.KindKCenter, 1, 4, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.WorkingMemory(); got != before {
+		t.Errorf("restored window reports %d retained points, source %d", got, before)
 	}
 }
 

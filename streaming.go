@@ -72,9 +72,10 @@ type stream struct {
 // Observe consumes the next point of the stream. The point must have finite
 // coordinates and the dimensionality of the points before it (the first point,
 // or the restored sketch, fixes it); a rejected point leaves the clusterer
-// untouched. On a sliding window the point inherits the newest observed
-// timestamp (0 before the first ObserveAt), which is exactly right for purely
-// count-based windows; duration windows should use ObserveAt.
+// untouched. An accepted point is retained by reference and never written:
+// do not modify it afterwards. On a sliding window the point inherits the
+// newest observed timestamp (0 before the first ObserveAt), which is exactly
+// right for purely count-based windows; duration windows should use ObserveAt.
 func (s stream) Observe(p Point) error { return s.c.Process(p) }
 
 // ObserveAll consumes a batch of points in order (on a sliding window, all at
@@ -92,7 +93,7 @@ func (s stream) ObserveAll(points Dataset) error {
 // or, on a sliding window, the live window (ErrWindowEmpty once everything
 // has been evicted). An outlier-aware clusterer may leave up to z points
 // uncovered (the outliers). It may be called repeatedly; observation can
-// continue afterwards.
+// continue afterwards. The centers are copies: the caller may modify them.
 func (s stream) Centers() (Dataset, error) { return s.c.Centers() }
 
 // WorkingMemory reports the number of points currently retained: at most the
@@ -162,10 +163,12 @@ func RestoreStreamingKCenter(data []byte, opts ...Option) (*StreamingKCenter, er
 	return &StreamingKCenter{stream{c}}, nil
 }
 
-// Clone returns a deep copy of the clusterer: a point-in-time snapshot that
-// answers Centers and Snapshot — and can even keep observing — independently
-// of the original. The state is bounded by the budget, so a clone is cheap;
-// it is the building block of snapshot-isolated query views (clone under the
+// Clone returns an independent copy of the clusterer: a point-in-time
+// snapshot that answers Centers and Snapshot — and can even keep observing —
+// without the original seeing it, and vice versa. It copies the at most
+// budget+1 (point, weight) headers and shares the observed coordinate arrays,
+// which are never written, so a clone is cheap whatever the dimension; it is
+// the building block of snapshot-isolated query views (clone under the
 // writer's lock, publish the clone, query it without any lock).
 func (s *StreamingKCenter) Clone() *StreamingKCenter {
 	return &StreamingKCenter{stream{s.c.Clone()}}
@@ -198,8 +201,8 @@ func RestoreStreamingOutliers(data []byte, opts ...Option) (*StreamingOutliers, 
 	return &StreamingOutliers{stream{c}}, nil
 }
 
-// Clone returns a deep copy of the clusterer, with the same semantics as
-// (*StreamingKCenter).Clone.
+// Clone returns an independent copy of the clusterer, with the same semantics
+// as (*StreamingKCenter).Clone.
 func (s *StreamingOutliers) Clone() *StreamingOutliers {
 	return &StreamingOutliers{stream{s.c.Clone()}}
 }

@@ -105,8 +105,8 @@ func RestoreWindowedKCenter(data []byte, opts ...Option) (*WindowedKCenter, erro
 // Clone returns a copy-on-write copy of the clusterer: a point-in-time
 // snapshot that answers Centers and Snapshot — and can even keep observing —
 // independently of the original. Sealed window buckets are immutable and
-// shared, so a clone costs O(log window) pointer copies plus one small open
-// bucket; see (*StreamingKCenter).Clone for the query-view pattern it serves.
+// shared, as are all observed coordinates, so a clone costs O(log window)
+// pointer copies plus the headers of one small open bucket; see (*StreamingKCenter).Clone for the query-view pattern it serves.
 func (s *WindowedKCenter) Clone() *WindowedKCenter {
 	return &WindowedKCenter{windowStream{stream{s.c.Clone()}}}
 }
