@@ -47,7 +47,8 @@ type result struct {
 	Randomized       bool            `json:"randomized,omitempty"`
 	Partitions       int             `json:"partitions,omitempty"`
 	CoresetUnionSize int             `json:"coresetUnionSize,omitempty"`
-	Evaluations      int64           `json:"distanceEvaluations,omitempty"` // spent by the greedy (GMM) runs
+	Evaluations      int64           `json:"distanceEvaluations,omitempty"`  // spent by the greedy (GMM) runs
+	FinalEvaluations int64           `json:"finalPassEvaluations,omitempty"` // spent by the final radius/assignment pass
 	Budget           int             `json:"budget,omitempty"`
 	WorkingMemory    int             `json:"workingMemory,omitempty"`
 	Radius           float64         `json:"radius"`
@@ -196,6 +197,7 @@ func runPlain(points kcenter.Dataset, space kcenter.Space, k, mu int, eps float6
 		Partitions:       res.Stats.Partitions,
 		CoresetUnionSize: res.Stats.CoresetUnionSize,
 		Evaluations:      res.Stats.DistanceEvaluations,
+		FinalEvaluations: res.Stats.FinalPassEvaluations,
 		Radius:           res.Radius,
 		Centers:          res.Centers,
 		coresetTime:      res.Stats.CoresetTime,
@@ -216,6 +218,7 @@ func runOutliers(points kcenter.Dataset, space kcenter.Space, k, z, mu int, eps 
 		Partitions:       res.Stats.Partitions,
 		CoresetUnionSize: res.Stats.CoresetUnionSize,
 		Evaluations:      res.Stats.DistanceEvaluations,
+		FinalEvaluations: res.Stats.FinalPassEvaluations,
 		Radius:           res.Radius,
 		Centers:          res.Centers,
 		coresetTime:      res.Stats.CoresetTime,

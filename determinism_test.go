@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"coresetclustering/internal/core"
+	"coresetclustering/internal/mapreduce"
 	"coresetclustering/internal/metric"
 )
 
@@ -314,11 +316,14 @@ func TestCrossPathGolden(t *testing.T) {
 }
 
 // TestFusedTailMatchesTwoPasses: Cluster and ClusterWithOutliers take their
-// reported radius and their assignment from ONE nearest-center pass. On the
-// determinism fixtures both must equal what the two separate passes (Radius /
-// RadiusExcluding, then Assign) return, and a counting space must see the
-// tail cost n*k evaluations, not 2*n*k: everything it counts beyond the
-// greedy runs' own Stats.DistanceEvaluations.
+// reported radius and their assignment from ONE nearest-center pass, which
+// starts every point from the center of its first-round proxy. On the
+// determinism fixtures both must equal what the two separate dense passes
+// (Radius / RadiusExcluding, then Assign) return — that is the oracle — and a
+// counting space must see the tail cost at most n*k evaluations, not 2*n*k
+// (on this clustered fixture under a quarter of n*k, the hints being good):
+// everything it counts beyond the greedy runs' own Stats.DistanceEvaluations,
+// which is what Stats.FinalPassEvaluations reports.
 func TestFusedTailMatchesTwoPasses(t *testing.T) {
 	ds := clusteredTestData(10000, 4, 12, 1)
 	n, k := len(ds), 10
@@ -328,8 +333,10 @@ func TestFusedTailMatchesTwoPasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tail := cs.Evaluations() - got.Stats.DistanceEvaluations; got.Stats.DistanceEvaluations <= 0 || tail != int64(n*k) {
-			t.Fatalf("Cluster workers=%d: %d evaluations outside the greedy runs (%d inside), want n*k = %d", w, tail, got.Stats.DistanceEvaluations, n*k)
+		tail := cs.Evaluations() - got.Stats.DistanceEvaluations
+		if got.Stats.DistanceEvaluations <= 0 || tail > int64(n*k) || tail > int64(n*k/4) || tail != got.Stats.FinalPassEvaluations {
+			t.Fatalf("Cluster workers=%d: %d evaluations outside the greedy runs (%d inside), %d reported for the final pass; want them equal and under a quarter of n*k = %d",
+				w, tail, got.Stats.DistanceEvaluations, got.Stats.FinalPassEvaluations, n*k)
 		}
 		eng := metric.NewEngine(w)
 		want := &Clustering{
@@ -343,26 +350,72 @@ func TestFusedTailMatchesTwoPasses(t *testing.T) {
 	ds = clusteredTestData(9000, 3, 8, 3)
 	n, k = len(ds), 6
 	const z = 20
-	out, err := ClusterWithOutliers(ds, k, z, WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	eng := metric.NewEngine(8)
-	if want := eng.RadiusExcluding(metric.EuclideanSpace, ds, out.Centers, z); out.Radius != want {
-		t.Fatalf("ClusterWithOutliers radius = %v, want %v", out.Radius, want)
-	}
-	dists, assignment := eng.NearestBatch(metric.EuclideanSpace, ds, out.Centers)
-	for i := range assignment {
-		if out.Assignment[i] != assignment[i] {
-			t.Fatalf("ClusterWithOutliers assignment[%d] = %d, want %d", i, out.Assignment[i], assignment[i])
+	for _, opts := range [][]Option{nil, {WithRandomizedPartitioning(99)}} {
+		out, err := ClusterWithOutliers(ds, k, z, append(opts, WithWorkers(8))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := eng.RadiusExcluding(metric.EuclideanSpace, ds, out.Centers, z); out.Radius != want {
+			t.Fatalf("ClusterWithOutliers radius = %v, want %v", out.Radius, want)
+		}
+		dists, assignment := eng.NearestBatch(metric.EuclideanSpace, ds, out.Centers)
+		for i := range assignment {
+			if out.Assignment[i] != assignment[i] {
+				t.Fatalf("ClusterWithOutliers assignment[%d] = %d, want %d", i, out.Assignment[i], assignment[i])
+			}
+		}
+		for i, idx := range farthestIndices(dists, z) {
+			if out.Outliers[i] != idx {
+				t.Fatalf("ClusterWithOutliers outlier[%d] = %d, want %d", i, out.Outliers[i], idx)
+			}
+		}
+		// Six centers for eight blobs: a hint rules out less than above.
+		if out.Stats.DistanceEvaluations <= 0 || out.Stats.FinalPassEvaluations <= 0 || out.Stats.FinalPassEvaluations > int64(n*k/2) {
+			t.Fatalf("ClusterWithOutliers reports %d distance evaluations and %d for the final pass, want both positive and the second under half of n*k = %d",
+				out.Stats.DistanceEvaluations, out.Stats.FinalPassEvaluations, n*k)
 		}
 	}
-	for i, idx := range farthestIndices(dists, z) {
-		if out.Outliers[i] != idx {
-			t.Fatalf("ClusterWithOutliers outlier[%d] = %d, want %d", i, out.Outliers[i], idx)
-		}
+
+	// The partitioners that scatter the input: a hint must follow its point
+	// back to input order. Were the origins wrong, the results would still be
+	// exact — that is the point of the pass — but the hints would be noise and
+	// the tail would cost about n*k.
+	targeted := make([]int, 0, n/3)
+	for i := 0; i < n; i += 3 {
+		targeted = append(targeted, i)
 	}
-	if out.Stats.DistanceEvaluations <= 0 {
-		t.Fatalf("ClusterWithOutliers reports %d distance evaluations", out.Stats.DistanceEvaluations)
+	for _, part := range []mapreduce.Partitioner{
+		mapreduce.RandomPartitioner{Rand: rand.New(rand.NewSource(5))},
+		mapreduce.AdversarialPartitioner{Targeted: targeted},
+	} {
+		kc, err := core.KCenter(ds, core.KCenterConfig{K: k, Ell: 5, CoresetSize: 4 * k, Partitioner: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := eng.Radius(metric.EuclideanSpace, ds, kc.Centers); kc.Radius != want {
+			t.Fatalf("%s KCenter radius = %v, want %v", part.Name(), kc.Radius, want)
+		}
+		for i, want := range eng.Assign(metric.EuclideanSpace, ds, kc.Centers) {
+			if kc.Assignment[i] != want {
+				t.Fatalf("%s KCenter assignment[%d] = %d, want %d", part.Name(), i, kc.Assignment[i], want)
+			}
+		}
+		ko, err := core.KCenterOutliers(ds, core.OutliersConfig{K: k, Z: z, Ell: 5, CoresetSize: 4 * (k + z), EpsHat: 0.25, Partitioner: part})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := eng.RadiusExcluding(metric.EuclideanSpace, ds, ko.Centers, z); ko.Radius != want {
+			t.Fatalf("%s KCenterOutliers radius = %v, want %v", part.Name(), ko.Radius, want)
+		}
+		wantD, wantI := eng.NearestBatch(metric.EuclideanSpace, ds, ko.Centers)
+		for i := range wantI {
+			if ko.Assignment[i] != wantI[i] || ko.Distances[i] != wantD[i] {
+				t.Fatalf("%s KCenterOutliers point %d = (%v, %d), want (%v, %d)", part.Name(), i, ko.Distances[i], ko.Assignment[i], wantD[i], wantI[i])
+			}
+		}
+		if kc.FinalPassEvaluations > int64(n*k/2) || ko.FinalPassEvaluations > int64(n*k/2) {
+			t.Fatalf("%s: final passes cost %d and %d evaluations of n*k = %d: the hints did not follow their points", part.Name(), kc.FinalPassEvaluations, ko.FinalPassEvaluations, n*k)
+		}
 	}
 }

@@ -97,11 +97,26 @@
 // batched kernel, so centers, radii and assignments are bit-identical to the
 // textbook loop. Runs start on the textbook loop and switch once, by a rule
 // that reads only the data (a sampled probe at geometrically spaced center
-// counts), when at least half the points are provably skippable. The
-// Euclidean, Manhattan, Chebyshev and Angular spaces opt in through
-// metric.Pruner; CosineSpace (no triangle inequality) and custom distance
-// functions keep exactly k*n evaluations. RunStats.DistanceEvaluations
+// counts), when at least half the points are provably skippable. The centers
+// selected by then become pivots and every later center joins the group of
+// its nearest pivot: a new center is evaluated against the pivots only, and a
+// group whose members the triangle inequality keeps too far away for any of
+// their clusters to lose a point is skipped without visiting them, so a round
+// costs in proportion to what the new center can capture, not to the number
+// of centers. The Euclidean, Manhattan, Chebyshev and Angular spaces opt in
+// through metric.Pruner; CosineSpace (no triangle inequality) and custom
+// distance functions keep exactly k*n evaluations. RunStats.DistanceEvaluations
 // reports what a run spent.
+//
+// Cluster and ClusterWithOutliers end with one pass over the whole input that
+// yields the radius and the assignment. On the same spaces it is hinted: the
+// first round told every point its proxy and the second told every proxy its
+// center, so each point evaluates that center first and then only the centers
+// a table of center-to-center distances cannot rule out — everything left out
+// is provably strictly farther, so the result is the dense scan's, bit for
+// bit, for a few evaluations per point instead of k.
+// RunStats.FinalPassEvaluations reports what the pass spent; Radius and
+// RadiusExcluding, which have no hint, scan densely.
 //
 // # Parallelism and determinism
 //

@@ -6,6 +6,7 @@ package kcenter
 
 import (
 	"math/rand"
+	"os/exec"
 	"testing"
 
 	"coresetclustering/internal/dataset"
@@ -202,5 +203,26 @@ func TestIntegrationHighDimensionalWiki(t *testing.T) {
 	}
 	if len(outIdx) != 8 {
 		t.Fatalf("expected 8 injected outliers, got %d", len(outIdx))
+	}
+}
+
+// TestBenchHarnessCompiles: bench/ is a module of its own that compiles
+// against internal/..., and neither `go build ./...` nor `go test ./...` in
+// the root module sees it — a changed signature used to surface only when the
+// benchmark was run, as a build failure without one metric. Vetting it from
+// here makes tier-1 notice; the signatures it depends on are listed under
+// "Development" in README.md.
+func TestBenchHarnessCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the bench module")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	cmd := exec.Command(goTool, "vet", "./...")
+	cmd.Dir = "bench"
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in bench/: %v\n%s", err, out)
 	}
 }

@@ -98,9 +98,13 @@ type KCenterResult struct {
 	Assignment []int
 	// DistanceEvaluations is the number of distance evaluations the GMM runs
 	// of both rounds performed (every partition's coreset plus the run on
-	// the union); the final radius/assignment pass adds |S|*K on top. The
-	// textbook loop needs sum_i |S_i|*|T_i| + |T|*K.
+	// the union). The textbook loop needs sum_i |S_i|*|T_i| + |T|*K.
 	DistanceEvaluations int64
+	// FinalPassEvaluations is what the final radius/assignment pass over the
+	// whole input spent on top: |S|*K when it runs dense, usually a small
+	// fraction of that when every point's first-round proxy hints at its
+	// center (see metric.Engine.NearestRadius).
+	FinalPassEvaluations int64
 	// CoresetUnionSize is |T|, the number of points gathered by the second
 	// round's reducer.
 	CoresetUnionSize int
@@ -127,10 +131,11 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 		return nil, err
 	}
 
-	parts, err := cfg.Partitioner.Partition(points, cfg.Ell)
+	lay, err := split(cfg.Partitioner, points, cfg.Ell)
 	if err != nil {
-		return nil, fmt.Errorf("core: partitioning failed: %w", err)
+		return nil, err
 	}
+	parts := lay.parts
 
 	// Round 1: per-partition coresets, each using an even share of the
 	// distance-engine worker budget.
@@ -172,18 +177,22 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 	}
 	finalTime := time.Since(start)
 
-	// One nearest-center pass gives the radius and the assignment.
-	_, assignment, radius := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, final.Centers, 0)
+	// One nearest-center pass gives the radius and the assignment. Round 1
+	// told every point its proxy and round 2 every proxy its center: the
+	// pass starts each point from there.
+	hints := lay.proxyHints(len(points), coresets, func() []int { return final.Assignment })
+	_, assignment, radius, tailEvals := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, final.Centers, 0, hints)
 	res := &KCenterResult{
-		Centers:          final.Centers,
-		Radius:           radius,
-		Assignment:       assignment,
-		CoresetUnionSize: len(union),
-		LocalMemoryPeak:  maxInt(execStats.LocalMemoryPeak, len(union)),
-		CoresetTime:      coresetTime,
-		FinalTime:        finalTime,
-		PartitionSizes:   make([]int, len(parts)),
-		CoresetSizes:     make([]int, len(coresets)),
+		Centers:              final.Centers,
+		Radius:               radius,
+		Assignment:           assignment,
+		FinalPassEvaluations: tailEvals,
+		CoresetUnionSize:     len(union),
+		LocalMemoryPeak:      maxInt(execStats.LocalMemoryPeak, len(union)),
+		CoresetTime:          coresetTime,
+		FinalTime:            finalTime,
+		PartitionSizes:       make([]int, len(parts)),
+		CoresetSizes:         make([]int, len(coresets)),
 	}
 	res.DistanceEvaluations = final.Evaluations
 	for i, p := range parts {
@@ -210,6 +219,64 @@ func SequentialKCenter(points metric.Dataset, k int, coresetSize int, dist metri
 		Parallelism: 1,
 		Workers:     1,
 	})
+}
+
+// layout remembers how the first round split the input, which is what lets
+// the final pass be hinted.
+type layout struct {
+	parts []metric.Dataset
+	// origins[i][j] is the input index of parts[i][j]; nil means the parts
+	// are consecutive ranges of the input.
+	origins [][]int
+	// known is false when the partitioner cannot report origins: no hints.
+	known bool
+}
+
+func split(p mapreduce.Partitioner, points metric.Dataset, ell int) (layout, error) {
+	lay := layout{}
+	var err error
+	if op, ok := p.(mapreduce.OriginPartitioner); ok {
+		lay.known = true
+		lay.parts, lay.origins, err = op.PartitionOrigins(points, ell)
+	} else {
+		lay.parts, err = p.Partition(points, ell)
+	}
+	if err != nil {
+		return lay, fmt.Errorf("core: partitioning failed: %w", err)
+	}
+	return lay, nil
+}
+
+// proxyHints returns the hints of the final pass, for NearestRadius to call
+// if it takes them: in input order, the center that unionCenter says the
+// second round gave to each point's first-round proxy. unionCenter()[u]
+// belongs to the u-th point of the coreset union (coresets in partition
+// order, the nil ones of empty parts left out). It returns nil when the
+// layout does not know where the parts' points came from.
+func (lay layout) proxyHints(n int, coresets []*coreset.Coreset, unionCenter func() []int) func() []int {
+	if !lay.known {
+		return nil
+	}
+	return func() []int {
+		center := unionCenter()
+		hints := make([]int, n)
+		start, off := 0, 0 // of the part: its first point in a consecutive input, its first proxy in the union
+		for i, cs := range coresets {
+			if cs == nil {
+				continue
+			}
+			for j, proxy := range cs.Assignment {
+				at := start + j
+				if lay.origins != nil {
+					at = lay.origins[i][j]
+				}
+				hints[at] = center[off+proxy]
+			}
+			start += len(cs.Assignment)
+			off += len(cs.Points)
+		}
+		return hints
+	}
 }
 
 func maxInt(a, b int) int {

@@ -131,8 +131,12 @@ type OutliersResult struct {
 	Assignment []int
 	// DistanceEvaluations is the number of distance evaluations the
 	// first-round GMM runs performed (every partition's coreset); the
-	// second-round radius search and the final |S|*K pass are not counted.
+	// second-round radius search is not counted.
 	DistanceEvaluations int64
+	// FinalPassEvaluations is what the final radius/assignment pass over the
+	// whole input spent: |S|*K when it runs dense, usually a small fraction
+	// of that when every point's first-round proxy hints at its center.
+	FinalPassEvaluations int64
 	// SearchRadius is the candidate radius the second-round search settled
 	// on (r~min in the paper).
 	SearchRadius float64
@@ -168,10 +172,11 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 		return nil, err
 	}
 
-	parts, err := cfg.Partitioner.Partition(points, cfg.Ell)
+	lay, err := split(cfg.Partitioner, points, cfg.Ell)
 	if err != nil {
-		return nil, fmt.Errorf("core: partitioning failed: %w", err)
+		return nil, err
 	}
+	parts := lay.parts
 
 	refCenters := cfg.K + cfg.Z
 	if cfg.Randomized {
@@ -223,23 +228,33 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 	solveTime := time.Since(start)
 
 	// One nearest-center pass gives the radius, the distances the caller
-	// picks the outliers from, and the assignment.
-	dists, assignment, radius := metric.NewEngine(cfg.Workers).NearestRadius(cfg.Space, points, solved.Centers, cfg.Z)
+	// picks the outliers from, and the assignment. It starts every point
+	// from the center nearest to its first-round proxy; the solver does not
+	// assign the union, so that is one small Assign, made only if the pass
+	// takes hints and counted with it.
+	eng := metric.NewEngine(cfg.Workers)
+	var hintEvals int64
+	hints := lay.proxyHints(len(points), coresets, func() []int {
+		hintEvals = int64(len(union)) * int64(len(solved.Centers))
+		return eng.Assign(cfg.Space, union.Points(), solved.Centers)
+	})
+	dists, assignment, radius, tailEvals := eng.NearestRadius(cfg.Space, points, solved.Centers, cfg.Z, hints)
 	res := &OutliersResult{
-		Centers:           solved.Centers,
-		Radius:            radius,
-		Distances:         dists,
-		Assignment:        assignment,
-		SearchRadius:      solved.Radius,
-		UncoveredWeight:   solved.UncoveredWeight,
-		CoresetUnionSize:  len(union),
-		ReferenceCenters:  refCenters,
-		LocalMemoryPeak:   maxInt(execStats.LocalMemoryPeak, len(union)),
-		CoresetTime:       coresetTime,
-		SolveTime:         solveTime,
-		RadiusEvaluations: solved.Evaluations,
-		PartitionSizes:    make([]int, len(parts)),
-		CoresetSizes:      make([]int, len(coresets)),
+		Centers:              solved.Centers,
+		Radius:               radius,
+		Distances:            dists,
+		Assignment:           assignment,
+		FinalPassEvaluations: tailEvals + hintEvals,
+		SearchRadius:         solved.Radius,
+		UncoveredWeight:      solved.UncoveredWeight,
+		CoresetUnionSize:     len(union),
+		ReferenceCenters:     refCenters,
+		LocalMemoryPeak:      maxInt(execStats.LocalMemoryPeak, len(union)),
+		CoresetTime:          coresetTime,
+		SolveTime:            solveTime,
+		RadiusEvaluations:    solved.Evaluations,
+		PartitionSizes:       make([]int, len(parts)),
+		CoresetSizes:         make([]int, len(coresets)),
 	}
 	for i, p := range parts {
 		res.PartitionSizes[i] = len(p)

@@ -6,21 +6,44 @@ import (
 	"coresetclustering/internal/metric"
 )
 
-// The pruned phase: evaluate only the points a new center can capture.
+// The pruned phase: evaluate only the points a new center can capture, and
+// visit only the centers whose clusters could lose one.
 //
 // When center c is added, a point p owned by center b with
 // d(c, b) >= 2*d(p, b) satisfies d(c, p) >= d(c, b) - d(p, b) >= d(p, b) by
 // the triangle inequality, so the dense update would leave its cache entry
 // untouched; and when d(c, b) >= 2*(radius of b's cluster) that holds for
-// every point b owns. The pruned update therefore evaluates c against the
-// existing centers, skips whole clusters and then single points on that
-// test, and runs the space's batched DistancesTo kernel on the rest — the
-// same per-pair values UpdateNearest computes, so every cache entry, every
-// radius and every tie-break is bit-identical to the dense phase. The test
-// itself lives in the space (metric.Pruner): it is strict and rounded down by
-// a slack that dominates the kernels' error, so a point on the boundary is
-// evaluated, never skipped. Spaces without the capability (CosineSpace,
-// custom distance functions) stay dense and perform exactly k*n evaluations.
+// every point b owns. The pruned update therefore skips whole clusters and
+// then single points on that test, and runs the space's batched DistancesTo
+// kernel on the rest — the same per-pair values UpdateNearest computes, so
+// every cache entry, every radius and every tie-break is bit-identical to the
+// dense phase. The test itself lives in the space (metric.Pruner): it is
+// strict and rounded down by a slack that dominates the kernels' error, so a
+// point on the boundary is evaluated, never skipped. Spaces without the
+// capability (CosineSpace, custom distance functions) stay dense and perform
+// exactly k*n evaluations.
+//
+// That test needs d(c, b), and evaluating c against every existing center is
+// work proportional to the number of centers, not to what c can capture — on
+// a round-1 partition grown to 800 centers, nearly half of the phase. So the
+// centers that exist when the phase begins (PrunedAt of them: the probe below
+// picks the moment, nothing else does) become PIVOTS, and every later center
+// joins the GROUP of its nearest pivot. A round evaluates c against the pivots
+// only. For a member b of pivot v's group the triangle inequality gives
+// d(c, b) >= d(c, v) - d(b, v) >= d(c, v) - (the group's reach, the largest
+// member-to-pivot distance), and the space chains that bound into a threshold
+// at or below the one the evaluated pair would have produced
+// (Pruner.HalfSurrogatesVia, rounding included). A group whose largest cluster
+// radius is under its threshold is skipped whole: no member cluster can lose
+// a point, so none of its centers is evaluated or even visited. The members
+// of the other groups are evaluated in one batch and go through the
+// per-cluster and per-point tests as before; the pivots' own clusters are
+// tested against the pairs that were evaluated anyway. The next farthest point
+// is read off per-group summaries, recomputed only for the groups walked. The
+// chain can only be less sharp than the pair it stands in for — the set of
+// clusters walked may shrink, never the set of points that can be captured —
+// so the output bits do not depend on it; a space may decline it (Angular
+// does) and then every group is walked, which is the cost below.
 //
 // Bookkeeping costs more than it saves until the centers resolve the input's
 // structure (with fewer centers than natural clusters nothing is prunable),
@@ -31,10 +54,13 @@ import (
 // stays pruned. The rule reads only the data — no option, no threshold a
 // caller can set — and, both phases being exact, cannot change an output bit.
 //
-// Worst case k*n + k^2/2 evaluations (nothing skipped, plus the
-// center-to-center ones) and at most 3k for the probes; extra memory 12 bytes
-// per point for the member lists, allocated on entering the phase, plus 36
-// per point of the largest set one round had to evaluate.
+// Worst case k*n + k^2/2 evaluations (no point and no group skipped: the
+// pivots ARE centers, so pivots plus members is one evaluation per existing
+// center) and at most 3k for the probes; on clustered input the
+// center-to-center part falls from k^2/2 to about k*(PrunedAt + the size of
+// one group). Extra memory 12 bytes per point for the member lists, allocated
+// on entering the phase, plus 36 per point of the largest set one round had to
+// evaluate, plus a few integers per center for the groups.
 
 const (
 	// firstProbe is the center count of the first probe and probeGrowth the
@@ -57,9 +83,13 @@ const (
 type pruner struct {
 	half      metric.Pruner  // nil: the space cannot prune, dense for good
 	centerPts metric.Dataset // the centers' points, in selection order (caught up by thresholds)
-	thr       []float64      // per center: skip threshold against the incoming center
 	nextProbe int            // center count at which the dense phase probes next
-	prunedAt  int            // center count at which the pruned phase began, 0 = dense
+	prunedAt  int            // center count at which the pruned phase began, 0 = dense: the pivots are centers [0, prunedAt)
+
+	// The incoming center against the pivots (every center so far, while
+	// probing): the surrogates as computed, and the skip thresholds of the
+	// pivots' own clusters.
+	pivS, thr []float64
 
 	// Allocated on entering the phase. Per center b, the points it owns are
 	// memb[clOff[b] : clOff[b]+clCnt[b]]; clMax[b] is the max of minDist over
@@ -73,8 +103,24 @@ type pruner struct {
 	survPts             metric.Dataset // their slice headers, contiguous for the kernel,
 	survDist            []float64      // and their surrogates to the incoming center
 
+	// The group level. Per pivot g, its group is the later centers whose
+	// nearest pivot it is: the list grpHead[g], grpNext[...] of center indices
+	// (-1 ends it; grpNext is indexed by center, one arena for all groups).
+	// grpReach[g] is the largest computed surrogate from a member to g — what
+	// bounds a member's distance to an incoming center that only g was
+	// evaluated against — and grpMax[g], grpArg[g] summarise the members'
+	// clusters as clMax, clArg summarise one. The pivot's own cluster is not
+	// in its group's summary: it is tested against the evaluated pair.
+	grpHead, grpNext, grpArg []int32
+	grpReach, grpMax         []float64
+	via                      []float64      // this round's group thresholds (scratch),
+	walked                   []int32        // the groups it could not skip,
+	cand                     []int32        // their members,
+	candPts                  metric.Dataset // the members' points, contiguous for the kernel,
+	candThr                  []float64      // and the members' skip thresholds
+
 	// The farthest point after the last update (pruned phase only): read off
-	// the cluster summaries, it replaces the O(n) argmax of the dense phase.
+	// the summaries, it replaces the O(n) argmax of the dense phase.
 	nextFar     int
 	nextFarDist float64
 }
@@ -90,7 +136,7 @@ func (st *state) isPruned() bool { return st.memb != nil }
 
 // enterOrStayPruned reports whether the update for incoming center c runs in
 // the pruned phase, probing and switching if this is a probe round. When it
-// returns true st.thr holds c's skip thresholds.
+// returns true st.pivS and st.thr hold c against the pivots.
 func (st *state) enterOrStayPruned(c metric.Point) bool {
 	m := len(st.centers)
 	if !st.isPruned() && (st.half == nil || m != st.nextProbe) {
@@ -109,19 +155,21 @@ func (st *state) enterOrStayPruned(c metric.Point) bool {
 	return true
 }
 
-// thresholds evaluates c against every existing center and leaves in thr[b]
-// the surrogate below which a point owned by b provably stays with b.
+// thresholds evaluates c against the pivots — every existing center, on a
+// probe round — and leaves in pivS[b] the surrogate and in thr[b] the
+// surrogate below which a point owned by b provably stays with b.
 func (st *state) thresholds(c metric.Point) {
 	for _, idx := range st.centers[len(st.centerPts):] {
 		st.centerPts = append(st.centerPts, st.points[idx])
 	}
-	m := len(st.centerPts)
-	if cap(st.thr) < m {
-		st.thr = make([]float64, m, 2*m)
+	np := st.prunedAt
+	if !st.isPruned() {
+		np = len(st.centerPts)
+		st.pivS, st.thr = make([]float64, np), make([]float64, np)
 	}
-	st.thr = st.thr[:m]
-	st.sp.DistancesTo(st.thr, c, st.centerPts)
-	st.evals += int64(m)
+	st.sp.DistancesTo(st.pivS, c, st.centerPts[:np])
+	st.evals += int64(np)
+	copy(st.thr, st.pivS)
 	st.half.HalfSurrogates(st.thr, len(c))
 }
 
@@ -143,17 +191,17 @@ func (st *state) probe() bool {
 	return float64(skippable)/float64(sampled)-2*float64(len(st.centers))/float64(n) >= 0.5
 }
 
-// note folds member p with cached distance d into cluster b's summary; the
-// explicit index comparison keeps the lowest index on ties whatever the
-// member order.
-func (st *state) note(b int, p int32, d float64) {
-	if d > st.clMax[b] || (d == st.clMax[b] && p < st.clArg[b]) {
-		st.clMax[b], st.clArg[b] = d, p
+// fold merges the summary (v, arg) of a point or a set of points into the
+// summary (*mx, *at) of a larger set; the explicit index comparison keeps
+// the lowest index on ties whatever the order of folding.
+func fold(mx *float64, at *int32, v float64, arg int32) {
+	if v > *mx || (v == *mx && arg < *at) {
+		*mx, *at = v, arg
 	}
 }
 
 // bucket builds the pruned phase's structures from the dense caches: one
-// counting sort of the points by owner.
+// counting sort of the points by owner, and one empty group per pivot.
 func (st *state) bucket() {
 	n, m := len(st.points), len(st.centers)
 	st.clOff, st.clCnt, st.clArg = make([]int32, m, 2*m), make([]int32, m, 2*m), make([]int32, m, 2*m)
@@ -171,14 +219,77 @@ func (st *state) bucket() {
 	for p, b := range st.closest {
 		st.memb[st.clOff[b]+st.clCnt[b]] = int32(p)
 		st.clCnt[b]++
-		st.note(b, int32(p), st.minDist[p])
+		fold(&st.clMax[b], &st.clArg[b], st.minDist[p], int32(p))
+	}
+
+	st.grpHead, st.grpArg, st.grpNext = make([]int32, m), make([]int32, m), make([]int32, m, 2*m)
+	st.grpReach, st.grpMax, st.via = make([]float64, m), make([]float64, m), make([]float64, m)
+	for g := range st.grpHead {
+		st.grpHead[g], st.grpArg[g] = -1, -1
+		st.grpReach[g], st.grpMax[g] = math.Inf(-1), math.Inf(-1)
 	}
 }
 
+// candidates is the group level of the pruned update: with the incoming
+// center c evaluated against the pivots only, a group is skipped whole when
+// even the member nearest to c that the triangle inequality allows is too far
+// for the group's largest cluster to lose a point. The members of the other
+// groups are evaluated, in one batch, and left in cand with their skip
+// thresholds in candThr.
+func (st *state) candidates(c metric.Point) {
+	copy(st.via, st.pivS)
+	st.half.HalfSurrogatesVia(st.via, st.grpReach, len(c))
+	walked, cand, candPts := st.walked[:0], st.cand[:0], st.candPts[:0]
+	for g, t := range st.via {
+		if st.grpMax[g] < t {
+			continue
+		}
+		walked = append(walked, int32(g))
+		for b := st.grpHead[g]; b >= 0; b = st.grpNext[b] {
+			cand = append(cand, b)
+			candPts = append(candPts, st.centerPts[b])
+		}
+	}
+	st.walked, st.cand, st.candPts = walked, cand, candPts // keep the grown scratch
+	if cap(st.candThr) < len(cand) {
+		st.candThr = make([]float64, cap(cand))
+	}
+	st.candThr = st.candThr[:len(cand)]
+	st.sp.DistancesTo(st.candThr, c, candPts)
+	st.evals += int64(len(cand))
+	st.half.HalfSurrogates(st.candThr, len(c))
+}
+
+// gather applies the skip test with threshold t to cluster b. A cluster whose
+// radius passes is skipped whole; in a walked cluster the members that pass
+// stay (compacted in place, their summary rebuilt), the others are appended
+// to surv for evaluation.
+func (st *state) gather(b int, t float64) {
+	if st.clMax[b] < t {
+		return
+	}
+	minDist, surv, survPts := st.minDist, st.surv, st.survPts
+	seg := st.memb[st.clOff[b] : st.clOff[b]+st.clCnt[b]]
+	kept, mx, arg := 0, math.Inf(-1), int32(-1)
+	for _, p := range seg {
+		d := minDist[p]
+		if d < t {
+			seg[kept] = p
+			kept++
+			fold(&mx, &arg, d, p)
+			continue
+		}
+		surv = append(surv, p)
+		survPts = append(survPts, st.points[p])
+	}
+	st.clCnt[b], st.clMax[b], st.clArg[b] = int32(kept), mx, arg
+	st.surv, st.survPts = surv, survPts // keep the grown scratch
+}
+
 // updatePruned is the pruned update: it min-merges the caches against the
-// newly selected center c (index newIdx into centers, thresholds in thr),
-// touching only the points that fail the skip test, and returns the new
-// maximum of minDist.
+// newly selected center c (index newIdx into centers; pivS and thr hold it
+// against the pivots), touching only the points that fail the skip tests, and
+// returns the new maximum of minDist.
 func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	// The new center's list starts at tail and can take up to n points. The
 	// lists are packed left when fewer than n slots remain, that is after at
@@ -188,35 +299,17 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 		st.compact()
 	}
 
-	// Gather. A cluster whose radius passes the test is skipped whole; in a
-	// walked cluster the members that pass stay (compacted in place, their
-	// summary rebuilt), the others are set aside for evaluation.
-	surv, survPts := st.surv[:0], st.survPts[:0]
-	minDist, thr, clMax := st.minDist, st.thr, st.clMax[:len(st.thr)]
-	for b, t := range thr {
-		if clMax[b] < t {
-			continue
-		}
-		seg := st.memb[st.clOff[b] : st.clOff[b]+st.clCnt[b]]
-		kept, mx, arg := 0, math.Inf(-1), int32(-1)
-		for _, p := range seg {
-			d := minDist[p]
-			if d < t {
-				seg[kept] = p
-				kept++
-				if d > mx || (d == mx && p < arg) { // note, on locals
-
-					mx, arg = d, p
-				}
-				continue
-			}
-			surv = append(surv, p)
-			survPts = append(survPts, st.points[p])
-		}
-		st.clCnt[b], clMax[b], st.clArg[b] = int32(kept), mx, arg
+	// Gather: the pivots' own clusters against the evaluated pairs, then the
+	// clusters of the groups that could not be skipped.
+	st.candidates(c)
+	st.surv, st.survPts = st.surv[:0], st.survPts[:0]
+	for b, t := range st.thr {
+		st.gather(b, t)
 	}
-	st.surv, st.survPts = surv, survPts // keep the grown scratch
-	ns := len(surv)
+	for i, b := range st.cand {
+		st.gather(int(b), st.candThr[i])
+	}
+	surv, ns := st.surv, len(st.surv)
 	if cap(st.survDist) < ns {
 		st.survDist = make([]float64, cap(surv))
 	}
@@ -224,7 +317,7 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	// Evaluate: one batched kernel call, chunked across the workers when
 	// the list is long. Every value is what UpdateNearest would have
 	// computed for that pair.
-	dist, pts := st.survDist[:ns], survPts
+	dist, pts := st.survDist[:ns], st.survPts
 	st.evals += int64(ns)
 	if st.eng.Sequential(ns) {
 		st.sp.DistancesTo(dist, c, pts)
@@ -236,6 +329,7 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 
 	// Apply, sequentially: a captured point moves to the new center's list,
 	// the others return to the slots they left.
+	minDist := st.minDist
 	st.clOff = append(st.clOff, int32(st.tail))
 	st.clCnt = append(st.clCnt, 0)
 	st.clMax = append(st.clMax, math.Inf(-1))
@@ -250,16 +344,37 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 		}
 		st.memb[st.clOff[b]+st.clCnt[b]] = p
 		st.clCnt[b]++
-		st.note(b, p, minDist[p])
+		fold(&st.clMax[b], &st.clArg[b], minDist[p], p)
 	}
 	st.tail += int(st.clCnt[newIdx])
 
-	// The radius and the next farthest point, from the summaries.
-	far, farDist := int32(-1), math.Inf(-1)
-	for b, v := range st.clMax {
-		if v > farDist || (v == farDist && st.clArg[b] < far) {
-			far, farDist = st.clArg[b], v
+	// The new center joins the group of its nearest pivot (lowest index on
+	// ties), and the groups whose clusters were walked are summarised again;
+	// the group joined only gains one cluster.
+	g := 0
+	for j, s := range st.pivS {
+		if s < st.pivS[g] {
+			g = j
 		}
+	}
+	st.grpNext = append(st.grpNext, st.grpHead[g])
+	st.grpHead[g] = int32(newIdx)
+	st.grpReach[g] = math.Max(st.grpReach[g], st.pivS[g])
+	for _, w := range st.walked {
+		mx, arg := math.Inf(-1), int32(-1)
+		for b := st.grpHead[w]; b >= 0; b = st.grpNext[b] {
+			fold(&mx, &arg, st.clMax[b], st.clArg[b])
+		}
+		st.grpMax[w], st.grpArg[w] = mx, arg
+	}
+	fold(&st.grpMax[g], &st.grpArg[g], st.clMax[newIdx], st.clArg[newIdx])
+
+	// The radius and the next farthest point, from the summaries: every
+	// cluster is a pivot's own or in exactly one group.
+	far, farDist := int32(-1), math.Inf(-1)
+	for b := range st.grpMax {
+		fold(&farDist, &far, st.clMax[b], st.clArg[b])
+		fold(&farDist, &far, st.grpMax[b], st.grpArg[b])
 	}
 	st.nextFar, st.nextFarDist = int(far), farDist
 	return farDist

@@ -236,6 +236,40 @@ func outlierFixture(n, dim int, scale float64, seed int64) metric.Dataset {
 	return ds
 }
 
+// nestedFixture is blobs within blobs: a few well separated regions, each
+// holding several tight blobs. The centers that exist when a run turns pruned
+// resolve the regions, not the blobs, so one pivot's group spans several
+// natural clusters and is walked for some incoming centers and skipped for
+// others.
+func nestedFixture(n, dim int, seed int64) metric.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	const regions, inner = 6, 8
+	centres := make(metric.Dataset, regions*inner)
+	for r := 0; r < regions; r++ {
+		region := make(metric.Point, dim)
+		for j := range region {
+			region[j] = 20 + 160*rng.Float64()
+		}
+		for b := 0; b < inner; b++ {
+			c := make(metric.Point, dim)
+			for j := range c {
+				c[j] = region[j] + 6*rng.NormFloat64()
+			}
+			centres[r*inner+b] = c
+		}
+	}
+	ds := make(metric.Dataset, n)
+	for i := range ds {
+		c := centres[rng.Intn(len(centres))]
+		p := make(metric.Point, dim)
+		for j := range p {
+			p[j] = c[j] + 0.5*rng.NormFloat64()
+		}
+		ds[i] = p
+	}
+	return ds
+}
+
 var capableSpaces = []metric.Space{
 	metric.EuclideanSpace,
 	metric.ManhattanSpace,
@@ -272,6 +306,38 @@ func TestMatchesReferenceAcrossSpacesAndWorkers(t *testing.T) {
 	}
 }
 
+// TestMatchesReferenceWhereGroupsMatter is the same golden on the shapes the
+// group level of the pruned phase is for or could trip over: the repository
+// benchmark's round-1 partition (40 blobs, 2 500 points grown to 800 centers:
+// one pivot per blob, most groups skipped each round), blobs within blobs
+// (a group spans several natural clusters), many more natural clusters than
+// pivots (200 blobs resolved long after the 32nd center, so groups are large
+// and rarely skippable), and nothing but copies of three points (every later
+// center coincides with a pivot: reach zero, cluster radii zero or empty).
+func TestMatchesReferenceWhereGroupsMatter(t *testing.T) {
+	copies := make(metric.Dataset, 2400)
+	for i, distinct := 0, blobsFixture(3, 4, 3, 12); i < len(copies); i++ {
+		copies[i] = distinct[i%3]
+	}
+	fixtures := []struct {
+		name    string
+		points  metric.Dataset
+		k, grow int
+	}{
+		{"bench-partition", benchBlobs(2500, 2500), 100, 800},
+		{"nested", nestedFixture(2400, 8, 13), 48, 600},
+		{"more-clusters-than-pivots", blobsFixture(3000, 8, 200, 14), 200, 1000},
+		{"all-duplicates", copies, 40, 700},
+	}
+	// One worker: a round's survivors stay far below the engine's sequential
+	// cutoff at these sizes, and the group level itself is sequential.
+	for _, fx := range fixtures {
+		for _, sp := range capableSpaces {
+			requireMatchesReference(t, fx.name+"/"+sp.Name(), Runner{Space: sp, Workers: 1}, fx.points, fx.k, fx.grow, 0)
+		}
+	}
+}
+
 // TestMatchesReferenceParallelPhases uses an input large enough for both the
 // dense update and the pruned phase's survivor evaluation to cross the
 // engine's sequential cutoff, so the chunked paths are the ones compared.
@@ -296,17 +362,22 @@ func TestEuclideanOverflowStaysExact(t *testing.T) {
 
 // TestPrunedPhaseIsEnteredAndCounted guards the goldens above against passing
 // vacuously: on blobs the run must leave the dense phase and spend less than
-// half the textbook budget, on structureless data it must stay dense, and in
-// both cases Evaluations must be the count a CountingSpace observes.
+// half the textbook budget — less than a sixth on the benchmark's round-1
+// shape, which the per-cluster test alone (a quarter) does not reach: the
+// group level must be skipping, also through the counting wrapper — on
+// structureless data it must stay dense, and in every case Evaluations must be
+// the count a CountingSpace observes.
 func TestPrunedPhaseIsEnteredAndCounted(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		points metric.Dataset
 		k      int
 		pruned bool
+		groups bool
 	}{
-		{"blobs", blobsFixture(2500, 16, 10, 9), 400, true},
-		{"uniform", uniformFixture(2500, 16, 10), 100, false},
+		{"blobs", blobsFixture(2500, 16, 10, 9), 400, true, false},
+		{"bench-partition", benchBlobs(2500, 2500), 800, true, true},
+		{"uniform", uniformFixture(2500, 16, 10), 100, false, false},
 	} {
 		for _, sp := range capableSpaces {
 			cs := metric.NewCountingSpace(sp)

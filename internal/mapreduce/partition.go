@@ -19,6 +19,19 @@ type Partitioner interface {
 	Name() string
 }
 
+// OriginPartitioner is the optional capability of a Partitioner that can say
+// where every point of every part came from, which lets the solvers carry
+// per-point knowledge gained on the parts (a point's first-round proxy) back
+// to input order. All partitioners of this package have it.
+type OriginPartitioner interface {
+	Partitioner
+	// PartitionOrigins is Partition plus origins[i][j], the index in points
+	// of parts[i][j]. A nil origins means the parts are consecutive
+	// contiguous ranges of the input: parts[i][j] is the point at the summed
+	// lengths of the parts before i, plus j.
+	PartitionOrigins(points metric.Dataset, ell int) (parts []metric.Dataset, origins [][]int, err error)
+}
+
 // ErrInvalidPartitions is returned when ell is not positive.
 var ErrInvalidPartitions = errors.New("mapreduce: number of partitions must be positive")
 
@@ -41,6 +54,13 @@ func (UniformPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Da
 		parts[i] = points[r[0]:r[1]]
 	}
 	return parts, nil
+}
+
+// PartitionOrigins implements OriginPartitioner: the parts are consecutive
+// ranges, so there is nothing to report.
+func (up UniformPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
+	parts, err := up.Partition(points, ell)
+	return parts, nil, err
 }
 
 // splitIndexes divides [0,n) into at most parts contiguous half-open ranges of
@@ -86,19 +106,26 @@ func (RandomPartitioner) Name() string { return "random" }
 
 // Partition implements Partitioner.
 func (rp RandomPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Dataset, error) {
+	parts, _, err := rp.PartitionOrigins(points, ell)
+	return parts, err
+}
+
+// PartitionOrigins implements OriginPartitioner.
+func (rp RandomPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
 	if ell <= 0 {
-		return nil, ErrInvalidPartitions
+		return nil, nil, ErrInvalidPartitions
 	}
 	rng := rp.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(0x5eed))
 	}
-	parts := make([]metric.Dataset, ell)
-	for _, p := range points {
+	parts, origins := make([]metric.Dataset, ell), make([][]int, ell)
+	for idx, p := range points {
 		i := rng.Intn(ell)
 		parts[i] = append(parts[i], p)
+		origins[i] = append(origins[i], idx)
 	}
-	return parts, nil
+	return parts, origins, nil
 }
 
 // AdversarialPartitioner places a designated set of point indices (the
@@ -115,27 +142,34 @@ func (AdversarialPartitioner) Name() string { return "adversarial" }
 
 // Partition implements Partitioner.
 func (ap AdversarialPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Dataset, error) {
+	parts, _, err := ap.PartitionOrigins(points, ell)
+	return parts, err
+}
+
+// PartitionOrigins implements OriginPartitioner.
+func (ap AdversarialPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
 	if ell <= 0 {
-		return nil, ErrInvalidPartitions
+		return nil, nil, ErrInvalidPartitions
 	}
 	targeted := make(map[int]bool, len(ap.Targeted))
 	for _, i := range ap.Targeted {
 		if i < 0 || i >= len(points) {
-			return nil, fmt.Errorf("mapreduce: targeted index %d out of range [0,%d)", i, len(points))
+			return nil, nil, fmt.Errorf("mapreduce: targeted index %d out of range [0,%d)", i, len(points))
 		}
 		targeted[i] = true
 	}
-	parts := make([]metric.Dataset, ell)
+	parts, origins := make([]metric.Dataset, ell), make([][]int, ell)
 	next := 0
 	for i, p := range points {
-		if targeted[i] {
-			parts[0] = append(parts[0], p)
-			continue
+		to := 0
+		if !targeted[i] {
+			to = next % ell
+			next++
 		}
-		parts[next%ell] = append(parts[next%ell], p)
-		next++
+		parts[to] = append(parts[to], p)
+		origins[to] = append(origins[to], i)
 	}
-	return parts, nil
+	return parts, origins, nil
 }
 
 // CheckPartition verifies that parts is a valid partition of a dataset of the

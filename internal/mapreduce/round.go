@@ -36,8 +36,10 @@ type ExecStats struct {
 // ExecConfig controls how per-partition work is scheduled.
 type ExecConfig struct {
 	// Parallelism is the maximum number of partitions processed concurrently.
-	// Zero means "as many as there are CPUs". The Figure 7 experiment varies
-	// this to measure scalability with the number of processors.
+	// Zero means "as many as there are CPUs" — GOMAXPROCS, the number that
+	// can actually run, which is also what the distance engine and
+	// PerPartitionWorkers count. The Figure 7 experiment varies this to
+	// measure scalability with the number of processors.
 	Parallelism int
 	// Workers is the total distance-engine parallelism budget of the round:
 	// the reducers divide it among the partitions running concurrently (see
@@ -49,7 +51,7 @@ func (c ExecConfig) parallelism() int {
 	if c.Parallelism > 0 {
 		return c.Parallelism
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // PerPartitionWorkers returns the distance-engine parallelism each of the

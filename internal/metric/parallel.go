@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"cmp"
 	"math"
 	"runtime"
 	"slices"
@@ -241,9 +242,23 @@ func (e Engine) NearestBatch(sp Space, points Dataset, centers Dataset) ([]float
 // points (z <= 0: the plain radius). The radius is bit-identical to Radius /
 // RadiusExcluding and the other two results to NearestBatch — max and order
 // statistics commute with the monotone FromSurrogate — for half the distance
-// evaluations of calling them in turn.
-func (e Engine) NearestRadius(sp Space, points Dataset, centers Dataset, z int) (dists []float64, idxs []int, radius float64) {
-	dists, idxs = e.surrogateNearest(sp, points, centers)
+// evaluations of calling them in turn, which evals reports.
+//
+// hints, when non-nil, yields for every point a center that is probably its
+// nearest (the solvers know one: the center of the point's first-round
+// proxy). On a space that can prune, and when the centers are few enough for
+// a table of their pairwise distances to pay (k*k <= n), the pass then
+// evaluates only the centers a hint cannot rule out — see hintedNearest; the
+// results are the same bits whatever the hints say. hints is called only if
+// they are going to be used, so a caller that must compute them pays nothing
+// on the dense pass.
+func (e Engine) NearestRadius(sp Space, points Dataset, centers Dataset, z int, hints func() []int) (dists []float64, idxs []int, radius float64, evals int64) {
+	if pr, k := PrunerOf(sp), len(centers); pr != nil && hints != nil && k > 0 && k*k <= len(points) {
+		dists, idxs, evals = e.hintedNearest(sp, pr, points, centers, hints())
+	} else {
+		dists, idxs = e.surrogateNearest(sp, points, centers)
+		evals = int64(len(points)) * int64(len(centers))
+	}
 	switch {
 	case len(points) == 0 || z >= len(points):
 	case z <= 0:
@@ -259,7 +274,91 @@ func (e Engine) NearestRadius(sp Space, points Dataset, centers Dataset, z int) 
 	for i, s := range dists {
 		dists[i] = sp.FromSurrogate(s)
 	}
-	return dists, idxs, radius
+	return dists, idxs, radius, evals
+}
+
+// hintedNearest is surrogateNearest for points that come with a guess. With b
+// the hinted center and s = Surrogate(p, b), every center c whose threshold
+// HalfSurrogates(Surrogate(b, c)) exceeds s is STRICTLY farther from p than b
+// (the Pruner contract), so it can be neither the nearest center nor tie with
+// it: the argmin over b and the centers that fail the test, lowest index on
+// ties, is the row kernel's answer bit for bit. One k*k table holds, per
+// center, the other centers in ascending order of threshold, so the ones to
+// evaluate are a prefix of the hint's row, contiguous for the batched kernel.
+// A point whose prefix is longer than a quarter of the row — a hint far from
+// the truth — goes to the row kernel instead, one evaluation worse off than
+// without a hint, as does a point without a valid hint. evals counts the
+// table's k*k evaluations too. There is at least one center.
+func (e Engine) hintedNearest(sp Space, pr Pruner, points, centers Dataset, hints []int) (dists []float64, idxs []int, evals int64) {
+	k := len(centers)
+	dists, idxs = make([]float64, len(points)), make([]int, len(points))
+
+	// Row b of the table: the centers other than b, ascending by threshold
+	// (-Inf, "nothing promised", first: always evaluated).
+	row := k - 1
+	thr, nbr, nbrPts := make([]float64, k*row), make([]int, k*row), make(Dataset, k*row)
+	all, order := make([]float64, k), make([]int, 0, row)
+	for b, c := range centers {
+		sp.DistancesTo(all, c, centers)
+		pr.HalfSurrogates(all, len(c))
+		order = order[:0]
+		for j := range centers {
+			if j != b {
+				order = append(order, j)
+			}
+		}
+		slices.SortFunc(order, func(x, y int) int { return cmp.Or(cmp.Compare(all[x], all[y]), cmp.Compare(x, y)) })
+		for i, j := range order {
+			thr[b*row+i], nbr[b*row+i], nbrPts[b*row+i] = all[j], j, centers[j]
+		}
+	}
+
+	limit := k / 4
+	scan := func(lo, hi int) int64 {
+		var n int64
+		buf := make([]float64, limit)
+		for i := lo; i < hi; i++ {
+			p, h := points[i], hints[i]
+			if uint(h) >= uint(k) {
+				dists[i], idxs[i] = sp.ArgNearest(p, centers)
+				n += int64(k)
+				continue
+			}
+			best, at := sp.Surrogate(p, centers[h]), h
+			// The centers to evaluate: the prefix of h's row the test fails
+			// on. An infinite or NaN surrogate fails it everywhere.
+			t, cnt := thr[h*row:(h+1)*row], 0
+			for cnt < row && cnt <= limit && !(best < t[cnt]) {
+				cnt++
+			}
+			if cnt > limit || !(best < math.Inf(1)) {
+				dists[i], idxs[i] = sp.ArgNearest(p, centers)
+				n += int64(1 + k)
+				continue
+			}
+			d := buf[:cnt]
+			sp.DistancesTo(d, p, nbrPts[h*row:h*row+cnt])
+			for j, s := range d {
+				if c := nbr[h*row+j]; s < best || (s == best && c < at) {
+					best, at = s, c
+				}
+			}
+			dists[i], idxs[i] = best, at
+			n += int64(1 + cnt)
+		}
+		return n
+	}
+	// Chunked by what a point costs while its hint holds, not by k.
+	evals = int64(k) * int64(k)
+	if e.Sequential(len(points) * (limit + 1)) {
+		return dists, idxs, evals + scan(0, len(points))
+	}
+	counts := make([]int64, e.NumChunksCost(len(points), limit+1))
+	e.ForEachChunkCost(len(points), limit+1, func(chunk, lo, hi int) { counts[chunk] = scan(lo, hi) })
+	for _, n := range counts {
+		evals += n
+	}
+	return dists, idxs, evals
 }
 
 // Assign maps every point to the index of its closest center, chunking the

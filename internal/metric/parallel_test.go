@@ -264,3 +264,164 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// hintFixtures are the inputs of TestHintedNearestMatchesDense: an integer
+// lattice (exact ties between centres everywhere), a few distinct points many
+// times over with the centres drawn from the copies (coincident centres,
+// points at distance exactly zero), and Gaussian blobs (the shape the pass is
+// for). Each returns points and the centres among them.
+func hintFixtures() []struct {
+	name            string
+	points, centers Dataset
+} {
+	lattice := make(Dataset, 3000)
+	for i := range lattice {
+		lattice[i] = Point{float64(1 + i%11), float64(1 + (i/11)%13), float64(1 + (i/143)%7)}
+	}
+	distinct := randDataset(9, 4, 21)
+	dups := make(Dataset, 3000)
+	for i := range dups {
+		dups[i] = distinct[(i*i+i/5)%len(distinct)]
+	}
+	rng := rand.New(rand.NewSource(22))
+	blobs := make(Dataset, 3200)
+	for i := range blobs {
+		p := make(Point, 8)
+		for j := range p {
+			p[j] = 10 + 12*float64((i%16+j*j)%7) + rng.NormFloat64()
+		}
+		blobs[i] = p
+	}
+	pick := func(ds Dataset, k, stride int) Dataset {
+		out := make(Dataset, k)
+		for i := range out {
+			out[i] = ds[(i*stride)%len(ds)]
+		}
+		return out
+	}
+	return []struct {
+		name            string
+		points, centers Dataset
+	}{
+		{"lattice", lattice, pick(lattice, 24, 127)},
+		{"duplicates", dups, pick(dups, 20, 7)},
+		{"gaussian", blobs, pick(blobs, 32, 101)},
+	}
+}
+
+// TestHintedNearestMatchesDense: whatever the hints say — the truth, one fixed
+// centre, the FARTHEST centre, noise, the answer for another centre set,
+// indices that are no centre at all — every (surrogate bits, index) pair of
+// the hinted pass is the row kernel's, on every space that can prune and at
+// every worker count; the evaluations it reports are the ones a counting
+// space sees; and true hints make it cheap while the worst ones cost at most
+// one evaluation per point (plus the table) more than no hint.
+func TestHintedNearestMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, fx := range hintFixtures() {
+		n, k := len(fx.points), len(fx.centers)
+		for _, sp := range prunerSpaces {
+			wantS, wantI := make([]float64, n), make([]int, n)
+			farthest, other := make([]int, n), make([]int, n)
+			shifted := append(fx.centers[k/2:k:k], fx.centers[:k/2]...)
+			for i, p := range fx.points {
+				wantS[i], wantI[i] = sp.ArgNearest(p, fx.centers)
+				for j, c := range fx.centers {
+					if sp.Surrogate(p, c) >= sp.Surrogate(p, fx.centers[farthest[i]]) {
+						farthest[i] = j
+					}
+				}
+				_, other[i] = sp.ArgNearest(p, shifted)
+			}
+			noise, invalid := make([]int, n), make([]int, n)
+			for i := range noise {
+				noise[i] = rng.Intn(k)
+				invalid[i] = []int{-1, k, k + 7, -1 << 40}[i%4]
+			}
+			for _, h := range []struct {
+				name  string
+				hints []int
+			}{
+				{"correct", wantI}, {"all-zero", make([]int, n)}, {"farthest", farthest},
+				{"random", noise}, {"other-centres", other}, {"invalid", invalid},
+			} {
+				for _, w := range []int{1, 2, 8} {
+					label := fx.name + "/" + sp.Name() + "/" + h.name
+					cs := NewCountingSpace(sp)
+					gotS, gotI, evals := NewEngine(w).hintedNearest(cs, PrunerOf(cs), fx.points, fx.centers, h.hints)
+					for i := range wantS {
+						if math.Float64bits(gotS[i]) != math.Float64bits(wantS[i]) || gotI[i] != wantI[i] {
+							t.Fatalf("%s w=%d: point %d hinted %d = (%v, %d), want (%v, %d)", label, w, i, h.hints[i], gotS[i], gotI[i], wantS[i], wantI[i])
+						}
+					}
+					if seen := cs.Evaluations(); seen != evals {
+						t.Fatalf("%s w=%d: %d evaluations reported, the counting space saw %d", label, w, evals, seen)
+					}
+					if worst := int64(n*(k+1) + k*k); evals > worst {
+						t.Fatalf("%s w=%d: %d evaluations, a useless hint may cost at most %d", label, w, evals, worst)
+					}
+					if h.name == "correct" && fx.name == "gaussian" && sp != AngularSpace && evals > int64(n*k/4) {
+						t.Fatalf("%s w=%d: %d evaluations with true hints on clustered input, want under a quarter of n*k = %d", label, w, evals, n*k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNearestRadiusTakesHintsOnlyWhereSound: the hinted pass is taken with
+// hints, a pruning space and k*k <= n — and gives NearestRadius's dense
+// answers there. CosineSpace (no triangle inequality), the SpaceFromDistance
+// adapter (a Counter must see exactly n*k calls), a call without hints and a
+// centre set too large for the table to pay stay on the dense pass, and do not
+// even ask for the hints.
+func TestNearestRadiusTakesHintsOnlyWhereSound(t *testing.T) {
+	fx := hintFixtures()[2]
+	n, k := len(fx.points), len(fx.centers)
+	eng := NewEngine(2)
+	asked := 0
+	hints := func() []int {
+		asked++
+		return eng.Assign(EuclideanSpace, fx.points, fx.centers)
+	}
+	for _, z := range []int{0, 25} {
+		wantD, wantI, wantR, dense := eng.NearestRadius(EuclideanSpace, fx.points, fx.centers, z, nil)
+		gotD, gotI, gotR, evals := eng.NearestRadius(EuclideanSpace, fx.points, fx.centers, z, hints)
+		if dense != int64(n*k) || evals >= dense/4 {
+			t.Fatalf("z=%d: dense pass reports %d evaluations, hinted %d; want n*k = %d and under a quarter of it", z, dense, evals, n*k)
+		}
+		if math.Float64bits(gotR) != math.Float64bits(wantR) {
+			t.Fatalf("z=%d: hinted radius %v, dense %v", z, gotR, wantR)
+		}
+		for i := range wantD {
+			if math.Float64bits(gotD[i]) != math.Float64bits(wantD[i]) || gotI[i] != wantI[i] {
+				t.Fatalf("z=%d: point %d = (%v, %d), dense (%v, %d)", z, i, gotD[i], gotI[i], wantD[i], wantI[i])
+			}
+		}
+	}
+	if asked != 2 {
+		t.Fatalf("hints asked for %d times by two hinted passes", asked)
+	}
+
+	counter := NewCounter(Euclidean)
+	for _, tc := range []struct {
+		name    string
+		sp      Space
+		centers Dataset
+	}{
+		{"cosine", NewCountingSpace(CosineSpace), fx.centers},
+		{"adapter", SpaceFor(counter.Distance), fx.centers},
+		{"k*k > n", NewCountingSpace(EuclideanSpace), fx.points[:57]},
+	} {
+		asked = 0
+		_, _, _, evals := eng.NearestRadius(tc.sp, fx.points, tc.centers, 0, hints)
+		want := int64(n * len(tc.centers))
+		seen := counter.Calls()
+		if cs, ok := tc.sp.(*CountingSpace); ok {
+			seen = cs.Evaluations()
+		}
+		if asked != 0 || evals != want || seen != want {
+			t.Fatalf("%s: hints asked %d times, %d evaluations reported, %d seen; want the dense pass, n*k = %d", tc.name, asked, evals, seen, want)
+		}
+	}
+}

@@ -267,8 +267,16 @@ type RunStats struct {
 	// final centers. The textbook greedy needs (centers selected) x (points)
 	// per run; on spaces that satisfy the triangle inequality the exact
 	// pruning described in the README usually needs far fewer. The final
-	// assignment pass (n*k) and the outlier radius search are not counted.
+	// pass below and the outlier radius search are not counted.
 	DistanceEvaluations int64
+	// FinalPassEvaluations is what the final pass over the whole input — the
+	// one that yields the radius and the assignment — spent: n*k when it
+	// scans every center for every point, usually a small fraction of that
+	// on spaces that satisfy the triangle inequality, where each point starts
+	// from the center of its first-round proxy and evaluates only the
+	// centers that start cannot rule out (same bits either way). Zero for
+	// Gonzalez, whose greedy run already knows both.
+	FinalPassEvaluations int64
 }
 
 // Clustering is the result of Cluster.
@@ -339,12 +347,13 @@ func Cluster(points Dataset, k int, opts ...Option) (*Clustering, error) {
 		Radius:     res.Radius,
 		Assignment: res.Assignment,
 		Stats: RunStats{
-			Partitions:          ell,
-			CoresetUnionSize:    res.CoresetUnionSize,
-			LocalMemoryPeak:     res.LocalMemoryPeak,
-			CoresetTime:         res.CoresetTime,
-			FinalTime:           res.FinalTime,
-			DistanceEvaluations: res.DistanceEvaluations,
+			Partitions:           ell,
+			CoresetUnionSize:     res.CoresetUnionSize,
+			LocalMemoryPeak:      res.LocalMemoryPeak,
+			CoresetTime:          res.CoresetTime,
+			FinalTime:            res.FinalTime,
+			DistanceEvaluations:  res.DistanceEvaluations,
+			FinalPassEvaluations: res.FinalPassEvaluations,
 		},
 	}, nil
 }
@@ -441,12 +450,13 @@ func ClusterWithOutliers(points Dataset, k, z int, opts ...Option) (*OutliersClu
 		Outliers:   farthestIndices(res.Distances, z),
 		Assignment: res.Assignment,
 		Stats: RunStats{
-			Partitions:          ell,
-			CoresetUnionSize:    res.CoresetUnionSize,
-			LocalMemoryPeak:     res.LocalMemoryPeak,
-			CoresetTime:         res.CoresetTime,
-			FinalTime:           res.SolveTime,
-			DistanceEvaluations: res.DistanceEvaluations,
+			Partitions:           ell,
+			CoresetUnionSize:     res.CoresetUnionSize,
+			LocalMemoryPeak:      res.LocalMemoryPeak,
+			CoresetTime:          res.CoresetTime,
+			FinalTime:            res.SolveTime,
+			DistanceEvaluations:  res.DistanceEvaluations,
+			FinalPassEvaluations: res.FinalPassEvaluations,
 		},
 	}, nil
 }
