@@ -130,12 +130,18 @@
 // state and semantics — the stream table, ingest/advance application,
 // published query views, journaling and recovery against internal/persist,
 // and sketch merging — behind a transport-agnostic API with typed errors and
-// no HTTP dependency. internal/server/httpapi is the HTTP transport: routing,
-// JSON/binary wire negotiation, the mapping from engine error codes to
-// status codes, and request observability middleware; the router role
-// (internal/server/router) reuses its wire codecs and debug surface. This
-// package is only the assembler: it parses -role and hands the remaining
-// flags to the chosen role's Run function.
+// no HTTP dependency. internal/server/httpapi is the HTTP transport: the
+// shard role's routes and handlers, and the transport kit both roles share —
+// the seven common flags (-addr -max-body -log-level -slow-request
+// -debug-addr -trace-sample -trace-buffer) and the listen/debug/shutdown
+// lifecycle, the request middleware and its series, strict JSON decoding and
+// the -max-body check, the JSON/KCFL ingest decode front end, the mapping
+// from engine error codes to status codes and the error writer, and the
+// /metrics and debug surfaces. The router role (internal/server/router)
+// builds on the same kit, so both roles reject a malformed or oversized
+// request with the same status and code. This package is only the
+// assembler: it parses -role and hands the remaining flags to the chosen
+// role's Run function.
 //
 // Usage:
 //

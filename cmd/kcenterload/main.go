@@ -32,7 +32,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -49,6 +48,7 @@ import (
 	"time"
 
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/server/httpapi"
 )
 
 func main() {
@@ -273,32 +273,22 @@ func (w *worker) makeBatch() {
 // the worker's buffer. Window runs stamp every point of the batch with the
 // same coarse tick so timestamps are trivially non-decreasing in-batch.
 func (w *worker) encode(tick int64) (body []byte, contentType string, err error) {
-	w.buf = w.buf[:0]
-	if w.cfg.proto == "binary" {
-		w.buf = w.flat.AppendFrame(w.buf)
-		if w.windowed() {
-			// Timestamp trailer: "KCTS" + one big-endian int64 per point
-			// (the daemon's binary ingest wire format; see cmd/kcenterd).
-			w.buf = append(w.buf, "KCTS"...)
-			var scratch [8]byte
-			binary.BigEndian.PutUint64(scratch[:], uint64(tick))
-			for i := 0; i < w.flat.Len(); i++ {
-				w.buf = append(w.buf, scratch[:]...)
-			}
+	var ts []int64
+	if w.windowed() {
+		ts = make([]int64, w.flat.Len())
+		for i := range ts {
+			ts[i] = tick
 		}
-		return w.buf, "application/x-kcenter-flat", nil
+	}
+	if w.cfg.proto == "binary" {
+		w.buf = httpapi.EncodeBinaryIngest(w.buf[:0], w.flat, ts)
+		return w.buf, httpapi.BinaryContentType, nil
 	}
 	req := struct {
 		Points     metric.Dataset `json:"points"`
 		Timestamps []int64        `json:"timestamps,omitempty"`
-	}{Points: w.flat.Dataset()}
-	if w.windowed() {
-		req.Timestamps = make([]int64, w.flat.Len())
-		for i := range req.Timestamps {
-			req.Timestamps[i] = tick
-		}
-	}
-	w.buf, err = appendJSON(w.buf, &req)
+	}{Points: w.flat.Dataset(), Timestamps: ts}
+	w.buf, err = appendJSON(w.buf[:0], &req)
 	return w.buf, "application/json", err
 }
 

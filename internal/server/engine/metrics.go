@@ -10,7 +10,8 @@ import (
 )
 
 // Metrics is the daemon's process-lifetime metric set, all under the
-// kcenterd_ prefix. Recording is wait-free (see internal/obs), so every
+// kcenterd_ prefix; the HTTP transport registers its own request series on
+// the same registry. Recording is wait-free (see internal/obs), so every
 // counter below is safe to bump from the ingest hot path, the persistence
 // layer's critical sections and concurrent transport handlers alike. A nil
 // *Metrics disables instrumentation entirely — every method is nil-safe —
@@ -18,13 +19,6 @@ import (
 type Metrics struct {
 	Reg   *obs.Registry
 	Start time.Time
-
-	// HTTP surface (recorded by the transport middleware; defined here so one
-	// registry serves the whole process).
-	HTTPRequests *obs.CounterVec   // route, method, status
-	HTTPDuration *obs.HistogramVec // route
-	HTTPSlow     *obs.Counter
-	HTTPInFlight *obs.Gauge
 
 	// Stream lifecycle and query path.
 	IngestPoints       *obs.Counter
@@ -63,17 +57,6 @@ func NewMetrics() *Metrics {
 	return &Metrics{
 		Reg:   r,
 		Start: time.Now(),
-
-		HTTPRequests: r.CounterVec("kcenterd_http_requests_total",
-			"HTTP requests served, by route pattern, method and status code.",
-			"route", "method", "status"),
-		HTTPDuration: r.HistogramVec("kcenterd_http_request_duration_seconds",
-			"HTTP request latency by route pattern.",
-			obs.DefDurationBuckets, "route"),
-		HTTPSlow: r.Counter("kcenterd_http_slow_requests_total",
-			"Requests slower than the -slow-request threshold."),
-		HTTPInFlight: r.Gauge("kcenterd_http_in_flight_requests",
-			"Requests currently being handled."),
 
 		IngestPoints: r.Counter("kcenterd_ingest_points_total",
 			"Points acknowledged across all streams."),

@@ -12,6 +12,7 @@ import (
 
 	kcenter "coresetclustering"
 	"coresetclustering/internal/persist"
+	"coresetclustering/internal/server/engine"
 )
 
 // durableServer is an in-process daemon wired to a persist.Store, with the
@@ -85,7 +86,7 @@ func TestDurableRestartByteIdentical(t *testing.T) {
 
 	apply := func(baseURL string) {
 		for i := 0; i < 6; i++ {
-			var stats streamStats
+			var stats engine.StreamStats
 			resp := doJSON(t, "POST", baseURL+"/streams/ins/points", batch(blobs(30, 3, int64(i))), &stats)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("ins batch %d: status %d", i, resp.StatusCode)
@@ -118,7 +119,7 @@ func TestDurableRestartByteIdentical(t *testing.T) {
 		}
 	}
 	// Recovery is surfaced on the stats endpoint.
-	var stats streamStats
+	var stats engine.StreamStats
 	if resp := doJSON(t, "GET", d2.http.URL+"/streams/ins/stats", nil, &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
 	}
@@ -156,7 +157,7 @@ func TestCompactionThenRestart(t *testing.T) {
 	// Background compaction is asynchronous; wait for at least one.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var stats streamStats
+		var stats engine.StreamStats
 		doJSON(t, "GET", d1.http.URL+"/streams/s/stats", nil, &stats)
 		if stats.Durability != nil && stats.Durability.Compactions > 0 {
 			break
@@ -174,7 +175,7 @@ func TestCompactionThenRestart(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("post-compaction recovery differs: %d vs %d bytes", len(got), len(want))
 	}
-	var stats streamStats
+	var stats engine.StreamStats
 	doJSON(t, "GET", d2.http.URL+"/streams/s/stats", nil, &stats)
 	rec := stats.Durability.Recovery
 	if rec == nil || !rec.SnapshotLoaded {
@@ -208,7 +209,7 @@ func TestDeleteRemovesDurableState(t *testing.T) {
 	d1.close()
 
 	d2 := newDurableServer(t, dir, cfg, opts)
-	var stats streamStats
+	var stats engine.StreamStats
 	if resp := doJSON(t, "GET", d2.http.URL+"/streams/doomed/stats", nil, &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("recreated stream lost: status %d", resp.StatusCode)
 	}
@@ -272,7 +273,7 @@ func TestAdvanceEndpoint(t *testing.T) {
 	if resp := doJSON(t, "POST", ts.URL+"/streams/w/points?windowDur=20", req, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
 	}
-	var stats streamStats
+	var stats engine.StreamStats
 	if resp := doJSON(t, "POST", ts.URL+"/streams/w/advance", advanceRequest{To: 1000}, &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance status %d", resp.StatusCode)
 	}
@@ -281,18 +282,18 @@ func TestAdvanceEndpoint(t *testing.T) {
 	}
 	// Clock cannot move backwards.
 	var er errorResponse
-	if resp := doJSON(t, "POST", ts.URL+"/streams/w/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusBadRequest || er.Code != codeInvalidTimestamps {
+	if resp := doJSON(t, "POST", ts.URL+"/streams/w/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeInvalidTimestamps {
 		t.Fatalf("backwards advance: status %d code %q", resp.StatusCode, er.Code)
 	}
 	// Non-window streams have no clock.
 	if resp := doJSON(t, "POST", ts.URL+"/streams/plain/points", batch(blobs(5, 2, 2)), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("plain ingest failed")
 	}
-	if resp := doJSON(t, "POST", ts.URL+"/streams/plain/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusBadRequest || er.Code != codeNotWindowed {
+	if resp := doJSON(t, "POST", ts.URL+"/streams/plain/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeNotWindowed {
 		t.Fatalf("advance on plain stream: status %d code %q", resp.StatusCode, er.Code)
 	}
 	// Unknown streams are not implicitly created by advance.
-	if resp := doJSON(t, "POST", ts.URL+"/streams/nope/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusNotFound || er.Code != codeUnknownStream {
+	if resp := doJSON(t, "POST", ts.URL+"/streams/nope/advance", advanceRequest{To: 5}, &er); resp.StatusCode != http.StatusNotFound || er.Code != engine.CodeUnknownStream {
 		t.Fatalf("advance on unknown stream: status %d code %q", resp.StatusCode, er.Code)
 	}
 }
@@ -372,7 +373,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 	}
 
 	d2 := newDurableServer(t, dir, cfg, opts)
-	var stats streamStats
+	var stats engine.StreamStats
 	if resp := doJSON(t, "GET", d2.http.URL+"/streams/s/stats", nil, &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream lost after torn tail: status %d", resp.StatusCode)
 	}

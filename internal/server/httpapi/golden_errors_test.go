@@ -64,7 +64,7 @@ func TestErrorCodeStatusGolden(t *testing.T) {
 // shard_unavailable is minted by the router role (router cluster tests), and
 // internal is the fallback for errors that cannot otherwise occur.
 func TestErrorCodesLiveRoundTrip(t *testing.T) {
-	ts := newTestServer(t, config{k: 3, budget: 24, maxBody: 64 << 10})
+	ts := newTestServer(t, config{k: 3, budget: 24, Common: Common{MaxBody: 64 << 10}})
 
 	raw := func(method, path, contentType string, body []byte) (int, errorResponse) {
 		t.Helper()
@@ -120,7 +120,7 @@ func TestErrorCodesLiveRoundTrip(t *testing.T) {
 		{"not_windowed", "POST", "/streams/gp/points", "application/json",
 			[]byte(`{"points": [[1,2]], "timestamps": [1]}`)},
 		{"bad_sketch", "POST", "/streams/g/restore", "application/octet-stream", []byte("not a sketch")},
-		{"invalid_frame", "POST", "/streams/g/points", binaryContentType, []byte("XXXX garbage frame")},
+		{"invalid_frame", "POST", "/streams/g/points", BinaryContentType, []byte("XXXX garbage frame")},
 		{"unknown_stream", "GET", "/streams/never-created/centers", "", nil},
 		{"body_too_large", "POST", "/streams/g/restore", "application/octet-stream",
 			bytes.Repeat([]byte("x"), 128<<10)},

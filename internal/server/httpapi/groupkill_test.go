@@ -88,7 +88,7 @@ func TestKillRecoverGroupCommitConcurrent(t *testing.T) {
 				var err error
 				if w%2 == 0 {
 					resp, err = client.Post("http://"+addr+"/streams/gc/ingest",
-						binaryContentType, bytes.NewReader(binaryBody(t, points, nil)))
+						BinaryContentType, bytes.NewReader(binaryBody(t, points, nil)))
 				} else {
 					body, merr := jsonBody(points)
 					if merr != nil {

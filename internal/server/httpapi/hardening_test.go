@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -33,87 +32,6 @@ func postRaw(t *testing.T, url, contentType string, body []byte) (int, errorResp
 	var er errorResponse
 	json.NewDecoder(resp.Body).Decode(&er)
 	return resp.StatusCode, er
-}
-
-// TestBodyTooLargeIs413 is the regression test for the oversized-body bug:
-// a body over the cap must answer 413 with the typed body_too_large code on
-// the raw-body restore handler AND on every JSON decoder — not a generic
-// 500/400.
-func TestBodyTooLargeIs413(t *testing.T) {
-	srv := newServer(config{k: 3, budget: 24, maxBody: 1 << 10})
-	ts := httptestServer(t, srv)
-
-	huge := make([]byte, 2<<10)
-	for i := range huge {
-		huge[i] = 'x'
-	}
-
-	// Raw-body restore handler (the io.ReadAll path of the original bug).
-	status, er := postRaw(t, ts+"/streams/s/restore", "application/octet-stream", huge)
-	if status != http.StatusRequestEntityTooLarge || er.Code != codeBodyTooLarge {
-		t.Fatalf("restore: status %d code %q, want 413 %q", status, er.Code, codeBodyTooLarge)
-	}
-
-	// JSON ingest decoder: an oversized but well-formed JSON body.
-	var sb strings.Builder
-	sb.WriteString(`{"points": [`)
-	for i := 0; sb.Len() < 2<<10; i++ {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString(`[1.0,2.0]`)
-	}
-	sb.WriteString(`]}`)
-	status, er = postRaw(t, ts+"/streams/s/points", "application/json", []byte(sb.String()))
-	if status != http.StatusRequestEntityTooLarge || er.Code != codeBodyTooLarge {
-		t.Fatalf("ingest: status %d code %q, want 413 %q", status, er.Code, codeBodyTooLarge)
-	}
-
-	// JSON merge decoder.
-	status, er = postRaw(t, ts+"/merge", "application/json", append([]byte(`{"sketches": ["`), append(huge, []byte(`"]}`)...)...))
-	if status != http.StatusRequestEntityTooLarge || er.Code != codeBodyTooLarge {
-		t.Fatalf("merge: status %d code %q, want 413 %q", status, er.Code, codeBodyTooLarge)
-	}
-
-	// A body under the cap still works.
-	status, _ = postRaw(t, ts+"/streams/ok/points", "application/json", []byte(`{"points": [[1,2],[3,4]]}`))
-	if status != http.StatusOK {
-		t.Fatalf("small body: status %d", status)
-	}
-}
-
-// TestStrictJSONDecoding: unknown fields and trailing data are rejected with
-// the typed invalid_json code (the documented API-strictness change).
-func TestStrictJSONDecoding(t *testing.T) {
-	ts := newTestServer(t, config{k: 3, budget: 24})
-
-	for _, tc := range []struct {
-		name, path, body string
-	}{
-		{"unknown field", "/streams/s/points", `{"points": [[1,2]], "pionts": [[3,4]]}`},
-		{"trailing garbage", "/streams/s/points", `{"points": [[1,2]]} trailing`},
-		{"second document", "/streams/s/points", `{"points": [[1,2]]}{"points": [[3,4]]}`},
-		{"unknown field on merge", "/merge", `{"sketches": [], "extra": 1}`},
-		{"unknown field on advance", "/streams/s/advance", `{"to": 5, "at": 6}`},
-	} {
-		status, er := postRaw(t, ts.URL+tc.path, "application/json", []byte(tc.body))
-		if status != http.StatusBadRequest || er.Code != codeInvalidJSON {
-			t.Fatalf("%s: status %d code %q, want 400 %q", tc.name, status, er.Code, codeInvalidJSON)
-		}
-	}
-	// The rejected bodies must not have created the stream as a side effect.
-	status, er := postRaw(t, ts.URL+"/streams/s/stats", "application/json", nil)
-	if status != http.StatusMethodNotAllowed { // POST to a GET route
-		t.Fatalf("stats probe: %d %q", status, er.Code)
-	}
-	resp, err := http.Get(ts.URL + "/streams/s/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("stream exists after rejected bodies: status %d", resp.StatusCode)
-	}
 }
 
 // TestDeleteIngestSnapshotRace hammers one stream name with concurrent

@@ -23,7 +23,7 @@ import (
 // goroutine that a graceful shutdown path could sneak into.
 func TestMain(m *testing.M) {
 	if os.Getenv("KCENTERD_CHILD") == "1" {
-		if err := run(context.Background(), strings.Fields(os.Getenv("KCENTERD_ARGS")), os.Stderr); err != nil {
+		if err := Run(context.Background(), strings.Fields(os.Getenv("KCENTERD_ARGS")), os.Stderr); err != nil {
 			fmt.Fprintln(os.Stderr, "kcenterd-child:", err)
 			os.Exit(1)
 		}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	kcenter "coresetclustering"
+	"coresetclustering/internal/server/engine"
 )
 
 func newTestServer(t *testing.T, cfg config) *httptest.Server {
@@ -71,7 +72,7 @@ func TestIngestAndCenters(t *testing.T) {
 	// budget deliberately != 8*(k+z): new streams must inherit the daemon's
 	// configured default, not the derived fallback.
 	ts := newTestServer(t, config{k: 3, budget: 30})
-	var stats streamStats
+	var stats engine.StreamStats
 	resp := doJSON(t, "POST", ts.URL+"/streams/demo/points", batch(blobs(500, 2, 1)), &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
@@ -94,7 +95,7 @@ func TestIngestAndCenters(t *testing.T) {
 
 func TestStreamParamsFromQuery(t *testing.T) {
 	ts := newTestServer(t, config{k: 3, budget: 24})
-	var stats streamStats
+	var stats engine.StreamStats
 	doJSON(t, "POST", ts.URL+"/streams/custom/points?k=5&z=2&budget=70", batch(blobs(100, 2, 2)), &stats)
 	if stats.K != 5 || stats.Z != 2 || stats.Budget != 70 {
 		t.Errorf("query params ignored: %+v", stats)
@@ -211,7 +212,7 @@ func TestShardedMergeFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored streamStats
+	var restored engine.StreamStats
 	if err := json.NewDecoder(restoreResp.Body).Decode(&restored); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestShardedMergeFlow(t *testing.T) {
 		t.Errorf("restored stream observed %d, want 1000", restored.Observed)
 	}
 	// And it keeps ingesting.
-	var after streamStats
+	var after engine.StreamStats
 	doJSON(t, "POST", ts.URL+"/streams/global/points", batch(blobs(10, 2, 12)), &after)
 	if after.Observed != 1010 {
 		t.Errorf("restored stream observed %d after ingest, want 1010", after.Observed)
@@ -232,7 +233,7 @@ func TestListAndDelete(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/streams/a/points", batch(blobs(10, 2, 20)), nil)
 	doJSON(t, "POST", ts.URL+"/streams/b/points", batch(blobs(10, 2, 21)), nil)
 	var list struct {
-		Streams []streamStats `json:"streams"`
+		Streams []engine.StreamStats `json:"streams"`
 	}
 	doJSON(t, "GET", ts.URL+"/streams", nil, &list)
 	if len(list.Streams) != 2 || list.Streams[0].Name != "a" || list.Streams[1].Name != "b" {
@@ -324,7 +325,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-k", "2"}, io.Discard)
+		done <- Run(ctx, []string{"-addr", "127.0.0.1:0", "-k", "2"}, io.Discard)
 	}()
 	time.Sleep(100 * time.Millisecond)
 	cancel()
@@ -339,7 +340,7 @@ func TestRunGracefulShutdown(t *testing.T) {
 }
 
 func TestRunRejectsUnknownDistance(t *testing.T) {
-	err := run(context.Background(), []string{"-distance", "warp"}, io.Discard)
+	err := Run(context.Background(), []string{"-distance", "warp"}, io.Discard)
 	if err == nil {
 		t.Fatal("run accepted an unknown distance")
 	}
@@ -353,7 +354,7 @@ func TestRunRejectsUnknownDistance(t *testing.T) {
 func TestWindowStreamLifecycle(t *testing.T) {
 	ts := newTestServer(t, config{k: 3, budget: 36, dist: "euclidean"})
 	// Create a count-window stream and overfill it.
-	var stats streamStats
+	var stats engine.StreamStats
 	resp := doJSON(t, "POST", ts.URL+"/streams/win/points?window=200", batch(blobs(1000, 2, 30)), &stats)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", resp.StatusCode)
@@ -375,7 +376,7 @@ func TestWindowStreamLifecycle(t *testing.T) {
 	}
 
 	// The introspection endpoint reports the same state.
-	var got streamStats
+	var got engine.StreamStats
 	resp = doJSON(t, "GET", ts.URL+"/streams/win/stats", nil, &got)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats status %d", resp.StatusCode)
@@ -397,7 +398,7 @@ func TestWindowStreamLifecycle(t *testing.T) {
 func TestWindowStreamStatsForPlainStream(t *testing.T) {
 	ts := newTestServer(t, config{k: 2, budget: 16, dist: "manhattan"})
 	doJSON(t, "POST", ts.URL+"/streams/plain/points", batch(blobs(50, 2, 31)), nil)
-	var got streamStats
+	var got engine.StreamStats
 	doJSON(t, "GET", ts.URL+"/streams/plain/stats", nil, &got)
 	if got.Window != nil {
 		t.Errorf("plain stream reports window stats: %+v", got.Window)
@@ -412,7 +413,7 @@ func TestWindowStreamStatsForPlainStream(t *testing.T) {
 
 func TestWindowTimestampedIngestAndEviction(t *testing.T) {
 	ts := newTestServer(t, config{k: 2, budget: 24, dist: "euclidean"})
-	ingest := func(pts kcenter.Dataset, stamps []int64) (*http.Response, streamStats, errorResponse) {
+	ingest := func(pts kcenter.Dataset, stamps []int64) (*http.Response, engine.StreamStats, errorResponse) {
 		body, _ := json.Marshal(ingestRequest{Points: pts, Timestamps: stamps})
 		resp, err := http.Post(ts.URL+"/streams/tw/points?windowDur=100", "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -420,7 +421,7 @@ func TestWindowTimestampedIngestAndEviction(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		raw, _ := io.ReadAll(resp.Body)
-		var st streamStats
+		var st engine.StreamStats
 		var er errorResponse
 		json.Unmarshal(raw, &st)
 		json.Unmarshal(raw, &er)
@@ -444,18 +445,18 @@ func TestWindowTimestampedIngestAndEviction(t *testing.T) {
 	}
 	// Stale timestamps are rejected atomically with a typed code.
 	resp, _, er := ingest(pts[:2], []int64{10, 11})
-	if resp.StatusCode != http.StatusBadRequest || er.Code != codeInvalidTimestamps {
+	if resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeInvalidTimestamps {
 		t.Fatalf("stale batch: status %d code %q", resp.StatusCode, er.Code)
 	}
 	// Unsorted and miscounted timestamp arrays too.
-	if resp, _, er := ingest(pts[:2], []int64{6_000, 5_999}); resp.StatusCode != http.StatusBadRequest || er.Code != codeInvalidTimestamps {
+	if resp, _, er := ingest(pts[:2], []int64{6_000, 5_999}); resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeInvalidTimestamps {
 		t.Fatalf("unsorted stamps: status %d code %q", resp.StatusCode, er.Code)
 	}
-	if resp, _, er := ingest(pts[:2], []int64{6_000}); resp.StatusCode != http.StatusBadRequest || er.Code != codeInvalidTimestamps {
+	if resp, _, er := ingest(pts[:2], []int64{6_000}); resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeInvalidTimestamps {
 		t.Fatalf("miscounted stamps: status %d code %q", resp.StatusCode, er.Code)
 	}
 	// The rejected batches must not have moved the stream.
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", ts.URL+"/streams/tw/stats", nil, &st)
 	if st.Observed != 102 {
 		t.Errorf("observed %d after rejected batches, want 102", st.Observed)
@@ -469,7 +470,7 @@ func TestWindowTimestampedIngestAndEviction(t *testing.T) {
 	var er2 errorResponse
 	json.NewDecoder(resp2.Body).Decode(&er2)
 	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest || er2.Code != codeNotWindowed {
+	if resp2.StatusCode != http.StatusBadRequest || er2.Code != engine.CodeNotWindowed {
 		t.Errorf("timestamps on plain stream: status %d code %q", resp2.StatusCode, er2.Code)
 	}
 }
@@ -493,7 +494,7 @@ func TestWindowSnapshotRestoreHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var restored streamStats
+	var restored engine.StreamStats
 	json.NewDecoder(restoreResp.Body).Decode(&restored)
 	restoreResp.Body.Close()
 	if restoreResp.StatusCode != http.StatusOK {
@@ -516,7 +517,7 @@ func TestWindowSnapshotRestoreHTTP(t *testing.T) {
 		}
 	}
 	// The restored stream keeps ingesting.
-	var after streamStats
+	var after engine.StreamStats
 	doJSON(t, "POST", ts.URL+"/streams/w2/points", batch(blobs(10, 2, 34)), &after)
 	if after.Observed != 610 {
 		t.Errorf("restored stream observed %d, want 610", after.Observed)
@@ -530,7 +531,7 @@ func TestWindowSnapshotRestoreHTTP(t *testing.T) {
 		base64.StdEncoding.EncodeToString(blob),
 		base64.StdEncoding.EncodeToString(blob),
 	}}, &er)
-	if mresp.StatusCode != http.StatusBadGateway || er.Code != codeShardIncompatible {
+	if mresp.StatusCode != http.StatusBadGateway || er.Code != engine.CodeShardIncompatible {
 		t.Errorf("merging window sketches: status %d code %q", mresp.StatusCode, er.Code)
 	}
 }
@@ -591,7 +592,7 @@ func TestWindowConcurrentIngest(t *testing.T) {
 	}()
 	wg.Wait()
 
-	var stats streamStats
+	var stats engine.StreamStats
 	doJSON(t, "GET", ts.URL+"/streams/wshared/stats", nil, &stats)
 	if want := int64(goroutines * batches * perBatch); stats.Observed != want {
 		t.Errorf("observed %d points, want %d", stats.Observed, want)
@@ -621,12 +622,12 @@ func TestTypedIngestErrors(t *testing.T) {
 		name, body string
 		code       string
 	}{
-		{"malformed-json", `{`, codeInvalidJSON},
-		{"nan-via-out-of-range", `{"points": [[1, 1e999]]}`, codeInvalidJSON},
-		{"empty-batch", `{"points": []}`, codeEmptyBatch},
-		{"ragged-batch", `{"points": [[1,2],[3]]}`, codeDimensionMismatch},
-		{"zero-dim", `{"points": [[]]}`, codeInvalidPoint},
-		{"wrong-dim-for-stream", `{"points": [[1,2,3]]}`, codeDimensionMismatch},
+		{"malformed-json", `{`, engine.CodeInvalidJSON},
+		{"nan-via-out-of-range", `{"points": [[1, 1e999]]}`, engine.CodeInvalidJSON},
+		{"empty-batch", `{"points": []}`, engine.CodeEmptyBatch},
+		{"ragged-batch", `{"points": [[1,2],[3]]}`, engine.CodeDimensionMismatch},
+		{"zero-dim", `{"points": [[]]}`, engine.CodeInvalidPoint},
+		{"wrong-dim-for-stream", `{"points": [[1,2,3]]}`, engine.CodeDimensionMismatch},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -637,7 +638,7 @@ func TestTypedIngestErrors(t *testing.T) {
 		})
 	}
 	// The stream was never perturbed.
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", ts.URL+"/streams/t/stats", nil, &st)
 	if st.Observed != 1 {
 		t.Errorf("observed %d after rejected batches, want 1", st.Observed)
@@ -658,7 +659,7 @@ func TestTimestampsWithoutWindowDoNotCreateStream(t *testing.T) {
 	var er errorResponse
 	json.NewDecoder(resp.Body).Decode(&er)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || er.Code != codeNotWindowed {
+	if resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeNotWindowed {
 		t.Fatalf("first timestamped ingest without window: status %d code %q", resp.StatusCode, er.Code)
 	}
 	// The name was not claimed by the rejection...
@@ -666,7 +667,7 @@ func TestTimestampsWithoutWindowDoNotCreateStream(t *testing.T) {
 		t.Fatalf("rejected ingest created the stream: stats status %d", resp.StatusCode)
 	}
 	// ...so the corrected retry creates a real window stream.
-	var stats streamStats
+	var stats engine.StreamStats
 	resp2, err := http.Post(ts.URL+"/streams/fresh/points?window=100", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -686,10 +687,10 @@ func TestWindowParamsOnExistingPlainStreamRejected(t *testing.T) {
 	doJSON(t, "POST", ts.URL+"/streams/p/points", batch(kcenter.Dataset{{1, 2}}), nil)
 	var er errorResponse
 	resp := doJSON(t, "POST", ts.URL+"/streams/p/points?window=100", batch(kcenter.Dataset{{3, 4}}), &er)
-	if resp.StatusCode != http.StatusBadRequest || er.Code != codeInvalidParam {
+	if resp.StatusCode != http.StatusBadRequest || er.Code != engine.CodeInvalidParam {
 		t.Fatalf("window param on plain stream: status %d code %q", resp.StatusCode, er.Code)
 	}
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", ts.URL+"/streams/p/stats", nil, &st)
 	if st.Observed != 1 {
 		t.Errorf("rejected batch was ingested: observed %d, want 1", st.Observed)

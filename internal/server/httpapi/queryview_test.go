@@ -92,7 +92,7 @@ func TestQueryViewHammer(t *testing.T) {
 		defer wg.Done()
 		defer done.Store(true)
 		for i := 0; i < batches; i++ {
-			var stats streamStats
+			var stats engine.StreamStats
 			resp, ok := tryJSON(t, "POST", url+"/points", batch(hammerBatch(i, perBatch, dim)), &stats)
 			if !ok {
 				return
@@ -140,7 +140,7 @@ func TestQueryViewHammer(t *testing.T) {
 						return
 					}
 				case 1:
-					var stats streamStats
+					var stats engine.StreamStats
 					resp, ok := tryJSON(t, "GET", url+"/stats", nil, &stats)
 					if !ok {
 						return
@@ -223,7 +223,7 @@ func TestQueryViewHammer(t *testing.T) {
 	// (c) with the writer stopped the version is frozen: the next two centers
 	// queries answer byte-identically (the second from the cache), and both
 	// match a fresh local extraction from the final state.
-	read := func() ([]byte, streamStats) {
+	read := func() ([]byte, engine.StreamStats) {
 		resp, err := http.Get(url + "/centers")
 		if err != nil {
 			t.Fatal(err)
@@ -240,7 +240,7 @@ func TestQueryViewHammer(t *testing.T) {
 		if err := json.Unmarshal(body, &cr); err != nil {
 			t.Fatal(err)
 		}
-		return body, cr.streamStats
+		return body, cr.StreamStats
 	}
 	first, s1 := read()
 	second, s2 := read()
@@ -332,8 +332,8 @@ func TestMidBatchApplyFailureSetsStreamAside(t *testing.T) {
 
 	var errResp errorResponse
 	resp := doJSON(t, "POST", url+"/points", batch(blobs(10, 2, 2)), &errResp)
-	if resp.StatusCode != http.StatusInternalServerError || errResp.Code != codeStreamFailed {
-		t.Fatalf("diverged ingest: status %d code %q, want 500 %s", resp.StatusCode, errResp.Code, codeStreamFailed)
+	if resp.StatusCode != http.StatusInternalServerError || errResp.Code != engine.CodeStreamFailed {
+		t.Fatalf("diverged ingest: status %d code %q, want 500 %s", resp.StatusCode, errResp.Code, engine.CodeStreamFailed)
 	}
 
 	// Gone from the table...
@@ -356,7 +356,7 @@ func TestMidBatchApplyFailureSetsStreamAside(t *testing.T) {
 	}
 	// ...and the name is free again.
 	engine.ApplyPointHook = func(int) error { return nil }
-	var stats streamStats
+	var stats engine.StreamStats
 	if resp := doJSON(t, "POST", url+"/points", batch(blobs(20, 2, 3)), &stats); resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-create after set-aside: status %d", resp.StatusCode)
 	}
@@ -405,9 +405,9 @@ func TestIngestProceedsDuringCompaction(t *testing.T) {
 
 	// With the compaction wedged mid-flight, writes and reads must complete
 	// promptly — the old code held the stream mutex across the whole thing.
-	doneIngest := make(chan streamStats, 1)
+	doneIngest := make(chan engine.StreamStats, 1)
 	go func() {
-		var stats streamStats
+		var stats engine.StreamStats
 		doJSON(t, "POST", url+"/points", batch(blobs(20, 2, 99)), &stats)
 		doneIngest <- stats
 	}()
@@ -429,7 +429,7 @@ func TestIngestProceedsDuringCompaction(t *testing.T) {
 	// and the concurrent batch survives in the journal for replay.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var stats streamStats
+		var stats engine.StreamStats
 		doJSON(t, "GET", url+"/stats", nil, &stats)
 		if stats.Durability != nil && stats.Durability.Compactions >= 1 {
 			break

@@ -76,7 +76,7 @@ func (d *tracedDaemon) fetchDetail(t *testing.T, id string) (obs.TraceDetail, in
 func TestTracedRequestEndToEnd(t *testing.T) {
 	// Sampling is effectively off (1 in 2^30): retention must come from the
 	// forced slow capture and the caller's sampled traceparent flag alone.
-	d := newTracedDaemon(t, config{k: 2, budget: 16, slowReq: time.Nanosecond, traceSample: 1 << 30})
+	d := newTracedDaemon(t, config{k: 2, budget: 16, Common: Common{SlowRequest: time.Nanosecond, TraceSample: 1 << 30}})
 
 	const caller = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	const callerID = "0af7651916cd43dd8448eb211c80319c"
@@ -177,7 +177,7 @@ func TestTracedRequestEndToEnd(t *testing.T) {
 // TestTraceparentMalformedGetsFreshTrace: a malformed inbound header must not
 // be echoed back — the daemon answers with a fresh local trace ID.
 func TestTraceparentMalformedGetsFreshTrace(t *testing.T) {
-	d := newTracedDaemon(t, config{k: 2, budget: 16, slowReq: time.Nanosecond, traceSample: 1 << 30})
+	d := newTracedDaemon(t, config{k: 2, budget: 16, Common: Common{SlowRequest: time.Nanosecond, TraceSample: 1 << 30}})
 	req, err := http.NewRequest("POST", d.http.URL+"/streams/m/points",
 		strings.NewReader(`{"points":[[1,2]]}`))
 	if err != nil {
@@ -203,7 +203,7 @@ func TestTraceparentMalformedGetsFreshTrace(t *testing.T) {
 // slow threshold, an ordinary request still gets a trace ID on the wire but
 // the trace is not kept — recording is per-request, retention is not.
 func TestUnsampledFastRequestNotRetained(t *testing.T) {
-	d := newTracedDaemon(t, config{k: 2, budget: 16, traceSample: 1 << 30})
+	d := newTracedDaemon(t, config{k: 2, budget: 16, Common: Common{TraceSample: 1 << 30}})
 	// Burn sampler slot 0, which is always sampled.
 	resp := doJSON(t, "POST", d.http.URL+"/streams/warm/points", batch(blobs(2, 2, 1)), nil)
 	if resp.StatusCode != http.StatusOK {
@@ -226,7 +226,7 @@ func TestUnsampledFastRequestNotRetained(t *testing.T) {
 // off; the debug endpoints answer 404 instead of panicking, and requests
 // carry no X-Trace-ID.
 func TestTracesEndpointWithTracingDisabled(t *testing.T) {
-	srv := newServer(config{k: 2, budget: 16, traceBuffer: -1})
+	srv := newServer(config{k: 2, budget: 16, Common: Common{TraceBuffer: -1}})
 	if srv.eng.Tracer != nil {
 		t.Fatal("negative traceBuffer must disable the tracer")
 	}

@@ -3,15 +3,16 @@ package httpapi
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"sync"
 
+	kcenter "coresetclustering"
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/obs"
+	"coresetclustering/internal/server/engine"
 )
 
 // Binary ingest wire format. The request body of a binary ingest is one
@@ -25,11 +26,12 @@ import (
 //	                  non-negative and non-decreasing
 //
 // The trailer's count is the frame's point count; nothing may follow it.
-// Negotiation is by Content-Type: "application/x-kcenter-flat" selects the
-// binary decoder, JSON (or no Content-Type) the JSON one, anything else is
-// 415 unsupported_media_type.
+// Negotiation is by Content-Type: BinaryContentType selects the binary
+// decoder, JSON (or no Content-Type) the JSON one, anything else is 415
+// unsupported_media_type.
 const (
-	binaryContentType = "application/x-kcenter-flat"
+	// BinaryContentType is the Content-Type of the KCFL binary ingest protocol.
+	BinaryContentType = "application/x-kcenter-flat"
 	tsTrailerMagic    = "KCTS"
 )
 
@@ -55,7 +57,7 @@ func negotiateIngest(r *http.Request) ingestMedia {
 		return mediaJSON
 	}
 	switch mt {
-	case binaryContentType:
+	case BinaryContentType:
 		return mediaBinary
 	case "application/json", "text/json":
 		return mediaJSON
@@ -64,39 +66,39 @@ func negotiateIngest(r *http.Request) ingestMedia {
 	}
 }
 
-// decodeBinaryIngest decodes a binary ingest body: one flat frame plus the
+// DecodeBinaryIngest decodes a binary ingest body: one flat frame plus the
 // optional timestamp trailer. On failure it returns the error code the
 // response should carry (invalid_frame for structural defects,
 // invalid_timestamps for a well-formed trailer with bad values, empty_batch
 // for a frame of zero points).
-func decodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, err error) {
+func DecodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, err error) {
 	f, rest, err := metric.DecodeFlatFrame(body)
 	if err != nil {
-		return nil, nil, codeInvalidFrame, err
+		return nil, nil, engine.CodeInvalidFrame, err
 	}
 	if f.Len() == 0 {
-		return nil, nil, codeEmptyBatch, errors.New("empty batch")
+		return nil, nil, engine.CodeEmptyBatch, errors.New("empty batch")
 	}
 	if len(rest) == 0 {
 		return f, nil, "", nil
 	}
 	if len(rest) < len(tsTrailerMagic) || string(rest[:len(tsTrailerMagic)]) != tsTrailerMagic {
-		return nil, nil, codeInvalidFrame,
+		return nil, nil, engine.CodeInvalidFrame,
 			fmt.Errorf("%d trailing bytes after the point frame are not a timestamp trailer", len(rest))
 	}
 	rest = rest[len(tsTrailerMagic):]
 	if len(rest) != 8*f.Len() {
-		return nil, nil, codeInvalidFrame,
+		return nil, nil, engine.CodeInvalidFrame,
 			fmt.Errorf("timestamp trailer holds %d bytes, want %d (8 per point)", len(rest), 8*f.Len())
 	}
 	ts = make([]int64, f.Len())
 	for i := range ts {
 		v := int64(binary.BigEndian.Uint64(rest[8*i:]))
 		if v < 0 {
-			return nil, nil, codeInvalidTimestamps, fmt.Errorf("timestamp %d is negative (%d)", i, v)
+			return nil, nil, engine.CodeInvalidTimestamps, fmt.Errorf("timestamp %d is negative (%d)", i, v)
 		}
 		if i > 0 && v < ts[i-1] {
-			return nil, nil, codeInvalidTimestamps,
+			return nil, nil, engine.CodeInvalidTimestamps,
 				fmt.Errorf("timestamp %d (%d) precedes timestamp %d (%d)", i, v, i-1, ts[i-1])
 		}
 		ts[i] = v
@@ -104,27 +106,34 @@ func decodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, e
 	return f, ts, "", nil
 }
 
-// appendBinaryIngest encodes a batch (and optional timestamps) as a binary
-// ingest body — the encoder half of decodeBinaryIngest, shared by tests and
-// the load generator via this package's conventions.
-func appendBinaryIngest(dst []byte, f *metric.Flat, ts []int64) []byte {
+// EncodeBinaryIngest encodes a batch (and optional timestamps) as a binary
+// ingest body — the encoder half of DecodeBinaryIngest, shared by the router's
+// per-shard fan-out, the load generator and the tests.
+func EncodeBinaryIngest(dst []byte, f *metric.Flat, ts []int64) []byte {
 	dst = f.AppendFrame(dst)
 	if ts != nil {
 		dst = append(dst, tsTrailerMagic...)
-		var scratch [8]byte
 		for _, v := range ts {
-			binary.BigEndian.PutUint64(scratch[:], uint64(v))
-			dst = append(dst, scratch[:]...)
+			dst = binary.BigEndian.AppendUint64(dst, uint64(v))
 		}
 	}
 	return dst
 }
 
-// ingestCarrier is the pooled per-request scratch state of the JSON ingest
-// path: the raw body buffer and the decoded request, both reused across
-// requests so steady-state JSON ingest does not re-allocate its decode
-// buffers (the points handed to the stream are copied into fresh contiguous
-// storage first — nothing pooled ever leaks into stream state).
+// ingestRequest is the JSON ingest body.
+type ingestRequest struct {
+	Points kcenter.Dataset `json:"points"`
+	// Timestamps optionally carries one non-negative, non-decreasing int64
+	// per point (window streams only), in the same caller-defined units as
+	// the stream's ?windowDur= bound.
+	Timestamps []int64 `json:"timestamps,omitempty"`
+}
+
+// ingestCarrier is the pooled per-request scratch state of the ingest front
+// end: the raw body buffer and the decoded JSON request, both reused across
+// requests so steady-state ingest does not re-allocate its decode buffers
+// (what DecodeIngest returns is copied into fresh storage first — nothing
+// pooled ever leaks into stream state).
 type ingestCarrier struct {
 	body bytes.Buffer
 	req  ingestRequest
@@ -132,87 +141,61 @@ type ingestCarrier struct {
 
 var ingestPool = sync.Pool{New: func() any { return new(ingestCarrier) }}
 
-// readIngestJSON reads and strictly decodes a JSON ingest body into the
-// carrier, reusing its buffers: the body buffer is pre-sized from
-// Content-Length, the point slices (outer and inner) are reused by
-// encoding/json's reset-length-then-append semantics. Timestamps are nilled
-// before decoding — absence must mean nil, not last request's values. It
-// writes the error response itself and reports success.
-func (c *ingestCarrier) readIngestJSON(w http.ResponseWriter, r *http.Request) bool {
-	c.body.Reset()
-	if n := r.ContentLength; n > 0 {
-		c.body.Grow(int(n))
+// DecodeIngest is the ingest decode front end of both roles. It negotiates
+// the decoder by Content-Type and reads the body into pooled buffers under a
+// "decode" span. A KCFL frame decodes straight into contiguous storage with
+// zero per-point allocations and no JSON anywhere; a JSON body is decoded
+// strictly (the point slices reused by encoding/json's
+// reset-length-then-append semantics, timestamps nilled so absence means nil),
+// then fully validated and copied into one contiguous allocation laid out the
+// way the batched distance kernels want, under a "validate" span. The batch
+// and timestamps returned are the caller's to keep; binaryBytes is the body
+// size of a binary batch and -1 for JSON. On failure it writes the error
+// response itself and ok is false.
+func DecodeIngest(w http.ResponseWriter, r *http.Request) (batch metric.Dataset, ts []int64, binaryBytes int, ok bool) {
+	media := negotiateIngest(r)
+	if media == mediaUnsupported {
+		Error(w, http.StatusUnsupportedMediaType, engine.CodeUnsupportedMedia,
+			fmt.Errorf("unsupported Content-Type %q (use application/json or %s)",
+				r.Header.Get("Content-Type"), BinaryContentType))
+		return nil, nil, 0, false
 	}
-	if _, err := c.body.ReadFrom(r.Body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
+	c := ingestPool.Get().(*ingestCarrier)
+	defer ingestPool.Put(c)
+	_, decode := obs.StartSpan(r.Context(), "decode")
+	if media == mediaBinary {
+		decode.SetAttr("proto", "binary")
+		defer decode.End()
+		if !readBody(w, r, &c.body, engine.CodeInvalidFrame) {
+			return nil, nil, 0, false
 		}
-		httpError(w, http.StatusBadRequest, codeInvalidJSON, fmt.Errorf("reading request body: %w", err))
-		return false
+		f, ts, code, err := DecodeBinaryIngest(c.body.Bytes())
+		if err != nil {
+			Error(w, http.StatusBadRequest, code, err)
+			return nil, nil, 0, false
+		}
+		return f.Dataset(), ts, c.body.Len(), true
 	}
+	decode.SetAttr("proto", "json")
 	if c.req.Points != nil {
 		c.req.Points = c.req.Points[:0]
 	}
 	c.req.Timestamps = nil
-	dec := json.NewDecoder(bytes.NewReader(c.body.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c.req); err != nil {
-		httpError(w, http.StatusBadRequest, codeInvalidJSON, fmt.Errorf("invalid JSON body: %w", err))
-		return false
+	ok = readBody(w, r, &c.body, engine.CodeInvalidJSON) && decodeStrict(w, c.body.Bytes(), &c.req)
+	decode.End()
+	if !ok {
+		return nil, nil, 0, false
 	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, codeInvalidJSON, errors.New("trailing data after JSON body"))
-		return false
+	_, validate := obs.StartSpan(r.Context(), "validate")
+	defer validate.End()
+	if err := engine.ValidateBatch(c.req.Points, c.req.Timestamps); err != nil {
+		EngineError(w, err)
+		return nil, nil, 0, false
 	}
-	return true
-}
-
-// compactBatch copies the validated pooled points into fresh contiguous flat
-// storage and returns the dataset of views into it. This is what crosses
-// into stream state (the clusterers retain the point slices they observe),
-// so the pooled decode buffers can be reused by the next request — and the
-// copy is itself a win: one allocation for all coordinates instead of one
-// per point, laid out the way the batched distance kernels want.
-func compactBatch(points metric.Dataset) (metric.Dataset, error) {
-	f, err := metric.FlatFromDataset(points)
+	f, err := metric.FlatFromDataset(c.req.Points)
 	if err != nil {
-		return nil, err
+		Error(w, http.StatusInternalServerError, engine.CodeInternal, err)
+		return nil, nil, 0, false
 	}
-	return f.Dataset(), nil
-}
-
-// Exported wire helpers: the router role speaks the daemon's exact ingest
-// encodings (it decodes client batches and re-encodes per-shard sub-batches
-// as binary frames), so the codec lives once, here.
-
-// BinaryContentType is the Content-Type of the KCFL binary ingest protocol.
-const BinaryContentType = binaryContentType
-
-// NegotiateIngestMedia reports the decoder an ingest request selects by
-// Content-Type: "json", "binary", or "" for an unsupported media type.
-func NegotiateIngestMedia(r *http.Request) string {
-	switch negotiateIngest(r) {
-	case mediaBinary:
-		return "binary"
-	case mediaJSON:
-		return "json"
-	default:
-		return ""
-	}
-}
-
-// DecodeBinaryIngest decodes a binary ingest body (flat frame + optional
-// timestamp trailer); on failure the returned code is the stable error code
-// the response should carry.
-func DecodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, err error) {
-	return decodeBinaryIngest(body)
-}
-
-// EncodeBinaryIngest encodes a batch (and optional timestamps) as a binary
-// ingest body — the encoder half of DecodeBinaryIngest.
-func EncodeBinaryIngest(dst []byte, f *metric.Flat, ts []int64) []byte {
-	return appendBinaryIngest(dst, f, ts)
+	return f.Dataset(), c.req.Timestamps, -1, true
 }

@@ -26,7 +26,7 @@ func BenchmarkIngestHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	binBytes := appendBinaryIngest(nil, f, nil)
+	binBytes := EncodeBinaryIngest(nil, f, nil)
 
 	for _, bc := range []struct {
 		name        string
@@ -34,7 +34,7 @@ func BenchmarkIngestHTTP(b *testing.B) {
 		body        []byte
 	}{
 		{"proto=json", "application/json", jsonBytes},
-		{"proto=binary", binaryContentType, binBytes},
+		{"proto=binary", BinaryContentType, binBytes},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			h := newServer(config{k: 4, budget: 32}).routes()

@@ -14,6 +14,7 @@ import (
 	kcenter "coresetclustering"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/persist"
+	"coresetclustering/internal/server/engine"
 )
 
 // binaryBody encodes points (and optional timestamps) as a binary ingest
@@ -24,7 +25,7 @@ func binaryBody(t *testing.T, points kcenter.Dataset, ts []int64) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return appendBinaryIngest(nil, f, ts)
+	return EncodeBinaryIngest(nil, f, ts)
 }
 
 // postBytes posts a raw body with an explicit Content-Type and returns the
@@ -58,7 +59,7 @@ func TestBinaryIngestEquivalence(t *testing.T) {
 			if resp := doJSON(t, "POST", jsonSrv.URL+"/streams/s/points", batch(points), nil); resp.StatusCode != http.StatusOK {
 				t.Fatalf("JSON ingest %d: status %d", i, resp.StatusCode)
 			}
-			if status, code := postBytes(t, binSrv.URL+"/streams/s/points", binaryContentType, binaryBody(t, points, nil)); status != http.StatusOK {
+			if status, code := postBytes(t, binSrv.URL+"/streams/s/points", BinaryContentType, binaryBody(t, points, nil)); status != http.StatusOK {
 				t.Fatalf("binary ingest %d: status %d code %q", i, status, code)
 			}
 		}
@@ -82,7 +83,7 @@ func TestBinaryIngestEquivalence(t *testing.T) {
 			if resp := doJSON(t, "POST", jsonSrv.URL+"/streams/w/points?window=50&windowDur=40", req, nil); resp.StatusCode != http.StatusOK {
 				t.Fatalf("JSON ingest %d: status %d", i, resp.StatusCode)
 			}
-			if status, code := postBytes(t, binSrv.URL+"/streams/w/points?window=50&windowDur=40", binaryContentType, binaryBody(t, points, stamps)); status != http.StatusOK {
+			if status, code := postBytes(t, binSrv.URL+"/streams/w/points?window=50&windowDur=40", BinaryContentType, binaryBody(t, points, stamps)); status != http.StatusOK {
 				t.Fatalf("binary ingest %d: status %d code %q", i, status, code)
 			}
 		}
@@ -98,7 +99,7 @@ func TestBinaryIngestEquivalence(t *testing.T) {
 func TestBinaryIngestTypedErrors(t *testing.T) {
 	srv := newTestServer(t, config{k: 2, budget: 16})
 	// Seed a 2-dimensional stream so dimension mismatches are reachable.
-	if status, code := postBytes(t, srv.URL+"/streams/t/points", binaryContentType,
+	if status, code := postBytes(t, srv.URL+"/streams/t/points", BinaryContentType,
 		binaryBody(t, kcenter.Dataset{{1, 2}}, nil)); status != http.StatusOK {
 		t.Fatalf("seed ingest: status %d code %q", status, code)
 	}
@@ -126,17 +127,17 @@ func TestBinaryIngestTypedErrors(t *testing.T) {
 		status      int
 		code        string
 	}{
-		{"bad-magic", binaryContentType, corrupt(0, 'X'), 400, codeInvalidFrame},
-		{"bad-version", binaryContentType, corrupt(4, 9), 400, codeInvalidFrame},
-		{"truncated-header", binaryContentType, good[:12], 400, codeInvalidFrame},
-		{"truncated-payload", binaryContentType, good[:len(good)-4], 400, codeInvalidFrame},
-		{"count-beyond-payload", binaryContentType, corrupt(19, 200), 400, codeInvalidFrame},
-		{"empty-batch", binaryContentType, emptyFrame, 400, codeEmptyBatch},
-		{"trailing-junk", binaryContentType, append(bytes.Clone(good), 0xAB, 0xCD), 400, codeInvalidFrame},
-		{"short-trailer", binaryContentType, goodTS[:len(goodTS)-8], 400, codeInvalidFrame},
-		{"wrong-dimension", binaryContentType, binaryBody(t, kcenter.Dataset{{1, 2, 3}}, nil), 400, codeDimensionMismatch},
-		{"timestamps-on-plain-stream", binaryContentType, goodTS, 400, codeNotWindowed},
-		{"unsupported-media", "application/xml", good, 415, codeUnsupportedMedia},
+		{"bad-magic", BinaryContentType, corrupt(0, 'X'), 400, engine.CodeInvalidFrame},
+		{"bad-version", BinaryContentType, corrupt(4, 9), 400, engine.CodeInvalidFrame},
+		{"truncated-header", BinaryContentType, good[:12], 400, engine.CodeInvalidFrame},
+		{"truncated-payload", BinaryContentType, good[:len(good)-4], 400, engine.CodeInvalidFrame},
+		{"count-beyond-payload", BinaryContentType, corrupt(19, 200), 400, engine.CodeInvalidFrame},
+		{"empty-batch", BinaryContentType, emptyFrame, 400, engine.CodeEmptyBatch},
+		{"trailing-junk", BinaryContentType, append(bytes.Clone(good), 0xAB, 0xCD), 400, engine.CodeInvalidFrame},
+		{"short-trailer", BinaryContentType, goodTS[:len(goodTS)-8], 400, engine.CodeInvalidFrame},
+		{"wrong-dimension", BinaryContentType, binaryBody(t, kcenter.Dataset{{1, 2, 3}}, nil), 400, engine.CodeDimensionMismatch},
+		{"timestamps-on-plain-stream", BinaryContentType, goodTS, 400, engine.CodeNotWindowed},
+		{"unsupported-media", "application/xml", good, 415, engine.CodeUnsupportedMedia},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,65 +149,24 @@ func TestBinaryIngestTypedErrors(t *testing.T) {
 	}
 	t.Run("negative-timestamp", func(t *testing.T) {
 		body := binaryBody(t, kcenter.Dataset{{1, 2}}, []int64{-3})
-		status, code := postBytes(t, srv.URL+"/streams/neg/points?window=10", binaryContentType, body)
-		if status != 400 || code != codeInvalidTimestamps {
-			t.Errorf("status %d code %q, want 400 %q", status, code, codeInvalidTimestamps)
+		status, code := postBytes(t, srv.URL+"/streams/neg/points?window=10", BinaryContentType, body)
+		if status != 400 || code != engine.CodeInvalidTimestamps {
+			t.Errorf("status %d code %q, want 400 %q", status, code, engine.CodeInvalidTimestamps)
 		}
 	})
 	t.Run("decreasing-timestamps", func(t *testing.T) {
 		body := binaryBody(t, kcenter.Dataset{{1, 2}, {3, 4}}, []int64{9, 4})
-		status, code := postBytes(t, srv.URL+"/streams/dec/points?window=10", binaryContentType, body)
-		if status != 400 || code != codeInvalidTimestamps {
-			t.Errorf("status %d code %q, want 400 %q", status, code, codeInvalidTimestamps)
+		status, code := postBytes(t, srv.URL+"/streams/dec/points?window=10", BinaryContentType, body)
+		if status != 400 || code != engine.CodeInvalidTimestamps {
+			t.Errorf("status %d code %q, want 400 %q", status, code, engine.CodeInvalidTimestamps)
 		}
 	})
 
 	// None of the rejections moved the stream.
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", srv.URL+"/streams/t/stats", nil, &st)
 	if st.Observed != 1 {
 		t.Errorf("observed %d after rejected batches, want 1", st.Observed)
-	}
-}
-
-// TestIngestContentNegotiation pins the fallback rules: absent and unparseable
-// Content-Types decode as JSON (what the daemon accepted before the binary
-// protocol existed), JSON media types decode as JSON, and only recognisably
-// foreign types get the 415.
-func TestIngestContentNegotiation(t *testing.T) {
-	srv := newTestServer(t, config{k: 2, budget: 16})
-	jsonBody, err := json.Marshal(batch(kcenter.Dataset{{1, 2}}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		contentType string
-		status      int
-	}{
-		{"", http.StatusOK},
-		{"application/json", http.StatusOK},
-		{"application/json; charset=utf-8", http.StatusOK},
-		{"text/json", http.StatusOK},
-		{"not a valid media type", http.StatusOK}, // unparseable: JSON fallback
-		{"application/octet-stream", http.StatusUnsupportedMediaType},
-		{"text/plain", http.StatusUnsupportedMediaType},
-	} {
-		req, err := http.NewRequest("POST", srv.URL+"/streams/n/points", bytes.NewReader(jsonBody))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tc.contentType != "" {
-			req.Header.Set("Content-Type", tc.contentType)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != tc.status {
-			t.Errorf("Content-Type %q: status %d, want %d", tc.contentType, resp.StatusCode, tc.status)
-		}
 	}
 }
 
@@ -214,14 +174,14 @@ func TestIngestContentNegotiation(t *testing.T) {
 // /points the original; both serve the same negotiated handler.
 func TestIngestRouteAlias(t *testing.T) {
 	srv := newTestServer(t, config{k: 2, budget: 16})
-	if status, code := postBytes(t, srv.URL+"/streams/a/ingest", binaryContentType,
+	if status, code := postBytes(t, srv.URL+"/streams/a/ingest", BinaryContentType,
 		binaryBody(t, kcenter.Dataset{{1, 2}}, nil)); status != http.StatusOK {
 		t.Fatalf("binary via /ingest: status %d code %q", status, code)
 	}
 	if resp := doJSON(t, "POST", srv.URL+"/streams/a/ingest", batch(kcenter.Dataset{{3, 4}}), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("JSON via /ingest: status %d", resp.StatusCode)
 	}
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", srv.URL+"/streams/a/stats", nil, &st)
 	if st.Observed != 2 {
 		t.Errorf("observed %d via /ingest alias, want 2", st.Observed)
@@ -249,7 +209,7 @@ func TestJSONIngestPoolReuse(t *testing.T) {
 			t.Fatalf("ingest %d: status %d", i, resp.StatusCode)
 		}
 	}
-	var st streamStats
+	var st engine.StreamStats
 	doJSON(t, "GET", srv.URL+"/streams/p/stats", nil, &st)
 	var want int64
 	for i := int64(0); i < 20; i++ {
@@ -283,7 +243,7 @@ func TestMetricsBinaryAndGroupCommitSeries(t *testing.T) {
 	points := blobs(10, 3, 1)
 	body := binaryBody(t, points, nil)
 	for i := 0; i < 2; i++ {
-		if status, code := postBytes(t, ts.URL+"/streams/s/points", binaryContentType, body); status != http.StatusOK {
+		if status, code := postBytes(t, ts.URL+"/streams/s/points", BinaryContentType, body); status != http.StatusOK {
 			t.Fatalf("binary ingest %d: status %d code %q", i, status, code)
 		}
 	}
@@ -291,7 +251,7 @@ func TestMetricsBinaryAndGroupCommitSeries(t *testing.T) {
 		t.Fatalf("JSON ingest: status %d", resp.StatusCode)
 	}
 	// A rejected binary body must not move the binary counters.
-	if status, _ := postBytes(t, ts.URL+"/streams/s/points", binaryContentType, body[:10]); status != http.StatusBadRequest {
+	if status, _ := postBytes(t, ts.URL+"/streams/s/points", BinaryContentType, body[:10]); status != http.StatusBadRequest {
 		t.Fatalf("truncated frame: status %d, want 400", status)
 	}
 
@@ -324,22 +284,22 @@ func FuzzBinaryIngestDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(appendBinaryIngest(nil, good, nil))
-	f.Add(appendBinaryIngest(nil, good, []int64{5, 9}))
+	f.Add(EncodeBinaryIngest(nil, good, nil))
+	f.Add(EncodeBinaryIngest(nil, good, []int64{5, 9}))
 	f.Add([]byte("KCFL"))
 	f.Add([]byte{})
-	f.Add(appendBinaryIngest(nil, good, nil)[:21])
-	huge := appendBinaryIngest(nil, good, nil)
+	f.Add(EncodeBinaryIngest(nil, good, nil)[:21])
+	huge := EncodeBinaryIngest(nil, good, nil)
 	huge[12] = 0xFF // count header far beyond the payload
 	f.Add(huge)
-	junk := append(appendBinaryIngest(nil, good, nil), "KCTSxx"...)
+	junk := append(EncodeBinaryIngest(nil, good, nil), "KCTSxx"...)
 	f.Add(junk)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		flat, ts, code, err := decodeBinaryIngest(data)
+		flat, ts, code, err := DecodeBinaryIngest(data)
 		if err != nil {
 			switch code {
-			case codeInvalidFrame, codeInvalidTimestamps, codeEmptyBatch:
+			case engine.CodeInvalidFrame, engine.CodeInvalidTimestamps, engine.CodeEmptyBatch:
 			default:
 				t.Fatalf("error %v carries unknown code %q", err, code)
 			}
@@ -360,7 +320,7 @@ func FuzzBinaryIngestDecode(f *testing.F) {
 			}
 		}
 		// Accepted input must re-encode to exactly the bytes decoded.
-		if got := appendBinaryIngest(nil, flat, ts); !bytes.Equal(got, data) {
+		if got := EncodeBinaryIngest(nil, flat, ts); !bytes.Equal(got, data) {
 			t.Fatalf("re-encode differs: %d bytes in, %d out", len(data), len(got))
 		}
 	})

@@ -363,6 +363,27 @@ func TestClusterMergedRadius(t *testing.T) {
 	if restoreResp.StatusCode != http.StatusOK {
 		t.Fatalf("restoring the merged snapshot on a shard: status %d body %s", restoreResp.StatusCode, rb)
 	}
+
+	// The router's own series: the ingest counter accounts for exactly the
+	// points sent over both protocols, and every kcenterd_router_* family is
+	// exported (the retry and send-failure counters only once a shard
+	// request has failed).
+	_, body := fetch(t, http.MethodGet, ts.URL+"/metrics", "")
+	metrics := string(body)
+	if want := fmt.Sprintf("\nkcenterd_router_ingest_points_total %d\n", n); !strings.Contains(metrics, want) {
+		t.Errorf("router scrape lacks %q", strings.TrimSpace(want))
+	}
+	for _, family := range []string{
+		"http_requests_total", "http_request_duration_seconds", "http_in_flight_requests",
+		"http_slow_requests_total", "ingest_batches_total", "ingest_points_total",
+		"shard_sends_total", "shard_send_duration_seconds", "shard_pulls_total",
+		"merges_total", "merge_failures_total", "merge_cache_hits_total",
+		"uptime_seconds", "shards", "streams_known", "shard_healthy",
+	} {
+		if !strings.Contains(metrics, "\n# TYPE kcenterd_router_"+family+" ") {
+			t.Errorf("router scrape lacks the kcenterd_router_%s family", family)
+		}
+	}
 }
 
 // TestClusterShardKillRejoin kills one durable shard with SIGKILL mid-run:

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	kcenter "coresetclustering"
+	"coresetclustering/internal/obs"
 	"coresetclustering/internal/server/engine"
 	"coresetclustering/internal/server/httpapi"
 )
@@ -132,7 +133,7 @@ func (s *server) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		To int64 `json:"to"`
 	}
-	if !decodeJSON(w, r, &req) {
+	if !httpapi.DecodeJSON(w, r, &req) {
 		return
 	}
 	body, err := json.Marshal(req)
@@ -224,7 +225,7 @@ func (s *server) broadcast(r *http.Request, rq shardReq) ([]shardResp, []error) 
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			_, span := obsStartSpan(r, "shard.send")
+			_, span := obs.StartSpan(r.Context(), "shard.send")
 			span.SetAttr("shard", sh.addr)
 			resps[i], errs[i] = s.sendShard(r.Context(), sh, rq, span)
 			if errs[i] != nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	kcenter "coresetclustering"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/obs"
 	"coresetclustering/internal/server/engine"
@@ -59,88 +57,17 @@ func passthroughQuery(q url.Values) string {
 	return out.Encode()
 }
 
-// decodeJSON strictly decodes a JSON request body with the same contract as
-// the shard daemon: unknown fields rejected, trailing data rejected, a body
-// over -max-body mapped to 413 body_too_large.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			httpapi.Error(w, http.StatusRequestEntityTooLarge, engine.CodeBodyTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return false
-		}
-		httpapi.Error(w, http.StatusBadRequest, engine.CodeInvalidJSON, fmt.Errorf("invalid JSON body: %w", err))
-		return false
-	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		httpapi.Error(w, http.StatusBadRequest, engine.CodeInvalidJSON, errors.New("trailing data after JSON body"))
-		return false
-	}
-	return true
-}
-
-// handleIngest decodes a client batch (JSON or binary, same negotiation as
-// the shard daemon), partitions it per point, and fans the partitions out to
-// the shards as binary frames — whatever encoding the client spoke, shards
-// always receive the zero-copy flat frame.
+// handleIngest decodes a client batch through the shard daemon's own ingest
+// front end (httpapi.DecodeIngest: same negotiation, validation and error
+// codes, so a bad batch dies here before any fan-out), partitions it per
+// point, and fans the partitions out to the shards as binary frames —
+// whatever encoding the client spoke, shards always receive the zero-copy
+// flat frame.
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var (
-		points metric.Dataset
-		ts     []int64
-	)
-	switch httpapi.NegotiateIngestMedia(r) {
-	case "json":
-		var req struct {
-			Points     kcenter.Dataset `json:"points"`
-			Timestamps []int64         `json:"timestamps,omitempty"`
-		}
-		_, decode := obs.StartSpan(r.Context(), "decode")
-		decode.SetAttr("proto", "json")
-		ok := decodeJSON(w, r, &req)
-		decode.End()
-		if !ok {
-			return
-		}
-		_, validate := obs.StartSpan(r.Context(), "validate")
-		err := engine.ValidateBatch(req.Points, req.Timestamps)
-		validate.End()
-		if err != nil {
-			httpapi.EngineError(w, err)
-			return
-		}
-		points, ts = req.Points, req.Timestamps
-	case "binary":
-		_, decode := obs.StartSpan(r.Context(), "decode")
-		decode.SetAttr("proto", "binary")
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			decode.End()
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				httpapi.Error(w, http.StatusRequestEntityTooLarge, engine.CodeBodyTooLarge,
-					fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-				return
-			}
-			httpapi.Error(w, http.StatusBadRequest, engine.CodeInvalidFrame, fmt.Errorf("reading request body: %w", err))
-			return
-		}
-		f, tts, code, err := httpapi.DecodeBinaryIngest(body)
-		decode.End()
-		if err != nil {
-			httpapi.Error(w, http.StatusBadRequest, code, err)
-			return
-		}
-		points, ts = f.Dataset(), tts
-	default:
-		httpapi.Error(w, http.StatusUnsupportedMediaType, engine.CodeUnsupportedMedia,
-			fmt.Errorf("unsupported Content-Type %q (use application/json or %s)",
-				r.Header.Get("Content-Type"), httpapi.BinaryContentType))
+	points, ts, _, ok := httpapi.DecodeIngest(w, r)
+	if !ok {
 		return
 	}
-
 	name := r.PathValue("name")
 
 	// Partition per point into per-shard flat frames.
@@ -238,10 +165,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Only a name every touched shard acknowledged is worth keeping fresh: a
 	// rejected batch may never have created the stream anywhere.
 	s.remember(name)
-	if m := s.m; m != nil {
-		m.IngestBatches.Add(1)
-		m.IngestPoints.Add(int64(len(points)))
-	}
+	s.m.IngestBatches.Add(1)
+	s.m.IngestPoints.Add(int64(len(points)))
 	httpapi.WriteJSON(w, http.StatusOK, ingestAck{
 		Stream: name, Points: len(points), Shards: sent, Observed: observed,
 	})
@@ -294,9 +219,7 @@ func (s *server) sendShard(ctx context.Context, sh *shard, rq shardReq, span *ob
 	backoff := 50 * time.Millisecond
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		if m := s.m; m != nil {
-			m.ShardSends.With(sh.addr).Add(1)
-		}
+		s.m.ShardSends.With(sh.addr).Add(1)
 		resp, err := s.sendOnce(ctx, sh, rq, span)
 		if err == nil && resp.status < http.StatusInternalServerError {
 			return resp, nil
@@ -306,14 +229,10 @@ func (s *server) sendShard(ctx context.Context, sh *shard, rq shardReq, span *ob
 		}
 		lastErr = err
 		if attempt >= s.cfg.retries || ctx.Err() != nil {
-			if m := s.m; m != nil {
-				m.ShardFailures.With(sh.addr).Add(1)
-			}
+			s.m.ShardFailures.With(sh.addr).Add(1)
 			return shardResp{}, lastErr
 		}
-		if m := s.m; m != nil {
-			m.ShardRetries.With(sh.addr).Add(1)
-		}
+		s.m.ShardRetries.With(sh.addr).Add(1)
 		select {
 		case <-time.After(backoff):
 		case <-ctx.Done():
@@ -346,24 +265,22 @@ func (s *server) sendOnce(ctx context.Context, sh *shard, rq shardReq, span *obs
 	if span != nil {
 		req.Header.Set("traceparent", span.Traceparent())
 	}
-	if reqID, ok := ctx.Value(requestIDKey{}).(string); ok && reqID != "" {
+	if reqID := httpapi.RequestID(ctx); reqID != "" {
 		req.Header.Set("X-Request-ID", reqID)
 	}
 	start := time.Now()
 	resp, err := s.client.Do(req)
-	if m := s.m; m != nil {
-		m.ShardSendDur.With(sh.addr).ObserveDuration(time.Since(start))
-	}
+	s.m.ShardSendDur.With(sh.addr).ObserveDuration(time.Since(start))
 	if err != nil {
 		return shardResp{}, err
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.maxBody+1))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, s.cfg.MaxBody+1))
 	if err != nil {
 		return shardResp{}, err
 	}
-	if int64(len(respBody)) > s.cfg.maxBody {
-		return shardResp{}, fmt.Errorf("response exceeds %d bytes", s.cfg.maxBody)
+	if int64(len(respBody)) > s.cfg.MaxBody {
+		return shardResp{}, fmt.Errorf("response exceeds %d bytes", s.cfg.MaxBody)
 	}
 	out := shardResp{status: resp.StatusCode, body: respBody,
 		etag: resp.Header.Get("ETag"), traceID: resp.Header.Get("X-Trace-ID")}

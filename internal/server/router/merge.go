@@ -80,9 +80,7 @@ func (s *server) getMerged(ctx context.Context, name string, force bool) (merged
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !force && !v.at.IsZero() && time.Since(v.at) < s.cfg.mergeInterval {
-		if m := s.m; m != nil {
-			m.MergeCacheHits.Add(1)
-		}
+		s.m.MergeCacheHits.Add(1)
 		return v.result(), nil
 	}
 	if err := s.refreshLocked(ctx, name, v); err != nil {
@@ -115,9 +113,7 @@ func (s *server) getMerged(ctx context.Context, name string, force bool) (merged
 func (s *server) refreshLocked(ctx context.Context, name string, v *mergedView) error {
 	pulled, changed, err := s.pullShards(ctx, name, v.pulled)
 	if err != nil {
-		if m := s.m; m != nil {
-			m.MergeFailures.Add(1)
-		}
+		s.m.MergeFailures.Add(1)
 		return &engine.Error{Code: engine.CodeShardUnavailable, Err: err}
 	}
 	blobs := make([][]byte, 0, len(pulled))
@@ -135,22 +131,16 @@ func (s *server) refreshLocked(ctx context.Context, name string, v *mergedView) 
 	if !changed {
 		span.SetAttr("cache", "revalidated")
 		span.End()
-		if m := s.m; m != nil {
-			m.MergeCacheHits.Add(1)
-		}
+		s.m.MergeCacheHits.Add(1)
 		v.at = time.Now()
 		return nil
 	}
 	span.SetAttr("cache", "merged")
-	if m := s.m; m != nil {
-		m.Merges.Add(1)
-	}
+	s.m.Merges.Add(1)
 	res, err := s.eng.Merge(blobs)
 	span.End()
 	if err != nil {
-		if m := s.m; m != nil {
-			m.MergeFailures.Add(1)
-		}
+		s.m.MergeFailures.Add(1)
 		return err
 	}
 	v.at = time.Now()
@@ -201,9 +191,7 @@ func (s *server) pullShards(ctx context.Context, name string, held []shardSketch
 				return
 			}
 			span.SetAttr("result", results[i])
-			if m := s.m; m != nil {
-				m.ShardPulls.With(sh.addr, results[i]).Add(1)
-			}
+			s.m.ShardPulls.With(sh.addr, results[i]).Add(1)
 		}(i, sh)
 	}
 	wg.Wait()

@@ -16,17 +16,12 @@ package router
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"coresetclustering/internal/obs"
@@ -36,15 +31,12 @@ import (
 
 // config carries the router's knobs; fields mirror the flag set.
 type config struct {
+	httpapi.Common
 	shards        []string      // shard addresses, order fixed for the process lifetime
 	mergeInterval time.Duration // merged-view validity + background refresh period
 	probeInterval time.Duration // shard health probe period (0 disables probing)
 	shardTimeout  time.Duration // per-attempt bound on one shard request
 	retries       int           // re-sends after a failed shard request (network error or 5xx)
-	maxBody       int64         // inbound request-body cap in bytes
-	slowReq       time.Duration // slow-request log threshold (0 = disabled)
-	traceSample   int           // head-sample 1 in N requests (0 = default 16)
-	traceBuffer   int           // retained completed traces (0 = default 256, <0 = off)
 }
 
 // shard is one backend daemon: its base URL plus the health state the probe
@@ -84,10 +76,7 @@ type metrics struct {
 	Reg   *obs.Registry
 	Start time.Time
 
-	HTTPRequests *obs.CounterVec // route, method, status
-	HTTPDuration *obs.HistogramVec
-	HTTPInFlight *obs.Gauge
-	HTTPSlow     *obs.Counter
+	HTTP *httpapi.HTTPMetrics
 
 	IngestBatches *obs.Counter
 	IngestPoints  *obs.Counter
@@ -109,16 +98,7 @@ func newMetrics() *metrics {
 		Reg:   r,
 		Start: time.Now(),
 
-		HTTPRequests: r.CounterVec("kcenterd_router_http_requests_total",
-			"HTTP requests served by the router, by route pattern, method and status code.",
-			"route", "method", "status"),
-		HTTPDuration: r.HistogramVec("kcenterd_router_http_request_duration_seconds",
-			"Router HTTP request latency by route pattern.",
-			obs.DefDurationBuckets, "route"),
-		HTTPInFlight: r.Gauge("kcenterd_router_http_in_flight_requests",
-			"Requests currently being handled by the router."),
-		HTTPSlow: r.Counter("kcenterd_router_http_slow_requests_total",
-			"Router requests slower than the -slow-request threshold."),
+		HTTP: httpapi.NewHTTPMetrics(r, "kcenterd_router"),
 
 		IngestBatches: r.Counter("kcenterd_router_ingest_batches_total",
 			"Client ingest batches accepted and fanned out."),
@@ -158,27 +138,17 @@ func newServer(cfg config) *server {
 	if cfg.retries < 0 {
 		cfg.retries = 0
 	}
-	if cfg.maxBody <= 0 {
-		cfg.maxBody = 64 << 20
-	}
-	if cfg.traceSample == 0 {
-		cfg.traceSample = 16
-	}
-	if cfg.traceBuffer == 0 {
-		cfg.traceBuffer = 256
-	}
+	cfg.Common = cfg.WithDefaults()
 	s := &server{
 		cfg:    cfg,
 		eng:    engine.New(engine.Config{}),
 		client: &http.Client{Transport: shardTransport()},
 		logger: obs.NewLogger(io.Discard, obs.LevelInfo),
+		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceBuffer),
 		m:      newMetrics(),
 		views:  make(map[string]*mergedView),
 		known:  make(map[string]struct{}),
 		closed: make(chan struct{}),
-	}
-	if cfg.traceBuffer > 0 {
-		s.tracer = obs.NewTracer(cfg.traceSample, cfg.traceBuffer)
 	}
 	for _, addr := range cfg.shards {
 		base := addr
@@ -212,19 +182,13 @@ func shardTransport() *http.Transport {
 // by cmd/kcenterd.
 func Run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("kcenterd -role=router", flag.ContinueOnError)
+	common := httpapi.RegisterFlags(fs)
 	var (
-		addr          = fs.String("addr", ":8080", "listen address")
 		shardsFlag    = fs.String("shards", "", "comma-separated shard daemon addresses (required)")
 		mergeInterval = fs.Duration("merge-interval", 2*time.Second, "merged global view validity and background refresh period")
 		probeInterval = fs.Duration("probe-interval", time.Second, "shard health probe period (0 disables probing)")
 		shardTimeout  = fs.Duration("shard-timeout", 10*time.Second, "per-attempt timeout for one shard request")
 		retries       = fs.Int("shard-retries", 2, "re-sends after a failed shard request (network error or 5xx)")
-		maxBody       = fs.Int64("max-body", 64<<20, "request body size cap in bytes")
-		logLevel      = fs.String("log-level", "info", "log verbosity: debug, info, warn or error")
-		slowReq       = fs.Duration("slow-request", time.Second, "log requests slower than this at warn level (0 disables)")
-		debugAddr     = fs.String("debug-addr", "", "separate listen address for pprof, expvar and /debug/traces (empty = disabled)")
-		traceSample   = fs.Int("trace-sample", 16, "head-sample 1 in N requests for tracing (slow and errored requests are always captured)")
-		traceBuffer   = fs.Int("trace-buffer", 256, "completed traces retained for /debug/traces (0 disables tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -238,88 +202,27 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("-shards is required for -role=router")
 	}
-	level, err := obs.ParseLevel(*logLevel)
+	c, err := common()
 	if err != nil {
 		return err
 	}
-	if *maxBody <= 0 {
-		return fmt.Errorf("-max-body must be positive, got %d", *maxBody)
-	}
-	if *slowReq < 0 {
-		return fmt.Errorf("-slow-request must be non-negative, got %v", *slowReq)
-	}
-	if *traceSample < 1 {
-		return fmt.Errorf("-trace-sample must be at least 1, got %d", *traceSample)
-	}
-	if *traceBuffer < 0 {
-		return fmt.Errorf("-trace-buffer must be non-negative, got %d", *traceBuffer)
-	}
-	buffer := *traceBuffer
-	if buffer == 0 {
-		buffer = -1 // flag 0 means "disabled"; config 0 means "default"
-	}
 	srv := newServer(config{
+		Common:        c,
 		shards:        shards,
 		mergeInterval: *mergeInterval,
 		probeInterval: *probeInterval,
 		shardTimeout:  *shardTimeout,
 		retries:       *retries,
-		maxBody:       *maxBody,
-		slowReq:       *slowReq,
-		traceSample:   *traceSample,
-		traceBuffer:   buffer,
 	})
-	srv.logger = obs.NewLogger(out, level)
+	srv.logger = obs.NewLogger(out, c.LogLevel)
 	defer close(srv.closed)
 
 	if srv.cfg.probeInterval > 0 {
 		go srv.probeLoop()
 	}
 	go srv.refreshLoop()
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: srv.routes(), ReadHeaderTimeout: 10 * time.Second}
-
-	var debugSrv *http.Server
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			return fmt.Errorf("-debug-addr: %w", err)
-		}
-		debugSrv = &http.Server{Handler: httpapi.DebugRoutes(srv.tracer), ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := debugSrv.Serve(dln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				srv.logger.Error("debug server", "err", err)
-			}
-		}()
-		srv.logger.Info("debug server listening", "addr", dln.Addr())
-	}
-
-	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.Serve(ln) }()
-	srv.logger.Info("router listening", "addr", ln.Addr(),
-		"shards", len(srv.shards), "mergeInterval", srv.cfg.mergeInterval)
-
-	select {
-	case err := <-errCh:
-		return err
-	case <-ctx.Done():
-	}
-	srv.logger.Info("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if debugSrv != nil {
-		if err := debugSrv.Shutdown(shutdownCtx); err != nil {
-			srv.logger.Error("debug server shutdown", "err", err)
-		}
-	}
-	return httpSrv.Shutdown(shutdownCtx)
+	return httpapi.Serve(ctx, srv.cfg.Common, srv.routes(), srv.tracer, srv.logger,
+		"router listening", "shards", len(srv.shards), "mergeInterval", srv.cfg.mergeInterval)
 }
 
 func (s *server) routes() http.Handler {
@@ -334,7 +237,9 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /streams/{name}/centers", s.handleCenters)
 	mux.HandleFunc("GET /streams/{name}/snapshot", s.handleSnapshot)
 	mux.HandleFunc("POST /streams/{name}/snapshot", s.handleSnapshot)
-	return http.MaxBytesHandler(s.withObs(mux), s.cfg.maxBody)
+	return httpapi.Handler(mux, s.cfg.MaxBody, httpapi.Middleware{
+		Metrics: s.m.HTTP, Tracer: s.tracer, Logger: s.logger, Slow: s.cfg.SlowRequest,
+	})
 }
 
 // remember records a stream name for the background merge refresher.
