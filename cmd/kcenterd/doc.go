@@ -60,12 +60,12 @@
 // Error responses are typed: {"error": ..., "code": ...} where code is a
 // stable machine-readable identifier (invalid_point, dimension_mismatch,
 // invalid_timestamps, unknown_stream, invalid_frame, unsupported_media_type,
-// body_too_large, ...). Batches are
-// validated before any point is applied, so a rejected batch (NaN/Inf
-// coordinates, ragged or mismatched dimensions, bad timestamps) never
-// perturbs stream state. JSON bodies are decoded strictly: unknown fields
-// and trailing data are invalid_json, and a body over -max-body bytes is a
-// 413 body_too_large.
+// body_too_large, ...). Every rejection happens before the journal, and
+// everything admitted terminates: one admission rule (coordinates within
+// ±2^500, at most 2^20 of them, the stream's dimension, timestamps not behind
+// its clock) refuses a batch before any point is journaled or applied. JSON
+// bodies are decoded strictly: unknown fields and trailing data are
+// invalid_json, and a body over -max-body bytes is a 413 body_too_large.
 //
 // Writes to one stream (ingest, advance) serialise on the stream's ingest
 // mutex, while reads are wait-free: every acknowledged write publishes an

@@ -38,8 +38,8 @@
 //     of the whole stream (see below). All four streaming types are one
 //     implementation (internal/clusterer) parameterised by the kind of
 //     extraction and the presence of a window; they share one method set,
-//     and Observe refuses non-finite, zero-dimensional and
-//     dimension-mismatched points before any state changes.
+//     and Observe refuses every point the admission rule (below) refuses
+//     before any state changes.
 //   - Snapshot / RestoreStreamingKCenter / RestoreStreamingOutliers /
 //     MergeSketches: durable, mergeable sketches of streaming state for
 //     sharded deployments (see below).
@@ -55,6 +55,30 @@
 // not grow with the dimension and a query allocates a constant number of
 // objects. Centers is where points leave the clusterer: it returns copies,
 // which are the caller's to keep or change.
+//
+// # Admission
+//
+// One rule, written once (internal/streaming) and asked by every layer that
+// admits points — Observe, the window clock, sketch and state restores, the
+// daemon's ingest front end and engine — decides what a stream accepts. A
+// point has 1 to 2^20 coordinates, the stream's dimension, and each within
+// ±2^500 (about 3.3e150: the largest power of two at which no built-in
+// distance overflows at that dimension); a timestamp is non-negative and not
+// behind the stream's clock. The daemon's rule follows: every rejection
+// happens before the journal, and everything admitted terminates. Its engine
+// admits each batch or advance against the stream's own dimension, flavour
+// and clock under the stream mutex, before journaling, and maps the rule's
+// sentinels to the (unchanged) wire codes in one switch:
+//
+//	ErrEmptyBatch                                  empty_batch
+//	metric.ErrDimensionMismatch                    dimension_mismatch
+//	clusterer.ErrNotWindowed                       not_windowed
+//	ErrTimestampCount, ErrNegativeTimestamp,       invalid_timestamps
+//	ErrTimestampOrder
+//	any other refusal (NaN, ±Inf, beyond ±2^500)   invalid_point
+//
+// A custom distance (WithDistance) has no bound; when it answers a
+// non-finite distance, Observe fails and leaves the clusterer as it was.
 //
 // # Metric spaces: Space vs Distance
 //
@@ -248,9 +272,9 @@
 // Window streams are created with ?window=N and/or ?windowDur=D on first
 // ingest, accept an optional per-point "timestamps" array, and evict
 // automatically as batches arrive. Error responses carry stable
-// machine-readable codes, and batches are validated in full (finite
-// coordinates, rectangular dimensions, sorted timestamps) before any point
-// is applied. The streaming clusterers are not safe for concurrent use, so
+// machine-readable codes, and a batch is admitted in full (see Admission)
+// before it is journaled or applied. The streaming clusterers are not safe
+// for concurrent use, so
 // writes serialise through the owning stream's mutex: concurrent ingest
 // into one stream is safe (batches interleave at batch granularity) and
 // distinct streams ingest in parallel.

@@ -190,6 +190,28 @@ func (c *Clusterer) Advance(ts int64) error {
 	return c.win.Advance(ts)
 }
 
+// Admit decides, reading only the clusterer, whether it accepts a batch
+// observed at ts (nil: at the stream clock; only a window has one, else
+// ErrNotWindowed): streaming.CheckBatch against its dimension and clock. On
+// a built-in space every point of an admitted batch is then accepted.
+func (c *Clusterer) Admit(batch metric.Dataset, ts []int64) error {
+	if c.win != nil {
+		return streaming.CheckBatch(batch, ts, c.win.Dim(), c.win.Now())
+	}
+	if ts != nil {
+		return ErrNotWindowed
+	}
+	return streaming.CheckBatch(batch, nil, c.dim, 0)
+}
+
+// AdmitAdvance is Admit for a clock advance to ts.
+func (c *Clusterer) AdmitAdvance(ts int64) error {
+	if c.win == nil {
+		return ErrNotWindowed
+	}
+	return streaming.CheckTimestamp(ts, c.win.Now())
+}
+
 // Result is the outcome of a query-time extraction.
 type Result struct {
 	// Centers are the (at most k) centers.

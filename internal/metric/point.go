@@ -25,8 +25,8 @@ type Point []float64
 // combined in an operation that requires equal dimensions.
 var ErrDimensionMismatch = errors.New("metric: dimension mismatch")
 
-// ErrInvalidCoordinate is returned when a point contains NaN or Inf.
-var ErrInvalidCoordinate = errors.New("metric: invalid coordinate (NaN or Inf)")
+// ErrInvalidCoordinate is returned for a NaN, Inf or out-of-bounds coordinate.
+var ErrInvalidCoordinate = errors.New("metric: invalid coordinate")
 
 // Dim returns the dimensionality of the point.
 func (p Point) Dim() int { return len(p) }

@@ -6,52 +6,43 @@ import (
 	"fmt"
 	"strconv"
 
+	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/obs"
 	"coresetclustering/internal/persist"
+	"coresetclustering/internal/streaming"
 )
 
-// ValidateBatch enforces every precondition of an ingest batch BEFORE any
-// point is applied, so a rejected batch never partially mutates the stream:
-// non-empty, finite coordinates, rectangular dimensions, and (when present)
-// one sorted non-negative timestamp per point.
+// ValidateBatch is the typed admission rule for a batch before any stream is
+// touched: a bad batch creates nothing and, behind a router, fans out nowhere.
 func ValidateBatch(points metric.Dataset, timestamps []int64) error {
-	if len(points) == 0 {
-		return errf(CodeEmptyBatch, "empty batch")
+	return admissionError(streaming.CheckBatch(points, timestamps, 0, 0))
+}
+
+// admissionError maps the admission sentinels to wire codes, once for every
+// caller; any other refusal is an inadmissible point.
+func admissionError(err error) error {
+	code := CodeInvalidPoint
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, streaming.ErrEmptyBatch):
+		code = CodeEmptyBatch
+	case errors.Is(err, metric.ErrDimensionMismatch):
+		code = CodeDimensionMismatch
+	case errors.Is(err, clusterer.ErrNotWindowed):
+		code = CodeNotWindowed
+	case errors.Is(err, streaming.ErrTimestampCount), errors.Is(err, streaming.ErrNegativeTimestamp),
+		errors.Is(err, streaming.ErrTimestampOrder):
+		code = CodeInvalidTimestamps
 	}
-	if err := points.Validate(); err != nil {
-		code := CodeInvalidPoint
-		if errors.Is(err, metric.ErrDimensionMismatch) {
-			code = CodeDimensionMismatch
-		}
-		return wrapErr(code, err)
-	}
-	if points.Dim() == 0 {
-		// Zero-dimension points would collide with the "dimension not yet
-		// known" sentinel and poison later real batches.
-		return errf(CodeInvalidPoint, "points must have at least one coordinate")
-	}
-	if timestamps != nil {
-		if len(timestamps) != len(points) {
-			return errf(CodeInvalidTimestamps, "%d timestamps for %d points", len(timestamps), len(points))
-		}
-		for i, ts := range timestamps {
-			if ts < 0 {
-				return errf(CodeInvalidTimestamps, "timestamp %d is negative (%d)", i, ts)
-			}
-			if i > 0 && ts < timestamps[i-1] {
-				return errf(CodeInvalidTimestamps,
-					"timestamp %d (%d) precedes timestamp %d (%d)", i, ts, i-1, timestamps[i-1])
-			}
-		}
-	}
-	return nil
+	return wrapErr(code, err)
 }
 
 // ApplyPointHook is a test seam called before each point of a batch is
-// applied: a non-nil error simulates a mid-batch apply failure, which is
-// otherwise unreachable because batches are fully validated up front. The
-// default is free of overhead beyond one predictable branch.
+// applied, live or replayed: a non-nil error simulates a mid-batch apply
+// failure, otherwise unreachable because batches are admitted in full up
+// front. The default costs one predictable branch.
 var ApplyPointHook = func(i int) error { return nil }
 
 // CompactStartHook is a test seam called at the start of a background
@@ -59,36 +50,18 @@ var ApplyPointHook = func(i int) error { return nil }
 // ingest proceeds while a compaction is in flight.
 var CompactStartHook = func() {}
 
-// Ingest applies one fully validated, stream-owned batch to the named
-// stream (creating it on first touch with p), journaling it first when the
-// engine is durable. binaryBytes is the request-body size of a binary-protocol
+// Ingest admits one stream-owned batch into the named stream (creating it on
+// first touch with p), journals it when the engine is durable, and applies it
+// (see mutate). binaryBytes is the request-body size of a binary-protocol
 // batch (for the protocol counters), or negative for JSON.
-//
-// Under group commit the WAL write (BeginBatch) is issued under the stream
-// mutex — so journal order equals apply order — but the covering fsync is
-// awaited AFTER the mutex is released: while this batch's fsync is in flight,
-// the next batches append their frames and join the same disk flush, which is
-// where the -fsync=always throughput multiple comes from. The acknowledgement
-// still implies durability per the fsync mode; a Wait failure is an internal
-// error on a now-poisoned log, exactly like an inline fsync failure.
 func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, timestamps []int64, binaryBytes int, p CreateParams) (StreamStats, error) {
-	if timestamps != nil {
-		// Reject timestamps aimed at a non-window stream BEFORE getOrCreate
-		// runs: otherwise a first ingest that forgot ?window= would create a
-		// plain stream as a side effect of its own rejection, permanently
-		// locking the name to the wrong flavour. (The locked re-check below
-		// stays authoritative against creation races.)
-		if st, ok := e.Lookup(name); ok {
-			// The flavour of a hosted stream never changes, so the pointer
-			// read needs no stream mutex.
-			if st.core.Window() == nil {
-				return StreamStats{}, errf(CodeNotWindowed,
-					"timestamps are only accepted by window streams (create with ?window= or ?windowDur=)")
-			}
-		} else if p.WinErr == nil && p.WinSize == 0 && p.WinDur == 0 {
-			// == 0, not <= 0: explicitly negative bounds fall through to
-			// getOrCreate's own validation and report invalid_param instead
-			// of a misleading "add ?window=" hint.
+	// Timestamps need a window. Aimed at a free name by a request that asks
+	// for none, they are refused BEFORE getOrCreate runs: otherwise the
+	// rejection would create a plain stream as a side effect, locking the name
+	// to the wrong flavour. (== 0, not <= 0: negative bounds fall through to
+	// getOrCreate's invalid_param. A hosted stream's flavour is admission's.)
+	if timestamps != nil && p.WinErr == nil && p.WinSize == 0 && p.WinDur == 0 {
+		if _, ok := e.Lookup(name); !ok {
 			return StreamStats{}, errf(CodeNotWindowed,
 				"timestamped batches need a window stream: create it with ?window= or ?windowDur=")
 		}
@@ -97,101 +70,9 @@ func (e *Engine) Ingest(ctx context.Context, name string, batch metric.Dataset, 
 	if err != nil {
 		return StreamStats{}, err
 	}
-
-	st.Mu.Lock()
-	if err := st.gate(); err != nil {
-		st.Mu.Unlock()
+	stats, err := e.mutate(ctx, name, st, persist.Record{Op: persist.OpBatch, Points: batch, Timestamps: timestamps})
+	if err != nil {
 		return StreamStats{}, err
-	}
-	if dim := st.core.Dim(); dim != 0 && batch.Dim() != dim {
-		st.Mu.Unlock()
-		return StreamStats{}, errf(CodeDimensionMismatch,
-			"batch dimension %d does not match stream dimension %d", batch.Dim(), dim)
-	}
-	if timestamps != nil {
-		w := st.core.Window()
-		if w == nil {
-			st.Mu.Unlock()
-			return StreamStats{}, errf(CodeNotWindowed,
-				"timestamps are only accepted by window streams (create with ?window= or ?windowDur=)")
-		}
-		// The stream's clock only moves forward; checked up front so the
-		// whole batch is rejected before any point lands — and before it is
-		// journaled, so a record that would fail replay is never written.
-		if last := w.Now(); timestamps[0] < last {
-			st.Mu.Unlock()
-			return StreamStats{}, errf(CodeInvalidTimestamps,
-				"batch starts at timestamp %d, stream is already at %d", timestamps[0], last)
-		}
-	}
-	// Journal, then apply: the batch has passed every validation that could
-	// reject it, so the WAL record and the in-memory mutation stand or fall
-	// together, and the acknowledgement below implies durability (per the
-	// fsync mode). The frame is written and sequenced here under st.Mu —
-	// journal order equals apply order — but under group commit the covering
-	// fsync is awaited only after the mutex is released, so concurrent
-	// batches on this and other streams share disk flushes.
-	var pending *persist.Pending
-	if lg := st.log.Load(); lg != nil {
-		_, journal := obs.StartSpan(ctx, "journal")
-		pn, err := lg.BeginBatch(batch, timestamps)
-		journal.End()
-		if err != nil {
-			st.Mu.Unlock()
-			return StreamStats{}, wrapErr(CodeInternal, err)
-		}
-		pending = pn
-	}
-	_, apply := obs.StartSpan(ctx, "apply")
-	apply.SetAttr("points", strconv.Itoa(len(batch)))
-	var applyErr error
-	for i, pt := range batch {
-		if applyErr = ApplyPointHook(i); applyErr != nil {
-			break
-		}
-		if timestamps != nil {
-			applyErr = st.core.Observe(pt, timestamps[i])
-		} else {
-			applyErr = st.core.Process(pt)
-		}
-		if applyErr != nil {
-			break
-		}
-	}
-	apply.End()
-	if applyErr != nil {
-		// The journal acknowledged records the in-memory state no longer
-		// reflects (the batch was only partially applied): every later answer
-		// and every replay would silently diverge. Fail the stream — set it
-		// aside like an unrecoverable boot, free the name — instead of
-		// serving corrupt state.
-		st.failed.Store(true)
-		st.gone.Store(true)
-		st.Mu.Unlock()
-		e.failStream(name, st, applyErr)
-		return StreamStats{}, wrapErr(CodeStreamFailed,
-			fmt.Errorf("batch failed to apply after it was journaled; %w: %v", ErrFailed, applyErr))
-	}
-	st.version++
-	_, publish := obs.StartSpan(ctx, "publish")
-	st.publishLocked(e.Metrics)
-	publish.End()
-	e.maybeCompactLocked(name, st)
-	stats := e.StatsFromView(name, st, st.view.Load())
-	st.Mu.Unlock()
-	// Block for durability OUTSIDE the stream mutex: this is the group-commit
-	// window — while this batch's fsync is in flight, the next requests take
-	// st.Mu, journal their frames and join the next flush. A Wait failure
-	// means the fsync failed after the frame was written; the log is poisoned
-	// and the outcome is indeterminate (the frame may or may not survive
-	// recovery), so the client gets an internal error, never an ack. The
-	// applied-but-unacked view state is the same transient recovery would
-	// produce. WaitCtx attributes the enqueue→ack time to this request's
-	// trace as a wal.wait span.
-	if pending != nil {
-		if err := pending.WaitCtx(ctx); err != nil {
-			return StreamStats{}, wrapErr(CodeInternal, err)
-		}
 	}
 	if m := e.Metrics; m != nil {
 		m.IngestBatches.Add(1)
@@ -211,51 +92,71 @@ func (e *Engine) Advance(ctx context.Context, name string, to int64) (StreamStat
 	if !ok {
 		return StreamStats{}, errf(CodeUnknownStream, "unknown stream %q", name)
 	}
+	return e.mutate(ctx, name, st, persist.Record{Op: persist.OpAdvance, AdvanceTo: to})
+}
+
+// mutate is the one mutation path of a stream, for a batch or an advance
+// given as the record the journal will hold: under the stream mutex it gates,
+// admits, journals, applies, then publishes (or sets the stream aside if the
+// apply diverged from the journal) and compacts; it awaits the covering
+// fsync after unlocking. Every rejection happens before the journal:
+// Clusterer.Admit decides against the stream's own dimension, flavour and
+// clock, so no record that would fail its apply or replay is ever written.
+//
+// Journal order equals apply order (the frame is written under the mutex),
+// but under group commit the fsync is awaited outside it, so the next
+// mutations of this and other streams join the same disk flush — the
+// -fsync=always throughput multiple. A Wait failure means the fsync failed
+// after the frame was written: the log is poisoned and the outcome
+// indeterminate, so the client gets an internal error, never an ack; the
+// applied-but-unacked view is the transient recovery would produce.
+func (e *Engine) mutate(ctx context.Context, name string, st *Stream, rec persist.Record) (StreamStats, error) {
 	st.Mu.Lock()
 	if err := st.gate(); err != nil {
 		st.Mu.Unlock()
 		return StreamStats{}, err
 	}
-	w := st.core.Window()
-	if w == nil {
-		st.Mu.Unlock()
-		return StreamStats{}, errf(CodeNotWindowed, "only window streams have a clock to advance")
+	batch := rec.Op == persist.OpBatch
+	var err error
+	if batch {
+		err = st.core.Admit(rec.Points, rec.Timestamps)
+	} else {
+		err = st.core.AdmitAdvance(rec.AdvanceTo)
 	}
-	// Validated before journaling, so a record that would fail replay is
-	// never written.
-	if to < 0 {
+	if err != nil {
 		st.Mu.Unlock()
-		return StreamStats{}, errf(CodeInvalidTimestamps, "advance target %d is negative", to)
-	}
-	if last := w.Now(); to < last {
-		st.Mu.Unlock()
-		return StreamStats{}, errf(CodeInvalidTimestamps,
-			"advance target %d precedes the stream clock %d", to, last)
+		return StreamStats{}, admissionError(err)
 	}
 	var pending *persist.Pending
 	if lg := st.log.Load(); lg != nil {
 		_, journal := obs.StartSpan(ctx, "journal")
-		p, err := lg.BeginAdvance(to)
+		if batch {
+			pending, err = lg.BeginBatch(rec.Points, rec.Timestamps)
+		} else {
+			pending, err = lg.BeginAdvance(rec.AdvanceTo)
+		}
 		journal.End()
 		if err != nil {
 			st.Mu.Unlock()
 			return StreamStats{}, wrapErr(CodeInternal, err)
 		}
-		pending = p
 	}
 	_, apply := obs.StartSpan(ctx, "apply")
-	if err := st.core.Advance(to); err != nil {
-		apply.End()
-		// Same divergence as a mid-batch apply failure: the journal holds a
-		// record the in-memory state rejected.
+	apply.SetAttr("points", strconv.Itoa(len(rec.Points)))
+	err = applyRecord(st.core, rec)
+	apply.End()
+	if err != nil {
+		// The journal holds a record the in-memory state no longer reflects
+		// (a batch only partially applied). Set the stream aside like an
+		// unrecoverable boot and free the name, rather than serve state
+		// every later answer and replay would contradict.
 		st.failed.Store(true)
 		st.gone.Store(true)
 		st.Mu.Unlock()
 		e.failStream(name, st, err)
 		return StreamStats{}, wrapErr(CodeStreamFailed,
-			fmt.Errorf("advance failed to apply after it was journaled; %w: %v", ErrFailed, err))
+			fmt.Errorf("%s failed to apply after it was journaled; %w: %v", rec.Op, ErrFailed, err))
 	}
-	apply.End()
 	st.version++
 	_, publish := obs.StartSpan(ctx, "publish")
 	st.publishLocked(e.Metrics)
@@ -263,14 +164,40 @@ func (e *Engine) Advance(ctx context.Context, name string, to int64) (StreamStat
 	e.maybeCompactLocked(name, st)
 	stats := e.StatsFromView(name, st, st.view.Load())
 	st.Mu.Unlock()
-	// Same ordering as Ingest: durability is awaited outside st.Mu so
-	// concurrent writers share the covering fsync.
+	// WaitCtx records the wait as this request's wal.wait span.
 	if pending != nil {
 		if err := pending.WaitCtx(ctx); err != nil {
 			return StreamStats{}, wrapErr(CodeInternal, err)
 		}
 	}
 	return stats, nil
+}
+
+// applyRecord is the apply step of every mutation, live (mutate) or replayed
+// at boot (rebuildStream): it feeds one batch or advance record to the
+// clusterer, calling ApplyPointHook before each point.
+func applyRecord(core *clusterer.Clusterer, rec persist.Record) error {
+	switch rec.Op {
+	case persist.OpBatch:
+		for i, p := range rec.Points {
+			if err := ApplyPointHook(i); err != nil {
+				return err
+			}
+			var err error
+			if rec.Timestamps != nil {
+				err = core.Observe(p, rec.Timestamps[i])
+			} else {
+				err = core.Process(p)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	case persist.OpAdvance:
+		return core.Advance(rec.AdvanceTo)
+	}
+	return fmt.Errorf("unexpected %v record", rec.Op)
 }
 
 // failStream sets a diverged stream aside (journal renamed *.failed, name

@@ -86,28 +86,10 @@ func (e *Engine) rebuildStream(rec *persist.Recovered) (*Stream, error) {
 		}
 		st = newStream(core)
 	}
-	// A timestamped batch or an advance journaled for an insertion-only
-	// stream fails its replay below: the clusterer refuses both.
+	// The tail replays through the live apply step, which fails a record live
+	// admission would have refused (e.g. a point beyond the bound).
 	for i, r := range rec.Tail {
-		var err error
-		switch r.Op {
-		case persist.OpBatch:
-			for j, p := range r.Points {
-				if r.Timestamps != nil {
-					err = st.core.Observe(p, r.Timestamps[j])
-				} else {
-					err = st.core.Process(p)
-				}
-				if err != nil {
-					break
-				}
-			}
-		case persist.OpAdvance:
-			err = st.core.Advance(r.AdvanceTo)
-		default:
-			return nil, fmt.Errorf("record %d: unexpected op %v in replay tail", i, r.Op)
-		}
-		if err != nil {
+		if err := applyRecord(st.core, r); err != nil {
 			return nil, fmt.Errorf("record %d: replay: %w", i, err)
 		}
 	}

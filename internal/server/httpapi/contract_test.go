@@ -149,6 +149,39 @@ func TestStrictJSONDecoding(t *testing.T) {
 	}
 }
 
+// TestOverboundPointIsInvalidPoint: a batch no stream admits — the overflow
+// repro, finite coordinates beyond the admission bound — answers 400
+// invalid_point from both roles over both encodings: before the router fans
+// it out, and before a durable shard journals it (it does not even create
+// the stream).
+func TestOverboundPointIsInvalidPoint(t *testing.T) {
+	f, err := metric.FlatFromDataset(metric.Dataset{{1, 0}, {1e200, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string][]byte{
+		"application/json":        []byte(`{"points": [[1, 0], [1e200, 0]]}`),
+		httpapi.BinaryContentType: httpapi.EncodeBinaryIngest(nil, f, nil),
+	}
+	for _, r := range roles {
+		var extra []string
+		if r.name == "shard" {
+			extra = []string{"-persist-dir", t.TempDir()}
+		}
+		base := r.start(t, extra...)
+		for contentType, body := range bodies {
+			if status, code := post(t, base+"/streams/s/points", contentType, body); status != http.StatusBadRequest || code != "invalid_point" {
+				t.Errorf("%s: %s: status %d code %q, want 400 invalid_point", r.name, contentType, status, code)
+			}
+		}
+		if r.name == "shard" {
+			if resp := get(t, base+"/streams/s/stats", nil); resp.StatusCode != http.StatusNotFound {
+				t.Errorf("shard: the refused batches created the stream: status %d", resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestBodyTooLargeIs413: a body over -max-body answers 413 body_too_large
 // wherever it overflows — inside the document, or after a complete one — on
 // every decoder of both roles, never a generic 400 or 500.

@@ -35,42 +35,26 @@ const (
 	tsTrailerMagic    = "KCTS"
 )
 
-// ingestMedia is the outcome of Content-Type negotiation on an ingest route.
-type ingestMedia int
-
-const (
-	mediaJSON ingestMedia = iota
-	mediaBinary
-	mediaUnsupported
-)
-
-// negotiateIngest picks the decoder for an ingest request. An absent or
-// unparseable Content-Type falls back to JSON (matching what the daemon
-// accepted before the binary protocol existed).
-func negotiateIngest(r *http.Request) ingestMedia {
-	ct := r.Header.Get("Content-Type")
-	if ct == "" {
-		return mediaJSON
+// ingestBinary negotiates an ingest request's decoder by Content-Type: KCFL
+// (binary), or JSON — also for an absent or unparseable Content-Type, as the
+// daemon accepted before the binary protocol existed. Any other media type
+// is unsupported (ok false).
+func ingestBinary(r *http.Request) (kcfl, ok bool) {
+	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
+	switch {
+	case err != nil || mt == "application/json" || mt == "text/json":
+		return false, true
+	case mt == BinaryContentType:
+		return true, true
 	}
-	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil {
-		return mediaJSON
-	}
-	switch mt {
-	case BinaryContentType:
-		return mediaBinary
-	case "application/json", "text/json":
-		return mediaJSON
-	default:
-		return mediaUnsupported
-	}
+	return false, false
 }
 
 // DecodeBinaryIngest decodes a binary ingest body: one flat frame plus the
 // optional timestamp trailer. On failure it returns the error code the
-// response should carry (invalid_frame for structural defects,
-// invalid_timestamps for a well-formed trailer with bad values, empty_batch
-// for a frame of zero points).
+// response should carry (invalid_frame for structural defects, empty_batch
+// for a frame of zero points). It checks structure only: the values are
+// DecodeIngest's to admit, as for JSON.
 func DecodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, err error) {
 	f, rest, err := metric.DecodeFlatFrame(body)
 	if err != nil {
@@ -93,15 +77,7 @@ func DecodeBinaryIngest(body []byte) (f *metric.Flat, ts []int64, code string, e
 	}
 	ts = make([]int64, f.Len())
 	for i := range ts {
-		v := int64(binary.BigEndian.Uint64(rest[8*i:]))
-		if v < 0 {
-			return nil, nil, engine.CodeInvalidTimestamps, fmt.Errorf("timestamp %d is negative (%d)", i, v)
-		}
-		if i > 0 && v < ts[i-1] {
-			return nil, nil, engine.CodeInvalidTimestamps,
-				fmt.Errorf("timestamp %d (%d) precedes timestamp %d (%d)", i, v, i-1, ts[i-1])
-		}
-		ts[i] = v
+		ts[i] = int64(binary.BigEndian.Uint64(rest[8*i:]))
 	}
 	return f, ts, "", nil
 }
@@ -141,31 +117,12 @@ type ingestCarrier struct {
 
 var ingestPool = sync.Pool{New: func() any { return new(ingestCarrier) }}
 
-// DecodeIngest is the ingest decode front end of both roles. It negotiates
-// the decoder by Content-Type and reads the body into pooled buffers under a
-// "decode" span. A KCFL frame decodes straight into contiguous storage with
-// zero per-point allocations and no JSON anywhere; a JSON body is decoded
-// strictly (the point slices reused by encoding/json's
-// reset-length-then-append semantics, timestamps nilled so absence means nil),
-// then fully validated and copied into one contiguous allocation laid out the
-// way the batched distance kernels want, under a "validate" span. The batch
-// and timestamps returned are the caller's to keep; binaryBytes is the body
-// size of a binary batch and -1 for JSON. On failure it writes the error
-// response itself and ok is false.
-func DecodeIngest(w http.ResponseWriter, r *http.Request) (batch metric.Dataset, ts []int64, binaryBytes int, ok bool) {
-	media := negotiateIngest(r)
-	if media == mediaUnsupported {
-		Error(w, http.StatusUnsupportedMediaType, engine.CodeUnsupportedMedia,
-			fmt.Errorf("unsupported Content-Type %q (use application/json or %s)",
-				r.Header.Get("Content-Type"), BinaryContentType))
-		return nil, nil, 0, false
-	}
-	c := ingestPool.Get().(*ingestCarrier)
-	defer ingestPool.Put(c)
-	_, decode := obs.StartSpan(r.Context(), "decode")
-	if media == mediaBinary {
-		decode.SetAttr("proto", "binary")
-		defer decode.End()
+// decode reads and decodes the body in the negotiated encoding: JSON reuses
+// the pooled point slices (encoding/json resets length, then appends) and
+// nils the timestamps, so absence means nil. It checks structure only.
+func (c *ingestCarrier) decode(w http.ResponseWriter, r *http.Request, kcfl bool, span *obs.Span) (batch metric.Dataset, ts []int64, binaryBytes int, ok bool) {
+	if kcfl {
+		span.SetAttr("proto", "binary")
 		if !readBody(w, r, &c.body, engine.CodeInvalidFrame) {
 			return nil, nil, 0, false
 		}
@@ -176,26 +133,54 @@ func DecodeIngest(w http.ResponseWriter, r *http.Request) (batch metric.Dataset,
 		}
 		return f.Dataset(), ts, c.body.Len(), true
 	}
-	decode.SetAttr("proto", "json")
+	span.SetAttr("proto", "json")
 	if c.req.Points != nil {
 		c.req.Points = c.req.Points[:0]
 	}
 	c.req.Timestamps = nil
 	ok = readBody(w, r, &c.body, engine.CodeInvalidJSON) && decodeStrict(w, c.body.Bytes(), &c.req)
+	return c.req.Points, c.req.Timestamps, -1, ok
+}
+
+// DecodeIngest is the ingest front end of both roles. It negotiates the
+// decoder by Content-Type and decodes the body from pooled buffers under a
+// "decode" span (a KCFL frame straight into contiguous storage; JSON
+// strictly), then applies the admission rule (engine.ValidateBatch) under a
+// "validate" span, so both roles refuse a batch no stream would admit with
+// the same code before any stream or shard sees it. A JSON batch is then
+// copied into one contiguous allocation laid out for the batched kernels.
+// The batch and timestamps returned are the caller's to keep; binaryBytes is
+// the body size of a binary batch and -1 for JSON. On failure it writes the
+// error response itself and ok is false.
+func DecodeIngest(w http.ResponseWriter, r *http.Request) (batch metric.Dataset, ts []int64, binaryBytes int, ok bool) {
+	kcfl, ok := ingestBinary(r)
+	if !ok {
+		Error(w, http.StatusUnsupportedMediaType, engine.CodeUnsupportedMedia,
+			fmt.Errorf("unsupported Content-Type %q (use application/json or %s)",
+				r.Header.Get("Content-Type"), BinaryContentType))
+		return nil, nil, 0, false
+	}
+	c := ingestPool.Get().(*ingestCarrier)
+	defer ingestPool.Put(c)
+	_, decode := obs.StartSpan(r.Context(), "decode")
+	batch, ts, binaryBytes, ok = c.decode(w, r, kcfl, decode)
 	decode.End()
 	if !ok {
 		return nil, nil, 0, false
 	}
 	_, validate := obs.StartSpan(r.Context(), "validate")
 	defer validate.End()
-	if err := engine.ValidateBatch(c.req.Points, c.req.Timestamps); err != nil {
+	if err := engine.ValidateBatch(batch, ts); err != nil {
 		EngineError(w, err)
 		return nil, nil, 0, false
 	}
-	f, err := metric.FlatFromDataset(c.req.Points)
-	if err != nil {
-		Error(w, http.StatusInternalServerError, engine.CodeInternal, err)
-		return nil, nil, 0, false
+	if binaryBytes < 0 {
+		f, err := metric.FlatFromDataset(batch)
+		if err != nil {
+			Error(w, http.StatusInternalServerError, engine.CodeInternal, err)
+			return nil, nil, 0, false
+		}
+		batch = f.Dataset()
 	}
-	return f.Dataset(), c.req.Timestamps, -1, true
+	return batch, ts, binaryBytes, true
 }

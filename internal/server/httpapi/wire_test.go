@@ -278,7 +278,8 @@ func TestMetricsBinaryAndGroupCommitSeries(t *testing.T) {
 
 // FuzzBinaryIngestDecode: the binary decoder must never panic, must return a
 // typed code with every error, and must hand back internally consistent
-// results on success.
+// results on success. (It checks structure only; admitting the values is
+// DecodeIngest's step after it, the same for both encodings.)
 func FuzzBinaryIngestDecode(f *testing.F) {
 	good, err := metric.FlatFromDataset(kcenter.Dataset{{1, 2}, {3, 4}})
 	if err != nil {
@@ -299,7 +300,7 @@ func FuzzBinaryIngestDecode(f *testing.F) {
 		flat, ts, code, err := DecodeBinaryIngest(data)
 		if err != nil {
 			switch code {
-			case engine.CodeInvalidFrame, engine.CodeInvalidTimestamps, engine.CodeEmptyBatch:
+			case engine.CodeInvalidFrame, engine.CodeEmptyBatch:
 			default:
 				t.Fatalf("error %v carries unknown code %q", err, code)
 			}
@@ -313,11 +314,6 @@ func FuzzBinaryIngestDecode(f *testing.F) {
 		}
 		if ts != nil && len(ts) != flat.Len() {
 			t.Fatalf("%d timestamps for %d points", len(ts), flat.Len())
-		}
-		for i, v := range ts {
-			if v < 0 || (i > 0 && v < ts[i-1]) {
-				t.Fatalf("accepted invalid timestamps %v", ts)
-			}
 		}
 		// Accepted input must re-encode to exactly the bytes decoded.
 		if got := EncodeBinaryIngest(nil, flat, ts); !bytes.Equal(got, data) {

@@ -79,9 +79,9 @@ func Encode(s *Sketch) ([]byte, error) {
 
 // Decode parses and strictly validates a serialized sketch. Malformed input
 // of any shape — truncated, wrong magic, unknown version/kind/distance,
-// non-finite values, weight or budget inconsistencies, trailing bytes —
-// yields a typed error; Decode never panics and allocates no more than the
-// input's own size.
+// non-finite values, inadmissible points, weight or budget inconsistencies,
+// trailing bytes — yields a typed error; Decode never panics and allocates no
+// more than the input's own size.
 func Decode(data []byte) (*Sketch, error) {
 	if len(data) < len(magic) {
 		return nil, fmt.Errorf("%w: %d bytes, want at least %d", ErrTruncated, len(data), headerSize)
@@ -187,50 +187,8 @@ func (s *Sketch) validate() error {
 	if s.Tau < minTau {
 		return fmt.Errorf("%w: budget tau=%d below %d", ErrCorrupt, s.Tau, minTau)
 	}
-	if math.IsNaN(s.Phi) || math.IsInf(s.Phi, 0) || s.Phi < 0 {
-		return fmt.Errorf("%w: invalid phi %v", ErrCorrupt, s.Phi)
-	}
-	if !s.Initialized && s.Phi != 0 {
-		return fmt.Errorf("%w: uninitialised sketch with phi %v", ErrCorrupt, s.Phi)
-	}
-	if s.Processed < 0 {
-		return fmt.Errorf("%w: negative processed count %d", ErrCorrupt, s.Processed)
-	}
-	if len(s.Points) > s.Tau {
-		return fmt.Errorf("%w: %d points exceed budget tau=%d", ErrCorrupt, len(s.Points), s.Tau)
-	}
-	if s.Initialized && len(s.Points) == 0 {
-		return fmt.Errorf("%w: initialised sketch with no points", ErrCorrupt)
-	}
-	dim := -1
-	var total int64
-	for i, wp := range s.Points {
-		if wp.P.Dim() == 0 {
-			return fmt.Errorf("%w: point %d has zero dimensions", ErrCorrupt, i)
-		}
-		if dim < 0 {
-			dim = wp.P.Dim()
-		} else if wp.P.Dim() != dim {
-			return fmt.Errorf("%w: point %d has dimension %d, want %d", ErrCorrupt, i, wp.P.Dim(), dim)
-		}
-		for j, c := range wp.P {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Errorf("%w: point %d coordinate %d is %v", ErrCorrupt, i, j, c)
-			}
-		}
-		if wp.W <= 0 {
-			return fmt.Errorf("%w: point %d has non-positive weight %d", ErrCorrupt, i, wp.W)
-		}
-		if !s.Initialized && wp.W != 1 {
-			return fmt.Errorf("%w: uninitialised sketch carries weight %d", ErrCorrupt, wp.W)
-		}
-		total += wp.W
-		if total < 0 {
-			return fmt.Errorf("%w: weight sum overflows", ErrCorrupt)
-		}
-	}
-	if total != s.Processed {
-		return fmt.Errorf("%w: weights sum to %d, processed %d", ErrCorrupt, total, s.Processed)
+	if err := s.State().Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return nil
 }

@@ -34,9 +34,9 @@ var (
 	ErrUnsupportedVersion = errors.New("sketch: unsupported codec version")
 	// ErrTruncated means the data ends before the declared payload does.
 	ErrTruncated = errors.New("sketch: truncated data")
-	// ErrCorrupt means a structurally invalid field: unknown kind, NaN/Inf
-	// coordinate or phi, non-positive weight, weight/processed mismatch,
-	// budget violation, or trailing garbage.
+	// ErrCorrupt means a structurally invalid field: unknown kind, a point no
+	// stream admits, NaN/Inf phi, non-positive weight, weight/processed
+	// mismatch, budget violation, or trailing garbage.
 	ErrCorrupt = errors.New("sketch: corrupt data")
 	// ErrUnknownDistance means the distance identifier is not one of the
 	// registered built-in distances (or, on encode, the stream uses a custom

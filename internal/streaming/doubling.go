@@ -62,82 +62,124 @@ func NewDoublingIn(sp metric.Space, tau int) (*Doubling, error) {
 // Space returns the metric space the processor runs on.
 func (d *Doubling) Space() metric.Space { return d.space }
 
-// Process implements Processor.
+// ErrNonFiniteDistance is the algorithm's one failure: a distance that is not
+// finite leaves a point without a nearest center, or the merge rule without
+// progress. No built-in space answers one on admitted points (MaxCoordinate).
+var ErrNonFiniteDistance = errors.New("streaming: the metric space answered a non-finite distance")
+
+// Process implements Processor. Past a nil point, it fails only with
+// ErrNonFiniteDistance, and then leaves the processor as it was.
 func (d *Doubling) Process(p metric.Point) error {
 	if p == nil {
 		return errors.New("streaming: nil point")
 	}
-	d.processed++
-
-	// Initialisation: buffer the first tau+1 points, then set phi to half the
-	// minimum pairwise distance and immediately re-establish invariants (a)
-	// and (b) with the merge rule.
-	if d.centers == nil {
-		d.initBuf = append(d.initBuf, p)
-		if len(d.initBuf) < d.tau+1 {
+	if d.centers != nil {
+		// Update rule.
+		s, closest := d.space.ArgNearest(p, d.pts)
+		near := d.space.FromSurrogate(s)
+		if closest < 0 || !(near <= math.MaxFloat64) {
+			return fmt.Errorf("%w: nearest center at %v", ErrNonFiniteDistance, near)
+		}
+		if near <= 8*d.phi {
+			d.processed++
+			d.centers[closest].W++
 			return nil
 		}
-		d.initialize()
+	} else if len(d.initBuf) < d.tau {
+		// Initialisation: buffer the first tau+1 points.
+		d.processed++
+		d.initBuf = append(d.initBuf, p)
 		return nil
 	}
-
-	// Update rule.
-	s, closest := d.space.ArgNearest(p, d.pts)
-	if d.space.FromSurrogate(s) <= 8*d.phi {
-		d.centers[closest].W++
-		return nil
+	// The point opens a center or completes the buffer, so the merge rule may
+	// run; if it stalls, the state from before the point is put back.
+	var undo *Doubling
+	if d.centers == nil || len(d.centers) >= d.tau {
+		undo = d.Clone()
 	}
-	d.centers = append(d.centers, metric.WeightedPoint{P: p, W: 1})
-	d.pts = append(d.pts, p)
-	// Merge rule, applied repeatedly until invariant (a) is re-established.
-	for len(d.centers) > d.tau {
-		d.merge()
+	d.processed++
+	var err error
+	if d.centers == nil {
+		d.initBuf = append(d.initBuf, p)
+		err = d.initialize()
+	} else {
+		d.centers = append(d.centers, metric.WeightedPoint{P: p, W: 1})
+		d.pts = append(d.pts, p)
+		err = d.mergeToBudget()
 	}
-	return nil
+	if err != nil {
+		*d = *undo
+	}
+	return err
 }
 
 // initialize turns the buffered first tau+1 points into the initial weighted
 // center set and applies the merge rule until invariants (a) and (b) hold.
-func (d *Doubling) initialize() {
+func (d *Doubling) initialize() error {
 	d.centers = metric.Unweighted(d.initBuf) // tau+1 headers: room for the update rule's append
 	d.pts, d.initBuf = d.initBuf, nil
 	// Collapse exact duplicates first so that coincident initial points do
 	// not force phi to zero forever; the same sweep yields the survivors'
 	// minimum pairwise distance.
 	minDist := d.mergeCloserThan(0)
-	if math.IsInf(minDist, 1) {
+	if len(d.centers) == 1 {
 		// All initial points coincide: a single center remains and phi stays
 		// zero until genuinely distinct points arrive (invariant (e) holds
 		// with equality: r*_tau of a single location is 0).
 		d.phi = 0
-		return
+		return nil
 	}
-	d.phi = minDist / 2
-	// Enforce invariant (b), then (a).
+	if d.phi = halfOf(minDist); !(8*d.phi <= math.MaxFloat64) {
+		return fmt.Errorf("%w: the initial points' minimum distance is %v", ErrNonFiniteDistance, minDist)
+	}
 	d.mergeCloserThan(4 * d.phi)
+	return d.mergeToBudget()
+}
+
+// mergeToBudget applies the merge rule until invariant (a) holds again.
+func (d *Doubling) mergeToBudget() error {
 	for len(d.centers) > d.tau {
-		d.merge()
+		if err := d.merge(); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // merge applies one round of the merge rule: double phi, then merge every
-// pair of centers violating invariant (b). It is called repeatedly by Process
-// until invariant (a) is re-established. A zero phi (all points seen so far
+// pair of centers violating invariant (b). A zero phi (all points seen so far
 // coincided) is bootstrapped from the minimum pairwise distance of the
 // current centers, which is a valid lower bound on r*_tau because the centers
 // now number tau+1.
-func (d *Doubling) merge() {
-	if d.phi == 0 {
+//
+// The variant that makes the rule terminate: every round removes a center or
+// strictly raises phi while 8*phi stays finite. Phi can double only about
+// 2100 times between the smallest positive float and overflow, so a round
+// that can do neither is ErrNonFiniteDistance, not another iteration.
+func (d *Doubling) merge() error {
+	n, phi := len(d.centers), d.phi
+	if phi == 0 {
 		// At most tau+1 centers: the sequential engine path is the right one.
-		minDist := metric.NewEngine(1).MinPairwiseDistance(d.space, d.pts)
-		if math.IsInf(minDist, 1) {
-			return
-		}
-		d.phi = minDist / 2
+		d.phi = halfOf(metric.NewEngine(1).MinPairwiseDistance(d.space, d.pts))
 	} else {
 		d.phi *= 2
 	}
-	d.mergeCloserThan(4 * d.phi)
+	if 8*d.phi <= math.MaxFloat64 {
+		d.mergeCloserThan(4 * d.phi)
+		if len(d.centers) < n || d.phi > phi {
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: the merge rule stalled at phi = %v with %d centers", ErrNonFiniteDistance, phi, n)
+}
+
+// halfOf is phi bootstrapped from a minimum pairwise distance: its half, or
+// the smallest positive float when that underflows (a zero phi never doubles).
+func halfOf(minDist float64) float64 {
+	if h := minDist / 2; h > 0 || !(minDist > 0) {
+		return h
+	}
+	return math.SmallestNonzeroFloat64
 }
 
 // mergeCloserThan greedily merges centers at distance <= threshold, folding
@@ -246,70 +288,58 @@ func (d *Doubling) State() DoublingState {
 	}
 }
 
-// RestoreDoublingIn reconstructs a Doubling processor on the given metric
-// space (nil defaults to Euclidean) from a previously captured state. The
-// state is validated structurally (budget, weights, coordinate finiteness,
-// invariant (d)). The processor takes its own copy of the headers and shares
-// the coordinate arrays, which the caller must not write afterwards.
-func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
-	if st.Tau < 1 {
-		return nil, fmt.Errorf("streaming: restore: tau must be at least 1, got %d", st.Tau)
-	}
-	if math.IsNaN(st.Phi) || math.IsInf(st.Phi, 0) || st.Phi < 0 {
-		return nil, fmt.Errorf("streaming: restore: invalid phi %v", st.Phi)
-	}
-	if st.Processed < 0 {
-		return nil, fmt.Errorf("streaming: restore: negative processed count %d", st.Processed)
+// Validate checks a state structurally: a budget of at least 1; a finite,
+// non-negative phi, zero while buffering; at most tau points, each admitted
+// by CheckPoint and positively weighted — unit weights while buffering, at
+// least one point after — with the weights summing to the processed count
+// (invariant (d)).
+func (st DoublingState) Validate() error {
+	switch {
+	case st.Tau < 1:
+		return fmt.Errorf("streaming: state: tau must be at least 1, got %d", st.Tau)
+	case math.IsNaN(st.Phi) || math.IsInf(st.Phi, 0) || st.Phi < 0 || (!st.Initialized && st.Phi != 0):
+		return fmt.Errorf("streaming: state: invalid phi %v", st.Phi)
+	case len(st.Points) > st.Tau:
+		return fmt.Errorf("streaming: state: %d points exceed tau=%d", len(st.Points), st.Tau)
+	case st.Initialized && len(st.Points) == 0:
+		return errors.New("streaming: state: initialised with no centers")
 	}
 	var total int64
-	dim := -1
 	for i, wp := range st.Points {
-		if err := wp.P.Validate(); err != nil {
-			return nil, fmt.Errorf("streaming: restore: point %d: %w", i, err)
+		if err := CheckPoint(wp.P, len(st.Points[0].P)); err != nil {
+			return fmt.Errorf("streaming: state: point %d: %w", i, err)
 		}
-		if dim < 0 {
-			dim = wp.P.Dim()
-		} else if wp.P.Dim() != dim {
-			return nil, fmt.Errorf("streaming: restore: point %d: %w", i, metric.ErrDimensionMismatch)
+		if wp.W <= 0 || (!st.Initialized && wp.W != 1) {
+			return fmt.Errorf("streaming: state: point %d has weight %d", i, wp.W)
 		}
-		if wp.W <= 0 {
-			return nil, fmt.Errorf("streaming: restore: point %d has non-positive weight %d", i, wp.W)
+		if total += wp.W; total < 0 {
+			return errors.New("streaming: state: weight sum overflows")
 		}
-		total += wp.W
+	}
+	if total != st.Processed {
+		return fmt.Errorf("streaming: state: weights sum to %d, processed %d", total, st.Processed)
+	}
+	return nil
+}
+
+// RestoreDoublingIn reconstructs a Doubling processor on the given metric
+// space (nil defaults to Euclidean) from a previously captured state, which
+// must pass Validate. The processor takes its own copy of the headers and
+// shares the coordinate arrays, which the caller must not write afterwards.
+func RestoreDoublingIn(sp metric.Space, st DoublingState) (*Doubling, error) {
+	if err := st.Validate(); err != nil {
+		return nil, err
 	}
 	if sp == nil {
 		sp = metric.EuclideanSpace
 	}
-	d := &Doubling{space: sp, tau: st.Tau}
+	d := &Doubling{space: sp, tau: st.Tau, phi: st.Phi, processed: st.Processed}
 	if !st.Initialized {
-		if len(st.Points) > st.Tau {
-			return nil, fmt.Errorf("streaming: restore: %d buffered points exceed tau=%d", len(st.Points), st.Tau)
-		}
-		if total != st.Processed || int64(len(st.Points)) != st.Processed {
-			return nil, fmt.Errorf("streaming: restore: uninitialised state has %d unit points, processed %d", len(st.Points), st.Processed)
-		}
-		for _, wp := range st.Points {
-			if wp.W != 1 {
-				return nil, fmt.Errorf("streaming: restore: uninitialised state carries weight %d != 1", wp.W)
-			}
-			d.initBuf = append(d.initBuf, wp.P)
-		}
-		d.processed = st.Processed
+		d.initBuf = st.Points.Points()
 		return d, nil
-	}
-	if len(st.Points) == 0 {
-		return nil, errors.New("streaming: restore: initialised state with no centers")
-	}
-	if len(st.Points) > st.Tau {
-		return nil, fmt.Errorf("streaming: restore: %d centers exceed tau=%d", len(st.Points), st.Tau)
-	}
-	if total != st.Processed {
-		return nil, fmt.Errorf("streaming: restore: weights sum to %d, processed %d", total, st.Processed)
 	}
 	d.centers = slices.Clone(st.Points)
 	d.pts = d.centers.Points()
-	d.phi = st.Phi
-	d.processed = st.Processed
 	return d, nil
 }
 
@@ -390,11 +420,13 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	// and the survivors are pairwise more than 4*phi_new apart by
 	// construction.
 	if minDist <= 4*out.phi {
-		out.merge()
+		if err := out.merge(); err != nil {
+			return nil, err
+		}
 	}
 	// Then apply the merge rule until the budget holds.
-	for len(out.centers) > tau {
-		out.merge()
+	if err := out.mergeToBudget(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -67,14 +67,9 @@ import (
 
 // Typed errors reported by the window subsystem.
 var (
-	// ErrTimestampOrder means a point (or Advance call) carried a timestamp
-	// smaller than an already observed one. Timestamps must be non-decreasing:
-	// eviction is driven only by observed timestamps, never by a clock, so
-	// out-of-order time would silently corrupt the window semantics.
-	ErrTimestampOrder = errors.New("window: timestamps must be non-decreasing")
-	// ErrNegativeTimestamp means a timestamp was negative; timestamps are
-	// non-negative ticks in caller-defined units.
-	ErrNegativeTimestamp = errors.New("window: timestamps must be non-negative")
+	// The timestamp half of the streaming admission rule.
+	ErrTimestampOrder    = streaming.ErrTimestampOrder
+	ErrNegativeTimestamp = streaming.ErrNegativeTimestamp
 	// ErrEmptyWindow is returned by query methods when every bucket has been
 	// evicted (or nothing was ever observed): there are no live points to
 	// summarise.
@@ -191,18 +186,15 @@ func New(cfg Config) (*Window, error) {
 // Observe consumes the next point of the stream at the given timestamp.
 // Timestamps are non-negative ticks in caller-defined units and must be
 // non-decreasing across calls; for purely count-based windows they may all be
-// zero. The point is validated (finite coordinates, consistent
-// dimensionality) before any state changes, so a rejected point never
-// perturbs the window.
+// zero. The point and timestamp pass the streaming admission rule
+// (streaming.CheckPoint, streaming.CheckTimestamp) before any state changes,
+// so a rejected point never perturbs the window.
 func (w *Window) Observe(p metric.Point, ts int64) error {
 	if err := streaming.CheckPoint(p, w.dim); err != nil {
 		return err
 	}
-	if ts < 0 {
-		return fmt.Errorf("%w: got %d", ErrNegativeTimestamp, ts)
-	}
-	if ts < w.lastTS {
-		return fmt.Errorf("%w: got %d after %d", ErrTimestampOrder, ts, w.lastTS)
+	if err := streaming.CheckTimestamp(ts, w.lastTS); err != nil {
+		return err
 	}
 	if w.open == nil {
 		proc, err := streaming.NewDoublingIn(w.space, w.tau)
@@ -237,11 +229,8 @@ func (w *Window) Observe(p metric.Point, ts int64) error {
 // never reads a clock. Advancing to a timestamp earlier than the newest
 // observed one is ErrTimestampOrder.
 func (w *Window) Advance(ts int64) error {
-	if ts < 0 {
-		return fmt.Errorf("%w: got %d", ErrNegativeTimestamp, ts)
-	}
-	if ts < w.lastTS {
-		return fmt.Errorf("%w: got %d after %d", ErrTimestampOrder, ts, w.lastTS)
+	if err := streaming.CheckTimestamp(ts, w.lastTS); err != nil {
+		return err
 	}
 	w.lastTS = ts
 	w.evict()

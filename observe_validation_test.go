@@ -2,11 +2,45 @@ package kcenter_test
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	kcenter "coresetclustering"
+	"coresetclustering/internal/metric"
 )
+
+// TestOverflowingPointsRefusedInEveryFlavour is the overflow repro: finite
+// coordinates whose squared differences overflow, which used to hang the
+// merge rule. Every flavour refuses each point at once, with a typed error.
+func TestOverflowingPointsRefusedInEveryFlavour(t *testing.T) {
+	win := kcenter.WithWindowSize(100)
+	for name, build := range map[string]func() (observer, error){
+		"StreamingKCenter":  func() (observer, error) { return kcenter.NewStreamingKCenter(2, 3) },
+		"StreamingOutliers": func() (observer, error) { return kcenter.NewStreamingOutliers(2, 1, 3) },
+		"WindowedKCenter":   func() (observer, error) { return kcenter.NewWindowedKCenter(2, 3, win) },
+		"WindowedOutliers":  func() (observer, error) { return kcenter.NewWindowedOutliers(2, 1, 3, win) },
+	} {
+		s, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		for i := 1; i <= 10; i++ {
+			if err := s.Observe(kcenter.Point{float64(i) * 1e200, 0}); !errors.Is(err, metric.ErrInvalidCoordinate) {
+				t.Fatalf("%s: point %d: %v, want ErrInvalidCoordinate", name, i, err)
+			}
+		}
+		// A scan of two coordinates per point; the slack is for a loaded host.
+		if el := time.Since(start); el > 10*time.Millisecond {
+			t.Errorf("%s: refusing ten points took %v", name, el)
+		}
+		if s.Observed() != 0 {
+			t.Errorf("%s: observed %d refused points", name, s.Observed())
+		}
+	}
+}
 
 // observer is what the eight ways of obtaining a streaming clusterer share.
 type observer interface {
