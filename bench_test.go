@@ -210,7 +210,7 @@ func BenchmarkGMM(b *testing.B) {
 	ds := benchPoints(10000, 7, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := gmm.Run(metric.Euclidean, ds, 20, 0); err != nil {
+		if _, err := (gmm.Runner{}).Run(ds, 20, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func BenchmarkGonzalezParallel(b *testing.B) {
 		name := map[int]string{1: "workers1", 2: "workers2", 4: "workers4", 0: "workersAuto"}[w]
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			runner := gmm.Runner{Dist: metric.Euclidean, Workers: w}
+			runner := gmm.Runner{Space: metric.EuclideanSpace, Workers: w}
 			for i := 0; i < b.N; i++ {
 				if _, err := runner.Run(ds, k, 0); err != nil {
 					b.Fatal(err)
@@ -325,7 +325,7 @@ func BenchmarkOutliersCluster(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := outliers.Cluster(metric.Euclidean, set, 10, diam/10, 0.25); err != nil {
+		if _, err := outliers.Cluster(metric.EuclideanSpace, set, 10, diam/10, 0.25); err != nil {
 			b.Fatal(err)
 		}
 	}

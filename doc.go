@@ -60,8 +60,9 @@
 //
 // One rule, written once (internal/streaming) and asked by every layer that
 // admits points — Observe, the window clock, sketch and state restores, the
-// daemon's ingest front end and engine — decides what a stream accepts. A
-// point has 1 to 2^20 coordinates, the stream's dimension, and each within
+// batch entry points Cluster, ClusterWithOutliers and Gonzalez, the daemon's
+// ingest front end and engine — decides what is admitted. A point has 1 to
+// 2^20 coordinates, the stream's (or the batch's) dimension, and each within
 // ±2^500 (about 3.3e150: the largest power of two at which no built-in
 // distance overflows at that dimension); a timestamp is non-negative and not
 // behind the stream's clock. The daemon's rule follows: every rejection
@@ -97,13 +98,14 @@
 // lanes of the canonical summation order).
 //
 // WithSpace selects a space explicitly (EuclideanSpace, ManhattanSpace,
-// ChebyshevSpace, AngularSpace, CosineSpace). WithDistance keeps working
-// exactly as before: built-in functions are upgraded to their native spaces
-// automatically, and a custom function runs through the SpaceFromDistance
-// adapter, which calls it once per evaluation with the identity surrogate —
-// no caller breaks, custom metrics lose nothing. Named spaces are what the
-// sketch codec serializes, so restoring a sketch resolves the full
-// batched-kernel substrate, not just a scalar function.
+// ChebyshevSpace, AngularSpace, CosineSpace). Inside the library the Space is
+// the only currency; a Distance survives only at the public adapter.
+// WithDistance resolves a function to its space once: a built-in function to
+// its native space, a custom one to the SpaceFromDistance adapter, which
+// calls it once per evaluation with the identity surrogate — no caller
+// breaks, custom metrics lose nothing. Named spaces are what the sketch codec
+// serializes, so restoring a sketch resolves the full batched-kernel
+// substrate, not just a scalar function.
 //
 // Datasets can live in contiguous flat storage (one backing buffer, zero
 // per-point allocations): cmd/datagen -layout flat emits the binary
@@ -163,9 +165,9 @@
 // exactly the floating-point operations that prefix the true distance, and
 // the final conversion is the exact remaining operation (monotone and
 // correctly rounded), so reductions commute with it bit for bit. For
-// Euclidean, Manhattan and Chebyshev the native Space path and the
-// Distance-adapter path return bit-identical results, enforced by cross-path
-// golden tests. This is on top of WithParallelism, which controls how many
+// Euclidean, Manhattan and Chebyshev the native space and the
+// SpaceFromDistance adapter over the same function return bit-identical
+// results, enforced by cross-path golden tests. This is on top of WithParallelism, which controls how many
 // MapReduce partitions are processed concurrently; the two compose (the
 // engine's worker budget is divided among concurrently running partitions).
 // One obligation transfers to callers: a custom WithDistance function (or

@@ -136,7 +136,7 @@ func TestKCenterTwoPlusEpsApproximationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := gmm.BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}
@@ -300,7 +300,7 @@ func TestKCenterOutliersThreePlusEpsApproximationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, k, z)
+		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, k, z)
 		if err != nil {
 			return false
 		}

@@ -18,7 +18,6 @@ var (
 	ErrInvalidEll   = errors.New("core: number of partitions ell must be positive")
 	ErrInvalidSpec  = errors.New("core: exactly one of Eps and CoresetSize must be positive")
 	ErrInvalidZ     = errors.New("core: z must be non-negative and k+z must be smaller than |S|")
-	ErrNilDistance  = errors.New("core: nil distance function")
 	ErrNilPartition = errors.New("core: nil partitioner")
 )
 
@@ -35,12 +34,9 @@ type KCenterConfig struct {
 	// CoresetSize is the per-partition coreset size tau (the experiments use
 	// tau = mu*K). Exactly one of Eps and CoresetSize must be positive.
 	CoresetSize int
-	// Distance is the metric; nil defaults to Euclidean.
-	Distance metric.Distance
-	// Space, when non-nil, overrides Distance as the metric space driving
-	// every distance-dominated pass (batched kernels + comparison-domain
-	// surrogate). When nil, Distance is upgraded to its native space
-	// (built-ins) or wrapped in the identity-surrogate adapter.
+	// Space is the metric space driving every distance-dominated pass
+	// (batched kernels + comparison-domain surrogate); nil defaults to
+	// Euclidean.
 	Space metric.Space
 	// Partitioner splits the input in the first round; nil defaults to
 	// UniformPartitioner (the paper's equal-size split).
@@ -76,10 +72,7 @@ func (c *KCenterConfig) normalize(n int) error {
 		return fmt.Errorf("%w: eps=%v coresetSize=%d", ErrInvalidSpec, c.Eps, c.CoresetSize)
 	}
 	if c.Space == nil {
-		c.Space = metric.SpaceFor(c.Distance)
-	}
-	if c.Distance == nil {
-		c.Distance = c.Space.Dist()
+		c.Space = metric.EuclideanSpace
 	}
 	if c.Partitioner == nil {
 		c.Partitioner = mapreduce.UniformPartitioner{}
@@ -156,7 +149,7 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 			if len(part) == 0 {
 				return nil, nil
 			}
-			return coreset.Build(cfg.Distance, part, spec)
+			return coreset.Build(nil, part, spec)
 		},
 	)
 	if err != nil {
@@ -210,12 +203,12 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 // SequentialKCenter is the ell = 1 instantiation of KCenter: a purely
 // sequential coreset-accelerated k-center algorithm. It is exposed separately
 // for clarity; semantically it is KCenter with Ell = 1.
-func SequentialKCenter(points metric.Dataset, k int, coresetSize int, dist metric.Distance) (*KCenterResult, error) {
+func SequentialKCenter(points metric.Dataset, k int, coresetSize int, sp metric.Space) (*KCenterResult, error) {
 	return KCenter(points, KCenterConfig{
 		K:           k,
 		Ell:         1,
 		CoresetSize: coresetSize,
-		Distance:    dist,
+		Space:       sp,
 		Parallelism: 1,
 		Workers:     1,
 	})

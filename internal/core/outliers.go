@@ -40,12 +40,9 @@ type OutliersConfig struct {
 	// Rand seeds the random partitioner of the randomized variant; nil uses a
 	// fixed seed. Ignored when Randomized is false or Partitioner is set.
 	Rand *rand.Rand
-	// Distance is the metric; nil defaults to Euclidean.
-	Distance metric.Distance
-	// Space, when non-nil, overrides Distance as the metric space driving
-	// every distance-dominated pass (batched kernels + comparison-domain
-	// surrogate). When nil, Distance is upgraded to its native space
-	// (built-ins) or wrapped in the identity-surrogate adapter.
+	// Space is the metric space driving every distance-dominated pass
+	// (batched kernels + comparison-domain surrogate); nil defaults to
+	// Euclidean.
 	Space metric.Space
 	// Partitioner overrides the default partitioner (uniform for the
 	// deterministic variant, random for the randomized one). The Figure 4
@@ -91,10 +88,7 @@ func (c *OutliersConfig) normalize(n int) error {
 		return fmt.Errorf("%w: need CoresetSize > 0 or EpsHat > 0", ErrInvalidSpec)
 	}
 	if c.Space == nil {
-		c.Space = metric.SpaceFor(c.Distance)
-	}
-	if c.Distance == nil {
-		c.Distance = c.Space.Dist()
+		c.Space = metric.EuclideanSpace
 	}
 	if c.Partitioner == nil {
 		if c.Randomized {
@@ -206,7 +200,7 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 			if len(part) == 0 {
 				return nil, nil
 			}
-			return coreset.Build(cfg.Distance, part, spec)
+			return coreset.Build(nil, part, spec)
 		},
 	)
 	if err != nil {
@@ -274,14 +268,14 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 // is O(|S||T| + |T|^2 log|T|) — one OutliersCluster evaluation is O(|T|^2)
 // whatever k is — a large improvement over the O(|S|^2 log|S|) of the same
 // search run on the whole input (the CharikarEtAl baseline) for |T| << |S|.
-func SequentialKCenterOutliers(points metric.Dataset, k, z, coresetSize int, epsHat float64, dist metric.Distance) (*OutliersResult, error) {
+func SequentialKCenterOutliers(points metric.Dataset, k, z, coresetSize int, epsHat float64, sp metric.Space) (*OutliersResult, error) {
 	return KCenterOutliers(points, OutliersConfig{
 		K:           k,
 		Z:           z,
 		Ell:         1,
 		EpsHat:      epsHat,
 		CoresetSize: coresetSize,
-		Distance:    dist,
+		Space:       sp,
 		Parallelism: 1,
 		Workers:     1,
 	})

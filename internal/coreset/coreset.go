@@ -118,6 +118,8 @@ func (c *Coreset) Weighted() metric.WeightedSet {
 func (c *Coreset) Size() int { return len(c.Points) }
 
 // Build constructs a coreset of the given partition according to the spec.
+// dist is read only when spec.Space is nil, and then resolved to its space
+// (nil: Euclidean).
 func Build(dist metric.Distance, partition metric.Dataset, spec Spec) (*Coreset, error) {
 	if len(partition) == 0 {
 		return nil, errors.New("coreset: empty partition")
@@ -130,7 +132,11 @@ func Build(dist metric.Distance, partition metric.Dataset, spec Spec) (*Coreset,
 		seed = 0
 	}
 
-	runner := gmm.Runner{Dist: dist, Space: spec.Space, Workers: spec.Workers}
+	sp := spec.Space
+	if sp == nil {
+		sp = metric.SpaceFor(dist)
+	}
+	runner := gmm.Runner{Space: sp, Workers: spec.Workers}
 	var res *gmm.Result
 	var err error
 	if spec.Eps > 0 {

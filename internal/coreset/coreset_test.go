@@ -152,7 +152,7 @@ func TestLemma2ProxyDistanceProperty(t *testing.T) {
 		// Split into two halves; build a coreset on each half.
 		half := n / 2
 		parts := []metric.Dataset{ds[:half], ds[half:]}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := gmm.BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}

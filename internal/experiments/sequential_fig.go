@@ -88,7 +88,7 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 		{
 			name: "CharikarEtAl",
 			run: func(pts metric.Dataset) (metric.Dataset, error) {
-				res, err := outliers.CharikarEtAl(metric.Euclidean, pts, cfg.K, cfg.Z)
+				res, err := outliers.CharikarEtAl(metric.EuclideanSpace, pts, cfg.K, cfg.Z)
 				if err != nil {
 					return nil, err
 				}

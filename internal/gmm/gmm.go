@@ -66,41 +66,17 @@ type Result struct {
 // bit-identical to the sequential path for any worker count (see the
 // determinism contract in internal/metric/parallel.go).
 type Runner struct {
-	// Dist is the metric. When Space is nil it is upgraded to its native
-	// Space (built-in functions) or wrapped in the identity-surrogate
-	// adapter (custom functions); nil defaults to Euclidean.
-	Dist metric.Distance
-	// Space, when non-nil, overrides Dist as the metric space: the batched
-	// kernels and the comparison-domain surrogate of the space drive every
-	// inner loop.
+	// Space is the metric space: its batched kernels and comparison-domain
+	// surrogate drive every inner loop. nil defaults to Euclidean.
 	Space metric.Space
 	// Workers is the parallelism degree: <= 0 selects one worker per CPU,
 	// 1 forces the sequential path.
 	Workers int
 }
 
-// space resolves the runner's metric space.
-func (r Runner) space() metric.Space {
-	if r.Space != nil {
-		return r.Space
-	}
-	return metric.SpaceFor(r.Dist)
-}
-
 // Run executes the classic GMM algorithm selecting exactly k centers
 // (or len(points) centers if k >= len(points)). The first center is
 // points[seedIndex]; pass 0 for the conventional deterministic choice.
-//
-// Run (like every package-level wrapper here) uses the auto-parallel
-// distance engine — one worker per CPU, with a sequential fallback for
-// small inputs. This is a deliberate default: results are bit-identical to
-// the sequential path, so only wall-clock time changes. Use a Runner with
-// Workers: 1 to pin the sequential schedule (e.g. for baseline timings).
-func Run(dist metric.Distance, points metric.Dataset, k int, seedIndex int) (*Result, error) {
-	return Runner{Dist: dist}.Run(points, k, seedIndex)
-}
-
-// Run is the Runner form of the package-level Run.
 func (r Runner) Run(points metric.Dataset, k int, seedIndex int) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyInput
@@ -132,11 +108,6 @@ func (r Runner) Run(points metric.Dataset, k int, seedIndex int) (*Result, error
 //
 // This is the first-round computation of the MapReduce coreset construction:
 // minCenters = k (or k+z), stopFraction = eps/2.
-func RunIncremental(dist metric.Distance, points metric.Dataset, minCenters int, stopFraction float64, maxCenters int, seedIndex int) (*Result, error) {
-	return Runner{Dist: dist}.RunIncremental(points, minCenters, stopFraction, maxCenters, seedIndex)
-}
-
-// RunIncremental is the Runner form of the package-level RunIncremental.
 func (r Runner) RunIncremental(points metric.Dataset, minCenters int, stopFraction float64, maxCenters int, seedIndex int) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyInput
@@ -179,11 +150,6 @@ func (r Runner) RunIncremental(points metric.Dataset, minCenters int, stopFracti
 // refCenters centers. This mirrors how the paper's experiments size coresets
 // directly (tau = mu*k or mu*(k+z)) instead of going through the precision
 // parameter eps.
-func RunToSize(dist metric.Distance, points metric.Dataset, targetSize, refCenters, seedIndex int) (*Result, error) {
-	return Runner{Dist: dist}.RunToSize(points, targetSize, refCenters, seedIndex)
-}
-
-// RunToSize is the Runner form of the package-level RunToSize.
 func (r Runner) RunToSize(points metric.Dataset, targetSize, refCenters, seedIndex int) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyInput
@@ -225,11 +191,6 @@ func (r Runner) RunToSize(points metric.Dataset, targetSize, refCenters, seedInd
 // (or the dataset is exhausted, or maxCenters centers are selected when
 // maxCenters > 0). It supports the "grow until a target radius is achieved"
 // usage mentioned in Section 2 of the paper.
-func RunToRadius(dist metric.Distance, points metric.Dataset, targetRadius float64, maxCenters, seedIndex int) (*Result, error) {
-	return Runner{Dist: dist}.RunToRadius(points, targetRadius, maxCenters, seedIndex)
-}
-
-// RunToRadius is the Runner form of the package-level RunToRadius.
 func (r Runner) RunToRadius(points metric.Dataset, targetRadius float64, maxCenters, seedIndex int) (*Result, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyInput
@@ -283,8 +244,12 @@ type state struct {
 }
 
 func newState(r Runner, points metric.Dataset, seedIndex int) *state {
+	sp := r.Space
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
 	st := &state{
-		sp:       r.space(),
+		sp:       sp,
 		eng:      metric.NewEngine(r.Workers),
 		points:   points,
 		minDist:  make([]float64, len(points)),
@@ -423,11 +388,6 @@ func (st *state) result(refCenters int) *Result {
 // attained after each center selection of a full GMM run on the dataset (up to
 // maxCenters centers, or all points if maxCenters <= 0). The sequence is
 // non-increasing.
-func RadiusHistory(dist metric.Distance, points metric.Dataset, maxCenters, seedIndex int) ([]float64, error) {
-	return Runner{Dist: dist}.RadiusHistory(points, maxCenters, seedIndex)
-}
-
-// RadiusHistory is the Runner form of the package-level RadiusHistory.
 func (r Runner) RadiusHistory(points metric.Dataset, maxCenters, seedIndex int) ([]float64, error) {
 	if len(points) == 0 {
 		return nil, ErrEmptyInput
@@ -452,8 +412,11 @@ func (r Runner) RadiusHistory(points metric.Dataset, maxCenters, seedIndex int) 
 // BruteForceOptimalRadius computes the exact optimal k-center radius of a
 // small dataset by exhaustive search over all k-subsets of candidate centers.
 // It is exponential in k and intended exclusively for tests that validate the
-// approximation guarantees on tiny instances.
-func BruteForceOptimalRadius(dist metric.Distance, points metric.Dataset, k int) (float64, error) {
+// approximation guarantees on tiny instances. It evaluates through the
+// space's scalar function, sp.Dist(), so it stays independent of the batched
+// kernels it checks.
+func BruteForceOptimalRadius(sp metric.Space, points metric.Dataset, k int) (float64, error) {
+	dist := sp.Dist()
 	n := len(points)
 	if n == 0 {
 		return 0, ErrEmptyInput
@@ -490,8 +453,10 @@ func BruteForceOptimalRadius(dist metric.Distance, points metric.Dataset, k int)
 // BruteForceOptimalRadiusWithOutliers computes the exact optimal radius of the
 // k-center problem with z outliers on a small dataset by exhaustive search
 // over all k-subsets of centers, discarding the z farthest points for each
-// candidate set. Exponential in k; tests only.
-func BruteForceOptimalRadiusWithOutliers(dist metric.Distance, points metric.Dataset, k, z int) (float64, error) {
+// candidate set. Exponential in k; tests only. Like BruteForceOptimalRadius
+// it evaluates through sp.Dist().
+func BruteForceOptimalRadiusWithOutliers(sp metric.Space, points metric.Dataset, k, z int) (float64, error) {
+	dist := sp.Dist()
 	n := len(points)
 	if n == 0 {
 		return 0, ErrEmptyInput

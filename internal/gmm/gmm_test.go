@@ -42,56 +42,56 @@ func clusteredDataset(rng *rand.Rand, k, perCluster, dim int, separation, spread
 
 func TestRunErrors(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}}
-	if _, err := Run(metric.Euclidean, nil, 1, 0); err == nil {
+	if _, err := (Runner{}).Run(nil, 1, 0); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Run(metric.Euclidean, ds, 0, 0); err == nil {
+	if _, err := (Runner{}).Run(ds, 0, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Run(metric.Euclidean, ds, 1, 5); err == nil {
+	if _, err := (Runner{}).Run(ds, 1, 5); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	if _, err := RunIncremental(metric.Euclidean, nil, 1, 0.5, 0, 0); err == nil {
+	if _, err := (Runner{}).RunIncremental(nil, 1, 0.5, 0, 0); err == nil {
 		t.Error("incremental: empty input accepted")
 	}
-	if _, err := RunIncremental(metric.Euclidean, ds, 0, 0.5, 0, 0); err == nil {
+	if _, err := (Runner{}).RunIncremental(ds, 0, 0.5, 0, 0); err == nil {
 		t.Error("incremental: k=0 accepted")
 	}
-	if _, err := RunIncremental(metric.Euclidean, ds, 1, -1, 0, 0); err == nil {
+	if _, err := (Runner{}).RunIncremental(ds, 1, -1, 0, 0); err == nil {
 		t.Error("incremental: negative fraction accepted")
 	}
-	if _, err := RunIncremental(metric.Euclidean, ds, 1, 0.5, 0, 9); err == nil {
+	if _, err := (Runner{}).RunIncremental(ds, 1, 0.5, 0, 9); err == nil {
 		t.Error("incremental: out-of-range seed accepted")
 	}
-	if _, err := RunToSize(metric.Euclidean, nil, 3, 1, 0); err == nil {
+	if _, err := (Runner{}).RunToSize(nil, 3, 1, 0); err == nil {
 		t.Error("RunToSize: empty input accepted")
 	}
-	if _, err := RunToSize(metric.Euclidean, ds, 0, 1, 0); err == nil {
+	if _, err := (Runner{}).RunToSize(ds, 0, 1, 0); err == nil {
 		t.Error("RunToSize: size 0 accepted")
 	}
-	if _, err := RunToSize(metric.Euclidean, ds, 1, 1, 7); err == nil {
+	if _, err := (Runner{}).RunToSize(ds, 1, 1, 7); err == nil {
 		t.Error("RunToSize: out-of-range seed accepted")
 	}
-	if _, err := RunToRadius(metric.Euclidean, nil, 1, 0, 0); err == nil {
+	if _, err := (Runner{}).RunToRadius(nil, 1, 0, 0); err == nil {
 		t.Error("RunToRadius: empty input accepted")
 	}
-	if _, err := RunToRadius(metric.Euclidean, ds, -1, 0, 0); err == nil {
+	if _, err := (Runner{}).RunToRadius(ds, -1, 0, 0); err == nil {
 		t.Error("RunToRadius: negative radius accepted")
 	}
-	if _, err := RunToRadius(metric.Euclidean, ds, 1, 0, 9); err == nil {
+	if _, err := (Runner{}).RunToRadius(ds, 1, 0, 9); err == nil {
 		t.Error("RunToRadius: out-of-range seed accepted")
 	}
-	if _, err := RadiusHistory(metric.Euclidean, nil, 0, 0); err == nil {
+	if _, err := (Runner{}).RadiusHistory(nil, 0, 0); err == nil {
 		t.Error("RadiusHistory: empty input accepted")
 	}
-	if _, err := RadiusHistory(metric.Euclidean, ds, 0, 9); err == nil {
+	if _, err := (Runner{}).RadiusHistory(ds, 0, 9); err == nil {
 		t.Error("RadiusHistory: out-of-range seed accepted")
 	}
 }
 
 func TestRunBasic(t *testing.T) {
 	ds := metric.Dataset{{0, 0}, {10, 0}, {0, 10}, {10, 10}, {5, 5}}
-	res, err := Run(metric.Euclidean, ds, 4, 0)
+	res, err := (Runner{}).Run(ds, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunBasic(t *testing.T) {
 
 func TestRunKLargerThanN(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}, {2}}
-	res, err := Run(metric.Euclidean, ds, 10, 0)
+	res, err := (Runner{}).Run(ds, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRunKLargerThanN(t *testing.T) {
 
 func TestRunDuplicatePoints(t *testing.T) {
 	ds := metric.Dataset{{1, 1}, {1, 1}, {1, 1}, {5, 5}}
-	res, err := Run(metric.Euclidean, ds, 3, 0)
+	res, err := (Runner{}).Run(ds, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestTwoApproximationProperty(t *testing.T) {
 		n := 6 + rng.Intn(8)
 		k := 1 + rng.Intn(3)
 		ds := randomDataset(rng, n, 2, 50)
-		res, err := Run(metric.Euclidean, ds, k, 0)
+		res, err := (Runner{}).Run(ds, k, 0)
 		if err != nil {
 			return false
 		}
-		opt, err := BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}
@@ -177,11 +177,11 @@ func TestLemma1SubsetProperty(t *testing.T) {
 		for _, i := range perm {
 			sub = append(sub, ds[i])
 		}
-		res, err := Run(metric.Euclidean, sub, k, 0)
+		res, err := (Runner{}).Run(sub, k, 0)
 		if err != nil {
 			return false
 		}
-		opt, err := BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}
@@ -195,7 +195,7 @@ func TestLemma1SubsetProperty(t *testing.T) {
 func TestRadiusHistoryNonIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := randomDataset(rng, 60, 3, 10)
-	hist, err := RadiusHistory(metric.Euclidean, ds, 0, 0)
+	hist, err := (Runner{}).RadiusHistory(ds, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestRunIncrementalStoppingRule(t *testing.T) {
 	ds := clusteredDataset(rng, 4, 50, 3, 100, 1)
 	k := 4
 	eps := 0.5
-	res, err := RunIncremental(metric.Euclidean, ds, k, eps/2, 0, 0)
+	res, err := (Runner{}).RunIncremental(ds, k, eps/2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRunIncrementalStoppingRule(t *testing.T) {
 func TestRunIncrementalMaxCenters(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ds := randomDataset(rng, 100, 3, 10)
-	res, err := RunIncremental(metric.Euclidean, ds, 5, 0.0001, 20, 0)
+	res, err := (Runner{}).RunIncremental(ds, 5, 0.0001, 20, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestRunIncrementalMaxCenters(t *testing.T) {
 
 func TestRunIncrementalZeroFractionStopsAtExhaustion(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}, {2}, {3}}
-	res, err := RunIncremental(metric.Euclidean, ds, 2, 0, 0, 0)
+	res, err := (Runner{}).RunIncremental(ds, 2, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestRunIncrementalZeroFractionStopsAtExhaustion(t *testing.T) {
 func TestRunToSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := randomDataset(rng, 200, 3, 10)
-	res, err := RunToSize(metric.Euclidean, ds, 40, 10, 0)
+	res, err := (Runner{}).RunToSize(ds, 40, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRunToSize(t *testing.T) {
 		t.Errorf("RadiusAtK (%v) < final radius (%v)", res.RadiusAtK, res.Radius)
 	}
 	// Requesting more centers than points caps at n.
-	res2, err := RunToSize(metric.Euclidean, ds[:5], 50, 2, 0)
+	res2, err := (Runner{}).RunToSize(ds[:5], 50, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRunToSize(t *testing.T) {
 		t.Errorf("centers = %d, want 5", len(res2.Centers))
 	}
 	// refCenters <= 0 defaults to targetSize.
-	if _, err := RunToSize(metric.Euclidean, ds, 10, 0, 0); err != nil {
+	if _, err := (Runner{}).RunToSize(ds, 10, 0, 0); err != nil {
 		t.Errorf("refCenters=0 should default: %v", err)
 	}
 }
@@ -289,7 +289,7 @@ func TestRunToSize(t *testing.T) {
 func TestRunToRadius(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ds := clusteredDataset(rng, 3, 30, 2, 50, 0.5)
-	res, err := RunToRadius(metric.Euclidean, ds, 2.0, 0, 0)
+	res, err := (Runner{}).RunToRadius(ds, 2.0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRunToRadius(t *testing.T) {
 		t.Errorf("radius = %v, want <= 2", res.Radius)
 	}
 	// With maxCenters too small to reach the target the cap wins.
-	res2, err := RunToRadius(metric.Euclidean, ds, 0.000001, 5, 0)
+	res2, err := (Runner{}).RunToRadius(ds, 0.000001, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestRunToRadius(t *testing.T) {
 func TestCentersAreInputPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, 50, 4, 20)
-	res, err := Run(metric.Euclidean, ds, 7, 0)
+	res, err := (Runner{}).Run(ds, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,20 +333,20 @@ func TestCentersAreInputPoints(t *testing.T) {
 
 func TestBruteForceOptimalRadius(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}, {10}, {11}}
-	opt, err := BruteForceOptimalRadius(metric.Euclidean, ds, 2)
+	opt, err := BruteForceOptimalRadius(metric.EuclideanSpace, ds, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt != 1 {
 		t.Errorf("optimal radius = %v, want 1", opt)
 	}
-	if got, _ := BruteForceOptimalRadius(metric.Euclidean, ds, 4); got != 0 {
+	if got, _ := BruteForceOptimalRadius(metric.EuclideanSpace, ds, 4); got != 0 {
 		t.Errorf("k=n optimal radius = %v, want 0", got)
 	}
-	if _, err := BruteForceOptimalRadius(metric.Euclidean, nil, 1); err == nil {
+	if _, err := BruteForceOptimalRadius(metric.EuclideanSpace, nil, 1); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := BruteForceOptimalRadius(metric.Euclidean, ds, 0); err == nil {
+	if _, err := BruteForceOptimalRadius(metric.EuclideanSpace, ds, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 }
@@ -354,31 +354,31 @@ func TestBruteForceOptimalRadius(t *testing.T) {
 func TestBruteForceOptimalRadiusWithOutliers(t *testing.T) {
 	// Two tight clusters plus one far outlier: with z=1 the outlier is free.
 	ds := metric.Dataset{{0}, {1}, {10}, {11}, {1000}}
-	opt, err := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, 2, 1)
+	opt, err := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if opt != 1 {
 		t.Errorf("optimal radius with outlier = %v, want 1", opt)
 	}
-	noOut, err := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, 2, 0)
+	noOut, err := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if noOut <= opt {
 		t.Errorf("radius without outlier budget (%v) should exceed with budget (%v)", noOut, opt)
 	}
-	if got, _ := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, 3, 2); got != 0 {
+	if got, _ := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, 3, 2); got != 0 {
 		t.Errorf("k+z>=n radius = %v, want 0", got)
 	}
-	if _, err := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, nil, 1, 0); err == nil {
+	if _, err := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, nil, 1, 0); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, 0, 0); err == nil {
+	if _, err := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, 0, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
 	// Negative z behaves as zero.
-	a, _ := BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, 2, -3)
+	a, _ := BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, 2, -3)
 	if a != noOut {
 		t.Errorf("negative z radius = %v, want %v", a, noOut)
 	}
@@ -389,12 +389,12 @@ func TestRunSeedIndependenceOfGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ds := randomDataset(rng, 12, 2, 30)
 	k := 3
-	opt, err := BruteForceOptimalRadius(metric.Euclidean, ds, k)
+	opt, err := BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := 0; seed < len(ds); seed++ {
-		res, err := Run(metric.Euclidean, ds, k, seed)
+		res, err := (Runner{}).Run(ds, k, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestRunSeedIndependenceOfGuarantee(t *testing.T) {
 func TestRadiusHistoryMaxCenters(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds := randomDataset(rng, 30, 2, 10)
-	hist, err := RadiusHistory(metric.Euclidean, ds, 7, 0)
+	hist, err := (Runner{}).RadiusHistory(ds, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,9 +58,9 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 	for _, n := range []int{40, 1000, 9000} {
 		ds := parallelTestDataset(n, 3, int64(n)*7)
 		k := 12
-		seq := Runner{Dist: metric.Euclidean, Workers: 1}
+		seq := Runner{Space: metric.EuclideanSpace, Workers: 1}
 		for _, w := range []int{0, 2, 8} {
-			par := Runner{Dist: metric.Euclidean, Workers: w}
+			par := Runner{Space: metric.EuclideanSpace, Workers: w}
 
 			want, err := seq.Run(ds, k, 0)
 			if err != nil {
@@ -133,7 +133,7 @@ func TestRunnerDistanceBudgetAcrossWorkers(t *testing.T) {
 	ds := parallelTestDataset(n, 2, 11)
 	for _, w := range []int{1, 8} {
 		c := metric.NewCounter(metric.Euclidean)
-		if _, err := (Runner{Dist: c.Distance, Workers: w}).Run(ds, k, 0); err != nil {
+		if _, err := (Runner{Space: metric.SpaceFromDistance("counter", c.Distance), Workers: w}).Run(ds, k, 0); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := c.Calls(), int64(k*n); got != want {
@@ -186,7 +186,7 @@ func TestRunnerDistanceBudgetAcrossWorkers(t *testing.T) {
 func TestRunnerConcurrentRuns(t *testing.T) {
 	ds := parallelTestDataset(9000, 2, 23)
 	k := 6
-	want, err := Runner{Dist: metric.Euclidean, Workers: 1}.Run(ds, k, 0)
+	want, err := Runner{Space: metric.EuclideanSpace, Workers: 1}.Run(ds, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got, err := Runner{Dist: metric.Euclidean, Workers: 4}.Run(ds, k, 0)
+			got, err := Runner{Space: metric.EuclideanSpace, Workers: 4}.Run(ds, k, 0)
 			if err != nil {
 				errs[g] = err
 				return

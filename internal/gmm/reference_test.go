@@ -111,7 +111,7 @@ func referenceToRadius(sp metric.Space, points metric.Dataset, target float64, m
 // points reach.
 func requireMatchesReference(t *testing.T, label string, r Runner, points metric.Dataset, k, grow, seed int) {
 	t.Helper()
-	sp := r.space()
+	sp := r.Space
 
 	got, err := r.Run(points, k, seed)
 	if err != nil {
@@ -419,7 +419,7 @@ func TestIncapableSpacesAreNeverPruned(t *testing.T) {
 	}
 
 	counter := metric.NewCounter(metric.Euclidean)
-	res, err = Runner{Dist: counter.Distance, Workers: 1}.Run(points, k, 0)
+	res, err = Runner{Space: metric.SpaceFromDistance("counter", counter.Distance), Workers: 1}.Run(points, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func TestZeroRadiusRoundsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, "duplicates", referenceToSize(r.space(), points, k, k, 0), got)
+	requireSameResult(t, "duplicates", referenceToSize(r.Space, points, k, k, 0), got)
 
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := r.Run(points, k, 0); err != nil {

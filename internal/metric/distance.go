@@ -235,27 +235,9 @@ func Assign(dist Distance, points Dataset, centers Dataset) []int {
 	return out
 }
 
-// PairwiseDistances returns all n*(n-1)/2 distinct pairwise distances of the
-// dataset in an unspecified order. It is used by the exhaustive radius search
-// of the CharikarEtAl baseline and by small-instance brute-force tests.
-func PairwiseDistances(dist Distance, points Dataset) []float64 {
-	n := len(points)
-	if n < 2 {
-		return nil
-	}
-	out := make([]float64, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			out = append(out, dist(points[i], points[j]))
-		}
-	}
-	return out
-}
-
-// PairwiseDistancesIn is PairwiseDistances on a Space: each row i is one
-// batched DistancesTo over points[i+1:], converted to the true domain in
-// place. Row i's distances occupy out[i*n - i*(i+1)/2 ...], the same order as
-// PairwiseDistances.
+// PairwiseDistancesIn returns all n*(n-1)/2 distinct pairwise TRUE distances
+// of the points: row i is one batched DistancesTo over points[i+1:], converted
+// to the true domain in place, and occupies out[i*n - i*(i+1)/2 ...].
 func PairwiseDistancesIn(sp Space, points Dataset) []float64 {
 	n := len(points)
 	if n < 2 {
@@ -281,21 +263,6 @@ func Diameter(dist Distance, points Dataset) float64 {
 	for i := 0; i < len(points); i++ {
 		for j := i + 1; j < len(points); j++ {
 			if d := dist(points[i], points[j]); d > m {
-				m = d
-			}
-		}
-	}
-	return m
-}
-
-// MinPairwiseDistance returns the minimum distance between two distinct points
-// of the dataset, or +Inf if there are fewer than two points. It is used by
-// the streaming doubling algorithm to initialise its lower bound phi.
-func MinPairwiseDistance(dist Distance, points Dataset) float64 {
-	m := math.Inf(1)
-	for i := 0; i < len(points); i++ {
-		for j := i + 1; j < len(points); j++ {
-			if d := dist(points[i], points[j]); d < m {
 				m = d
 			}
 		}

@@ -255,14 +255,14 @@ func TestAssign(t *testing.T) {
 
 func TestPairwiseDistancesAndDiameter(t *testing.T) {
 	points := Dataset{{0, 0}, {3, 4}, {0, 1}}
-	d := PairwiseDistances(Euclidean, points)
+	d := PairwiseDistancesIn(EuclideanSpace, points)
 	if len(d) != 3 {
 		t.Fatalf("len(PairwiseDistances) = %d, want 3", len(d))
 	}
 	if got := Diameter(Euclidean, points); got != 5 {
 		t.Errorf("Diameter = %v, want 5", got)
 	}
-	if got := PairwiseDistances(Euclidean, Dataset{{1}}); got != nil {
+	if got := PairwiseDistancesIn(EuclideanSpace, Dataset{{1}}); got != nil {
 		t.Errorf("PairwiseDistances singleton = %v, want nil", got)
 	}
 	if got := Diameter(Euclidean, Dataset{{1}}); got != 0 {
@@ -272,10 +272,10 @@ func TestPairwiseDistancesAndDiameter(t *testing.T) {
 
 func TestMinPairwiseDistance(t *testing.T) {
 	points := Dataset{{0, 0}, {3, 4}, {0, 1}}
-	if got := MinPairwiseDistance(Euclidean, points); got != 1 {
+	if got := NewEngine(1).MinPairwiseDistance(EuclideanSpace, points); got != 1 {
 		t.Errorf("MinPairwiseDistance = %v, want 1", got)
 	}
-	if got := MinPairwiseDistance(Euclidean, Dataset{{0, 0}}); !math.IsInf(got, 1) {
+	if got := NewEngine(1).MinPairwiseDistance(EuclideanSpace, Dataset{{0, 0}}); !math.IsInf(got, 1) {
 		t.Errorf("MinPairwiseDistance singleton = %v, want +Inf", got)
 	}
 }
@@ -313,25 +313,25 @@ func TestEstimateDoublingDimension(t *testing.T) {
 		x := float64(i)
 		line[i] = Point{x, 2 * x, -x, 0.5 * x, 0}
 	}
-	dLine := EstimateDoublingDimension(Euclidean, line, 6, 4, rng)
+	dLine := NewEngine(0).EstimateDoublingDimension(EuclideanSpace, line, 6, 4, rng)
 	// A 5-dimensional cube sample should have a larger estimate than the line.
 	cube := make(Dataset, 200)
 	for i := range cube {
 		cube[i] = randomPoint(rng, 5, 1)
 	}
-	dCube := EstimateDoublingDimension(Euclidean, cube, 6, 4, rng)
+	dCube := NewEngine(0).EstimateDoublingDimension(EuclideanSpace, cube, 6, 4, rng)
 	if dLine <= 0 {
 		t.Errorf("line doubling dimension estimate = %v, want > 0", dLine)
 	}
 	if dCube <= dLine {
 		t.Errorf("cube estimate (%v) should exceed line estimate (%v)", dCube, dLine)
 	}
-	if got := EstimateDoublingDimension(Euclidean, Dataset{{1, 2}}, 4, 4, rng); got != 0 {
+	if got := NewEngine(0).EstimateDoublingDimension(EuclideanSpace, Dataset{{1, 2}}, 4, 4, rng); got != 0 {
 		t.Errorf("singleton estimate = %v, want 0", got)
 	}
 	// Defaulted parameters and nil RNG should not panic and be deterministic.
-	a := EstimateDoublingDimension(Euclidean, cube[:50], 0, 0, nil)
-	b := EstimateDoublingDimension(Euclidean, cube[:50], 0, 0, nil)
+	a := NewEngine(0).EstimateDoublingDimension(EuclideanSpace, cube[:50], 0, 0, nil)
+	b := NewEngine(0).EstimateDoublingDimension(EuclideanSpace, cube[:50], 0, 0, nil)
 	if a != b {
 		t.Errorf("nil-RNG estimate not deterministic: %v vs %v", a, b)
 	}

@@ -20,21 +20,12 @@ import (
 //
 // anchors bounds the number of sampled ball centers and radii the number of
 // radius scales per anchor. rng may be nil, in which case a fixed-seed source
-// is used so the estimate is deterministic. This wrapper runs on the
-// auto-parallel engine; the result is identical for any worker count (and to
-// the historical fully sequential scan).
-func EstimateDoublingDimension(dist Distance, points Dataset, anchors, radii int, rng *rand.Rand) float64 {
-	return NewEngine(0).EstimateDoublingDimension(SpaceFor(dist), points, anchors, radii, rng)
-}
-
-// EstimateDoublingDimension is the engine form of the package-level function:
-// all pairwise scans (the farthest-point pass per anchor and the cover passes
-// of the greedy) run through the engine's chunked batch kernels instead of
-// sequential per-pair loops. The anchor's distance vector is computed once
-// per anchor and reused across every radius scale, where the historical
-// implementation recomputed it per scale. Greedy decisions (first uncovered
-// point, cover membership) are taken sequentially on the chunk-assembled
-// vectors, so the estimate is bit-identical to the sequential scan for every
+// is used so the estimate is deterministic. All pairwise scans (the
+// farthest-point pass per anchor and the cover passes of the greedy) run
+// through the engine's chunked batch kernels, and the anchor's distance vector
+// is computed once per anchor and reused across every radius scale. Greedy
+// decisions (first uncovered point, cover membership) are taken sequentially
+// on the chunk-assembled vectors, so the estimate is bit-identical for every
 // worker count.
 func (e Engine) EstimateDoublingDimension(sp Space, points Dataset, anchors, radii int, rng *rand.Rand) float64 {
 	if len(points) < 2 {

@@ -485,8 +485,8 @@ func argMaxSeq(v []float64, lo, hi int) (int, float64) {
 
 // MinPairwiseDistance returns the minimum TRUE distance between two distinct
 // points of the dataset (+Inf for fewer than two points), chunking the outer
-// row loop across the workers with the batched row kernel. It is the engine
-// form of the package-level MinPairwiseDistance.
+// row loop across the workers with the batched row kernel. The streaming
+// algorithms bootstrap their lower bound phi from it.
 func (e Engine) MinPairwiseDistance(sp Space, points Dataset) float64 {
 	n := len(points)
 	if n < 2 {

@@ -133,9 +133,9 @@ func SpaceNames() []string {
 
 // SpaceFor returns the Space for a scalar distance function: the native
 // space when dist is one of the built-in functions (nil selects Euclidean,
-// the library default), or a SpaceFromDistance adapter otherwise. This is
-// how every Distance-typed entry point of the repository upgrades to the
-// batched kernels without changing its signature.
+// the library default), or a SpaceFromDistance adapter otherwise. It is the
+// one place a Distance becomes a Space: the public WithDistance option and
+// the sketch wire table resolve functions through it.
 func SpaceFor(dist Distance) Space {
 	if dist == nil {
 		return EuclideanSpace

@@ -1,43 +1,22 @@
 package metric
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// Benchmarks for the acceptance criterion of the metric-space layer v2: the
-// native Euclidean Space path must beat the Distance-adapter path on Assign
-// (n=50k, d=16, 1 worker) by at least 1.5x. CI runs these and uploads the
-// results as the BENCH_space.json artifact.
-
-// Benchmark shape: n and d are the acceptance criterion's (50k points,
-// 16 dimensions, 1 worker); k = 64 centers is a representative center count
-// for the paper's workloads (its experiments run k up to the hundreds) and
-// large enough that the per-row kernel dominates the per-point overheads.
+// Kernel benchmarks of the native Euclidean space: Assign and Radius over
+// n = 50k points in d = 16, and the GMM cache update in isolation. k = 64
+// centers is a representative center count for the paper's workloads (its
+// experiments run k up to the hundreds) and large enough that the per-row
+// kernel dominates the per-point overheads.
 const (
 	benchAssignN   = 50000
 	benchAssignDim = 16
 	benchAssignK   = 64
 )
 
-// legacyEuclidean is a faithful copy of the scalar L2 kernel every release
-// before the metric-space layer v2 used on the hot paths: one closure call
-// per pair (through the adapter), one bounds-checked coordinate loop (no
-// length hint, so the checks on b[i] survive), and one math.Sqrt per
-// evaluation. BenchmarkAssignDistance runs it so the Space-vs-Distance
-// comparison measures exactly what this workload cost before the refactor.
-func legacyEuclidean(a, b Point) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// benchDataset builds the point set in per-point allocations, the layout the
-// pre-v2 loaders produced.
+// benchDataset builds the point set in per-point allocations.
 func benchDataset(n, dim int) (Dataset, Dataset) {
 	rng := rand.New(rand.NewSource(777))
 	ds := make(Dataset, n)
@@ -68,7 +47,7 @@ func benchAssign(b *testing.B, sp Space, points, centers Dataset, workers int) {
 	}
 }
 
-// BenchmarkAssignSpace is the native v2 path: flat contiguous storage and
+// BenchmarkAssignSpace is the native path: flat contiguous storage and
 // batched squared-Euclidean kernels — no sqrt, no per-pair function call, no
 // pointer-chasing between points.
 func BenchmarkAssignSpace(b *testing.B) {
@@ -76,23 +55,10 @@ func BenchmarkAssignSpace(b *testing.B) {
 	benchAssign(b, EuclideanSpace, points, centers, 1)
 }
 
-// BenchmarkAssignDistance is the pre-v2 path: per-point allocations and the
-// identity-surrogate adapter around the legacy scalar kernel.
-func BenchmarkAssignDistance(b *testing.B) {
-	points, centers := benchDataset(benchAssignN, benchAssignDim)
-	benchAssign(b, SpaceFromDistance("euclidean-legacy", legacyEuclidean), points, centers, 1)
-}
-
-// BenchmarkAssignSpaceParallel and BenchmarkAssignDistanceParallel are the
-// auto-parallel counterparts, for the speedup trajectory in CI.
+// BenchmarkAssignSpaceParallel is its auto-parallel counterpart.
 func BenchmarkAssignSpaceParallel(b *testing.B) {
 	points, centers := benchFlatDataset(b, benchAssignN, benchAssignDim)
 	benchAssign(b, EuclideanSpace, points, centers, 0)
-}
-
-func BenchmarkAssignDistanceParallel(b *testing.B) {
-	points, centers := benchDataset(benchAssignN, benchAssignDim)
-	benchAssign(b, SpaceFromDistance("euclidean-legacy", legacyEuclidean), points, centers, 0)
 }
 
 func benchRadius(b *testing.B, sp Space) {

@@ -51,13 +51,16 @@ type ClusterResult struct {
 // whose ball of radius (1+2*epsHat)*r contains the largest aggregate weight of
 // still-uncovered points, then marks as covered every uncovered point within
 // distance (3+4*epsHat)*r of x. It stops after k centers or when everything is
-// covered.
-func Cluster(dist metric.Distance, set metric.WeightedSet, k int, r, epsHat float64) (*ClusterResult, error) {
+// covered. Distances are those of the space sp (nil: Euclidean).
+func Cluster(sp metric.Space, set metric.WeightedSet, k int, r, epsHat float64) (*ClusterResult, error) {
 	if err := validateClusterParams(set, k, r, epsHat); err != nil {
 		return nil, err
 	}
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
 	eng := metric.NewEngine(1)
-	ev := newEvaluator(eng, newDistRows(eng, metric.SpaceFor(dist), set.Points()), set, k, epsHat)
+	ev := newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat)
 	ev.probe(r)
 	return ev.result(), nil
 }
@@ -515,21 +518,21 @@ func search(candidates []float64, epsHat float64, strategy SearchStrategy, feasi
 // feasible first). This is the CHARIKARETAL baseline of Figure 8; its running
 // time is O(|S|^2 log|S|) and it is only meant for datasets of at most a
 // few tens of thousands of points.
-func CharikarEtAl(dist metric.Distance, points metric.Dataset, k, z int) (*SolveResult, error) {
+func CharikarEtAl(sp metric.Space, points metric.Dataset, k, z int) (*SolveResult, error) {
 	if z < 0 {
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)
 	}
 	set := metric.Unweighted(points)
-	return SolveIn(metric.SpaceFor(dist), set, k, int64(z), 0, SearchBinaryGeometric, 1)
+	return SolveIn(sp, set, k, int64(z), 0, SearchBinaryGeometric, 1)
 }
 
 // CharikarEtAlExhaustive is CharikarEtAl with the exhaustive (linear-scan)
 // radius search. It is the most faithful rendition of the original algorithm
 // and the slowest; the radius-search ablation benchmark compares the two.
-func CharikarEtAlExhaustive(dist metric.Distance, points metric.Dataset, k, z int) (*SolveResult, error) {
+func CharikarEtAlExhaustive(sp metric.Space, points metric.Dataset, k, z int) (*SolveResult, error) {
 	if z < 0 {
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)
 	}
 	set := metric.Unweighted(points)
-	return SolveIn(metric.SpaceFor(dist), set, k, int64(z), 0, SearchExhaustive, 1)
+	return SolveIn(sp, set, k, int64(z), 0, SearchExhaustive, 1)
 }

@@ -50,16 +50,16 @@ func datasetWithOutliers(rng *rand.Rand, k, perCluster, nOut, dim int) (metric.D
 
 func TestClusterErrors(t *testing.T) {
 	set := metric.Unweighted(metric.Dataset{{0}, {1}})
-	if _, err := Cluster(metric.Euclidean, nil, 1, 1, 0); err == nil {
+	if _, err := Cluster(metric.EuclideanSpace, nil, 1, 1, 0); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := Cluster(metric.Euclidean, set, 0, 1, 0); err == nil {
+	if _, err := Cluster(metric.EuclideanSpace, set, 0, 1, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Cluster(metric.Euclidean, set, 1, -1, 0); err == nil {
+	if _, err := Cluster(metric.EuclideanSpace, set, 1, -1, 0); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, err := Cluster(metric.Euclidean, set, 1, 1, -0.5); err == nil {
+	if _, err := Cluster(metric.EuclideanSpace, set, 1, 1, -0.5); err == nil {
 		t.Error("negative epsHat accepted")
 	}
 }
@@ -78,10 +78,10 @@ func TestSolveErrors(t *testing.T) {
 	if _, err := SolveIn(metric.EuclideanSpace, set, 1, 0, -1, SearchBinaryGeometric, 1); err == nil {
 		t.Error("negative epsHat accepted")
 	}
-	if _, err := CharikarEtAl(metric.Euclidean, metric.Dataset{{0}}, 1, -1); err == nil {
+	if _, err := CharikarEtAl(metric.EuclideanSpace, metric.Dataset{{0}}, 1, -1); err == nil {
 		t.Error("CharikarEtAl negative z accepted")
 	}
-	if _, err := CharikarEtAlExhaustive(metric.Euclidean, metric.Dataset{{0}}, 1, -1); err == nil {
+	if _, err := CharikarEtAlExhaustive(metric.EuclideanSpace, metric.Dataset{{0}}, 1, -1); err == nil {
 		t.Error("CharikarEtAlExhaustive negative z accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestClusterCoversEverythingWithLargeRadius(t *testing.T) {
 	ds := randomDataset(rng, 40, 2, 10)
 	set := metric.Unweighted(ds)
 	diam := metric.Diameter(metric.Euclidean, ds)
-	res, err := Cluster(metric.Euclidean, set, 1, diam, 0)
+	res, err := Cluster(metric.EuclideanSpace, set, 1, diam, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestClusterRespectsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := randomDataset(rng, 50, 2, 100)
 	set := metric.Unweighted(ds)
-	res, err := Cluster(metric.Euclidean, set, 3, 0.01, 0.5)
+	res, err := Cluster(metric.EuclideanSpace, set, 3, 0.01, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestClusterUncoveredDefinition(t *testing.T) {
 	set := metric.Unweighted(ds)
 	r := 5.0
 	epsHat := 0.25
-	res, err := Cluster(metric.Euclidean, set, 4, r, epsHat)
+	res, err := Cluster(metric.EuclideanSpace, set, 4, r, epsHat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestClusterGreedyPicksHeaviestBall(t *testing.T) {
 		{P: metric.Point{100}, W: 50},
 		{P: metric.Point{200}, W: 7},
 	}
-	res, err := Cluster(metric.Euclidean, set, 1, 1, 0)
+	res, err := Cluster(metric.EuclideanSpace, set, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestLemma5CoverageProperty(t *testing.T) {
 		k := 1 + rng.Intn(2)
 		z := rng.Intn(3)
 		ds := randomDataset(rng, n, 2, 50)
-		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, k, z)
+		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, k, z)
 		if err != nil {
 			return false
 		}
 		set := metric.Unweighted(ds)
 		for _, epsHat := range []float64{0, 0.1, 0.5} {
-			res, err := Cluster(metric.Euclidean, set, k, opt, epsHat)
+			res, err := Cluster(metric.EuclideanSpace, set, k, opt, epsHat)
 			if err != nil {
 				return false
 			}
@@ -206,11 +206,11 @@ func TestSolveThreeApproximation(t *testing.T) {
 		k := 1 + rng.Intn(2)
 		z := rng.Intn(3)
 		ds := randomDataset(rng, n, 2, 50)
-		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.Euclidean, ds, k, z)
+		opt, err := gmm.BruteForceOptimalRadiusWithOutliers(metric.EuclideanSpace, ds, k, z)
 		if err != nil {
 			return false
 		}
-		res, err := CharikarEtAl(metric.Euclidean, ds, k, z)
+		res, err := CharikarEtAl(metric.EuclideanSpace, ds, k, z)
 		if err != nil {
 			return false
 		}
@@ -226,7 +226,7 @@ func TestSolveThreeApproximation(t *testing.T) {
 func TestSolveWithObviousOutliers(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds, nOut := datasetWithOutliers(rng, 3, 20, 4, 2)
-	res, err := CharikarEtAl(metric.Euclidean, ds, 3, nOut)
+	res, err := CharikarEtAl(metric.EuclideanSpace, ds, 3, nOut)
 	if err != nil {
 		t.Fatal(err)
 	}

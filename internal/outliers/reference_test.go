@@ -237,7 +237,7 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 					radii = append(radii, pd(rng.Intn(sh.n), rng.Intn(sh.n)))
 				}
 				for _, r := range radii {
-					got, err := Cluster(sp.Dist(), set, sh.k, r, epsHat)
+					got, err := Cluster(sp, set, sh.k, r, epsHat)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -343,7 +343,7 @@ func TestClusterAboveMatrixCap(t *testing.T) {
 		t.Fatalf("%d points got a cached matrix", n)
 	}
 	set := metric.Unweighted(pts)
-	got, err := Cluster(metric.Euclidean, set, 2, 512, 0)
+	got, err := Cluster(metric.EuclideanSpace, set, 2, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 		z             = fs.Int("z", 0, "default number of outliers for new streams (0 = plain k-center)")
 		budget        = fs.Int("budget", 0, "default working-memory budget in points (0 = 8*(k+z))")
 		workers       = fs.Int("workers", 0, "distance-engine parallelism for extraction (0 = one per CPU)")
-		dist          = fs.String("distance", "euclidean", fmt.Sprintf("metric space %v", sketch.DistanceNames()))
+		dist          = fs.String("distance", "euclidean", fmt.Sprintf("metric space %v", sketch.SpaceNames()))
 		persistDir    = fs.String("persist-dir", "", "root directory for per-stream durability (WAL + snapshots); empty = in-memory only")
 		fsyncMode     = fs.String("fsync", "always", "WAL flush policy: always, interval or never")
 		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync=interval")
@@ -82,7 +82,7 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, _, err := sketch.DistanceByName(*dist); err != nil {
+	if _, _, err := sketch.SpaceByName(*dist); err != nil {
 		return err
 	}
 	mode, err := persist.ParseFsyncMode(*fsyncMode)

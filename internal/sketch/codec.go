@@ -160,7 +160,7 @@ func (s *Sketch) validate() error {
 	if !s.Kind.valid() {
 		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, uint8(s.Kind))
 	}
-	if _, err := DistanceByID(s.DistID); err != nil {
+	if _, err := SpaceByID(s.DistID); err != nil {
 		return err
 	}
 	if s.K < 1 {

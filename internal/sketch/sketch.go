@@ -17,7 +17,6 @@ package sketch
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/streaming"
@@ -142,125 +141,84 @@ func FromState(kind Kind, distID uint8, k, z int, epsHat float64, st streaming.D
 	}
 }
 
-// Distance returns the sketch's distance function.
-func (s *Sketch) Distance() (metric.Distance, error) { return DistanceByID(s.DistID) }
-
 // Space resolves the sketch's metric space: decoding a sketch yields the
 // full batched-kernel substrate, not just a scalar distance function, so
 // restored streams run on the native hot paths.
 func (s *Sketch) Space() (metric.Space, error) { return SpaceByID(s.DistID) }
 
-// builtinDistance is one entry of the distance registry: a wire identifier,
-// the space's name, the scalar distance function, and the metric space built
-// on it. Only the built-in spaces are serializable: a sketch must be
-// reconstructible on a machine that never saw the originating process, so
-// closures cannot be carried.
-type builtinDistance struct {
+// wireSpace is one entry of the registry: a wire identifier and the built-in
+// metric space it stands for. Only the built-in spaces are serializable: a
+// sketch must be reconstructible on a machine that never saw the originating
+// process, so closures cannot be carried.
+type wireSpace struct {
 	id    uint8
-	name  string
-	fn    metric.Distance
 	space metric.Space
 }
 
 // The registry. Identifiers are part of the wire format: never renumber,
-// only append. Every entry's space satisfies space.Dist() == fn, so the two
-// resolution paths (by function identity, by space name) always agree.
-var builtins = []builtinDistance{
-	{1, "euclidean", metric.Euclidean, metric.EuclideanSpace},
-	{2, "manhattan", metric.Manhattan, metric.ManhattanSpace},
-	{3, "chebyshev", metric.Chebyshev, metric.ChebyshevSpace},
-	{4, "angular", metric.Angular, metric.AngularSpace},
-	{5, "cosine", metric.Cosine, metric.CosineSpace},
+// only append. Names are the spaces' own (Space.Name).
+var registry = []wireSpace{
+	{1, metric.EuclideanSpace},
+	{2, metric.ManhattanSpace},
+	{3, metric.ChebyshevSpace},
+	{4, metric.AngularSpace},
+	{5, metric.CosineSpace},
 }
 
-// DistanceID maps a distance function to its wire identifier. A nil function
-// is treated as Euclidean (the library default). Custom functions return
-// ErrUnknownDistance: they cannot be serialized.
-func DistanceID(d metric.Distance) (uint8, error) {
-	if d == nil {
+// SpaceID maps a metric space to its wire identifier. A nil space is treated
+// as Euclidean (the library default). The space is identified by its scalar
+// function through metric.SpaceFor, so an adapter over a built-in function
+// serializes as that built-in, while a custom function — also one whose
+// adapter merely NAMES itself after a built-in — returns ErrUnknownDistance
+// instead of serializing under the wrong metric.
+func SpaceID(sp metric.Space) (uint8, error) {
+	if sp == nil {
 		return 1, nil
 	}
-	ptr := reflect.ValueOf(d).Pointer()
-	for _, b := range builtins {
-		if reflect.ValueOf(b.fn).Pointer() == ptr {
-			return b.id, nil
+	native := metric.SpaceFor(sp.Dist())
+	for _, w := range registry {
+		if w.space == native {
+			return w.id, nil
 		}
 	}
 	return 0, fmt.Errorf("%w: custom distance functions cannot be serialized; use a built-in distance", ErrUnknownDistance)
 }
 
-// DistanceByID maps a wire identifier back to the distance function.
-func DistanceByID(id uint8) (metric.Distance, error) {
-	for _, b := range builtins {
-		if b.id == id {
-			return b.fn, nil
+// SpaceByID maps a wire identifier to the registered metric space.
+func SpaceByID(id uint8) (metric.Space, error) {
+	for _, w := range registry {
+		if w.id == id {
+			return w.space, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: id %d", ErrUnknownDistance, id)
 }
 
-// DistanceName returns the registered name of a wire identifier ("unknown"
-// for unregistered ids).
+// DistanceName returns the name of the space registered under a wire
+// identifier ("unknown" for unregistered ids).
 func DistanceName(id uint8) string {
-	for _, b := range builtins {
-		if b.id == id {
-			return b.name
-		}
+	if sp, err := SpaceByID(id); err == nil {
+		return sp.Name()
 	}
 	return "unknown"
 }
 
-// DistanceByName maps a registered name (e.g. "euclidean") to its function
-// and wire identifier; it is used by CLIs and the daemon to parse -distance
-// flags.
-func DistanceByName(name string) (metric.Distance, uint8, error) {
-	for _, b := range builtins {
-		if b.name == name {
-			return b.fn, b.id, nil
+// SpaceByName maps a registered name (e.g. "euclidean") to its metric space
+// and wire identifier; the daemon parses its -distance flag with it.
+func SpaceByName(name string) (metric.Space, uint8, error) {
+	for _, w := range registry {
+		if w.space.Name() == name {
+			return w.space, w.id, nil
 		}
 	}
 	return nil, 0, fmt.Errorf("%w: name %q", ErrUnknownDistance, name)
 }
 
-// DistanceNames lists the registered distance names in id order.
-func DistanceNames() []string {
-	out := make([]string, len(builtins))
-	for i, b := range builtins {
-		out[i] = b.name
+// SpaceNames lists the registered names in id order.
+func SpaceNames() []string {
+	out := make([]string, len(registry))
+	for i, w := range registry {
+		out[i] = w.space.Name()
 	}
 	return out
-}
-
-// SpaceID maps a metric space to its wire identifier. A nil space is treated
-// as Euclidean (the library default). Identification goes through the
-// space's scalar distance function — the same identity check DistanceID
-// applies — so an adapter that merely NAMES itself after a built-in but
-// wraps a different function still returns ErrUnknownDistance instead of
-// serializing under the wrong metric.
-func SpaceID(sp metric.Space) (uint8, error) {
-	if sp == nil {
-		return 1, nil
-	}
-	return DistanceID(sp.Dist())
-}
-
-// SpaceByID maps a wire identifier to the registered metric space.
-func SpaceByID(id uint8) (metric.Space, error) {
-	for _, b := range builtins {
-		if b.id == id {
-			return b.space, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: id %d", ErrUnknownDistance, id)
-}
-
-// SpaceByName maps a registered name (e.g. "euclidean") to its metric space
-// and wire identifier; CLIs and the daemon use it to parse -space flags.
-func SpaceByName(name string) (metric.Space, uint8, error) {
-	for _, b := range builtins {
-		if b.name == name {
-			return b.space, b.id, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("%w: name %q", ErrUnknownDistance, name)
 }

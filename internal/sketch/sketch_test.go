@@ -204,38 +204,6 @@ func TestEncodeRejectsOutOfRangeParams(t *testing.T) {
 	}
 }
 
-func TestDistanceRegistry(t *testing.T) {
-	for _, name := range DistanceNames() {
-		fn, id, err := DistanceByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotID, err := DistanceID(fn)
-		if err != nil || gotID != id {
-			t.Errorf("DistanceID(%s) = %d, %v; want %d", name, gotID, err, id)
-		}
-		if DistanceName(id) != name {
-			t.Errorf("DistanceName(%d) = %s, want %s", id, DistanceName(id), name)
-		}
-		if _, err := DistanceByID(id); err != nil {
-			t.Errorf("DistanceByID(%d): %v", id, err)
-		}
-	}
-	if id, err := DistanceID(nil); err != nil || id != 1 {
-		t.Errorf("DistanceID(nil) = %d, %v; want 1 (euclidean)", id, err)
-	}
-	custom := func(a, b metric.Point) float64 { return 0 }
-	if _, err := DistanceID(custom); !errors.Is(err, ErrUnknownDistance) {
-		t.Errorf("DistanceID(custom) = %v, want ErrUnknownDistance", err)
-	}
-	if _, err := DistanceByID(0); !errors.Is(err, ErrUnknownDistance) {
-		t.Errorf("DistanceByID(0) = %v, want ErrUnknownDistance", err)
-	}
-	if _, _, err := DistanceByName("no-such"); !errors.Is(err, ErrUnknownDistance) {
-		t.Errorf("DistanceByName = %v, want ErrUnknownDistance", err)
-	}
-}
-
 func TestMergeIncompatible(t *testing.T) {
 	data := clusteredData(800, 3, 4, 5)
 	a := streamSketch(t, data[:400], 4, 32)
@@ -391,7 +359,7 @@ func TestMergeQualityProperty(t *testing.T) {
 	}
 	mergedRadius := metric.Radius(metric.Euclidean, data, extracted.Centers)
 
-	base, err := gmm.Runner{Dist: metric.Euclidean}.Run(data, k, 0)
+	base, err := gmm.Runner{Space: metric.EuclideanSpace}.Run(data, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,13 +370,44 @@ func TestMergeQualityProperty(t *testing.T) {
 	}
 }
 
-// TestSpaceRegistry pins the space half of the registry: every id resolves
-// to a space whose Dist is the registered function, SpaceID round-trips the
-// built-ins, and an adapter that merely names itself after a built-in (but
-// wraps a different function) is rejected instead of serializing under the
-// wrong metric.
+// TestDistanceRegistry pins the wire table as seen from bare distance
+// functions: an adapter over a built-in function serializes as that
+// built-in, nil is Euclidean, and a custom function, id 0 and an unknown
+// name are all ErrUnknownDistance.
+func TestDistanceRegistry(t *testing.T) {
+	for _, name := range metric.SpaceNames() {
+		sp, id, err := SpaceByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adapter := metric.SpaceFromDistance("adapter", sp.Dist())
+		if gotID, err := SpaceID(adapter); err != nil || gotID != id {
+			t.Errorf("SpaceID(adapter over %s) = (%d,%v), want (%d,nil)", name, gotID, err, id)
+		}
+	}
+	if id, err := SpaceID(nil); err != nil || id != 1 {
+		t.Errorf("SpaceID(nil) = %d, %v; want 1 (euclidean)", id, err)
+	}
+	custom := metric.SpaceFromDistance("custom", func(a, b metric.Point) float64 { return 0 })
+	if _, err := SpaceID(custom); !errors.Is(err, ErrUnknownDistance) {
+		t.Errorf("SpaceID(custom) = %v, want ErrUnknownDistance", err)
+	}
+	for _, id := range []uint8{0, 200} {
+		if _, err := SpaceByID(id); !errors.Is(err, ErrUnknownDistance) {
+			t.Errorf("SpaceByID(%d) = %v, want ErrUnknownDistance", id, err)
+		}
+	}
+	if _, _, err := SpaceByName("no-such"); !errors.Is(err, ErrUnknownDistance) {
+		t.Errorf("SpaceByName = %v, want ErrUnknownDistance", err)
+	}
+}
+
+// TestSpaceRegistry pins the wire table against metric's named spaces: every
+// built-in space has a wire id and round-trips name -> id -> space, and an
+// adapter that merely names itself after a built-in (but wraps a different
+// function) is rejected instead of serializing under the wrong metric.
 func TestSpaceRegistry(t *testing.T) {
-	for _, name := range DistanceNames() {
+	for _, name := range metric.SpaceNames() {
 		sp, id, err := SpaceByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -417,16 +416,12 @@ func TestSpaceRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back.Name() != name {
-			t.Errorf("SpaceByID(%d).Name() = %q, want %q", id, back.Name(), name)
+		if back != metric.SpaceByName(name) || DistanceName(id) != name {
+			t.Errorf("id %d resolves to %q, named %q; want the built-in %q", id, back.Name(), DistanceName(id), name)
 		}
-		gotID, err := SpaceID(sp)
-		if err != nil || gotID != id {
+		if gotID, err := SpaceID(sp); err != nil || gotID != id {
 			t.Errorf("SpaceID(%s) = (%d,%v), want (%d,nil)", name, gotID, err, id)
 		}
-	}
-	if _, err := SpaceByID(200); !errors.Is(err, ErrUnknownDistance) {
-		t.Errorf("unknown id error = %v, want ErrUnknownDistance", err)
 	}
 	impostor := metric.SpaceFromDistance("euclidean", func(a, b metric.Point) float64 {
 		return metric.Manhattan(a, b)

@@ -233,7 +233,7 @@ func (ws *WindowSketch) validate() error {
 	if !ws.Kind.valid() {
 		return fmt.Errorf("%w: unknown kind %d", ErrCorrupt, uint8(ws.Kind))
 	}
-	if _, err := DistanceByID(ws.DistID); err != nil {
+	if _, err := SpaceByID(ws.DistID); err != nil {
 		return err
 	}
 	if ws.K < 1 {

@@ -36,9 +36,9 @@ type outlierInstance struct {
 	restarts int
 }
 
-// NewBaseOutliers returns a BaseOutliers with k centers, z outliers and m
-// parallel guesses.
-func NewBaseOutliers(dist metric.Distance, k, z, m int) (*BaseOutliers, error) {
+// NewBaseOutliers returns a BaseOutliers on the metric space sp (nil defaults
+// to Euclidean) with k centers, z outliers and m parallel guesses.
+func NewBaseOutliers(sp metric.Space, k, z, m int) (*BaseOutliers, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("streaming: k must be positive, got %d", k)
 	}
@@ -48,7 +48,10 @@ func NewBaseOutliers(dist metric.Distance, k, z, m int) (*BaseOutliers, error) {
 	if m < 1 {
 		return nil, fmt.Errorf("streaming: m must be positive, got %d", m)
 	}
-	return &BaseOutliers{k: k, z: z, m: m, sp: metric.SpaceFor(dist)}, nil
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
+	return &BaseOutliers{k: k, z: z, m: m, sp: sp}, nil
 }
 
 // distToSet is the true distance from p to the closest point of set (+Inf

@@ -40,15 +40,19 @@ type guessInstance struct {
 	restarts int
 }
 
-// NewBaseStream returns a BaseStream with k centers and m parallel guesses.
-func NewBaseStream(dist metric.Distance, k, m int) (*BaseStream, error) {
+// NewBaseStream returns a BaseStream on the metric space sp (nil defaults to
+// Euclidean) with k centers and m parallel guesses.
+func NewBaseStream(sp metric.Space, k, m int) (*BaseStream, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("streaming: k must be positive, got %d", k)
 	}
 	if m < 1 {
 		return nil, fmt.Errorf("streaming: m must be positive, got %d", m)
 	}
-	return &BaseStream{k: k, m: m, sp: metric.SpaceFor(dist)}, nil
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
+	return &BaseStream{k: k, m: m, sp: sp}, nil
 }
 
 // Process implements Processor.

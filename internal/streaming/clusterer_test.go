@@ -104,7 +104,7 @@ func TestCoresetStreamTwoPlusEpsShape(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := gmm.BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}

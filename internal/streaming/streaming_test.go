@@ -167,7 +167,7 @@ func TestDoublingInvariantEPhiLowerBound(t *testing.T) {
 				return false
 			}
 		}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, tau)
+		opt, err := gmm.BruteForceOptimalRadius(metric.EuclideanSpace, ds, tau)
 		if err != nil {
 			return false
 		}
@@ -325,7 +325,7 @@ func TestBaseStreamCoverageProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := gmm.Run(metric.Euclidean, ds, k, 0)
+	opt, err := (gmm.Runner{}).Run(ds, k, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ type TwoPassOutliers struct {
 	K   int
 	Z   int
 	Eps float64
-	// Distance is the metric; nil defaults to Euclidean.
-	Distance metric.Distance
+	// Space is the metric space; nil defaults to Euclidean.
+	Space metric.Space
 	// SearchStrategy selects the final radius search (zero value = the
 	// paper's binary + geometric search).
 	SearchStrategy outliers.SearchStrategy
@@ -61,7 +61,10 @@ func (t *TwoPassOutliers) Run(makeSource func() Source) (*TwoPassResult, error) 
 	if t.Eps <= 0 {
 		return nil, fmt.Errorf("streaming: eps must be positive, got %v", t.Eps)
 	}
-	sp := metric.SpaceFor(t.Distance)
+	sp := t.Space
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
 
 	// Pass 1: doubling algorithm for the (k+z)-center problem.
 	pass1, err := NewDoublingIn(sp, t.K+t.Z)

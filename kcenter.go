@@ -10,6 +10,7 @@ import (
 	"coresetclustering/internal/core"
 	"coresetclustering/internal/gmm"
 	"coresetclustering/internal/metric"
+	"coresetclustering/internal/streaming"
 )
 
 // Point is a vector in d-dimensional space. All points passed to one call
@@ -81,7 +82,6 @@ func SpaceFromDistance(name string, dist Distance) Space {
 
 // options collects the tunables shared by Cluster and ClusterWithOutliers.
 type options struct {
-	distance          Distance
 	space             Space
 	ell               int
 	coresetMultiplier int
@@ -103,10 +103,7 @@ type Option func(*options)
 // through the SpaceFromDistance adapter, which calls them once per
 // evaluation exactly as in previous releases.
 func WithDistance(d Distance) Option {
-	return func(o *options) {
-		o.distance = d
-		o.space = nil
-	}
+	return func(o *options) { o.space = metric.SpaceFor(d) }
 }
 
 // WithSpace selects the metric space explicitly, overriding WithDistance.
@@ -120,7 +117,6 @@ func WithSpace(s Space) Option {
 	return func(o *options) {
 		if s != nil {
 			o.space = s
-			o.distance = s.Dist()
 		}
 	}
 }
@@ -209,12 +205,9 @@ func WithRandomizedPartitioning(seed int64) Option {
 }
 
 func buildOptions(opts []Option) (options, error) {
-	o := options{distance: Euclidean, coresetMultiplier: 4}
+	o := options{space: EuclideanSpace, coresetMultiplier: 4}
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.space == nil {
-		o.space = metric.SpaceFor(o.distance)
 	}
 	if o.eps > 0 {
 		o.coresetMultiplier = 0 // precision rule replaces the fixed size
@@ -301,7 +294,7 @@ func Cluster(points Dataset, k int, opts ...Option) (*Clustering, error) {
 	if len(points) == 0 {
 		return nil, errors.New("kcenter: empty dataset")
 	}
-	if err := points.Validate(); err != nil {
+	if err := streaming.CheckBatch(points, nil, 0, 0); err != nil {
 		return nil, fmt.Errorf("kcenter: %w", err)
 	}
 	if k <= 0 {
@@ -328,7 +321,6 @@ func Cluster(points Dataset, k int, opts ...Option) (*Clustering, error) {
 	cfg := core.KCenterConfig{
 		K:           k,
 		Ell:         ell,
-		Distance:    o.distance,
 		Space:       o.space,
 		Parallelism: o.parallelism,
 		Workers:     o.workers,
@@ -384,7 +376,7 @@ func ClusterWithOutliers(points Dataset, k, z int, opts ...Option) (*OutliersClu
 	if len(points) == 0 {
 		return nil, errors.New("kcenter: empty dataset")
 	}
-	if err := points.Validate(); err != nil {
+	if err := streaming.CheckBatch(points, nil, 0, 0); err != nil {
 		return nil, fmt.Errorf("kcenter: %w", err)
 	}
 	if k <= 0 {
@@ -418,7 +410,6 @@ func ClusterWithOutliers(points Dataset, k, z int, opts ...Option) (*OutliersClu
 		K:           k,
 		Z:           z,
 		Ell:         ell,
-		Distance:    o.distance,
 		Space:       o.space,
 		Parallelism: o.parallelism,
 		Workers:     o.workers,
@@ -469,7 +460,7 @@ func Gonzalez(points Dataset, k int, opts ...Option) (*Clustering, error) {
 	if len(points) == 0 {
 		return nil, errors.New("kcenter: empty dataset")
 	}
-	if err := points.Validate(); err != nil {
+	if err := streaming.CheckBatch(points, nil, 0, 0); err != nil {
 		return nil, fmt.Errorf("kcenter: %w", err)
 	}
 	if k <= 0 {

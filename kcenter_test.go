@@ -132,7 +132,7 @@ func TestClusterApproximationProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		opt, err := gmm.BruteForceOptimalRadius(metric.Euclidean, ds, k)
+		opt, err := gmm.BruteForceOptimalRadius(metric.EuclideanSpace, ds, k)
 		if err != nil {
 			return false
 		}

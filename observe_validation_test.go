@@ -42,6 +42,35 @@ func TestOverflowingPointsRefusedInEveryFlavour(t *testing.T) {
 	}
 }
 
+// TestBatchEntryPointsAdmitByTheStreamRule is the overflow repro for the
+// batch API: Cluster, ClusterWithOutliers and Gonzalez refuse what Observe
+// refuses, with the same typed errors. Past the admission bound a squared
+// Euclidean distance overflows to +Inf, and a batch call would report an
+// infinite radius with a point assigned to no center.
+func TestBatchEntryPointsAdmitByTheStreamRule(t *testing.T) {
+	for name, run := range map[string]func(kcenter.Dataset) error{
+		"Cluster": func(ds kcenter.Dataset) error {
+			_, err := kcenter.Cluster(ds, 2)
+			return err
+		},
+		"ClusterWithOutliers": func(ds kcenter.Dataset) error {
+			_, err := kcenter.ClusterWithOutliers(ds, 1, 1)
+			return err
+		},
+		"Gonzalez": func(ds kcenter.Dataset) error {
+			_, err := kcenter.Gonzalez(ds, 2)
+			return err
+		},
+	} {
+		if err := run(kcenter.Dataset{{-1e200}, {0}, {1e200}}); !errors.Is(err, metric.ErrInvalidCoordinate) {
+			t.Errorf("%s: coordinates beyond ±2^500: %v, want ErrInvalidCoordinate", name, err)
+		}
+		if err := run(kcenter.Dataset{{0, 0}, {1}, {2, 2}}); !errors.Is(err, metric.ErrDimensionMismatch) {
+			t.Errorf("%s: mixed dimensions: %v, want ErrDimensionMismatch", name, err)
+		}
+	}
+}
+
 // observer is what the eight ways of obtaining a streaming clusterer share.
 type observer interface {
 	Observe(p kcenter.Point) error
