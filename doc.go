@@ -27,8 +27,9 @@
 //     goroutine-backed partitions (the MapReduce algorithm of the paper).
 //   - ClusterWithOutliers: k-center with z outliers, deterministic or
 //     randomized partitioning. Its second round — also the query of every
-//     z > 0 stream — is a radius search on the coreset union T that costs
-//     O(|T|^2 log|T|) whatever k is (see internal/outliers).
+//     z > 0 stream — is a radius search on the coreset union T: O(log|T|)
+//     probes of O(|T|^2) each whatever k is, after ordering the candidate
+//     radii in time linear in their number (see internal/outliers).
 //   - Gonzalez: the classic sequential 2-approximation (GMM), exposed as a
 //     baseline and building block.
 //   - NewStreamingKCenter / NewStreamingOutliers: one-pass streaming

@@ -265,9 +265,11 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 // SequentialKCenterOutliers is the ell = 1 instantiation of KCenterOutliers:
 // the paper's "improved sequential algorithm", which builds a single coreset
 // of the whole input and then runs the radius search on it. Its running time
-// is O(|S||T| + |T|^2 log|T|) — one OutliersCluster evaluation is O(|T|^2)
-// whatever k is — a large improvement over the O(|S|^2 log|S|) of the same
-// search run on the whole input (the CharikarEtAl baseline) for |T| << |S|.
+// is O(|S||T| + |T|^2 log|T|) — the search makes O(log|T|) OutliersCluster
+// evaluations of O(|T|^2) each whatever k is, and orders its candidate radii
+// in time linear in their number — a large improvement over the
+// O(|S|^2 log|S|) of the same search run on the whole input (the CharikarEtAl
+// baseline) for |T| << |S|.
 func SequentialKCenterOutliers(points metric.Dataset, k, z, coresetSize int, epsHat float64, sp metric.Space) (*OutliersResult, error) {
 	return KCenterOutliers(points, OutliersConfig{
 		K:           k,

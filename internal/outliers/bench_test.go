@@ -46,23 +46,25 @@ func benchUnion(seed int64, n, k, far int, unitShare float64) metric.WeightedSet
 	return set
 }
 
+// benchShapes are the sizes the repository runs the radius search at: the
+// round-2 union of the MapReduce benchmark workload, a full streaming coreset
+// at the daemon's defaults, and a large union.
+var benchShapes = []struct {
+	name      string
+	n, k      int
+	z         int64
+	unitShare float64
+}{
+	{"union416", 416, 20, 32, 0.7},
+	{"stream288", 288, 20, 16, 0.1},
+	{"union2048", 2048, 20, 32, 0.7},
+}
+
 // BenchmarkOutliersSolve measures one full radius search (matrix, candidate
-// radii, probes, final clustering) at the sizes the repository runs it at:
-// the round-2 union of the MapReduce benchmark workload, a full streaming
-// coreset at the daemon's defaults, and a large union. workers = 0 follows
+// radii, probes, final clustering) at each of benchShapes. workers = 0 follows
 // GOMAXPROCS, so -cpu 1,2 shows what the second core buys.
 func BenchmarkOutliersSolve(b *testing.B) {
-	shapes := []struct {
-		name      string
-		n, k      int
-		z         int64
-		unitShare float64
-	}{
-		{"union416", 416, 20, 32, 0.7},
-		{"stream288", 288, 20, 16, 0.1},
-		{"union2048", 2048, 20, 32, 0.7},
-	}
-	for _, sh := range shapes {
+	for _, sh := range benchShapes {
 		set := benchUnion(int64(sh.n), sh.n, sh.k, int(sh.z), sh.unitShare)
 		b.Run(fmt.Sprintf("%s/k=%d/z=%d", sh.name, sh.k, sh.z), func(b *testing.B) {
 			b.ReportAllocs()
@@ -75,6 +77,25 @@ func BenchmarkOutliersSolve(b *testing.B) {
 				probes += res.Evaluations
 			}
 			b.ReportMetric(float64(probes)/float64(b.N), "probes/op")
+		})
+	}
+}
+
+// BenchmarkCandidateRadii measures the candidate-radii step of the same
+// solves on their cached matrices: copying out the upper triangle, ordering it
+// and removing duplicates. Beside BenchmarkOutliersSolve it splits a solve into
+// ordering the candidates and probing them. A candidate is one pair of points.
+func BenchmarkCandidateRadii(b *testing.B) {
+	for _, sh := range benchShapes {
+		set := benchUnion(int64(sh.n), sh.n, sh.k, int(sh.z), sh.unitShare)
+		rows := newDistRows(metric.NewEngine(1), metric.EuclideanSpace, set.Points())
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				rows.candidateRadii()
+			}
+			pairs := sh.n * (sh.n - 1) / 2
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(pairs), "ns/candidate")
 		})
 	}
 }

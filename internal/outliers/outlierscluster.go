@@ -13,13 +13,15 @@
 //
 // One OutliersCluster evaluation on a set T costs O(|T|^2) whatever k is: the
 // ball weights of all candidates are computed once and then maintained
-// incrementally as points become covered (see evaluator), so a radius search
-// is O(|T|^2 log|T|) including the sort of the candidate radii.
+// incrementally as points become covered (see evaluator). A radius search is
+// O(log|T|) such evaluations, O(|T|^2 log|T|) in all; ordering its |T|^2/2
+// candidate radii, a radix sort, takes time linear in their number.
 package outliers
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"coresetclustering/internal/metric"
@@ -30,6 +32,11 @@ var ErrEmptyInput = errors.New("outliers: empty input set")
 
 // ErrInvalidParam is returned for non-positive k or negative z/epsHat.
 var ErrInvalidParam = errors.New("outliers: invalid parameter")
+
+// ErrNonFiniteRadius is returned when the radius search settles on a radius
+// that is not finite: only a space that answers +Inf for some pairs can make
+// +Inf the smallest feasible candidate.
+var ErrNonFiniteRadius = errors.New("outliers: radius search settled on a non-finite radius")
 
 // ClusterResult is the outcome of one OutliersCluster invocation at a fixed
 // candidate radius.
@@ -178,7 +185,13 @@ func pairwiseMatrix(eng metric.Engine, sp metric.Space, pts metric.Dataset) []fl
 // distances themselves is the protocol of the original Charikar et al.
 // algorithm that the paper builds on. With a cached matrix the distances are
 // its upper triangle (no distance is evaluated a second time); otherwise they
-// come from the same batched kernel.
+// come from the same batched kernel. The v > 0 test that keeps a distance also
+// drops NaN, and ordering what is kept takes time linear in its number (see
+// sortPositive).
+//
+// Peak memory is two buffers of n(n-1)/2 values: the kept distances and the
+// sort's scratch. At maxCachedMatrixSize points each is 64 MiB, so the peak is
+// 256 MiB with the 128 MiB matrix.
 func (d *distRows) candidateRadii() []float64 {
 	n := len(d.pts)
 	if n < 2 {
@@ -186,21 +199,75 @@ func (d *distRows) candidateRadii() []float64 {
 	}
 	var ds []float64
 	if d.matrix != nil {
-		ds = make([]float64, 0, n*(n-1)/2)
+		ds = make([]float64, n*(n-1)/2)
+		kept := 0
 		for i := 0; i < n-1; i++ {
-			ds = append(ds, d.matrix[i*n+i+1:(i+1)*n]...)
+			for _, v := range d.matrix[i*n+i+1 : (i+1)*n] {
+				ds[kept] = v
+				if v > 0 {
+					kept++
+				}
+			}
 		}
+		ds = ds[:kept]
 	} else {
-		ds = metric.PairwiseDistancesIn(d.sp, d.pts)
+		ds = slices.DeleteFunc(metric.PairwiseDistancesIn(d.sp, d.pts), func(v float64) bool { return !(v > 0) })
 	}
-	slices.Sort(ds)
+	ds = sortPositive(ds, make([]float64, len(ds)))
 	out := ds[:0]
 	for _, v := range ds {
-		if v > 0 && (len(out) == 0 || v != out[len(out)-1]) {
+		if len(out) == 0 || v != out[len(out)-1] {
 			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// sortPositive sorts a, whose values are all positive (+Inf included, NaN
+// not), into ascending order and returns it or buf, a scratch slice of the same
+// length, whichever holds the result. Positive doubles order as their IEEE-754
+// bit patterns do, so this is an LSD radix sort on math.Float64bits, one byte
+// per pass: a histogram pass counts all eight digits at once, and a pass whose
+// digit is the same in every key moves nothing and is skipped. Distances in a
+// few binades share their sign and high exponent bits, so the top byte's pass
+// is usually one of those.
+func sortPositive(a, buf []float64) []float64 {
+	if len(a) < 2 {
+		return a
+	}
+	var counts [8][256]int
+	for _, v := range a {
+		// Unrolled: a loop over the eight digits here makes the sort a
+		// third slower.
+		k := math.Float64bits(v)
+		counts[0][byte(k)]++
+		counts[1][byte(k>>8)]++
+		counts[2][byte(k>>16)]++
+		counts[3][byte(k>>24)]++
+		counts[4][byte(k>>32)]++
+		counts[5][byte(k>>40)]++
+		counts[6][byte(k>>48)]++
+		counts[7][byte(k>>56)]++
+	}
+	for p := range counts {
+		c := &counts[p]
+		shift := 8 * p
+		if c[byte(math.Float64bits(a[0])>>shift)] == len(a) {
+			continue
+		}
+		sum := 0
+		for i, x := range c {
+			c[i] = sum
+			sum += x
+		}
+		for _, v := range a {
+			digit := byte(math.Float64bits(v) >> shift)
+			buf[c[digit]] = v
+			c[digit]++
+		}
+		a, buf = buf, a
+	}
+	return a
 }
 
 // evaluator runs OutliersCluster on one set at one radius after another,
@@ -269,8 +336,10 @@ func newEvaluator(eng metric.Engine, rows *distRows, set metric.WeightedSet, k i
 // count.
 func (e *evaluator) probe(r float64) int64 {
 	n := len(e.set)
-	ballRadius := (1 + 2*e.epsHat) * r
-	coverRadius := (3 + 4*e.epsHat) * r
+	// float64(...) rounds the product on its own, so no architecture fuses
+	// it into the sum and the radii are the same bits everywhere.
+	ballRadius := (1 + float64(2*e.epsHat)) * r
+	coverRadius := (3 + float64(4*e.epsHat)) * r
 	for i := range e.uncovered {
 		e.uncovered[i] = true
 	}
@@ -369,7 +438,7 @@ func Delta(epsHat float64) float64 {
 	if epsHat <= 0 {
 		return 0
 	}
-	return epsHat / (3 + 4*epsHat)
+	return epsHat / (3 + float64(4*epsHat)) // float64: see probe
 }
 
 // SolveResult is the outcome of a full radius search plus final clustering.
@@ -425,7 +494,11 @@ func SolveIn(sp metric.Space, set metric.WeightedSet, k int, z int64, epsHat flo
 		sp = metric.EuclideanSpace
 	}
 	eng := metric.NewEngine(workers)
-	return solve(newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat), z, strategy), nil
+	res := solve(newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat), z, strategy)
+	if math.IsInf(res.Radius, 0) || math.IsNaN(res.Radius) {
+		return nil, fmt.Errorf("%w: %v after %d evaluations", ErrNonFiniteRadius, res.Radius, res.Evaluations)
+	}
+	return res, nil
 }
 
 // solve runs the radius search on the evaluator's set. Probes only report
@@ -499,8 +572,10 @@ func search(candidates []float64, epsHat float64, strategy SearchStrategy, feasi
 	// Geometric refinement with step (1+delta) between rLo and rHi: walk up
 	// from rLo multiplying by (1+delta) and keep the first feasible value.
 	// This reproduces the (1+delta) multiplicative tolerance of the paper
-	// without materialising every distance.
-	if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) {
+	// without materialising every distance. With rHi = +Inf every finite
+	// distance lies inside both balls at any r >= rLo, as at the infeasible
+	// rLo, so the walk is skipped: it could only step towards overflow.
+	if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) && !math.IsInf(rHi, 1) {
 		for r := rLo * (1 + delta); r < rHi; r *= 1 + delta {
 			if feasible(r) {
 				chosen = r
@@ -516,8 +591,9 @@ func search(candidates []float64, epsHat float64, strategy SearchStrategy, feasi
 // k-center problem with z outliers on an unweighted point set: unit weights,
 // epsHat = 0, and an exhaustive search over all pairwise distances (smallest
 // feasible first). This is the CHARIKARETAL baseline of Figure 8; its running
-// time is O(|S|^2 log|S|) and it is only meant for datasets of at most a
-// few tens of thousands of points.
+// time is O(|S|^2 log|S|), the O(log|S|) probes of O(|S|^2) each after
+// ordering the candidate radii in time linear in their number, and it is only
+// meant for datasets of at most a few tens of thousands of points.
 func CharikarEtAl(sp metric.Space, points metric.Dataset, k, z int) (*SolveResult, error) {
 	if z < 0 {
 		return nil, fmt.Errorf("%w: z = %d", ErrInvalidParam, z)

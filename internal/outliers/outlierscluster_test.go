@@ -1,6 +1,8 @@
 package outliers
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -83,6 +85,46 @@ func TestSolveErrors(t *testing.T) {
 	}
 	if _, err := CharikarEtAlExhaustive(metric.EuclideanSpace, metric.Dataset{{0}}, 1, -1); err == nil {
 		t.Error("CharikarEtAlExhaustive negative z accepted")
+	}
+}
+
+// TestSolveNonFiniteRadius: when +Inf is the smallest feasible candidate, as
+// it is for a space that relates points only at +Inf, the search reports it
+// as an error instead of returning it as the radius.
+func TestSolveNonFiniteRadius(t *testing.T) {
+	inf := math.Inf(1)
+	allInf := metric.SpaceFromDistance("inf", func(a, b metric.Point) float64 { return inf })
+	// Points 0 and 1 are 1 apart and every other pair is +Inf apart: with
+	// k = 2 and z = 1, two of the points 2, 3, 4 stay uncovered at every
+	// finite radius.
+	pairOnly := metric.SpaceFromDistance("pair", func(a, b metric.Point) float64 {
+		if a[0] < 2 && b[0] < 2 {
+			return math.Abs(a[0] - b[0])
+		}
+		return inf
+	})
+	set := metric.Unweighted(metric.Dataset{{0}, {1}, {2}, {3}, {4}})
+	for _, sp := range []metric.Space{allInf, pairOnly} {
+		for _, strategy := range []SearchStrategy{SearchBinaryGeometric, SearchExhaustive} {
+			res, err := SolveIn(sp, set, 2, 1, 0.25, strategy, 1)
+			if !errors.Is(err, ErrNonFiniteRadius) || res != nil {
+				t.Errorf("%s, strategy %d: result %+v, error %v; want ErrNonFiniteRadius", sp.Name(), strategy, res, err)
+			}
+		}
+	}
+	if _, err := CharikarEtAl(allInf, set.Points(), 2, 1); !errors.Is(err, ErrNonFiniteRadius) {
+		t.Errorf("CharikarEtAl error %v, want ErrNonFiniteRadius", err)
+	}
+
+	// The geometric walk is not taken from the last finite candidate towards
+	// +Inf: two binary-search probes and the final one.
+	probes := 0
+	r := search([]float64{1, inf}, 0.25, SearchBinaryGeometric, func(r float64) bool {
+		probes++
+		return math.IsInf(r, 1)
+	})
+	if !math.IsInf(r, 1) || probes != 3 {
+		t.Errorf("search settled on %v after %d probes, want +Inf after 3", r, probes)
 	}
 }
 
@@ -346,6 +388,21 @@ func TestDelta(t *testing.T) {
 	}
 }
 
+// referenceCandidateRadii is the sort-filter-dedupe that candidateRadii
+// replaced, kept as its oracle: a comparison sort of all pairwise distances,
+// then each positive one once.
+func referenceCandidateRadii(ds []float64) []float64 {
+	ds = slices.Clone(ds)
+	slices.Sort(ds)
+	var out []float64
+	for _, v := range ds {
+		if v > 0 && (len(out) == 0 || v != out[len(out)-1]) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 func TestCandidateRadii(t *testing.T) {
 	ds := metric.Dataset{{0}, {1}, {1}, {3}}
 	want := []float64{1, 2, 3}
@@ -359,5 +416,69 @@ func TestCandidateRadii(t *testing.T) {
 	single := newDistRows(metric.NewEngine(1), metric.EuclideanSpace, metric.Dataset{{5}})
 	if got := single.candidateRadii(); got != nil {
 		t.Errorf("singleton candidates = %v, want nil", got)
+	}
+
+	// The property: on both row sources, for spaces whose distances stress
+	// the radix sort, the candidates are the oracle's bit for bit.
+	onLine := func(a, b metric.Point) float64 { return math.Abs(a[0] - b[0]) }
+	sources := []struct {
+		name  string
+		sp    metric.Space
+		point func(rng *rand.Rand) metric.Point
+	}{
+		// Duplicate points (distance 0) and many equal distances.
+		{"grid", metric.EuclideanSpace, func(rng *rand.Rand) metric.Point {
+			return metric.Point{float64(rng.Intn(4)), float64(rng.Intn(4))}
+		}},
+		// Every distance subnormal: the six high bytes are zero.
+		{"subnormal", metric.SpaceFromDistance("line", onLine), func(rng *rand.Rand) metric.Point {
+			return metric.Point{float64(rng.Intn(1000)) * math.SmallestNonzeroFloat64}
+		}},
+		// Distances from 2^-1000 to 2^1000: every byte varies.
+		{"binades", metric.SpaceFromDistance("line", onLine), func(rng *rand.Rand) metric.Point {
+			return metric.Point{math.Ldexp(1+rng.Float64(), rng.Intn(2001)-1000)}
+		}},
+		// Distances that differ in their two low bytes only.
+		{"shared high bytes", metric.SpaceFromDistance("xor", func(a, b metric.Point) float64 {
+			return math.Float64frombits(0x4130_0000_0000_0000 | (uint64(a[0]) ^ uint64(b[0])))
+		}), func(rng *rand.Rand) metric.Point {
+			return metric.Point{float64(rng.Intn(1 << 16))}
+		}},
+		// +Inf and NaN beside finite distances, symmetric in the pair.
+		{"inf and nan", metric.SpaceFromDistance("holes", func(a, b metric.Point) float64 {
+			switch s := int(a[0] + b[0]); {
+			case s%5 == 0:
+				return math.Inf(1)
+			case s%7 == 0:
+				return math.NaN()
+			}
+			return onLine(a, b)
+		}), func(rng *rand.Rand) metric.Point {
+			return metric.Point{float64(rng.Intn(50))}
+		}},
+	}
+	rng := rand.New(rand.NewSource(37))
+	for _, src := range sources {
+		for trial := 0; trial < 40; trial++ {
+			n := 2
+			if trial > 0 {
+				n += rng.Intn(80)
+			}
+			pts := make(metric.Dataset, n)
+			for i := range pts {
+				pts[i] = src.point(rng)
+			}
+			want := referenceCandidateRadii(metric.PairwiseDistancesIn(src.sp, pts))
+			cached := newDistRows(metric.NewEngine(1), src.sp, pts)
+			onDemand := &distRows{sp: src.sp, pts: pts}
+			for _, rows := range []*distRows{cached, onDemand} {
+				got := rows.candidateRadii()
+				if !slices.EqualFunc(got, want, func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Fatalf("%s, n=%d, cached=%v: candidateRadii = %v, want %v", src.name, n, rows.matrix != nil, got, want)
+				}
+			}
+		}
 	}
 }

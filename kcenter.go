@@ -1,10 +1,12 @@
 package kcenter
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"coresetclustering/internal/core"
@@ -525,39 +527,54 @@ func EstimateDoublingDimension(points Dataset, opts ...Option) (float64, error) 
 
 // farthestIndices returns the indices of the z points farthest from their
 // closest center, given each point's nearest-center distance (the outliers
-// implied by a clustering). The selection scans the distance vector
-// sequentially, so the output does not depend on how dists was computed.
+// implied by a clustering): farthest first, the lower index first among equal
+// distances. cmp.Compare ranks NaN below every distance, which makes that order
+// total. One pass over dists keeps the z points that come first so far in a
+// heap, so the selection costs O(n log z) and does not depend on how dists was
+// computed.
 func farthestIndices(dists []float64, z int) []int {
 	if z <= 0 || len(dists) == 0 {
 		return nil
 	}
-	if z > len(dists) {
-		z = len(dists)
+	z = min(z, len(dists))
+	// order is negative when point i comes before point j in the output.
+	order := func(i, j int) int {
+		return cmp.Or(cmp.Compare(dists[j], dists[i]), cmp.Compare(i, j))
 	}
-	type pd struct {
-		idx int
-		d   float64
+	// heap is a max-heap under order: its root is the kept point that comes
+	// last, the one a farther point replaces.
+	heap := make([]int, z)
+	for i := range heap {
+		heap[i] = i
 	}
-	all := make([]pd, len(dists))
-	for i := range dists {
-		all[i] = pd{idx: i, d: dists[i]}
-	}
-	// Partial selection of the z largest distances.
-	out := make([]int, 0, z)
-	for len(out) < z {
-		best := -1
-		for i := range all {
-			if all[i].idx < 0 {
-				continue
+	siftDown := func(i int) {
+		for {
+			last := i
+			for _, c := range [2]int{2*i + 1, 2*i + 2} {
+				if c < z && order(heap[c], heap[last]) > 0 {
+					last = c
+				}
 			}
-			if best < 0 || all[i].d > all[best].d {
-				best = i
+			if last == i {
+				return
 			}
+			heap[i], heap[last] = heap[last], heap[i]
+			i = last
 		}
-		out = append(out, all[best].idx)
-		all[best].idx = -1
 	}
-	return out
+	for i := z/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for i := z; i < len(dists); i++ {
+		// i is above every kept index, so it replaces the root only when it
+		// is strictly farther.
+		if cmp.Compare(dists[i], dists[heap[0]]) > 0 {
+			heap[0] = i
+			siftDown(0)
+		}
+	}
+	slices.SortFunc(heap, order)
+	return heap
 }
 
 func identityAssignment(n int) []int {

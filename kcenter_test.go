@@ -3,6 +3,7 @@ package kcenter
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -360,6 +361,31 @@ func TestDefaultEll(t *testing.T) {
 	}
 }
 
+// referenceFarthestIndices is the O(z·n) selection farthestIndices replaced:
+// z full scans, each taking the first of the farthest points not yet taken.
+// It is the oracle for every input without NaN.
+func referenceFarthestIndices(dists []float64, z int) []int {
+	if z <= 0 || len(dists) == 0 {
+		return nil
+	}
+	if z > len(dists) {
+		z = len(dists)
+	}
+	taken := make([]bool, len(dists))
+	out := make([]int, 0, z)
+	for len(out) < z {
+		best := -1
+		for i, d := range dists {
+			if !taken[i] && (best < 0 || d > dists[best]) {
+				best = i
+			}
+		}
+		out = append(out, best)
+		taken[best] = true
+	}
+	return out
+}
+
 func TestFarthestIndices(t *testing.T) {
 	points := Dataset{{0}, {1}, {50}, {100}}
 	centers := Dataset{{0}}
@@ -376,5 +402,54 @@ func TestFarthestIndices(t *testing.T) {
 	}
 	if got := farthestIndices(nil, 1); got != nil {
 		t.Errorf("empty distances should return nil, got %v", got)
+	}
+
+	inf := math.Inf(1)
+	fixed := [][]float64{
+		{3, 3, 3, 3, 3},
+		{1, 5, 5, 2, 5, 1},
+		{inf, 0, inf, 7, inf},
+		{0, 0, 0},
+		{2},
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		// Few distinct values, so ties are the rule; +Inf and 0 among them.
+		d := make([]float64, 1+rng.Intn(60))
+		for i := range d {
+			switch r := rng.Intn(10); r {
+			case 0:
+				d[i] = inf
+			default:
+				d[i] = float64(r - 1)
+			}
+		}
+		fixed = append(fixed, d)
+	}
+	for _, d := range fixed {
+		n := len(d)
+		for _, z := range []int{0, 1, 2, n / 2, n - 1, n, n + 1, 3 * n} {
+			want := referenceFarthestIndices(d, z)
+			if got := farthestIndices(d, z); !slices.Equal(got, want) {
+				t.Fatalf("farthestIndices(%v, %d) = %v, want %v", d, z, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkFarthestIndices times the outlier pick of the mr_outliers
+// benchmark workload: 50 000 inliers plus 32 planted outliers, z = 32.
+func BenchmarkFarthestIndices(b *testing.B) {
+	const n, z = 50032, 32
+	rng := rand.New(rand.NewSource(1))
+	dists := make([]float64, n)
+	for i := range dists {
+		dists[i] = rng.ExpFloat64()
+	}
+	for i := n - z; i < n; i++ {
+		dists[i] = 2000 + rng.Float64()
+	}
+	for b.Loop() {
+		farthestIndices(dists, z)
 	}
 }
