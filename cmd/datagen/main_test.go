@@ -14,7 +14,7 @@ func TestRunWritesCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := dataset.LoadCSVFile(out)
+	ds, err := dataset.LoadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/experiments"
-	"coresetclustering/internal/stats"
 )
 
 func main() {
@@ -150,7 +149,7 @@ func run(args []string, out io.Writer) error {
 
 // renderable is satisfied by every figure result.
 type renderable interface {
-	Table() *stats.Table
+	Table() *experiments.Table
 }
 
 func applyCommon(datasets *[]dataset.Name, runs *int, seed *int64, names []dataset.Name, wantRuns int, wantSeed int64) {

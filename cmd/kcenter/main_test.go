@@ -85,7 +85,7 @@ func TestRunCSVInputAndCenterOutput(t *testing.T) {
 	if err := run([]string{"-input", in, "-k", "3", "-centers", centers}, &out); err != nil {
 		t.Fatal(err)
 	}
-	saved, err := dataset.LoadCSVFile(centers)
+	saved, err := dataset.LoadFile(centers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,8 @@
 //
 // One rule, written once (internal/streaming) and asked by every layer that
 // admits points — Observe, the window clock, sketch and state restores, the
-// batch entry points Cluster, ClusterWithOutliers and Gonzalez, the daemon's
+// batch entry points Cluster, ClusterWithOutliers and Gonzalez, the
+// evaluators Radius and RadiusExcluding (points and centers), the daemon's
 // ingest front end and engine — decides what is admitted. A point has 1 to
 // 2^20 coordinates, the stream's (or the batch's) dimension, and each within
 // ±2^500 (about 3.3e150: the largest power of two at which no built-in

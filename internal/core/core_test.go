@@ -170,7 +170,7 @@ func TestSequentialKCenter(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	k := 3
 	ds := clusteredDataset(rng, k, 60, 2, 100, 1)
-	res, err := SequentialKCenter(ds, k, 6*k, nil)
+	res, err := KCenter(ds, KCenterConfig{K: k, Ell: 1, CoresetSize: 6 * k, Parallelism: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,20 +200,6 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 	return res, nil
 }
 
-// SequentialKCenter is the ell = 1 instantiation of KCenter: a purely
-// sequential coreset-accelerated k-center algorithm. It is exposed separately
-// for clarity; semantically it is KCenter with Ell = 1.
-func SequentialKCenter(points metric.Dataset, k int, coresetSize int, sp metric.Space) (*KCenterResult, error) {
-	return KCenter(points, KCenterConfig{
-		K:           k,
-		Ell:         1,
-		CoresetSize: coresetSize,
-		Space:       sp,
-		Parallelism: 1,
-		Workers:     1,
-	})
-}
-
 // layout remembers how the first round split the input, which is what lets
 // the final pass be hinted.
 type layout struct {

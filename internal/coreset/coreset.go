@@ -104,9 +104,9 @@ type Coreset struct {
 	Evaluations int64
 }
 
-// Weighted returns the coreset as a weighted point set, the form consumed by
+// weighted returns the coreset as a weighted point set, the form consumed by
 // the weighted OutliersCluster algorithm.
-func (c *Coreset) Weighted() metric.WeightedSet {
+func (c *Coreset) weighted() metric.WeightedSet {
 	out := make(metric.WeightedSet, len(c.Points))
 	for i, p := range c.Points {
 		out[i] = metric.WeightedPoint{P: p, W: c.Weights[i]}
@@ -178,7 +178,7 @@ func Union(coresets ...*Coreset) metric.WeightedSet {
 		if c == nil {
 			continue
 		}
-		out = append(out, c.Weighted()...)
+		out = append(out, c.weighted()...)
 	}
 	return out
 }

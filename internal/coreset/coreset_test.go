@@ -226,9 +226,9 @@ func TestWeightedConversion(t *testing.T) {
 		Points:  metric.Dataset{{1}, {2}},
 		Weights: []int64{3, 4},
 	}
-	w := c.Weighted()
+	w := c.weighted()
 	if len(w) != 2 || w[0].W != 3 || w[1].W != 4 {
-		t.Errorf("Weighted() = %v", w)
+		t.Errorf("weighted() = %v", w)
 	}
 	if w.TotalWeight() != 7 {
 		t.Errorf("total weight = %d, want 7", w.TotalWeight())

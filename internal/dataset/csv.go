@@ -87,16 +87,6 @@ func WriteCSV(w io.Writer, ds metric.Dataset) error {
 	return bw.Flush()
 }
 
-// LoadCSVFile reads a dataset from a CSV file on disk.
-func LoadCSVFile(path string) (metric.Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	defer f.Close()
-	return ReadCSV(f)
-}
-
 // SaveCSVFile writes a dataset to a CSV file on disk, creating or truncating
 // it.
 func SaveCSVFile(path string, ds metric.Dataset) error {

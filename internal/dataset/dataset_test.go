@@ -81,29 +81,10 @@ func TestWikiLikeIsRoughlyNormalised(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range ds {
-		n := p.Norm()
+		n := metric.Euclidean(p, make(metric.Point, len(p)))
 		if math.Abs(n-1) > 1e-9 {
 			t.Fatalf("point %d norm = %v, want 1", i, n)
 		}
-	}
-}
-
-func TestClustered(t *testing.T) {
-	ds, err := Clustered(300, 5, 3, 50, 1, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 300 || ds.Dim() != 3 {
-		t.Fatalf("unexpected shape: n=%d dim=%d", len(ds), ds.Dim())
-	}
-	if _, err := Clustered(0, 5, 3, 50, 1, 11); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, err := Clustered(10, 0, 3, 50, 1, 11); err == nil {
-		t.Error("clusters=0 accepted")
-	}
-	if _, err := Clustered(10, 2, 0, 50, 1, 11); err == nil {
-		t.Error("dim=0 accepted")
 	}
 }
 
@@ -331,14 +312,14 @@ func TestCSVFileHelpers(t *testing.T) {
 	if err := SaveCSVFile(path, ds); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadCSVFile(path)
+	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 2 || !back[1].Equal(metric.Point{3, 4.5}) {
 		t.Errorf("loaded dataset = %v", back)
 	}
-	if _, err := LoadCSVFile(filepath.Join(dir, "missing.csv")); err == nil {
+	if _, err := LoadFile(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Error("missing file accepted")
 	}
 	if err := SaveCSVFile(filepath.Join(dir, "nodir", "x.csv"), ds); err == nil {

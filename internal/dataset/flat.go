@@ -23,20 +23,6 @@ func SaveFlatFile(path string, ds metric.Dataset) error {
 	return metric.SaveFlatFile(path, f)
 }
 
-// LoadFlatFile reads a dataset from a binary flat-buffer file. The returned
-// dataset's points are views into one contiguous buffer.
-func LoadFlatFile(path string) (metric.Dataset, error) {
-	f, err := metric.LoadFlatFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ds := f.Dataset()
-	if len(ds) == 0 {
-		return nil, errors.New("dataset: flat file holds no points")
-	}
-	return ds, nil
-}
-
 // LoadFile reads a dataset from path, auto-detecting the format: files
 // starting with the flat-buffer magic load as metric.Flat (contiguous
 // storage, no text parsing); anything else falls back to the CSV reader

@@ -1,6 +1,7 @@
 // Package dataset provides the data substrate of the experiments: synthetic
 // generators that stand in for the paper's Higgs, Power and Wiki datasets,
-// the outlier-injection procedure of Section 5.2, the SMOTE-like inflation of
+// the outlier-injection procedure of Section 5.2 (with the approximate minimum
+// enclosing ball it places outliers by), the SMOTE-like inflation of
 // Section 5.3, and CSV persistence for the command-line tools.
 //
 // The real datasets are not redistributable within this repository, so the
@@ -11,7 +12,6 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -221,34 +221,6 @@ func sampleWeighted(rng *rand.Rand, weights []float64, total float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Clustered generates a generic Gaussian-mixture dataset with the given
-// number of clusters, dimension, separation between adjacent cluster centers
-// and within-cluster spread. It backs the examples and several tests.
-func Clustered(n, clusters, dim int, separation, spread float64, seed int64) (metric.Dataset, error) {
-	if n <= 0 || clusters <= 0 || dim <= 0 {
-		return nil, errors.New("dataset: n, clusters and dim must be positive")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	centers := make(metric.Dataset, clusters)
-	for c := range centers {
-		p := make(metric.Point, dim)
-		for d := 0; d < dim; d++ {
-			p[d] = rng.NormFloat64() * separation
-		}
-		centers[c] = p
-	}
-	ds := make(metric.Dataset, n)
-	for i := range ds {
-		c := rng.Intn(clusters)
-		p := make(metric.Point, dim)
-		for d := 0; d < dim; d++ {
-			p[d] = centers[c][d] + rng.NormFloat64()*spread
-		}
-		ds[i] = p
-	}
-	return ds, nil
 }
 
 // Shuffle returns a copy of the dataset in uniformly random order (the

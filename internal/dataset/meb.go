@@ -1,11 +1,4 @@
-// Package meb computes approximate minimum enclosing balls (MEB) of point
-// sets in Euclidean space using the Badoiu–Clarkson core-set iteration.
-//
-// The paper's experiments use the MEB of each dataset to inject artificial
-// outliers: z points are added at distance 100*r_MEB from the MEB center in
-// random directions, guaranteeing that every injected point is at distance at
-// least 99*r_MEB from every original point.
-package meb
+package dataset
 
 import (
 	"errors"
@@ -14,8 +7,14 @@ import (
 	"coresetclustering/internal/metric"
 )
 
-// Result is an approximate minimum enclosing ball.
-type Result struct {
+// The paper's experiments use the minimum enclosing ball (MEB) of each
+// dataset to inject artificial outliers (InjectOutliers): z points are added
+// at distance 100*r_MEB from the MEB center in random directions, so every
+// injected point is at distance at least 99*r_MEB from every original point.
+// An approximate ball from the Badoiu–Clarkson core-set iteration suffices.
+
+// mebBall is an approximate minimum enclosing ball.
+type mebBall struct {
 	// Center is the ball center (generally not an input point).
 	Center metric.Point
 	// Radius is the maximum distance from Center to any input point, i.e. an
@@ -25,14 +24,14 @@ type Result struct {
 	Iterations int
 }
 
-// Approximate computes a (1+eps)-approximate minimum enclosing ball of the
+// approximateMEB computes a (1+eps)-approximate minimum enclosing ball of the
 // dataset with the Badoiu–Clarkson iteration: start from an arbitrary point
 // and repeatedly move the candidate center a shrinking step towards the
 // current farthest point. The number of iterations is ceil(1/eps^2),
 // capped at maxIterations when positive.
-func Approximate(points metric.Dataset, eps float64, maxIterations int) (*Result, error) {
+func approximateMEB(points metric.Dataset, eps float64, maxIterations int) (*mebBall, error) {
 	if len(points) == 0 {
-		return nil, errors.New("meb: empty dataset")
+		return nil, errors.New("dataset: minimum enclosing ball of an empty dataset")
 	}
 	if err := points.Validate(); err != nil {
 		return nil, err
@@ -59,7 +58,7 @@ func Approximate(points metric.Dataset, eps float64, maxIterations int) (*Result
 			}
 		}
 		if farDist == 0 {
-			return &Result{Center: center, Radius: 0, Iterations: i}, nil
+			return &mebBall{Center: center, Radius: 0, Iterations: i}, nil
 		}
 		// Move the center 1/(i+1) of the way towards the farthest point.
 		step := 1 / float64(i+1)
@@ -74,14 +73,5 @@ func Approximate(points metric.Dataset, eps float64, maxIterations int) (*Result
 			radius = d
 		}
 	}
-	return &Result{Center: center, Radius: radius, Iterations: iters}, nil
-}
-
-// Exact2D is not provided: the experiments only need an approximate ball, and
-// keeping a single code path avoids divergence between dimensions.
-
-// Contains reports whether the ball contains the point, within a small
-// absolute tolerance for floating-point error.
-func (r *Result) Contains(p metric.Point) bool {
-	return metric.Euclidean(r.Center, p) <= r.Radius+1e-9
+	return &mebBall{Center: center, Radius: radius, Iterations: iters}, nil
 }

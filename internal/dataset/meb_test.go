@@ -1,4 +1,4 @@
-package meb
+package dataset
 
 import (
 	"math"
@@ -10,29 +10,29 @@ import (
 )
 
 func TestApproximateErrors(t *testing.T) {
-	if _, err := Approximate(nil, 0.1, 0); err == nil {
+	if _, err := approximateMEB(nil, 0.1, 0); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	if _, err := Approximate(metric.Dataset{{math.NaN()}}, 0.1, 0); err == nil {
+	if _, err := approximateMEB(metric.Dataset{{math.NaN()}}, 0.1, 0); err == nil {
 		t.Error("NaN dataset accepted")
 	}
 }
 
 func TestApproximateSinglePoint(t *testing.T) {
-	res, err := Approximate(metric.Dataset{{3, 4}}, 0.1, 0)
+	res, err := approximateMEB(metric.Dataset{{3, 4}}, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Radius != 0 {
 		t.Errorf("radius = %v, want 0", res.Radius)
 	}
-	if !res.Contains(metric.Point{3, 4}) {
+	if !res.contains(metric.Point{3, 4}) {
 		t.Error("ball does not contain its only point")
 	}
 }
 
 func TestApproximateCoincidentPoints(t *testing.T) {
-	res, err := Approximate(metric.Dataset{{1, 1}, {1, 1}, {1, 1}}, 0.1, 0)
+	res, err := approximateMEB(metric.Dataset{{1, 1}, {1, 1}, {1, 1}}, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestApproximateKnownConfiguration(t *testing.T) {
 	// Two antipodal points: the MEB has radius half their distance; the
 	// approximation should be within ~20% with eps=0.05.
 	ds := metric.Dataset{{-1, 0}, {1, 0}}
-	res, err := Approximate(ds, 0.05, 0)
+	res, err := approximateMEB(ds, 0.05, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +71,12 @@ func TestApproximateEnclosureProperty(t *testing.T) {
 			}
 			ds[i] = p
 		}
-		res, err := Approximate(ds, 0.1, 0)
+		res, err := approximateMEB(ds, 0.1, 0)
 		if err != nil {
 			return false
 		}
 		for _, p := range ds {
-			if !res.Contains(p) {
+			if !res.contains(p) {
 				return false
 			}
 		}
@@ -97,7 +97,7 @@ func TestApproximateQualityProperty(t *testing.T) {
 		for i := range ds {
 			ds[i] = metric.Point{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		}
-		res, err := Approximate(ds, 0.05, 0)
+		res, err := approximateMEB(ds, 0.05, 0)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestApproximateQualityProperty(t *testing.T) {
 
 func TestApproximateMaxIterationsCap(t *testing.T) {
 	ds := metric.Dataset{{0, 0}, {1, 0}, {0, 1}, {5, 5}}
-	res, err := Approximate(ds, 0.001, 7)
+	res, err := approximateMEB(ds, 0.001, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,13 @@ func TestApproximateMaxIterationsCap(t *testing.T) {
 		t.Errorf("iterations = %d, want capped at 7", res.Iterations)
 	}
 	// Non-positive eps defaults rather than dividing by zero.
-	if _, err := Approximate(ds, 0, 5); err != nil {
+	if _, err := approximateMEB(ds, 0, 5); err != nil {
 		t.Errorf("eps=0 should default: %v", err)
 	}
+}
+
+// contains reports whether the ball contains the point, within a small
+// absolute tolerance for floating-point error.
+func (r *mebBall) contains(p metric.Point) bool {
+	return metric.Euclidean(r.Center, p) <= r.Radius+1e-9
 }

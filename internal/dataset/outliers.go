@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"coresetclustering/internal/meb"
 	"coresetclustering/internal/metric"
 )
 
@@ -37,7 +36,7 @@ func InjectOutliers(ds metric.Dataset, z int, seed int64) (*InjectionResult, err
 	if z < 0 {
 		return nil, fmt.Errorf("dataset: negative outlier count %d", z)
 	}
-	ball, err := meb.Approximate(ds, 0.05, 200)
+	ball, err := approximateMEB(ds, 0.05, 200)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: MEB computation failed: %w", err)
 	}

@@ -17,7 +17,7 @@ import (
 
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/metric"
-	"coresetclustering/internal/stats"
+	"coresetclustering/internal/streaming"
 )
 
 // Workload bundles a named dataset instance (with optional injected outliers)
@@ -81,7 +81,7 @@ func (rt *ratioTracker) observe(group string, radius float64) {
 
 // ratio returns radius divided by the best radius of the group.
 func (rt *ratioTracker) ratio(group string, radius float64) float64 {
-	return stats.Ratio(radius, rt.best[group])
+	return Ratio(radius, rt.best[group])
 }
 
 // timeIt measures the wall-clock duration of fn.
@@ -89,6 +89,18 @@ func timeIt(fn func() error) (time.Duration, error) {
 	start := time.Now()
 	err := fn()
 	return time.Since(start), err
+}
+
+// feedStream times one pass of points through a streaming algorithm.
+func feedStream(proc streaming.Processor, points metric.Dataset) (time.Duration, error) {
+	return timeIt(func() error {
+		for _, p := range points {
+			if err := proc.Process(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // defaultRuns is the default number of repetitions per configuration. The

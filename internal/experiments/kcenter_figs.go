@@ -8,7 +8,6 @@ import (
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/sketch"
-	"coresetclustering/internal/stats"
 	"coresetclustering/internal/streaming"
 )
 
@@ -55,8 +54,8 @@ type Figure2Row struct {
 	K       int
 	Ell     int
 	Mu      int
-	Radius  stats.Summary
-	Ratio   stats.Summary
+	Radius  Summary
+	Ratio   Summary
 }
 
 // Figure2Result holds the full sweep.
@@ -65,8 +64,8 @@ type Figure2Result struct {
 }
 
 // Table renders the result in the paper's layout.
-func (r *Figure2Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 2: MapReduce k-center, ratio vs coreset size (mu) and parallelism (ell)",
+func (r *Figure2Result) Table() *Table {
+	t := NewTable("Figure 2: MapReduce k-center, ratio vs coreset size (mu) and parallelism (ell)",
 		"dataset", "k", "ell", "mu", "ratio", "radius")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.K, row.Ell, row.Mu, row.Ratio, row.Radius)
@@ -124,7 +123,7 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 
 	out := &Figure2Result{}
 	for _, c := range cells {
-		radius, err := stats.Summarize(c.radii)
+		radius, err := Summarize(c.radii)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +131,7 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 		for i, r := range c.radii {
 			ratios[i] = tracker.ratio(string(c.w.Name), r)
 		}
-		ratio, err := stats.Summarize(ratios)
+		ratio, err := Summarize(ratios)
 		if err != nil {
 			return nil, err
 		}
@@ -176,8 +175,8 @@ type Figure3Row struct {
 	Algorithm  string // "CoresetStream" or "BaseStream"
 	Multiplier int
 	Space      int // points of working memory
-	Ratio      stats.Summary
-	Throughput stats.Summary // points per second
+	Ratio      Summary
+	Throughput Summary // points per second
 }
 
 // Figure3Result holds both series for every dataset.
@@ -186,8 +185,8 @@ type Figure3Result struct {
 }
 
 // Table renders the result.
-func (r *Figure3Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 3: streaming k-center, ratio and throughput vs space",
+func (r *Figure3Result) Table() *Table {
+	t := NewTable("Figure 3: streaming k-center, ratio and throughput vs space",
 		"dataset", "algorithm", "multiplier", "space", "ratio", "pts/s")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Algorithm, row.Multiplier, row.Space, row.Ratio, row.Throughput)
@@ -226,10 +225,7 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 	runStream := func(w Workload, seed int64, build func() (streaming.Processor, func() (metric.Dataset, error), int)) (radius, tput float64, space int, err error) {
 		shuffled := dataset.Shuffle(w.Points, seed)
 		proc, result, space := build()
-		elapsed, err := timeIt(func() error {
-			_, err := streaming.Drain(streaming.NewSliceSource(shuffled), proc)
-			return err
-		})
+		elapsed, err := feedStream(proc, shuffled)
 		if err != nil {
 			return 0, 0, 0, err
 		}
@@ -238,7 +234,7 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 			return 0, 0, 0, err
 		}
 		radius = metric.NewEngine(1).Radius(metric.EuclideanSpace, shuffled, centers)
-		tput = stats.Throughput(int64(len(shuffled)), elapsed)
+		tput = Throughput(int64(len(shuffled)), elapsed)
 		return radius, tput, space, nil
 	}
 
@@ -288,11 +284,11 @@ func RunFigure3(cfg Figure3Config) (*Figure3Result, error) {
 		for i, r := range c.radii {
 			ratios[i] = tracker.ratio(string(c.w.Name), r)
 		}
-		ratio, err := stats.Summarize(ratios)
+		ratio, err := Summarize(ratios)
 		if err != nil {
 			return nil, err
 		}
-		tput, err := stats.Summarize(c.throughput)
+		tput, err := Summarize(c.throughput)
 		if err != nil {
 			return nil, err
 		}

@@ -11,7 +11,6 @@ import (
 	"coresetclustering/internal/mapreduce"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/sketch"
-	"coresetclustering/internal/stats"
 	"coresetclustering/internal/streaming"
 )
 
@@ -60,8 +59,8 @@ type Figure4Row struct {
 	Variant     string // "deterministic" or "randomized"
 	Mu          int
 	CoresetSize int // per-partition coreset size tau
-	Ratio       stats.Summary
-	Time        stats.Summary // seconds
+	Ratio       Summary
+	Time        Summary // seconds
 }
 
 // Figure4Result holds the full sweep.
@@ -70,8 +69,8 @@ type Figure4Result struct {
 }
 
 // Table renders the result.
-func (r *Figure4Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 4: MapReduce k-center with outliers, deterministic vs randomized (adversarial partitioning)",
+func (r *Figure4Result) Table() *Table {
+	t := NewTable("Figure 4: MapReduce k-center with outliers, deterministic vs randomized (adversarial partitioning)",
 		"dataset", "variant", "mu", "tau", "ratio", "time(s)")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Variant, row.Mu, row.CoresetSize, row.Ratio, row.Time)
@@ -166,11 +165,11 @@ func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
 		for i, r := range c.radii {
 			ratios[i] = tracker.ratio(string(c.w.Name), r)
 		}
-		ratio, err := stats.Summarize(ratios)
+		ratio, err := Summarize(ratios)
 		if err != nil {
 			return nil, err
 		}
-		secs, err := stats.Summarize(c.seconds)
+		secs, err := Summarize(c.seconds)
 		if err != nil {
 			return nil, err
 		}
@@ -219,8 +218,8 @@ type Figure5Row struct {
 	Algorithm  string // "CoresetOutliers" or "BaseOutliers"
 	Multiplier int
 	Space      int // peak working memory in points
-	Ratio      stats.Summary
-	Throughput stats.Summary
+	Ratio      Summary
+	Throughput Summary
 }
 
 // Figure5Result holds both series for every dataset.
@@ -229,8 +228,8 @@ type Figure5Result struct {
 }
 
 // Table renders the result.
-func (r *Figure5Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 5: streaming k-center with outliers, ratio and throughput vs space",
+func (r *Figure5Result) Table() *Table {
+	t := NewTable("Figure 5: streaming k-center with outliers, ratio and throughput vs space",
 		"dataset", "algorithm", "multiplier", "space", "ratio", "pts/s")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Algorithm, row.Multiplier, row.Space, row.Ratio, row.Throughput)
@@ -277,10 +276,7 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 					return nil, err
 				}
 				var elapsed time.Duration
-				elapsed, err = timeIt(func() error {
-					_, err := streaming.Drain(streaming.NewSliceSource(shuffled), co)
-					return err
-				})
+				elapsed, err = feedStream(co, shuffled)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 5 CoresetOutliers %s mu=%d: %w", w.Name, mult, err)
 				}
@@ -290,7 +286,7 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 				}
 				radius := metric.NewEngine(1).RadiusExcluding(metric.EuclideanSpace, shuffled, ccenters, cfg.Z)
 				coresetCell.radii = append(coresetCell.radii, radius)
-				coresetCell.throughput = append(coresetCell.throughput, stats.Throughput(int64(len(shuffled)), elapsed))
+				coresetCell.throughput = append(coresetCell.throughput, Throughput(int64(len(shuffled)), elapsed))
 				coresetCell.spaces = append(coresetCell.spaces, float64(co.WorkingMemory()))
 				tracker.observe(string(w.Name), radius)
 
@@ -299,10 +295,7 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				elapsed, err = timeIt(func() error {
-					_, err := streaming.Drain(streaming.NewSliceSource(shuffled), bo)
-					return err
-				})
+				elapsed, err = feedStream(bo, shuffled)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: figure 5 BaseOutliers %s m=%d: %w", w.Name, mult, err)
 				}
@@ -312,7 +305,7 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 				}
 				radius = metric.NewEngine(1).RadiusExcluding(metric.EuclideanSpace, shuffled, centers, cfg.Z)
 				baseCell.radii = append(baseCell.radii, radius)
-				baseCell.throughput = append(baseCell.throughput, stats.Throughput(int64(len(shuffled)), elapsed))
+				baseCell.throughput = append(baseCell.throughput, Throughput(int64(len(shuffled)), elapsed))
 				baseCell.spaces = append(baseCell.spaces, float64(bo.WorkingMemory()))
 				tracker.observe(string(w.Name), radius)
 			}
@@ -326,15 +319,15 @@ func RunFigure5(cfg Figure5Config) (*Figure5Result, error) {
 		for i, r := range c.radii {
 			ratios[i] = tracker.ratio(string(c.w.Name), r)
 		}
-		ratio, err := stats.Summarize(ratios)
+		ratio, err := Summarize(ratios)
 		if err != nil {
 			return nil, err
 		}
-		tput, err := stats.Summarize(c.throughput)
+		tput, err := Summarize(c.throughput)
 		if err != nil {
 			return nil, err
 		}
-		space, err := stats.Summarize(c.spaces)
+		space, err := Summarize(c.spaces)
 		if err != nil {
 			return nil, err
 		}

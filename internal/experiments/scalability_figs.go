@@ -6,7 +6,6 @@ import (
 
 	"coresetclustering/internal/core"
 	"coresetclustering/internal/dataset"
-	"coresetclustering/internal/stats"
 )
 
 // Figure6Config parameterises the input-size scalability experiment of
@@ -60,9 +59,9 @@ type Figure6Row struct {
 	// CoresetTime is the (size-dependent) first-round time; SolveTime is the
 	// (size-independent) second-round time; TotalTime is their sum plus
 	// partitioning overhead. All in seconds.
-	CoresetTime stats.Summary
-	SolveTime   stats.Summary
-	TotalTime   stats.Summary
+	CoresetTime Summary
+	SolveTime   Summary
+	TotalTime   Summary
 }
 
 // Figure6Result holds the sweep.
@@ -71,8 +70,8 @@ type Figure6Result struct {
 }
 
 // Table renders the result.
-func (r *Figure6Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 6: scalability with input size (randomized MapReduce, k-center with outliers)",
+func (r *Figure6Result) Table() *Table {
+	t := NewTable("Figure 6: scalability with input size (randomized MapReduce, k-center with outliers)",
 		"dataset", "factor", "n", "coreset(s)", "solve(s)", "total(s)")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Factor, row.N, row.CoresetTime, row.SolveTime, row.TotalTime)
@@ -124,15 +123,15 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 				solveSecs = append(solveSecs, res.SolveTime.Seconds())
 				totalSecs = append(totalSecs, res.CoresetTime.Seconds()+res.SolveTime.Seconds())
 			}
-			cs, err := stats.Summarize(coresetSecs)
+			cs, err := Summarize(coresetSecs)
 			if err != nil {
 				return nil, err
 			}
-			ss, err := stats.Summarize(solveSecs)
+			ss, err := Summarize(solveSecs)
 			if err != nil {
 				return nil, err
 			}
-			ts, err := stats.Summarize(totalSecs)
+			ts, err := Summarize(totalSecs)
 			if err != nil {
 				return nil, err
 			}
@@ -194,8 +193,8 @@ type Figure7Row struct {
 	// CoresetTime shrinks superlinearly with Ell (work per processor is
 	// proportional to tau_ell * |S|/ell); SolveTime is constant because the
 	// union size is fixed.
-	CoresetTime stats.Summary
-	SolveTime   stats.Summary
+	CoresetTime Summary
+	SolveTime   Summary
 }
 
 // Figure7Result holds the sweep.
@@ -204,8 +203,8 @@ type Figure7Result struct {
 }
 
 // Table renders the result.
-func (r *Figure7Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 7: scalability with number of processors (fixed coreset-union size)",
+func (r *Figure7Result) Table() *Table {
+	t := NewTable("Figure 7: scalability with number of processors (fixed coreset-union size)",
 		"dataset", "ell", "tau", "coreset(s)", "solve(s)")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Ell, row.Tau, row.CoresetTime, row.SolveTime)
@@ -259,11 +258,11 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 				coresetSecs = append(coresetSecs, res.CoresetTime.Seconds())
 				solveSecs = append(solveSecs, res.SolveTime.Seconds())
 			}
-			cs, err := stats.Summarize(coresetSecs)
+			cs, err := Summarize(coresetSecs)
 			if err != nil {
 				return nil, err
 			}
-			ss, err := stats.Summarize(solveSecs)
+			ss, err := Summarize(solveSecs)
 			if err != nil {
 				return nil, err
 			}

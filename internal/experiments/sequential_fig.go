@@ -7,7 +7,6 @@ import (
 	"coresetclustering/internal/dataset"
 	"coresetclustering/internal/metric"
 	"coresetclustering/internal/outliers"
-	"coresetclustering/internal/stats"
 )
 
 // Figure8Config parameterises the sequential comparison of Figure 8: on a
@@ -49,8 +48,8 @@ func DefaultFigure8Config() Figure8Config {
 type Figure8Row struct {
 	Dataset   dataset.Name
 	Algorithm string // "CharikarEtAl", "MalkomesEtAl", "Ours(mu=2)", ...
-	Time      stats.Summary
-	Radius    stats.Summary
+	Time      Summary
+	Radius    Summary
 }
 
 // Figure8Result holds the comparison.
@@ -59,8 +58,8 @@ type Figure8Result struct {
 }
 
 // Table renders the result.
-func (r *Figure8Result) Table() *stats.Table {
-	t := stats.NewTable("Figure 8: sequential algorithms on dataset samples (time and radius)",
+func (r *Figure8Result) Table() *Table {
+	t := NewTable("Figure 8: sequential algorithms on dataset samples (time and radius)",
 		"dataset", "algorithm", "time(s)", "radius")
 	for _, row := range r.Rows {
 		t.AddRow(row.Dataset, row.Algorithm, row.Time, row.Radius)
@@ -147,11 +146,11 @@ func RunFigure8(cfg Figure8Config) (*Figure8Result, error) {
 				seconds = append(seconds, elapsed.Seconds())
 				radii = append(radii, metric.NewEngine(1).RadiusExcluding(metric.EuclideanSpace, shuffled, centers, cfg.Z))
 			}
-			ts, err := stats.Summarize(seconds)
+			ts, err := Summarize(seconds)
 			if err != nil {
 				return nil, err
 			}
-			rs, err := stats.Summarize(radii)
+			rs, err := Summarize(radii)
 			if err != nil {
 				return nil, err
 			}

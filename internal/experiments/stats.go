@@ -1,8 +1,4 @@
-// Package stats provides the small statistical and reporting toolkit used by
-// the experiment harness: summary statistics with 95% confidence intervals
-// (the paper reports all figures as averages over at least 10 runs with 95%
-// CIs), throughput computation, and plain-text table rendering.
-package stats
+package experiments
 
 import (
 	"errors"
@@ -12,6 +8,11 @@ import (
 	"strings"
 	"time"
 )
+
+// The reporting toolkit of the figures: summary statistics with 95%
+// confidence intervals (the paper reports all figures as averages over at
+// least 10 runs with 95% CIs), throughput computation, and plain-text table
+// rendering.
 
 // Summary holds the summary statistics of a sample.
 type Summary struct {
@@ -29,7 +30,7 @@ type Summary struct {
 // for an empty sample.
 func Summarize(values []float64) (Summary, error) {
 	if len(values) == 0 {
-		return Summary{}, errors.New("stats: empty sample")
+		return Summary{}, errors.New("experiments: empty sample")
 	}
 	s := Summary{N: len(values), Min: values[0], Max: values[0]}
 	var sum float64
@@ -108,9 +109,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 func formatCell(v interface{}) string {
 	switch x := v.(type) {
 	case float64:
@@ -129,7 +127,7 @@ func formatCell(v interface{}) string {
 // Render writes the table to w as aligned plain text.
 func (t *Table) Render(w io.Writer) error {
 	if w == nil {
-		return errors.New("stats: nil writer")
+		return errors.New("experiments: nil writer")
 	}
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {

@@ -1,4 +1,4 @@
-package stats
+package experiments
 
 import (
 	"math"
@@ -68,8 +68,8 @@ func TestTable(t *testing.T) {
 	tab := NewTable("Figure X", "dataset", "mu", "ratio", "time")
 	tab.AddRow("higgs", 2, 1.0523, 1500*time.Millisecond)
 	tab.AddRow("power", 4, Summary{Mean: 1.01, CI95: 0.02}, "n/a")
-	if tab.NumRows() != 2 {
-		t.Fatalf("NumRows = %d, want 2", tab.NumRows())
+	if len(tab.rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(tab.rows))
 	}
 	out := tab.String()
 	for _, want := range []string{"Figure X", "dataset", "higgs", "1.052", "1.5s", "±"} {
@@ -82,7 +82,7 @@ func TestTable(t *testing.T) {
 	}
 	// Rows shorter than the header are padded.
 	tab.AddRow("wiki")
-	if tab.NumRows() != 3 {
+	if len(tab.rows) != 3 {
 		t.Error("short row not added")
 	}
 	if !strings.Contains(tab.String(), "wiki") {

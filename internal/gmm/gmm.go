@@ -187,32 +187,6 @@ func (r Runner) RunToSize(points metric.Dataset, targetSize, refCenters, seedInd
 	return res, nil
 }
 
-// RunToRadius executes GMM until the residual radius is at most targetRadius
-// (or the dataset is exhausted, or maxCenters centers are selected when
-// maxCenters > 0). It supports the "grow until a target radius is achieved"
-// usage mentioned in Section 2 of the paper.
-func (r Runner) RunToRadius(points metric.Dataset, targetRadius float64, maxCenters, seedIndex int) (*Result, error) {
-	if len(points) == 0 {
-		return nil, ErrEmptyInput
-	}
-	if targetRadius < 0 {
-		return nil, fmt.Errorf("gmm: negative target radius %v", targetRadius)
-	}
-	if seedIndex < 0 || seedIndex >= len(points) {
-		return nil, fmt.Errorf("gmm: seed index %d out of range [0,%d)", seedIndex, len(points))
-	}
-	st := newState(r, points, seedIndex)
-	for st.currentRadius() > targetRadius {
-		if maxCenters > 0 && st.size() >= maxCenters {
-			break
-		}
-		if !st.addFarthest() {
-			break
-		}
-	}
-	return st.result(st.size()), nil
-}
-
 // state maintains, for every input point, the SURROGATE distance to the
 // closest center selected so far. It starts in the DENSE phase: each new
 // center costs n distance evaluations (the standard O(k*n) implementation of
@@ -382,31 +356,6 @@ func (st *state) result(refCenters int) *Result {
 		Evaluations:   st.evals,
 		PrunedAt:      st.prunedAt,
 	}
-}
-
-// RadiusHistory exposes, for testing and diagnostics, the sequence of radii
-// attained after each center selection of a full GMM run on the dataset (up to
-// maxCenters centers, or all points if maxCenters <= 0). The sequence is
-// non-increasing.
-func (r Runner) RadiusHistory(points metric.Dataset, maxCenters, seedIndex int) ([]float64, error) {
-	if len(points) == 0 {
-		return nil, ErrEmptyInput
-	}
-	if seedIndex < 0 || seedIndex >= len(points) {
-		return nil, fmt.Errorf("gmm: seed index %d out of range [0,%d)", seedIndex, len(points))
-	}
-	if maxCenters <= 0 || maxCenters > len(points) {
-		maxCenters = len(points)
-	}
-	st := newState(r, points, seedIndex)
-	for st.size() < maxCenters {
-		if !st.addFarthest() {
-			break
-		}
-	}
-	out := make([]float64, len(st.radii))
-	copy(out, st.radii)
-	return out, nil
 }
 
 // BruteForceOptimalRadius computes the exact optimal k-center radius of a

@@ -72,21 +72,6 @@ func TestRunErrors(t *testing.T) {
 	if _, err := (Runner{}).RunToSize(ds, 1, 1, 7); err == nil {
 		t.Error("RunToSize: out-of-range seed accepted")
 	}
-	if _, err := (Runner{}).RunToRadius(nil, 1, 0, 0); err == nil {
-		t.Error("RunToRadius: empty input accepted")
-	}
-	if _, err := (Runner{}).RunToRadius(ds, -1, 0, 0); err == nil {
-		t.Error("RunToRadius: negative radius accepted")
-	}
-	if _, err := (Runner{}).RunToRadius(ds, 1, 0, 9); err == nil {
-		t.Error("RunToRadius: out-of-range seed accepted")
-	}
-	if _, err := (Runner{}).RadiusHistory(nil, 0, 0); err == nil {
-		t.Error("RadiusHistory: empty input accepted")
-	}
-	if _, err := (Runner{}).RadiusHistory(ds, 0, 9); err == nil {
-		t.Error("RadiusHistory: out-of-range seed accepted")
-	}
 }
 
 func TestRunBasic(t *testing.T) {
@@ -195,10 +180,7 @@ func TestLemma1SubsetProperty(t *testing.T) {
 func TestRadiusHistoryNonIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := randomDataset(rng, 60, 3, 10)
-	hist, err := (Runner{}).RadiusHistory(ds, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := (Runner{}).radiusHistory(ds, 0, 0)
 	if len(hist) != len(ds) {
 		t.Fatalf("history length = %d, want %d", len(hist), len(ds))
 	}
@@ -283,26 +265,6 @@ func TestRunToSize(t *testing.T) {
 	// refCenters <= 0 defaults to targetSize.
 	if _, err := (Runner{}).RunToSize(ds, 10, 0, 0); err != nil {
 		t.Errorf("refCenters=0 should default: %v", err)
-	}
-}
-
-func TestRunToRadius(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ds := clusteredDataset(rng, 3, 30, 2, 50, 0.5)
-	res, err := (Runner{}).RunToRadius(ds, 2.0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Radius > 2.0 {
-		t.Errorf("radius = %v, want <= 2", res.Radius)
-	}
-	// With maxCenters too small to reach the target the cap wins.
-	res2, err := (Runner{}).RunToRadius(ds, 0.000001, 5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Centers) > 5 {
-		t.Errorf("maxCenters not respected: %d", len(res2.Centers))
 	}
 }
 
@@ -407,10 +369,7 @@ func TestRunSeedIndependenceOfGuarantee(t *testing.T) {
 func TestRadiusHistoryMaxCenters(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	ds := randomDataset(rng, 30, 2, 10)
-	hist, err := (Runner{}).RadiusHistory(ds, 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hist := (Runner{}).radiusHistory(ds, 7, 0)
 	if len(hist) != 7 {
 		t.Errorf("history length = %d, want 7", len(hist))
 	}

@@ -92,27 +92,11 @@ func TestRunnerDeterminismAcrossWorkers(t *testing.T) {
 			}
 			requireSameResult(t, "RunToSize", want, got)
 
-			want, err = seq.RunToRadius(ds, want.Radius/2, 6*k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = par.RunToRadius(ds, want.Radius/2, 6*k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameResult(t, "RunToRadius", want, got)
-
-			wantHist, err := seq.RadiusHistory(ds, 2*k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotHist, err := par.RadiusHistory(ds, 2*k, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantHist := seq.radiusHistory(ds, 2*k, 0)
+			gotHist := par.radiusHistory(ds, 2*k, 0)
 			for i := range wantHist {
 				if gotHist[i] != wantHist[i] {
-					t.Fatalf("RadiusHistory[%d] = %v, want %v (n=%d w=%d)", i, gotHist[i], wantHist[i], n, w)
+					t.Fatalf("radiusHistory[%d] = %v, want %v (n=%d w=%d)", i, gotHist[i], wantHist[i], n, w)
 				}
 			}
 		}

@@ -99,11 +99,17 @@ func referenceIncremental(sp metric.Space, points metric.Dataset, minCenters int
 	return ref.result(points, minCenters)
 }
 
-func referenceToRadius(sp metric.Space, points metric.Dataset, target float64, maxCenters, seed int) *Result {
-	ref := referenceRun(sp, points, seed, func(size int, radii []float64) bool {
-		return radii[size-1] <= target || (maxCenters > 0 && size >= maxCenters)
-	})
-	return ref.result(points, len(ref.centers))
+// radiusHistory is the sequence of radii a GMM run attains after each center
+// selection, up to maxCenters centers (all points if maxCenters <= 0); the
+// parity tests compare it with the reference run's.
+func (r Runner) radiusHistory(points metric.Dataset, maxCenters, seedIndex int) []float64 {
+	if maxCenters <= 0 || maxCenters > len(points) {
+		maxCenters = len(points)
+	}
+	st := newState(r, points, seedIndex)
+	for st.size() < maxCenters && st.addFarthest() {
+	}
+	return st.radii
 }
 
 // requireMatchesReference runs every entry point of the runner against the
@@ -126,17 +132,14 @@ func requireMatchesReference(t *testing.T, label string, r Runner, points metric
 	want := referenceToSize(sp, points, grow, k, seed)
 	requireSameResult(t, label+" RunToSize", want, got)
 
-	hist, err := r.RadiusHistory(points, grow, seed)
-	if err != nil {
-		t.Fatalf("%s RadiusHistory: %v", label, err)
-	}
+	hist := r.radiusHistory(points, grow, seed)
 	full := referenceRun(sp, points, seed, func(size int, _ []float64) bool { return size >= grow })
 	if len(hist) != len(full.radii) {
-		t.Fatalf("%s RadiusHistory: %d entries, want %d", label, len(hist), len(full.radii))
+		t.Fatalf("%s radiusHistory: %d entries, want %d", label, len(hist), len(full.radii))
 	}
 	for i, v := range full.radii {
 		if math.Float64bits(hist[i]) != math.Float64bits(v) {
-			t.Fatalf("%s RadiusHistory[%d] = %v, want %v", label, i, hist[i], v)
+			t.Fatalf("%s radiusHistory[%d] = %v, want %v", label, i, hist[i], v)
 		}
 	}
 
@@ -146,12 +149,6 @@ func requireMatchesReference(t *testing.T, label string, r Runner, points metric
 	}
 	requireSameResult(t, label+" RunIncremental", referenceIncremental(sp, points, k, 0.3, grow, seed), got)
 
-	target := want.Radius * 1.5
-	got, err = r.RunToRadius(points, target, grow, seed)
-	if err != nil {
-		t.Fatalf("%s RunToRadius: %v", label, err)
-	}
-	requireSameResult(t, label+" RunToRadius", referenceToRadius(sp, points, target, grow, seed), got)
 }
 
 // Fixtures. Each returns points of dimension dim; all coordinates are

@@ -54,6 +54,15 @@ func TestSplitIndexes(t *testing.T) {
 	}
 }
 
+// totalSize is the number of points in the parts of a partition.
+func totalSize(parts []metric.Dataset) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
 func TestUniformPartitioner(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ds := randomDataset(rng, 103, 2)
@@ -64,8 +73,8 @@ func TestUniformPartitioner(t *testing.T) {
 	if len(parts) != 4 {
 		t.Fatalf("got %d parts, want 4", len(parts))
 	}
-	if err := CheckPartition(parts, len(ds)); err != nil {
-		t.Error(err)
+	if got := totalSize(parts); got != len(ds) {
+		t.Errorf("part sizes sum to %d, want %d", got, len(ds))
 	}
 	// Sizes differ by at most one.
 	minSize, maxSize := len(parts[0]), len(parts[0])
@@ -97,8 +106,8 @@ func TestUniformPartitionerMorePartsThanPoints(t *testing.T) {
 	if len(parts) != 5 {
 		t.Fatalf("got %d parts, want 5", len(parts))
 	}
-	if err := CheckPartition(parts, 2); err != nil {
-		t.Error(err)
+	if got := totalSize(parts); got != 2 {
+		t.Errorf("part sizes sum to %d, want %d", got, 2)
 	}
 }
 
@@ -115,7 +124,7 @@ func TestRandomPartitionerProperty(t *testing.T) {
 		if len(parts) != ell {
 			return false
 		}
-		return CheckPartition(parts, n) == nil
+		return totalSize(parts) == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -155,8 +164,8 @@ func TestAdversarialPartitioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckPartition(parts, len(ds)); err != nil {
-		t.Error(err)
+	if got := totalSize(parts); got != len(ds) {
+		t.Errorf("part sizes sum to %d, want %d", got, len(ds))
 	}
 	// All targeted points are in part 0.
 	if len(parts[0]) < len(targeted) {
@@ -182,16 +191,6 @@ func TestAdversarialPartitioner(t *testing.T) {
 	}
 	if got := ap.Name(); got != "adversarial" {
 		t.Errorf("Name = %q", got)
-	}
-}
-
-func TestCheckPartition(t *testing.T) {
-	parts := []metric.Dataset{{{1}}, {{2}, {3}}}
-	if err := CheckPartition(parts, 3); err != nil {
-		t.Errorf("valid partition rejected: %v", err)
-	}
-	if err := CheckPartition(parts, 4); err == nil {
-		t.Error("invalid partition accepted")
 	}
 }
 

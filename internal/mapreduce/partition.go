@@ -171,17 +171,3 @@ func (ap AdversarialPartitioner) PartitionOrigins(points metric.Dataset, ell int
 	}
 	return parts, origins, nil
 }
-
-// CheckPartition verifies that parts is a valid partition of a dataset of the
-// given size: the part sizes sum to n. It is a cheap sanity check used by
-// tests and by the algorithm drivers in debug paths.
-func CheckPartition(parts []metric.Dataset, n int) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != n {
-		return fmt.Errorf("mapreduce: partition sizes sum to %d, want %d", total, n)
-	}
-	return nil
-}

@@ -3,8 +3,6 @@ package metric
 import (
 	"math"
 	"sync/atomic"
-
-	"coresetclustering/internal/selection"
 )
 
 // Distance computes the distance between two points of equal dimensionality.
@@ -217,11 +215,7 @@ func RadiusExcluding(dist Distance, points Dataset, centers Dataset, z int) floa
 	}
 	// The radius with z outliers is the (n-z)-th smallest distance, i.e. we
 	// drop the z largest. Select rather than sort: len(points) can be large.
-	r, err := selection.SelectInPlace(dists, len(dists)-z-1)
-	if err != nil {
-		return 0 // unreachable: dists is non-empty and the rank is in range
-	}
-	return r
+	return selectInPlace(dists, len(dists)-z-1)
 }
 
 // Assign maps every point to the index of its closest center, producing the

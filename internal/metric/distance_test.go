@@ -3,12 +3,11 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"coresetclustering/internal/selection"
 )
 
 func TestEuclidean(t *testing.T) {
@@ -280,27 +279,90 @@ func TestMinPairwiseDistance(t *testing.T) {
 	}
 }
 
-func TestRankSelection(t *testing.T) {
-	// The engine's outlier-aware radius delegates rank selection to
-	// internal/selection; this pins the exactness of that path on random
-	// inputs.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + rng.Intn(200)
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = rng.NormFloat64()
+// checkSelect fails t unless selectInPlace returns rank k of vals, as found
+// by a full sort.
+func checkSelect(t *testing.T, vals []float64, k int) {
+	t.Helper()
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	if got := selectInPlace(slices.Clone(vals), k); got != sorted[k] {
+		t.Fatalf("selectInPlace(%v, %d) = %v, want %v", vals, k, got, sorted[k])
+	}
+}
+
+// selectInputs are the value generators the selection tests draw from:
+// normal, duplicate-heavy, few-distinct and ±Inf-laced.
+func selectInputs(rng *rand.Rand) []func() float64 {
+	return []func() float64{
+		rng.NormFloat64,
+		func() float64 { return float64(rng.Intn(20)) + rng.Float64()*0.001 },
+		func() float64 { return float64(rng.Intn(3)) },
+		func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return math.Inf(1)
+			case 1:
+				return math.Inf(-1)
+			}
+			return float64(rng.Intn(10))
+		},
+	}
+}
+
+func TestSelect(t *testing.T) {
+	values := []float64{5, 1, 4, 2, 3}
+	for k, want := range []float64{1, 2, 3, 4, 5} {
+		if got := selectInPlace(slices.Clone(values), k); got != want {
+			t.Errorf("selectInPlace(k=%d) = %v, want %v", k, got, want)
+		}
+	}
+	// Every rank of every small input.
+	rng := rand.New(rand.NewSource(7))
+	for _, next := range selectInputs(rng) {
+		for n := 1; n <= 8; n++ {
+			for trial := 0; trial < 20; trial++ {
+				vals := make([]float64, n)
+				for i := range vals {
+					vals[i] = next()
+				}
+				for k := range vals {
+					checkSelect(t, vals, k)
+				}
+			}
+		}
+	}
+}
+
+func TestSelectMatchesSortProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(300)
+		values := make([]float64, n)
+		for i := range values {
+			// Include duplicates on purpose.
+			values[i] = float64(rng.Intn(20)) + rng.Float64()*0.001
 		}
 		k := rng.Intn(n)
-		cp := append([]float64(nil), vals...)
-		got, err := selection.SelectInPlace(cp, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sorted := append([]float64(nil), vals...)
-		sort.Float64s(sorted)
-		if got != sorted[k] {
-			t.Fatalf("trial %d: SelectInPlace(%d) = %v, want %v", trial, k, got, sorted[k])
+		sorted := slices.Clone(values)
+		slices.Sort(sorted)
+		return selectInPlace(values, k) == sorted[k]
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestRankSelection(t *testing.T) {
+	// selectInPlace must return the exact order statistic on random ranks of
+	// larger inputs of every kind.
+	rng := rand.New(rand.NewSource(11))
+	for _, next := range selectInputs(rng) {
+		for trial := 0; trial < 100; trial++ {
+			vals := make([]float64, 1+rng.Intn(300))
+			for i := range vals {
+				vals[i] = next()
+			}
+			checkSelect(t, vals, rng.Intn(len(vals)))
 		}
 	}
 }

@@ -77,9 +77,9 @@ func (f *Flat) Len() int { return len(f.buf) / f.dim }
 // Dim returns the dimensionality.
 func (f *Flat) Dim() int { return f.dim }
 
-// At returns the i-th point as a zero-copy view into the backing buffer.
+// at returns the i-th point as a zero-copy view into the backing buffer.
 // Mutating the returned point mutates the flat dataset.
-func (f *Flat) At(i int) Point { return f.buf[i*f.dim : (i+1)*f.dim : (i+1)*f.dim] }
+func (f *Flat) at(i int) Point { return f.buf[i*f.dim : (i+1)*f.dim : (i+1)*f.dim] }
 
 // Coords exposes the backing buffer (length Len()*Dim()); points are stored
 // back to back in index order.
@@ -94,7 +94,7 @@ func (f *Flat) Dataset() Dataset {
 	n := f.Len()
 	out := make(Dataset, n)
 	for i := 0; i < n; i++ {
-		out[i] = f.At(i)
+		out[i] = f.at(i)
 	}
 	return out
 }
@@ -247,9 +247,6 @@ func (f *Flat) AppendFrame(dst []byte) []byte {
 	return dst
 }
 
-// FrameLen returns the encoded size of the dataset's binary frame.
-func (f *Flat) FrameLen() int { return flatHeaderSize + 8*len(f.buf) }
-
 // DecodeFlatFrame decodes one binary flat-buffer frame from the front of
 // data and returns the remaining bytes. Unlike ReadFlat it works on an
 // in-memory buffer, so the payload length is validated against the header
@@ -316,23 +313,4 @@ func SaveFlatFile(path string, f *Flat) error {
 		return err
 	}
 	return out.Close()
-}
-
-// LoadFlatFile reads a flat dataset from a file. The whole file is read and
-// decoded in memory (DecodeFlatFrame: one coordinate-buffer allocation, no
-// per-point work), with the same strictness as ReadFlat — trailing bytes
-// after the frame are rejected.
-func LoadFlatFile(path string) (*Flat, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("metric: %w", err)
-	}
-	f, rest, err := DecodeFlatFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after the frame", ErrFlatCorrupt, len(rest))
-	}
-	return f, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -37,7 +38,7 @@ func TestFlatBasics(t *testing.T) {
 	}
 	// Views share storage with the buffer: mutating a point shows through.
 	ds[4][2] = 123.5
-	if f.At(4)[2] != 123.5 {
+	if f.at(4)[2] != 123.5 {
 		t.Fatal("Dataset points are not views into the flat buffer")
 	}
 	if &f.Coords()[4*3+2] != &ds[4][2] {
@@ -156,7 +157,12 @@ func TestFlatFileRoundTrip(t *testing.T) {
 	if err := SaveFlatFile(path, f); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFlatFile(path)
+	file, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	got, err := ReadFlat(file)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +211,8 @@ func TestFlatFrameRoundTrip(t *testing.T) {
 	if !bytes.Equal(frame, buf.Bytes()) {
 		t.Fatal("AppendFrame differs from WriteTo")
 	}
-	if len(frame) != f.FrameLen() {
-		t.Fatalf("FrameLen = %d, frame is %d bytes", f.FrameLen(), len(frame))
+	if want := flatHeaderSize + 8*100*16; len(frame) != want {
+		t.Fatalf("frame is %d bytes, want %d", len(frame), want)
 	}
 	trailer := []byte("trailer bytes")
 	got, rest, err := DecodeFlatFrame(append(frame, trailer...))

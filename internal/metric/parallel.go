@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-
-	"coresetclustering/internal/selection"
 )
 
 // This file implements the parallel distance engine: blocked kernels for the
@@ -267,9 +265,7 @@ func (e Engine) NearestRadius(sp Space, points Dataset, centers Dataset, z int, 
 	default:
 		// Dropping the z largest leaves the (n-z)-th smallest; select on a
 		// copy, the caller needs the distances in point order.
-		if s, err := selection.SelectInPlace(slices.Clone(dists), len(dists)-z-1); err == nil {
-			radius = sp.FromSurrogate(s)
-		}
+		radius = sp.FromSurrogate(selectInPlace(slices.Clone(dists), len(dists)-z-1))
 	}
 	for i, s := range dists {
 		dists[i] = sp.FromSurrogate(s)
@@ -436,12 +432,7 @@ func (e Engine) RadiusExcluding(sp Space, points Dataset, centers Dataset, z int
 	dists, _ := e.surrogateNearest(sp, points, centers)
 	// The radius with z outliers is the (n-z)-th smallest distance, i.e. we
 	// drop the z largest. Select rather than sort: len(points) can be large.
-	s, err := selection.SelectInPlace(dists, len(dists)-z-1)
-	if err != nil {
-		// Unreachable: dists is non-empty and the rank is in range.
-		return 0
-	}
-	return sp.FromSurrogate(s)
+	return sp.FromSurrogate(selectInPlace(dists, len(dists)-z-1))
 }
 
 // ArgMax returns the index of the largest value and the value itself,

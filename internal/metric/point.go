@@ -108,15 +108,6 @@ func (p Point) Scale(a float64) Point {
 	return r
 }
 
-// Norm returns the Euclidean norm of the point.
-func (p Point) Norm() float64 {
-	var s float64
-	for _, c := range p {
-		s += c * c
-	}
-	return math.Sqrt(s)
-}
-
 // Dataset is a slice of points sharing a common dimensionality.
 type Dataset []Point
 
@@ -153,28 +144,6 @@ func (ds Dataset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Centroid returns the coordinate-wise mean of the dataset.
-func (ds Dataset) Centroid() (Point, error) {
-	if len(ds) == 0 {
-		return nil, errors.New("metric: centroid of empty dataset")
-	}
-	d := ds.Dim()
-	c := make(Point, d)
-	for _, p := range ds {
-		if p.Dim() != d {
-			return nil, ErrDimensionMismatch
-		}
-		for i := range p {
-			c[i] += p[i]
-		}
-	}
-	inv := 1.0 / float64(len(ds))
-	for i := range c {
-		c[i] *= inv
-	}
-	return c, nil
 }
 
 // BoundingBox returns, per dimension, the minimum and maximum coordinate over

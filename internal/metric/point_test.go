@@ -105,9 +105,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := a.Scale(2); !got.Equal(Point{2, 4}) {
 		t.Errorf("Scale = %v, want (2,4)", got)
 	}
-	if got := (Point{3, 4}).Norm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm = %v, want 5", got)
-	}
 }
 
 func TestDatasetValidate(t *testing.T) {
@@ -128,23 +125,6 @@ func TestDatasetValidate(t *testing.T) {
 				t.Errorf("Validate() err = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
-	}
-}
-
-func TestDatasetCentroid(t *testing.T) {
-	ds := Dataset{{0, 0}, {2, 4}}
-	c, err := ds.Centroid()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Equal(Point{1, 2}) {
-		t.Errorf("Centroid = %v, want (1,2)", c)
-	}
-	if _, err := (Dataset{}).Centroid(); err == nil {
-		t.Error("centroid of empty dataset should fail")
-	}
-	if _, err := (Dataset{{1}, {1, 2}}).Centroid(); err == nil {
-		t.Error("centroid of mixed-dimension dataset should fail")
 	}
 }
 

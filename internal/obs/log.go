@@ -57,11 +57,11 @@ func (l Level) String() string {
 
 // loggerShared is the state common to a logger and all its With-derived
 // children: one writer behind one mutex (lines from concurrent goroutines
-// never interleave) and one level switch.
+// never interleave) and one level, fixed at construction.
 type loggerShared struct {
 	mu    sync.Mutex
 	w     io.Writer
-	level atomic.Int32
+	level Level
 	now   func() time.Time // test seam; nil = time.Now
 }
 
@@ -79,23 +79,12 @@ type Logger struct {
 
 // NewLogger returns a logger writing to w at the given level.
 func NewLogger(w io.Writer, level Level) *Logger {
-	s := &loggerShared{w: w}
-	s.level.Store(int32(level))
-	return &Logger{s: s}
-}
-
-// SetLevel changes the level of this logger and every logger sharing its
-// writer (parents and With-children alike).
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.s.level.Store(int32(level))
+	return &Logger{s: &loggerShared{w: w, level: level}}
 }
 
 // Enabled reports whether messages at the given level would be emitted.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && int32(level) >= l.s.level.Load()
+	return l != nil && level >= l.s.level
 }
 
 // With returns a child logger with the given fields bound to every line,

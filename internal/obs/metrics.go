@@ -36,9 +36,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds 1.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds delta, which must be non-negative (counters only go up; a negative
 // delta is ignored rather than corrupting the series).
 func (c *Counter) Add(delta int64) {
@@ -153,11 +150,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts by
+// quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts by
 // linear interpolation inside the bucket holding the target rank, the same
 // estimate Prometheus' histogram_quantile computes. Values beyond the last
 // finite bound are clamped to it; an empty histogram reports NaN.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
+func (s HistogramSnapshot) quantile(q float64) float64 {
 	total := uint64(0)
 	for _, c := range s.Counts {
 		total += c
@@ -196,10 +193,7 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // P50 estimates the median.
-func (s HistogramSnapshot) P50() float64 { return s.Quantile(0.5) }
-
-// P99 estimates the 99th percentile.
-func (s HistogramSnapshot) P99() float64 { return s.Quantile(0.99) }
+func (s HistogramSnapshot) P50() float64 { return s.quantile(0.5) }
 
 // metricKind discriminates families in the registry.
 type metricKind uint8

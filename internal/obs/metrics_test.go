@@ -11,7 +11,7 @@ import (
 func TestCounterAndGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "help")
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	c.Add(-3) // ignored: counters are monotonic
 	if got := c.Value(); got != 5 {
@@ -37,7 +37,7 @@ func TestVecChildrenAreMemoised(t *testing.T) {
 	if a != b {
 		t.Fatal("same label values must resolve to the same child")
 	}
-	v.With("/x", "500").Inc()
+	v.With("/x", "500").Add(1)
 	if a.Value() != 0 {
 		t.Fatal("distinct label values must not share a child")
 	}
@@ -73,12 +73,12 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 		t.Fatalf("p50 = %v, want 1.5", p50)
 	}
 	// Rank 4.95 lands in the +Inf bucket, clamped to the top finite bound.
-	if p99 := s.P99(); p99 != 4 {
+	if p99 := s.quantile(0.99); p99 != 4 {
 		t.Fatalf("p99 = %v, want 4 (clamped)", p99)
 	}
 
 	empty := r.Histogram("lat2", "help", []float64{1}).Snapshot()
-	if !math.IsNaN(empty.Quantile(0.5)) {
+	if !math.IsNaN(empty.quantile(0.5)) {
 		t.Fatal("empty histogram quantile must be NaN")
 	}
 }
@@ -92,7 +92,7 @@ func TestHistogramQuantileUniform(t *testing.T) {
 	if p50 := s.P50(); math.Abs(p50-0.5) > 0.05 {
 		t.Fatalf("uniform p50 = %v, want ~0.5", p50)
 	}
-	if p99 := s.P99(); math.Abs(p99-0.99) > 0.05 {
+	if p99 := s.quantile(0.99); math.Abs(p99-0.99) > 0.05 {
 		t.Fatalf("uniform p99 = %v, want ~0.99", p99)
 	}
 }
@@ -115,8 +115,8 @@ func TestHistogramConcurrent(t *testing.T) {
 			route := string(rune('a' + w%2))
 			for i := 0; i < perWorker; i++ {
 				h.Observe(float64(i%100) / 1000.0)
-				c.Inc()
-				vec.With(route).Inc()
+				c.Add(1)
+				vec.With(route).Add(1)
 			}
 		}(w)
 	}
@@ -173,7 +173,7 @@ func TestPrometheusGolden(t *testing.T) {
 	g.Set(2.5)
 	v := r.CounterVec("reqs_total", "with labels", "route", "status")
 	v.With("/streams/{name}/points", "200").Add(2)
-	v.With("/merge", "400").Inc()
+	v.With("/merge", "400").Add(1)
 	esc := r.GaugeVec("esc", `help with \ backslash`, "v")
 	esc.With("a\"b\\c\nd").Set(1)
 	// Powers of two keep the sum exactly representable, so the rendered

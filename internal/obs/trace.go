@@ -168,12 +168,12 @@ func newTraceID() TraceID {
 	return id
 }
 
-// ParseTraceparent parses a W3C traceparent header
+// parseTraceparent parses a W3C traceparent header
 // (00-<32 hex trace id>-<16 hex span id>-<2 hex flags>). ok is false — and
 // the caller starts a fresh trace — for anything malformed, for a foreign
 // version, or for the invalid all-zero IDs; sampled is the header's
 // sampled flag.
-func ParseTraceparent(s string) (id TraceID, parent SpanID, sampled, ok bool) {
+func parseTraceparent(s string) (id TraceID, parent SpanID, sampled, ok bool) {
 	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return TraceID{}, SpanID{}, false, false
 	}
@@ -217,7 +217,7 @@ func (t *Tracer) StartRoot(ctx context.Context, name, traceparent string) (conte
 		return ctx, nil
 	}
 	tr := &Trace{tracer: t, name: name, start: t.clock()}
-	if id, parent, sampled, ok := ParseTraceparent(traceparent); ok {
+	if id, parent, sampled, ok := parseTraceparent(traceparent); ok {
 		tr.id, tr.remote, tr.sampled = id, parent, sampled
 	} else {
 		tr.id = newTraceID()
@@ -264,8 +264,8 @@ func (t *Tracer) RecordBackground(name string, d time.Duration, attrs ...string)
 // spanCtxKey carries the current *Span through a context.
 type spanCtxKey struct{}
 
-// SpanFromContext returns the span the context carries, or nil.
-func SpanFromContext(ctx context.Context) *Span {
+// spanFromContext returns the span the context carries, or nil.
+func spanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanCtxKey{}).(*Span)
 	return sp
 }
@@ -275,7 +275,7 @@ func SpanFromContext(ctx context.Context) *Span {
 // disabled, or an un-instrumented entry point) it returns ctx unchanged and
 // a nil span, on which every method is a no-op.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	parent := SpanFromContext(ctx)
+	parent := spanFromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
@@ -294,7 +294,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // instrumentation seams want when the measured interval is only known after
 // the fact (a group-commit waiter's enqueue-to-ack time).
 func RecordSpan(ctx context.Context, name string, d time.Duration, attrs ...string) {
-	parent := SpanFromContext(ctx)
+	parent := spanFromContext(ctx)
 	if parent == nil {
 		return
 	}
@@ -390,7 +390,7 @@ func (sp *Span) TraceID() string {
 }
 
 // Traceparent renders the span as an outbound W3C traceparent header
-// (00-<trace id>-<span id>-<flags>), the emitter half of ParseTraceparent:
+// (00-<trace id>-<span id>-<flags>), the emitter half of parseTraceparent:
 // a downstream daemon that honors the header joins this trace, with this
 // span as the remote parent. The sampled flag propagates the trace's own
 // keep decision (sampled or forced) so a fan-out is retained end to end or

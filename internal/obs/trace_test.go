@@ -36,9 +36,9 @@ func TestParseTraceparent(t *testing.T) {
 		{"wrong separators", strings.Replace(good, "-", "_", 1), false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			id, parent, sampled, ok := ParseTraceparent(tc.header)
+			id, parent, sampled, ok := parseTraceparent(tc.header)
 			if ok != tc.ok {
-				t.Fatalf("ParseTraceparent(%q) ok = %v, want %v", tc.header, ok, tc.ok)
+				t.Fatalf("parseTraceparent(%q) ok = %v, want %v", tc.header, ok, tc.ok)
 			}
 			if !ok {
 				if !id.IsZero() || !parent.IsZero() || sampled {

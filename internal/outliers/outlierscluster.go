@@ -432,9 +432,9 @@ func (e *evaluator) result() *ClusterResult {
 	return res
 }
 
-// Delta returns the multiplicative radius-search tolerance used by the paper,
+// delta returns the multiplicative radius-search tolerance used by the paper,
 // delta = epsHat / (3 + 4*epsHat). For epsHat = 0 it returns 0 (exact search).
-func Delta(epsHat float64) float64 {
+func delta(epsHat float64) float64 {
 	if epsHat <= 0 {
 		return 0
 	}
@@ -575,8 +575,8 @@ func search(candidates []float64, epsHat float64, strategy SearchStrategy, feasi
 	// without materialising every distance. With rHi = +Inf every finite
 	// distance lies inside both balls at any r >= rLo, as at the infeasible
 	// rLo, so the walk is skipped: it could only step towards overflow.
-	if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) && !math.IsInf(rHi, 1) {
-		for r := rLo * (1 + delta); r < rHi; r *= 1 + delta {
+	if step := delta(epsHat); step > 0 && rLo > 0 && rHi > rLo*(1+step) && !math.IsInf(rHi, 1) {
+		for r := rLo * (1 + step); r < rHi; r *= 1 + step {
 			if feasible(r) {
 				chosen = r
 				break

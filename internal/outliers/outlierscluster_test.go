@@ -375,16 +375,16 @@ func TestSolveWeightedVsUnweightedConsistency(t *testing.T) {
 }
 
 func TestDelta(t *testing.T) {
-	if got := Delta(0); got != 0 {
-		t.Errorf("Delta(0) = %v, want 0", got)
+	if got := delta(0); got != 0 {
+		t.Errorf("delta(0) = %v, want 0", got)
 	}
-	if got := Delta(-1); got != 0 {
-		t.Errorf("Delta(-1) = %v, want 0", got)
+	if got := delta(-1); got != 0 {
+		t.Errorf("delta(-1) = %v, want 0", got)
 	}
-	got := Delta(0.5)
+	got := delta(0.5)
 	want := 0.5 / (3 + 4*0.5)
 	if got != want {
-		t.Errorf("Delta(0.5) = %v, want %v", got, want)
+		t.Errorf("delta(0.5) = %v, want %v", got, want)
 	}
 }
 

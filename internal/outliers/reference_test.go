@@ -132,8 +132,8 @@ func referenceSolve(sp metric.Space, set metric.WeightedSet, k int, z int64, eps
 		rLo = candidates[firstFeasible-1]
 	}
 	chosen := rHi
-	if delta := Delta(epsHat); delta > 0 && rLo > 0 && rHi > rLo*(1+delta) {
-		for r := rLo * (1 + delta); r < rHi; r *= 1 + delta {
+	if step := delta(epsHat); step > 0 && rLo > 0 && rHi > rLo*(1+step) {
+		for r := rLo * (1 + step); r < rHi; r *= 1 + step {
 			if _, ok := feasible(r); ok {
 				chosen = r
 				break

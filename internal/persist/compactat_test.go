@@ -31,7 +31,7 @@ func TestCompactAtPreservesTailAcrossRewrite(t *testing.T) {
 	if err := l.AppendBatch(testBatch(2, 2, 3), nil); err != nil { // seq 4
 		t.Fatal(err)
 	}
-	if err := l.AppendAdvance(9); err != nil { // seq 5
+	if err := appendAdvance(l, 9); err != nil { // seq 5
 		t.Fatal(err)
 	}
 
@@ -44,7 +44,7 @@ func TestCompactAtPreservesTailAcrossRewrite(t *testing.T) {
 		t.Fatalf("stats after CompactAt = %+v", st)
 	}
 	// The handle keeps appending where it stopped.
-	if err := l.AppendAdvance(10); err != nil { // seq 6
+	if err := appendAdvance(l, 10); err != nil { // seq 6
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

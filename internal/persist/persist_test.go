@@ -14,6 +14,15 @@ import (
 	"coresetclustering/internal/metric"
 )
 
+// appendAdvance journals a clock advance and waits until it is durable.
+func appendAdvance(l *Log, ts int64) error {
+	p, err := l.BeginAdvance(ts)
+	if err != nil {
+		return err
+	}
+	return p.Wait()
+}
+
 func testMeta() Meta {
 	return Meta{K: 3, Z: 1, Budget: 32, Space: "euclidean", WindowSize: 0, WindowDuration: 0}
 }
@@ -56,7 +65,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err := l.AppendBatch(b2, ts); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendAdvance(42); err != nil {
+	if err := appendAdvance(l, 42); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -104,7 +113,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The recovered handle must keep appending where the old one stopped.
-	if err := r.Log.AppendAdvance(50); err != nil {
+	if err := appendAdvance(r.Log, 50); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,7 +260,7 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 		t.Fatalf("stats = %+v, want a reported torn tail", r.Stats)
 	}
 	// The file itself must have been truncated so appends work again …
-	if err := r.Log.AppendAdvance(1); err != nil {
+	if err := appendAdvance(r.Log, 1); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -323,7 +332,7 @@ func TestRemoveTombstonesAndFreesName(t *testing.T) {
 	if err := l.Remove(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendAdvance(1); !errors.Is(err, ErrLogRemoved) {
+	if err := appendAdvance(l, 1); !errors.Is(err, ErrLogRemoved) {
 		t.Fatalf("append after remove: %v, want ErrLogRemoved", err)
 	}
 	// The name is immediately reusable.

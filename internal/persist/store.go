@@ -521,15 +521,6 @@ func (l *Log) AppendBatch(points metric.Dataset, ts []int64) error {
 	return p.Wait()
 }
 
-// AppendAdvance journals a clock advance of a window stream.
-func (l *Log) AppendAdvance(ts int64) error {
-	p, err := l.BeginAdvance(ts)
-	if err != nil {
-		return err
-	}
-	return p.Wait()
-}
-
 // flush syncs buffered appends (FsyncInterval mode) and reports whether a
 // sync actually happened, so the flusher can attribute tick latency to the
 // logs it flushed.

@@ -68,13 +68,6 @@ func (e *Engine) Lookup(name string) (*Stream, bool) {
 	return st, ok
 }
 
-// StreamCount reports how many live streams the engine hosts.
-func (e *Engine) StreamCount() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.streams)
-}
-
 // StreamNames returns the live stream names, sorted.
 func (e *Engine) StreamNames() []string {
 	e.mu.RLock()

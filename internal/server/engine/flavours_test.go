@@ -210,7 +210,7 @@ func TestFlavoursTimestampsNeedAWindow(t *testing.T) {
 			if _, err := e.Ingest(context.Background(), "fresh", b1, ts, -1, f.params); CodeOf(err) != CodeNotWindowed {
 				t.Fatalf("timestamped first batch: code %q (%v), want %q", CodeOf(err), err, CodeNotWindowed)
 			}
-			if _, ok := e.Lookup("fresh"); ok || e.StreamCount() != 0 {
+			if _, ok := e.Lookup("fresh"); ok || len(e.StreamNames()) != 0 {
 				t.Fatal("the rejected batch created a stream")
 			}
 

@@ -170,10 +170,3 @@ func (e *Engine) Merge(blobs [][]byte) (MergeResult, error) {
 	}
 	return res, nil
 }
-
-// Healthz reports the engine's health: ok (nil map) or the failed-stream
-// table an orchestrator should surface rather than round-robin past.
-func (e *Engine) Healthz() (ok bool, failed map[string]string) {
-	failed = e.FailedStreams()
-	return len(failed) == 0, failed
-}

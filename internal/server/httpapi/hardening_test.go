@@ -107,7 +107,7 @@ func TestDeleteIngestSnapshotRace(t *testing.T) {
 	for msg := range fail {
 		t.Error(msg)
 	}
-	n := srv.eng.StreamCount()
+	n := len(srv.eng.StreamNames())
 	if n > 1 {
 		t.Fatalf("stream table holds %d entries for one contested name (mutex leak)", n)
 	}

@@ -28,8 +28,10 @@ func newCoresetOutliers(k, z, tau int, epsHat float64, workers int) (*clusterer.
 
 func feed(t *testing.T, proc streaming.Processor, ds metric.Dataset) {
 	t.Helper()
-	if _, err := streaming.Drain(streaming.NewSliceSource(ds), proc); err != nil {
-		t.Fatal(err)
+	for _, p := range ds {
+		if err := proc.Process(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

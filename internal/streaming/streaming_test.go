@@ -57,61 +57,10 @@ func withOutliers(rng *rand.Rand, ds metric.Dataset, nOut int) metric.Dataset {
 
 func feed(t *testing.T, proc Processor, ds metric.Dataset) {
 	t.Helper()
-	if _, err := Drain(NewSliceSource(ds), proc); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSliceSource(t *testing.T) {
-	ds := metric.Dataset{{1}, {2}, {3}}
-	src := NewSliceSource(ds)
-	count := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
+	for _, p := range ds {
+		if err := proc.Process(p); err != nil {
+			t.Fatal(err)
 		}
-		count++
-	}
-	if count != 3 {
-		t.Errorf("yielded %d points, want 3", count)
-	}
-	src.Reset()
-	if p, ok := src.Next(); !ok || !p.Equal(metric.Point{1}) {
-		t.Errorf("after Reset got %v %v", p, ok)
-	}
-}
-
-func TestChannelSource(t *testing.T) {
-	ch := make(chan metric.Point, 3)
-	ch <- metric.Point{1}
-	ch <- metric.Point{2}
-	close(ch)
-	src := NewChannelSource(ch)
-	n := 0
-	for {
-		_, ok := src.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Errorf("yielded %d points, want 2", n)
-	}
-}
-
-func TestDrainErrors(t *testing.T) {
-	if _, err := Drain(NewSliceSource(nil), nil); err == nil {
-		t.Error("nil processor accepted")
-	}
-	d, _ := NewDoublingIn(metric.EuclideanSpace, 4)
-	if _, err := Drain(nil, d); err == nil {
-		t.Error("nil source accepted")
-	}
-	// A nil point inside the stream propagates the processor error.
-	if _, err := Drain(NewSliceSource(metric.Dataset{nil}), d); err == nil {
-		t.Error("nil point accepted")
 	}
 }
 
@@ -119,8 +68,12 @@ func TestNewDoublingValidation(t *testing.T) {
 	if _, err := NewDoublingIn(metric.EuclideanSpace, 0); err == nil {
 		t.Error("tau=0 accepted")
 	}
-	if d, err := NewDoublingIn(nil, 3); err != nil || d == nil {
-		t.Errorf("nil distance should default: %v", err)
+	d, err := NewDoublingIn(nil, 3)
+	if err != nil || d == nil {
+		t.Fatalf("nil distance should default: %v", err)
+	}
+	if err := d.Process(nil); err == nil {
+		t.Error("nil point accepted")
 	}
 }
 
@@ -399,84 +352,6 @@ func TestBaseOutliersShortStream(t *testing.T) {
 	}
 	if err := bo.Process(nil); err == nil {
 		t.Error("nil point accepted")
-	}
-}
-
-func TestTwoPassOutliers(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	k, z := 3, 5
-	base := clusteredDataset(rng, k, 100, 2, 100, 1)
-	ds := withOutliers(rng, base, z)
-	tp := &TwoPassOutliers{K: k, Z: z, Eps: 3}
-	res, err := tp.Run(func() Source { return NewSliceSource(ds) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) == 0 || len(res.Centers) > k {
-		t.Fatalf("centers = %d, want in (0,%d]", len(res.Centers), k)
-	}
-	if res.UncoveredWeight > int64(z) {
-		t.Errorf("uncovered weight = %d, want <= %d", res.UncoveredWeight, z)
-	}
-	r := metric.RadiusExcluding(metric.Euclidean, ds, res.Centers, z)
-	if r > 40 {
-		t.Errorf("outlier-aware radius = %v, want small", r)
-	}
-	if res.RadiusEstimate <= 0 {
-		t.Error("radius estimate not recorded")
-	}
-	if res.CoresetSize <= 0 || res.WorkingMemoryPeak <= 0 {
-		t.Error("memory accounting missing")
-	}
-}
-
-func TestTwoPassOutliersValidation(t *testing.T) {
-	tp := &TwoPassOutliers{K: 0, Z: 1, Eps: 1}
-	if _, err := tp.Run(func() Source { return NewSliceSource(metric.Dataset{{1}}) }); err == nil {
-		t.Error("k=0 accepted")
-	}
-	tp = &TwoPassOutliers{K: 1, Z: -1, Eps: 1}
-	if _, err := tp.Run(func() Source { return NewSliceSource(metric.Dataset{{1}}) }); err == nil {
-		t.Error("z<0 accepted")
-	}
-	tp = &TwoPassOutliers{K: 1, Z: 1, Eps: 0}
-	if _, err := tp.Run(func() Source { return NewSliceSource(metric.Dataset{{1}}) }); err == nil {
-		t.Error("eps=0 accepted")
-	}
-	tp = &TwoPassOutliers{K: 1, Z: 1, Eps: 1}
-	if _, err := tp.Run(nil); err == nil {
-		t.Error("nil source factory accepted")
-	}
-	if _, err := tp.Run(func() Source { return NewSliceSource(nil) }); err == nil {
-		t.Error("empty stream accepted")
-	}
-}
-
-func TestTwoPassOutliersCoincidentPoints(t *testing.T) {
-	ds := metric.Dataset{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	tp := &TwoPassOutliers{K: 1, Z: 1, Eps: 1}
-	res, err := tp.Run(func() Source { return NewSliceSource(ds) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Centers) != 1 {
-		t.Errorf("centers = %d, want 1", len(res.Centers))
-	}
-	if res.RadiusEstimate != 0 {
-		t.Errorf("radius estimate = %v, want 0 for coincident points", res.RadiusEstimate)
-	}
-}
-
-func TestTwoPassOutliersMaxCoresetSizeCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ds := randomDataset(rng, 300, 2, 100)
-	tp := &TwoPassOutliers{K: 3, Z: 2, Eps: 0.5, MaxCoresetSize: 25}
-	res, err := tp.Run(func() Source { return NewSliceSource(ds) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CoresetSize > 25 {
-		t.Errorf("coreset size = %d exceeds cap 25", res.CoresetSize)
 	}
 }
 

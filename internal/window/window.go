@@ -328,7 +328,7 @@ func (w *Window) mergeBucketStates(a, b *streaming.Doubling) (*streaming.Doublin
 			folded[res.Assignment[i]].W += wp.W
 		}
 		union = folded
-		phiSrc += res.Radius / 8
+		phiSrc += float64(res.Radius / 8) // rounded apart: no fused multiply-add on arm64
 	}
 	return streaming.RestoreDoublingIn(w.space, streaming.DoublingState{
 		Tau:         w.tau,

@@ -26,18 +26,9 @@ var distanceAllowed = map[string]string{
 // to a Space once.
 func TestNoDistanceInInternalSignatures(t *testing.T) {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
-		switch {
-		case err != nil:
-			return err
-		case d.IsDir() && path == filepath.Join("internal", "metric"):
-			return filepath.SkipDir
-		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	forEachNonTestFile(t, fset, "internal", func(path string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(path)) == "internal/metric" {
+			return
 		}
 		metricName := ""
 		for _, imp := range f.Imports {
@@ -49,7 +40,7 @@ func TestNoDistanceInInternalSignatures(t *testing.T) {
 			}
 		}
 		if metricName == "" {
-			return nil
+			return
 		}
 		mentionsDistance := func(typ ast.Expr) bool {
 			found := false
@@ -89,9 +80,116 @@ func TestNoDistanceInInternalSignatures(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// forEachNonTestFile parses every non-test .go file under root, dot
+// directories and testdata aside, and hands it to fn.
+func forEachNonTestFile(t *testing.T, fset *token.FileSet, root string, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// testOnlyAllowed names the exported internal functions and methods that no
+// non-test file outside their own file uses, each with its reason.
+var testOnlyAllowed = map[string]string{
+	// Reference oracles: tests check the production algorithms against them.
+	"internal/gmm.BruteForceOptimalRadius":             "oracle: exact k-center optimum by exhaustive search",
+	"internal/gmm.BruteForceOptimalRadiusWithOutliers": "oracle: exact k-center-with-outliers optimum by exhaustive search",
+	"internal/outliers.CharikarEtAlExhaustive":         "oracle: the Charikar et al. radius search over every candidate radius",
+	"internal/metric.Diameter":                         "oracle: scalar diameter that bounds the optimum in property tests",
+	"internal/metric.Minkowski":                        "oracle: a metric with no built-in Space, to drive the adapter path",
+	"internal/metric.NewCounter":                       "oracle: counts scalar evaluations to check evaluation accounting",
+	// Certificate ingredients: ROADMAP item 5 turns them into a radius certificate.
+	"internal/coreset.MaxProxyRadius":         "waits for ROADMAP item 5",
+	"internal/coreset.TheoreticalSizeBound":   "waits for ROADMAP item 5",
+	"internal/window.Window.CoverageBound":    "waits for ROADMAP item 5",
+	"internal/metric.CoresetSizeForDimension": "waits for ROADMAP item 5",
+	"internal/metric.WeightedSet.TotalWeight": "waits for ROADMAP item 14's Σw = observed audit",
+	// bench/ is changed only by a benchmark change, so its test-only uses stay.
+	"internal/metric.Point.Scale": "bench/check_test.go uses it",
+	"internal/metric.Flat.Coords": "bench/gen/gen_test.go uses it",
+}
+
+// TestNoTestOnlyInternalExports keeps production code free of exported
+// internal functions that only tests reach: every exported top-level func and
+// method of a non-test file under internal/ must be referenced by name from
+// another non-test .go file of the repository, or be in testOnlyAllowed. An
+// allow-list entry that is now used, or no longer declared, is an error too.
+func TestNoTestOnlyInternalExports(t *testing.T) {
+	fset := token.NewFileSet()
+	type decl struct{ key, file string }
+	var decls []decl
+	uses := map[string]map[string]bool{} // name -> non-test files that reference it
+	forEachNonTestFile(t, fset, ".", func(path string, f *ast.File) {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+				continue
+			}
+			key := filepath.ToSlash(filepath.Dir(path)) + "."
+			if fn.Recv != nil {
+				typ := fn.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				switch idx := typ.(type) {
+				case *ast.IndexExpr:
+					typ = idx.X
+				case *ast.IndexListExpr:
+					typ = idx.X
+				}
+				key += typ.(*ast.Ident).Name + "."
+			}
+			decls = append(decls, decl{key + fn.Name.Name, path})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if uses[id.Name] == nil {
+					uses[id.Name] = map[string]bool{}
+				}
+				uses[id.Name][path] = true
+			}
+			return true
+		})
+	})
+	seen := map[string]bool{}
+	for _, d := range decls {
+		seen[d.key] = true
+		name := d.key[strings.LastIndex(d.key, ".")+1:]
+		used := false
+		for file := range uses[name] {
+			used = used || file != d.file
+		}
+		_, allowed := testOnlyAllowed[d.key]
+		switch {
+		case !used && !allowed:
+			t.Errorf("%s: only tests use %s; delete it, unexport it, move it to a _test.go file, or allow-list it with a reason", d.file, d.key)
+		case used && allowed:
+			t.Errorf("testOnlyAllowed[%q] is stale: %s now has a production caller", d.key, d.key)
+		}
+	}
+	for key := range testOnlyAllowed {
+		if !seen[key] {
+			t.Errorf("testOnlyAllowed[%q] is stale: no non-test file under internal/ declares it", key)
+		}
 	}
 }

@@ -486,9 +486,13 @@ func Gonzalez(points Dataset, k int, opts ...Option) (*Clustering, error) {
 
 // Radius reports the k-center objective of a clustering: the maximum distance
 // from any point to its nearest center. An empty center set yields +Inf for
-// non-empty points. It accepts WithDistance and WithWorkers; as everywhere in
+// non-empty points. Points and centers are admitted as Cluster admits its
+// input: no NaN or coordinate beyond ±2^500, one dimension for all. It accepts WithDistance and WithWorkers; as everywhere in
 // the library, the result is bit-identical for every worker count.
 func Radius(points, centers Dataset, opts ...Option) (float64, error) {
+	if err := admitEvaluation(points, centers); err != nil {
+		return 0, err
+	}
 	o, err := buildOptions(opts)
 	if err != nil {
 		return 0, err
@@ -498,8 +502,12 @@ func Radius(points, centers Dataset, opts ...Option) (float64, error) {
 
 // RadiusExcluding reports the outlier-aware k-center objective: the maximum
 // distance from points to centers after discarding the z points farthest from
-// the centers. It returns 0 when z >= len(points).
+// the centers. It returns 0 when z >= len(points). It admits its input as
+// Radius does.
 func RadiusExcluding(points, centers Dataset, z int, opts ...Option) (float64, error) {
+	if err := admitEvaluation(points, centers); err != nil {
+		return 0, err
+	}
 	if z < 0 {
 		return 0, fmt.Errorf("kcenter: z must be non-negative, got %d", z)
 	}
@@ -508,6 +516,25 @@ func RadiusExcluding(points, centers Dataset, z int, opts ...Option) (float64, e
 		return 0, err
 	}
 	return metric.NewEngine(o.workers).RadiusExcluding(o.space, points, centers, z), nil
+}
+
+// admitEvaluation holds the inputs of Radius and RadiusExcluding to the
+// stream admission rule: non-empty points as a batch, and non-empty centers
+// as a batch of the points' dimension.
+func admitEvaluation(points, centers Dataset) error {
+	dim := 0
+	if len(points) > 0 {
+		if err := streaming.CheckBatch(points, nil, 0, 0); err != nil {
+			return fmt.Errorf("kcenter: %w", err)
+		}
+		dim = len(points[0])
+	}
+	if len(centers) > 0 {
+		if err := streaming.CheckBatch(centers, nil, dim, 0); err != nil {
+			return fmt.Errorf("kcenter: centers: %w", err)
+		}
+	}
+	return nil
 }
 
 // EstimateDoublingDimension reports an empirical estimate of the doubling

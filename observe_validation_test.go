@@ -44,9 +44,10 @@ func TestOverflowingPointsRefusedInEveryFlavour(t *testing.T) {
 
 // TestBatchEntryPointsAdmitByTheStreamRule is the overflow repro for the
 // batch API: Cluster, ClusterWithOutliers and Gonzalez refuse what Observe
-// refuses, with the same typed errors. Past the admission bound a squared
-// Euclidean distance overflows to +Inf, and a batch call would report an
-// infinite radius with a point assigned to no center.
+// refuses, with the same typed errors, and so do the evaluators Radius and
+// RadiusExcluding, for their points and for their centers. Past the admission
+// bound a squared Euclidean distance overflows to +Inf, and a batch call
+// would report an infinite radius with a point assigned to no center.
 func TestBatchEntryPointsAdmitByTheStreamRule(t *testing.T) {
 	for name, run := range map[string]func(kcenter.Dataset) error{
 		"Cluster": func(ds kcenter.Dataset) error {
@@ -59,6 +60,22 @@ func TestBatchEntryPointsAdmitByTheStreamRule(t *testing.T) {
 		},
 		"Gonzalez": func(ds kcenter.Dataset) error {
 			_, err := kcenter.Gonzalez(ds, 2)
+			return err
+		},
+		"Radius of bad points": func(ds kcenter.Dataset) error {
+			_, err := kcenter.Radius(ds, nil)
+			return err
+		},
+		"Radius to bad centers": func(ds kcenter.Dataset) error {
+			_, err := kcenter.Radius(kcenter.Dataset{make(kcenter.Point, len(ds[0]))}, ds)
+			return err
+		},
+		"RadiusExcluding of bad points": func(ds kcenter.Dataset) error {
+			_, err := kcenter.RadiusExcluding(ds, nil, 1)
+			return err
+		},
+		"RadiusExcluding to bad centers": func(ds kcenter.Dataset) error {
+			_, err := kcenter.RadiusExcluding(kcenter.Dataset{make(kcenter.Point, len(ds[0]))}, ds, 1)
 			return err
 		},
 	} {
