@@ -96,8 +96,12 @@
 // REPORTED value (a radius, a nearest-neighbour distance), never once per
 // evaluation. On amd64 hardware with AVX the Euclidean kernels additionally
 // take a vectorised fast path that is bit-identical to the pure-Go kernels
-// by construction (the four SIMD lanes are exactly the four accumulator
-// lanes of the canonical summation order).
+// by construction: the four SIMD lanes of each row's accumulator are exactly
+// the four accumulator lanes of the canonical summation order, four rows are
+// evaluated per pass so that each load of the query serves all four, and the
+// four rows' lanes are combined in one transposed reduction whose every
+// addition is the scalar (s0+s1)+(s2+s3) of its row. A run built with the
+// purego tag takes the pure-Go kernels only and must produce the same bits.
 //
 // WithSpace selects a space explicitly (EuclideanSpace, ManhattanSpace,
 // ChebyshevSpace, AngularSpace, CosineSpace). Inside the library the Space is

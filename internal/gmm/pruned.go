@@ -15,9 +15,9 @@ import (
 // untouched; and when d(c, b) >= 2*(radius of b's cluster) that holds for
 // every point b owns. The pruned update therefore skips whole clusters and
 // then single points on that test, and runs the space's batched DistancesTo
-// kernel on the rest — the same per-pair values UpdateNearest computes, so
-// every cache entry, every radius and every tie-break is bit-identical to the
-// dense phase. The test itself lives in the space (metric.Pruner): it is
+// kernel on the rest, by index (metric.DistancesToIndexed) — the same
+// per-pair values UpdateNearest computes, so every cache entry, every radius
+// and every tie-break is bit-identical to the dense phase. The test itself lives in the space (metric.Pruner): it is
 // strict and rounded down by a slack that dominates the kernels' error, so a
 // point on the boundary is evaluated, never skipped. Spaces without the
 // capability (CosineSpace, custom distance functions) stay dense and perform
@@ -59,8 +59,10 @@ import (
 // center) and at most 3k for the probes; on clustered input the
 // center-to-center part falls from k^2/2 to about k*(PrunedAt + the size of
 // one group). Extra memory 12 bytes per point for the member lists, allocated
-// on entering the phase, plus 36 per point of the largest set one round had to
-// evaluate, plus a few integers per center for the groups.
+// on entering the phase, plus 12 per point of the largest set one round had to
+// evaluate (its index and its surrogate: the kernel reads the points in place
+// through metric.DistancesToIndexed), plus a few integers per center for the
+// groups.
 
 const (
 	// firstProbe is the center count of the first probe and probeGrowth the
@@ -97,11 +99,10 @@ type pruner struct {
 	// (-1 when empty).
 	clOff, clCnt, clArg []int32
 	clMax               []float64
-	memb                []int32        // arena of member lists, 3n long: lists only shrink in place, a new one starts at tail
-	tail                int            // first free arena slot
-	surv                []int32        // this round's points that must be evaluated (scratch, grown on demand),
-	survPts             metric.Dataset // their slice headers, contiguous for the kernel,
-	survDist            []float64      // and their surrogates to the incoming center
+	memb                []int32   // arena of member lists, 3n long: lists only shrink in place, a new one starts at tail
+	tail                int       // first free arena slot
+	surv                []int32   // this round's points that must be evaluated (scratch, grown on demand)
+	survDist            []float64 // and their surrogates to the incoming center
 
 	// The group level. Per pivot g, its group is the later centers whose
 	// nearest pivot it is: the list grpHead[g], grpNext[...] of center indices
@@ -113,11 +114,10 @@ type pruner struct {
 	// in its group's summary: it is tested against the evaluated pair.
 	grpHead, grpNext, grpArg []int32
 	grpReach, grpMax         []float64
-	via                      []float64      // this round's group thresholds (scratch),
-	walked                   []int32        // the groups it could not skip,
-	cand                     []int32        // their members,
-	candPts                  metric.Dataset // the members' points, contiguous for the kernel,
-	candThr                  []float64      // and the members' skip thresholds
+	via                      []float64 // this round's group thresholds (scratch),
+	walked                   []int32   // the groups it could not skip,
+	cand                     []int32   // their members,
+	candThr                  []float64 // and the members' skip thresholds
 
 	// The farthest point after the last update (pruned phase only): read off
 	// the summaries, it replaces the O(n) argmax of the dense phase.
@@ -239,7 +239,7 @@ func (st *state) bucket() {
 func (st *state) candidates(c metric.Point) {
 	copy(st.via, st.pivS)
 	st.half.HalfSurrogatesVia(st.via, st.grpReach, len(c))
-	walked, cand, candPts := st.walked[:0], st.cand[:0], st.candPts[:0]
+	walked, cand := st.walked[:0], st.cand[:0]
 	for g, t := range st.via {
 		if st.grpMax[g] < t {
 			continue
@@ -247,15 +247,14 @@ func (st *state) candidates(c metric.Point) {
 		walked = append(walked, int32(g))
 		for b := st.grpHead[g]; b >= 0; b = st.grpNext[b] {
 			cand = append(cand, b)
-			candPts = append(candPts, st.centerPts[b])
 		}
 	}
-	st.walked, st.cand, st.candPts = walked, cand, candPts // keep the grown scratch
+	st.walked, st.cand = walked, cand // keep the grown scratch
 	if cap(st.candThr) < len(cand) {
 		st.candThr = make([]float64, cap(cand))
 	}
 	st.candThr = st.candThr[:len(cand)]
-	st.sp.DistancesTo(st.candThr, c, candPts)
+	metric.DistancesToIndexed(st.sp, st.candThr, c, st.centerPts, cand)
 	st.evals += int64(len(cand))
 	st.half.HalfSurrogates(st.candThr, len(c))
 }
@@ -268,7 +267,7 @@ func (st *state) gather(b int, t float64) {
 	if st.clMax[b] < t {
 		return
 	}
-	minDist, surv, survPts := st.minDist, st.surv, st.survPts
+	minDist, surv := st.minDist, st.surv
 	seg := st.memb[st.clOff[b] : st.clOff[b]+st.clCnt[b]]
 	kept, mx, arg := 0, math.Inf(-1), int32(-1)
 	for _, p := range seg {
@@ -280,10 +279,9 @@ func (st *state) gather(b int, t float64) {
 			continue
 		}
 		surv = append(surv, p)
-		survPts = append(survPts, st.points[p])
 	}
 	st.clCnt[b], st.clMax[b], st.clArg[b] = int32(kept), mx, arg
-	st.surv, st.survPts = surv, survPts // keep the grown scratch
+	st.surv = surv // keep the grown scratch
 }
 
 // updatePruned is the pruned update: it min-merges the caches against the
@@ -302,7 +300,7 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	// Gather: the pivots' own clusters against the evaluated pairs, then the
 	// clusters of the groups that could not be skipped.
 	st.candidates(c)
-	st.surv, st.survPts = st.surv[:0], st.survPts[:0]
+	st.surv = st.surv[:0]
 	for b, t := range st.thr {
 		st.gather(b, t)
 	}
@@ -314,16 +312,16 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 		st.survDist = make([]float64, cap(surv))
 	}
 
-	// Evaluate: one batched kernel call, chunked across the workers when
-	// the list is long. Every value is what UpdateNearest would have
-	// computed for that pair.
-	dist, pts := st.survDist[:ns], st.survPts
+	// Evaluate: one batched kernel call over the points by index, chunked
+	// across the workers when the list is long. Every value is what
+	// UpdateNearest would have computed for that pair.
+	dist := st.survDist[:ns]
 	st.evals += int64(ns)
 	if st.eng.Sequential(ns) {
-		st.sp.DistancesTo(dist, c, pts)
+		metric.DistancesToIndexed(st.sp, dist, c, st.points, surv)
 	} else {
 		st.eng.ForEachChunk(ns, func(_, lo, hi int) {
-			st.sp.DistancesTo(dist[lo:hi], c, pts[lo:hi])
+			metric.DistancesToIndexed(st.sp, dist[lo:hi], c, st.points, surv[lo:hi])
 		})
 	}
 

@@ -43,14 +43,14 @@ func SquaredEuclidean(a, b Point) float64 {
 		d1 := a[j+1] - b[j+1]
 		d2 := a[j+2] - b[j+2]
 		d3 := a[j+3] - b[j+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
+		s0 += float64(d0 * d0)
+		s1 += float64(d1 * d1)
+		s2 += float64(d2 * d2)
+		s3 += float64(d3 * d3)
 	}
 	for ; j < len(a); j++ {
 		d := a[j] - b[j]
-		s0 += d * d
+		s0 += float64(d * d)
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -84,9 +84,9 @@ func Chebyshev(a, b Point) float64 {
 func Cosine(a, b Point) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		if na == 0 && nb == 0 {
@@ -109,9 +109,9 @@ func Cosine(a, b Point) float64 {
 func Angular(a, b Point) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		if na == 0 && nb == 0 {

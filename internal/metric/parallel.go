@@ -32,10 +32,12 @@ import (
 
 // SequentialCutoff is the number of distance evaluations below which the
 // kernels fall back to the plain sequential loops, so small inputs pay no
-// goroutine overhead. One distance evaluation costs tens of nanoseconds at
-// the dimensionalities of the paper's experiments, while a fork-join of a few
-// goroutines costs a few microseconds; 8192 evaluations keep the scheduling
-// overhead well under 10% in the worst case.
+// goroutine overhead. One distance evaluation costs a few nanoseconds at the
+// dimensionalities of the paper's experiments (4-6 ns per Euclidean pair at
+// d = 16 on the row kernels, measured on a 2-core x86-64 host), while a
+// fork-join of a few goroutines costs a few microseconds; 8192 evaluations,
+// some tens of microseconds of work, keep the scheduling overhead near 10% in
+// the worst case.
 const SequentialCutoff = 8192
 
 // minChunk is the smallest per-worker chunk the engine will create; finer

@@ -134,7 +134,7 @@ func PrunerOf(sp Space) Pruner {
 // the floor too, so h is a promise and not -Inf — and unless s^_cv is at most
 // maxVia: L > 0 means d_bv < d_cv, so s_cb < 4*s_cv, and neither s^_cb nor an
 // intermediate of its kernel can have overflowed.
-func pruneSlack(dim int) float64 { return float64(dim+8) * 0x1p-50 }
+func pruneSlack(dim int) float64 { return float64(float64(dim+8) * 0x1p-50) }
 
 // minPrunable is the smallest surrogate the scaled HalfSurrogates
 // implementations make a promise for: far enough above the denormal range
@@ -164,7 +164,7 @@ func scaledHalves(s []float64, factor float64, dim int) {
 // whether the surrogate is the square of the distance or the distance.
 func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) {
 	eps := pruneSlack(dim)
-	scale := factor * (1 - 2*eps)
+	scale := factor * (1 - float64(2*eps))
 	for i, v := range s {
 		s[i] = math.Inf(-1)
 		if !(v >= minPrunable && v <= maxVia) {
@@ -174,7 +174,7 @@ func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) 
 		if squared {
 			v, r = math.Sqrt(v), math.Sqrt(r)
 		}
-		l := v*(1-eps) - r*(1+eps)
+		l := float64(v*(1-eps)) - float64(r*(1+eps))
 		if !(l > 0) {
 			continue
 		}
@@ -236,7 +236,7 @@ func (chebyshevSpace) HalfSurrogatesVia(s, reach []float64, dim int) {
 // Precondition: the points' squared norms neither underflow nor overflow, as
 // everywhere else in this space.
 func (angularSpace) HalfSurrogates(s []float64, dim int) {
-	delta := float64(dim+2) * 0x1p-50
+	delta := float64(float64(dim+2) * 0x1p-50)
 	alpha := 2 * math.Sqrt(delta)
 	for i, v := range s {
 		s[i] = math.Inf(-1)
@@ -247,7 +247,7 @@ func (angularSpace) HalfSurrogates(s []float64, dim int) {
 		if c >= 1 {
 			continue
 		}
-		if half := math.Acos(c)/2 - alpha; half > 0 {
+		if half := float64(math.Acos(c)/2) - alpha; half > 0 {
 			s[i] = -(math.Cos(half) + delta)
 		}
 	}

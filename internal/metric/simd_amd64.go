@@ -1,14 +1,29 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package metric
 
 // AVX fast paths for the Euclidean row kernels. The vector accumulation is
 // bit-identical to the pure-Go kernels by construction: one 256-bit
-// accumulator register holds exactly the four lanes (s0, s1, s2, s3) of the
-// canonical SquaredEuclidean order, VSUBPD/VMULPD/VADDPD are the same IEEE
-// operations applied lane-wise, and the final combine is (s0+s1)+(s2+s3).
-// The kernels require the dimensionality to be a multiple of four (no
-// remainder handling in assembly); other shapes take the pure-Go path.
+// accumulator register per row holds exactly the four lanes (s0, s1, s2, s3)
+// of the canonical SquaredEuclidean order, and VSUBPD/VMULPD/VADDPD are the
+// same IEEE operations applied lane-wise.
+//
+// The kernels are register-blocked: a pass evaluates four rows with four
+// independent accumulators, so each load of p serves four rows and the four
+// addition chains overlap their latencies. The four rows are then reduced
+// together — two VHADDPD, two VPERM2F128, one VADDPD transpose the 4x4 block
+// of partial sums and leave row r's (s0+s1)+(s2+s3) in lane r — instead of
+// paying a six-instruction horizontal reduction per row. Each of those sums
+// adds the same two operands as the scalar combine, so the order is the
+// canonical one and the bits cannot move. ArgNearest compares a whole block
+// against the running best in one VCMPPD and resolves a block that can win
+// row by row with the scalar loop's strict comparison, so ties go to the
+// lowest index and +Inf/NaN rows are never chosen, as in the scalar loop. A
+// one-row loop handles len % 4. Only AVX1 instructions are used (the gate
+// below checks AVX1). The kernels require the dimensionality to be a multiple
+// of four (no remainder handling in assembly); other shapes take the pure-Go
+// path. Builds with the purego tag leave the assembly out, so every test runs
+// on the pure-Go order the kernels claim to match.
 //
 // Memory contract (same as the Go kernels' q[:len(p)] reslice, but enforced
 // by the caller instead of a bounds check): every point of the set must have
@@ -34,3 +49,12 @@ func argNearestEucAVX(p Point, set []Point) (float64, int)
 //
 //go:noescape
 func distancesToEucAVX(p Point, set []Point, dst []float64)
+
+// distancesToIdxEucAVX writes dst[i] = SquaredEuclidean(p, points[idx[i]])
+// and returns how many entries it wrote: it stops before the first block of
+// four (or tail row) holding an index outside [0, len(points)), leaving the
+// rest to the caller. len(p) must be a positive multiple of 4 and
+// len(dst) >= len(idx).
+//
+//go:noescape
+func distancesToIdxEucAVX(p Point, points []Point, idx []int32, dst []float64) int

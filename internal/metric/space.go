@@ -210,6 +210,39 @@ func (s *distanceSpace) UpdateNearest(minDist []float64, minIdx []int, c Point, 
 	return m
 }
 
+// DistancesToIndexed writes dst[i] = sp.Surrogate(p, points[idx[i]]) for
+// every i: DistancesTo over the points idx selects, in idx order (indices may
+// repeat and come in any order), without first gathering their headers into a
+// block. len(dst) must be at least len(idx). The values are the ones
+// DistancesTo computes for the same pairs, bit for bit, and a CountingSpace
+// counts len(idx) evaluations. Euclidean reads the rows in place; every other
+// space gathers them and calls its DistancesTo.
+func DistancesToIndexed(sp Space, dst []float64, p Point, points Dataset, idx []int32) {
+	dst = dst[:len(idx)]
+	switch s := sp.(type) {
+	case euclideanSpace:
+		i := 0
+		if haveAVXKernels && len(p) >= 4 && len(p)%4 == 0 && len(idx) > 0 {
+			i = distancesToIdxEucAVX(p, points, idx, dst)
+		}
+		for ; i < len(idx); i++ { // the pure-Go path, and an index the kernel refused
+			dst[i] = SquaredEuclidean(p, points[idx[i]])
+		}
+	case *CountingSpace:
+		s.evals.Add(int64(len(idx)))
+		DistancesToIndexed(s.inner, dst, p, points, idx)
+	default:
+		block := make(Dataset, min(len(idx), 256))
+		for lo := 0; lo < len(idx); lo += len(block) {
+			hi := min(lo+len(block), len(idx))
+			for i, j := range idx[lo:hi] {
+				block[i] = points[j]
+			}
+			sp.DistancesTo(dst[lo:hi], p, block[:hi-lo])
+		}
+	}
+}
+
 // --- Euclidean ---
 
 type euclideanSpace struct{}
@@ -252,24 +285,24 @@ func sqDistPair(p, q1, q2 Point) (float64, float64) {
 		d1 := p1 - q1[j+1]
 		d2 := p2 - q1[j+2]
 		d3 := p3 - q1[j+3]
-		a0 += d0 * d0
-		a1 += d1 * d1
-		a2 += d2 * d2
-		a3 += d3 * d3
+		a0 += float64(d0 * d0)
+		a1 += float64(d1 * d1)
+		a2 += float64(d2 * d2)
+		a3 += float64(d3 * d3)
 		e0 := p0 - q2[j]
 		e1 := p1 - q2[j+1]
 		e2 := p2 - q2[j+2]
 		e3 := p3 - q2[j+3]
-		b0 += e0 * e0
-		b1 += e1 * e1
-		b2 += e2 * e2
-		b3 += e3 * e3
+		b0 += float64(e0 * e0)
+		b1 += float64(e1 * e1)
+		b2 += float64(e2 * e2)
+		b3 += float64(e3 * e3)
 	}
 	for ; j < len(p); j++ {
 		d := p[j] - q1[j]
-		a0 += d * d
+		a0 += float64(d * d)
 		e := p[j] - q2[j]
-		b0 += e * e
+		b0 += float64(e * e)
 	}
 	return (a0 + a1) + (a2 + a3), (b0 + b1) + (b2 + b3)
 }
@@ -295,24 +328,24 @@ func (euclideanSpace) ArgNearest(p Point, set Dataset) (float64, int) {
 			d1 := p1 - q1[j+1]
 			d2 := p2 - q1[j+2]
 			d3 := p3 - q1[j+3]
-			a0 += d0 * d0
-			a1 += d1 * d1
-			a2 += d2 * d2
-			a3 += d3 * d3
+			a0 += float64(d0 * d0)
+			a1 += float64(d1 * d1)
+			a2 += float64(d2 * d2)
+			a3 += float64(d3 * d3)
 			e0 := p0 - q2[j]
 			e1 := p1 - q2[j+1]
 			e2 := p2 - q2[j+2]
 			e3 := p3 - q2[j+3]
-			b0 += e0 * e0
-			b1 += e1 * e1
-			b2 += e2 * e2
-			b3 += e3 * e3
+			b0 += float64(e0 * e0)
+			b1 += float64(e1 * e1)
+			b2 += float64(e2 * e2)
+			b3 += float64(e3 * e3)
 		}
 		for ; j < len(p); j++ {
 			d := p[j] - q1[j]
-			a0 += d * d
+			a0 += float64(d * d)
 			e := p[j] - q2[j]
-			b0 += e * e
+			b0 += float64(e * e)
 		}
 		s1 := (a0 + a1) + (a2 + a3)
 		s2 := (b0 + b1) + (b2 + b3)
@@ -529,8 +562,8 @@ func negCosine(a, b Point, na float64) float64 {
 	b = b[:len(a)]
 	var dot, nb float64
 	for j := range a {
-		dot += a[j] * b[j]
-		nb += b[j] * b[j]
+		dot += float64(a[j] * b[j])
+		nb += float64(b[j] * b[j])
 	}
 	if na == 0 || nb == 0 {
 		if na == 0 && nb == 0 {
@@ -552,7 +585,7 @@ func negCosine(a, b Point, na float64) float64 {
 func squaredNorm(a Point) float64 {
 	var s float64
 	for _, c := range a {
-		s += c * c
+		s += float64(c * c)
 	}
 	return s
 }

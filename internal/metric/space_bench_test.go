@@ -1,6 +1,7 @@
 package metric
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -78,7 +79,10 @@ func BenchmarkRadiusDistance(b *testing.B) {
 }
 
 // BenchmarkUpdateNearestSpace measures the GMM cache-update kernel in
-// isolation (one center against the full point set).
+// isolation (one center against the full point set). Its 50k per-point rows
+// (6.4 MB) do not fit in cache and the cache converges after the first
+// passes, so it times memory traffic more than the kernel;
+// BenchmarkEuclideanKernels is the kernel at the sizes the workloads give it.
 func BenchmarkUpdateNearestSpace(b *testing.B) {
 	points, _ := benchDataset(benchAssignN, benchAssignDim)
 	minDist := make([]float64, len(points))
@@ -87,5 +91,43 @@ func BenchmarkUpdateNearestSpace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		EuclideanSpace.UpdateNearest(minDist, minIdx, points[i%len(points)], 0, points)
+	}
+}
+
+// BenchmarkEuclideanKernels times the native Euclidean row kernels on flat,
+// cache-resident sets at the sizes the library calls them with: n = 320 (a
+// streaming budget: ArgNearest per observed point), 2 500 (a round-1
+// partition: one Gonzalez step) and 7 500 (the union a sliding window
+// extracts from). ArgNearest scans the set for one query, DistancesTo writes
+// one value per row, DistancesToIndexed reads the rows through a shuffled
+// index list as the pruned GMM phase does. Each reports ns/eval.
+func BenchmarkEuclideanKernels(b *testing.B) {
+	for _, n := range []int{320, 2500, 7500} {
+		set, _ := benchFlatDataset(b, n, benchAssignDim)
+		queries := set[:64]
+		idx := make([]int32, n)
+		for i, j := range rand.New(rand.NewSource(3)).Perm(n) {
+			idx[i] = int32(j)
+		}
+		dst := make([]float64, n)
+		kernels := []struct {
+			name string
+			run  func(q Point)
+		}{
+			{"ArgNearest", func(q Point) { EuclideanSpace.ArgNearest(q, set) }},
+			{"DistancesTo", func(q Point) { EuclideanSpace.DistancesTo(dst, q, set) }},
+			{"DistancesToIndexed", func(q Point) { DistancesToIndexed(EuclideanSpace, dst, q, set, idx) }},
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/n=%d", k.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					k.run(queries[i%len(queries)])
+					i++
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(i*n), "ns/eval")
+			})
+		}
 	}
 }

@@ -304,38 +304,209 @@ func TestCountingSpace(t *testing.T) {
 	}
 }
 
+// scalarArgNearest is the reference the ArgNearest kernels are held to: one
+// SquaredEuclidean per row, ascending, strict comparison.
+func scalarArgNearest(q Point, set Dataset) (float64, int) {
+	best, idx := math.Inf(1), -1
+	for i, p := range set {
+		if v := SquaredEuclidean(q, p); v < best {
+			best, idx = v, i
+		}
+	}
+	return best, idx
+}
+
+// kernelParitySets returns, for one dimensionality and set length, the sets
+// the AVX parity test runs: random rows; the query's exact copy planted at
+// every position (a best in each lane of a block and in the tail) together
+// with a second copy further on (an exact tie the lowest index must win);
+// duplicate rows throughout; rows at the 2^500 admission bound (sums near
+// 2^1004) and rows beyond it whose sum overflows to +Inf, next to one finite
+// row at each position; every row +Inf; and a NaN row in front of the rest.
+func kernelParitySets(rng *rand.Rand, q Point, n int) []Dataset {
+	dim := len(q)
+	random := func() Dataset {
+		set := make(Dataset, n)
+		for i := range set {
+			set[i] = randPoint(rng, dim)
+		}
+		return set
+	}
+	huge := func(exp int) Point { // 2^500 is the admission bound
+		p := make(Point, dim)
+		for j := range p {
+			p[j] = -math.Ldexp(1, exp)
+		}
+		return p
+	}
+	sets := []Dataset{random()}
+	for pos := 0; pos < n; pos++ {
+		set := random()
+		set[pos] = append(Point(nil), q...)
+		if tie := pos + 1 + rng.Intn(n-pos); tie < n {
+			set[tie] = append(Point(nil), q...)
+		}
+		sets = append(sets, set)
+
+		dup := random()
+		for i := range dup {
+			dup[i] = dup[i%3]
+		}
+		sets = append(sets, dup)
+
+		for _, exp := range []int{500, 600} {
+			far := make(Dataset, n)
+			for i := range far {
+				far[i] = huge(exp)
+			}
+			far[pos] = randPoint(rng, dim)
+			sets = append(sets, far)
+		}
+	}
+	if n > 0 {
+		inf := make(Dataset, n)
+		for i := range inf {
+			inf[i] = huge(600)
+		}
+		sets = append(sets, inf)
+
+		withNaN := random()
+		withNaN[0] = append(Point(nil), withNaN[0]...)
+		withNaN[0][dim-1] = math.NaN()
+		sets = append(sets, withNaN)
+	}
+	return sets
+}
+
 // TestAVXKernelsMatchPureGo pins the assembly fast paths against the pure-Go
-// kernels bit for bit, across the dimensionalities the gate accepts. On
-// builds without AVX the test is skipped (the pure-Go path is the only one).
+// kernels bit for bit, across the dimensionalities the gate accepts, every
+// set length 0-13 (whole blocks of four and every tail) and 301, and the
+// shapes of kernelParitySets. The indexed kernel runs on the same sets with
+// shuffled, repeated indices. On builds without AVX the test is skipped (the
+// pure-Go path is the only one).
 func TestAVXKernelsMatchPureGo(t *testing.T) {
 	if !haveAVXKernels {
 		t.Skip("no AVX kernels on this machine")
 	}
 	rng := rand.New(rand.NewSource(31))
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 301}
 	for _, dim := range []int{4, 8, 16, 32} {
-		set := make(Dataset, 301)
-		for i := range set {
-			set[i] = randPoint(rng, dim)
-		}
-		q := randPoint(rng, dim)
+		for _, n := range lengths {
+			q := randPoint(rng, dim)
+			for si, set := range kernelParitySets(rng, q, n) {
+				s, idx := argNearestEucAVX(q, set)
+				wantS, wantIdx := scalarArgNearest(q, set)
+				if math.Float64bits(s) != math.Float64bits(wantS) || idx != wantIdx {
+					t.Fatalf("dim=%d n=%d set %d: argNearestEucAVX = (%v,%d), want (%v,%d)", dim, n, si, s, idx, wantS, wantIdx)
+				}
 
-		s, idx := argNearestEucAVX(q, set)
-		wantS, wantIdx := math.Inf(1), -1
-		for i, p := range set {
-			if v := SquaredEuclidean(q, p); v < wantS {
-				wantS = v
-				wantIdx = i
+				dst := make([]float64, len(set))
+				distancesToEucAVX(q, set, dst)
+				for i, p := range set {
+					if want := SquaredEuclidean(q, p); math.Float64bits(dst[i]) != math.Float64bits(want) {
+						t.Fatalf("dim=%d n=%d set %d: distancesToEucAVX[%d] = %v, want %v", dim, n, si, i, dst[i], want)
+					}
+				}
+
+				if n == 0 {
+					continue
+				}
+				ix := make([]int32, n+rng.Intn(n+1))
+				for i := range ix {
+					ix[i] = int32(rng.Intn(n))
+				}
+				dst = make([]float64, len(ix))
+				if got := distancesToIdxEucAVX(q, set, ix, dst); got != len(ix) {
+					t.Fatalf("dim=%d n=%d set %d: distancesToIdxEucAVX wrote %d of %d", dim, n, si, got, len(ix))
+				}
+				for i, j := range ix {
+					if want := SquaredEuclidean(q, set[j]); math.Float64bits(dst[i]) != math.Float64bits(want) {
+						t.Fatalf("dim=%d n=%d set %d: distancesToIdxEucAVX[%d] (row %d) = %v, want %v", dim, n, si, i, j, dst[i], want)
+					}
+				}
 			}
 		}
-		if s != wantS || idx != wantIdx {
-			t.Fatalf("dim=%d: argNearestEucAVX = (%v,%d), want (%v,%d)", dim, s, idx, wantS, wantIdx)
-		}
+	}
 
-		dst := make([]float64, len(set))
-		distancesToEucAVX(q, set, dst)
-		for i, p := range set {
-			if want := SquaredEuclidean(q, p); dst[i] != want {
-				t.Fatalf("dim=%d: distancesToEucAVX[%d] = %v, want %v", dim, i, dst[i], want)
+	// Every row +Inf (a block and a tail row): nothing is below the initial
+	// best, as in the scalar loop.
+	big := math.Ldexp(1, 600)
+	q := Point{big, 0, 0, 0}
+	far := Dataset{{-big, 0, 0, 0}, {-big, 1, 0, 0}, {-big, 0, 0, 0}, {-big, 0, 2, 0}, {-big, 0, 0, 0}}
+	if s, idx := argNearestEucAVX(q, far); !math.IsInf(s, 1) || idx != -1 {
+		t.Fatalf("all rows +Inf: argNearestEucAVX = (%v,%d), want (+Inf,-1)", s, idx)
+	}
+}
+
+// TestIndexedKernelStopsAtBadIndex: the indexed kernel checks every index
+// before it reads a block and stops in front of the first block (or tail row)
+// holding one out of range, negative ones included; DistancesToIndexed then
+// panics on it as an index expression would.
+func TestIndexedKernelStopsAtBadIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	points := make(Dataset, 9)
+	for i := range points {
+		points[i] = randPoint(rng, 8)
+	}
+	q := randPoint(rng, 8)
+	for _, tc := range []struct {
+		idx  []int32
+		stop int
+	}{
+		{[]int32{0, 1, 2, 3, 4, 5, 9, 7}, 4},
+		{[]int32{8, 8, 8, 8, 0, 1, -1}, 6},
+		{[]int32{0, 1, 2, 3, 4, 5, 6, 7, 1, 2, 40}, 10},
+	} {
+		if haveAVXKernels {
+			dst := make([]float64, len(tc.idx))
+			if got := distancesToIdxEucAVX(q, points, tc.idx, dst); got != tc.stop {
+				t.Errorf("idx %v: distancesToIdxEucAVX wrote %d entries, want %d", tc.idx, got, tc.stop)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("idx %v: DistancesToIndexed did not panic", tc.idx)
+				}
+			}()
+			DistancesToIndexed(EuclideanSpace, make([]float64, len(tc.idx)), q, points, tc.idx)
+		}()
+	}
+}
+
+// TestDistancesToIndexedMatchesGather: for every space, the indexed form
+// gives what DistancesTo gives on the gathered block, bit for bit, with
+// repeated and out-of-order indices, and a CountingSpace counts one
+// evaluation per index.
+func TestDistancesToIndexedMatchesGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range spaceCases {
+		for _, dim := range []int{3, 4, 16} {
+			for _, n := range []int{1, 5, 13, 301, 700} {
+				points := make(Dataset, n)
+				for i := range points {
+					points[i] = randPoint(rng, dim)
+				}
+				q := randPoint(rng, dim)
+				idx := make([]int32, n+rng.Intn(n))
+				block := make(Dataset, len(idx))
+				for i := range idx {
+					idx[i] = int32(rng.Intn(n))
+					block[i] = points[idx[i]]
+				}
+				want := make([]float64, len(idx))
+				tc.sp.DistancesTo(want, q, block)
+				cs := NewCountingSpace(tc.sp)
+				got := make([]float64, len(idx))
+				DistancesToIndexed(cs, got, q, points, idx)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s dim=%d n=%d: DistancesToIndexed[%d] = %v, want %v", tc.sp.Name(), dim, n, i, got[i], want[i])
+					}
+				}
+				if cs.Evaluations() != int64(len(idx)) {
+					t.Fatalf("%s: counted %d evaluations for %d indices", tc.sp.Name(), cs.Evaluations(), len(idx))
+				}
 			}
 		}
 	}
