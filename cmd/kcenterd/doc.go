@@ -48,8 +48,8 @@
 // With -persist-dir set, every stream is durable: stream creation, ingest
 // batches and clock advances are journaled to a per-stream write-ahead log
 // (fsynced per -fsync) before they are acknowledged — under -fsync=always,
-// concurrent appends coalesce into shared group-commit fsyncs (-group-commit,
-// on by default) without weakening the guarantee — the stream state is
+// concurrent appends coalesce into shared group-commit fsyncs without
+// weakening the guarantee — the stream state is
 // periodically compacted into a snapshot via the sketch codecs (-compact-every
 // journaled records), and on boot the daemon recovers every stream by loading
 // its newest valid snapshot and replaying the log tail — a recovered stream's

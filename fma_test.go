@@ -12,11 +12,12 @@ import (
 // multiply-add. amd64 never fuses, so a fused instruction is a place where an
 // arm64 build computes other bits than an amd64 one; an explicit float64(x*y)
 // conversion at the site forbids the fusion. ROADMAP item 13 extends the list
-// to the rest of the determinism path (dataset is still open).
+// to the rest of the determinism path.
 var fusionFree = []string{
 	"coresetclustering/internal/clusterer",
 	"coresetclustering/internal/core",
 	"coresetclustering/internal/coreset",
+	"coresetclustering/internal/dataset",
 	"coresetclustering/internal/gmm",
 	"coresetclustering/internal/mapreduce",
 	"coresetclustering/internal/metric",

@@ -115,7 +115,7 @@ func generateHiggsLike(rng *rand.Rand, n int) metric.Dataset {
 		c := sampleWeighted(rng, weights, total)
 		p := make(metric.Point, dim)
 		for d := 0; d < dim; d++ {
-			p[d] = centers[c][d] + rng.NormFloat64()*scales[d]
+			p[d] = centers[c][d] + float64(rng.NormFloat64()*scales[d])
 		}
 		ds[i] = p
 	}
@@ -143,7 +143,7 @@ func generatePowerLike(rng *rand.Rand, n int) metric.Dataset {
 		for i, dir := range dirs {
 			coef := rng.NormFloat64() * float64(10*(i+1))
 			for d := 0; d < dim; d++ {
-				p[d] += coef * dir[d]
+				p[d] += float64(coef * dir[d])
 			}
 		}
 		centers[c] = p
@@ -156,9 +156,9 @@ func generatePowerLike(rng *rand.Rand, n int) metric.Dataset {
 		// isotropic term.
 		coefs := []float64{rng.NormFloat64(), rng.NormFloat64() * 0.5, rng.NormFloat64() * 0.25}
 		for d := 0; d < dim; d++ {
-			p[d] = centers[c][d] + rng.NormFloat64()*0.2
+			p[d] = centers[c][d] + float64(rng.NormFloat64()*0.2)
 			for j, dir := range dirs {
-				p[d] += coefs[j] * dir[d]
+				p[d] += float64(coefs[j] * dir[d])
 			}
 		}
 		ds[i] = p
@@ -189,7 +189,7 @@ func generateWikiLike(rng *rand.Rand, n int) metric.Dataset {
 		for d := 0; d < dim; d++ {
 			// Weak separation: the within-topic spread is comparable to the
 			// between-topic distance.
-			p[d] = centers[c][d] + rng.NormFloat64()*0.6
+			p[d] = centers[c][d] + float64(rng.NormFloat64()*0.6)
 		}
 		normalize(p)
 		ds[i] = p
@@ -200,7 +200,7 @@ func generateWikiLike(rng *rand.Rand, n int) metric.Dataset {
 func normalize(p metric.Point) {
 	var s float64
 	for _, c := range p {
-		s += c * c
+		s += float64(c * c)
 	}
 	if s == 0 {
 		return

@@ -64,7 +64,7 @@ func approximateMEB(points metric.Dataset, eps float64, maxIterations int) (*meb
 		step := 1 / float64(i+1)
 		far := points[farIdx]
 		for c := range center {
-			center[c] += step * (far[c] - center[c])
+			center[c] += float64(step * (far[c] - center[c]))
 		}
 	}
 	radius := 0.0

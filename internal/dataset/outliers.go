@@ -66,7 +66,7 @@ func InjectOutliers(ds metric.Dataset, z int, seed int64) (*InjectionResult, err
 			dir := randomDirection(rng, dim)
 			cand := make(metric.Point, dim)
 			for d := 0; d < dim; d++ {
-				cand[d] = ball.Center[d] + 100*radius*dir[d]
+				cand[d] = ball.Center[d] + float64(100*radius*dir[d])
 			}
 			if tooClose(cand, placed, 10*radius) {
 				continue
@@ -90,7 +90,7 @@ func randomDirection(rng *rand.Rand, dim int) metric.Point {
 		var norm float64
 		for d := 0; d < dim; d++ {
 			v[d] = rng.NormFloat64()
-			norm += v[d] * v[d]
+			norm += float64(v[d] * v[d])
 		}
 		if norm == 0 {
 			continue
@@ -146,7 +146,7 @@ func Inflate(ds metric.Dataset, factor int, seed int64) (metric.Dataset, error) 
 		src := ds[rng.Intn(len(ds))]
 		p := make(metric.Point, dim)
 		for d := 0; d < dim; d++ {
-			p[d] = src[d] + rng.NormFloat64()*sigma[d]
+			p[d] = src[d] + float64(rng.NormFloat64()*sigma[d])
 		}
 		out = append(out, p)
 	}

@@ -2,7 +2,10 @@ package persist
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // BenchmarkPersistAppend measures WAL append throughput (64-point batches of
@@ -32,39 +35,89 @@ func BenchmarkPersistAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestWALAppend measures concurrent append throughput with and
-// without group commit under each fsync mode — the CI ingest gate compares
-// fsync=always/group=on against fsync=always/group=off, where coalescing
-// concurrent callers into shared fsyncs is the whole win. 64 concurrent
-// appenders (per GOMAXPROCS) model a loaded daemon's parallel ingest
-// handlers; without group commit they serialise one fsync each.
+// BenchmarkIngestWALAppend measures concurrent append throughput under each
+// fsync mode, plus one reference: fsync=always/serialised takes a
+// benchmark-local mutex around every AppendBatch, so each append waits for its
+// own fsync — the per-batch-fsync baseline, built without product code. The
+// CI ingest gate holds fsync=always to at least 5x that reference, because
+// coalescing concurrent callers into shared fsyncs is the whole win. 64
+// concurrent appenders (per GOMAXPROCS) model a loaded daemon's parallel
+// ingest handlers. Under FsyncAlways each run also reports how many appends
+// one fsync covered on average (appends/fsync, from GroupCommitDone).
 func BenchmarkIngestWALAppend(b *testing.B) {
 	batch := testBatch(16, 8, 1)
-	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
-		for _, group := range []bool{false, true} {
-			b.Run(fmt.Sprintf("fsync=%s/group=%v", mode, group), func(b *testing.B) {
-				s, err := Open(b.TempDir(), Options{Fsync: mode, GroupCommit: group, CompactEvery: -1})
+	run := func(b *testing.B, mode FsyncMode, serialise bool) {
+		var groups, grouped atomic.Int64
+		s, err := Open(b.TempDir(), Options{Fsync: mode, CompactEvery: -1, Hooks: Hooks{
+			GroupCommitDone: func(n int, _ time.Duration) {
+				groups.Add(1)
+				grouped.Add(int64(n))
+			},
+		}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var mu sync.Mutex
+		b.SetBytes(int64(16 * 8 * 8))
+		b.SetParallelism(64)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if serialise {
+					mu.Lock()
+				}
+				err := l.AppendBatch(batch, nil)
+				if serialise {
+					mu.Unlock()
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				defer s.Close()
-				l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(16 * 8 * 8))
-				b.SetParallelism(64)
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						if err := l.AppendBatch(batch, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			})
+			}
+		})
+		if g := groups.Load(); g > 0 {
+			b.ReportMetric(float64(grouped.Load())/float64(g), "appends/fsync")
 		}
 	}
+	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
+		b.Run("fsync="+mode.String(), func(b *testing.B) { run(b, mode, false) })
+	}
+	b.Run("fsync=always/serialised", func(b *testing.B) { run(b, FsyncAlways, true) })
+}
+
+// BenchmarkPersistCreateRemove measures the latency of the two namespace
+// operations a stream's life begins and ends with under FsyncAlways: Create
+// (directory, WAL image, store-root sync) and Remove (tombstone rename,
+// store-root sync, removal), reported separately as create-us and remove-us.
+func BenchmarkPersistCreateRemove(b *testing.B) {
+	s, err := Open(b.TempDir(), Options{Fsync: FsyncAlways, CompactEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	meta := Meta{K: 4, Budget: 32, Space: "euclidean"}
+	var create, remove time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		l, err := s.Create("bench", meta)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		if err := l.Remove(); err != nil {
+			b.Fatal(err)
+		}
+		create += t1.Sub(t0)
+		remove += time.Since(t1)
+	}
+	b.ReportMetric(float64(create.Microseconds())/float64(b.N), "create-us")
+	b.ReportMetric(float64(remove.Microseconds())/float64(b.N), "remove-us")
 }
 
 // BenchmarkPersistRecovery measures boot-time recovery (decode + truncate +

@@ -11,14 +11,14 @@ import (
 	"coresetclustering/internal/metric"
 )
 
-// TestGroupCommitDurableAndOrdered hammers one log from many goroutines with
-// group commit on, then recovers the directory cold and checks that every
+// TestGroupCommitDurableAndOrdered hammers one log from many goroutines under
+// FsyncAlways, then recovers the directory cold and checks that every
 // acknowledged batch is present exactly once and that sequence numbers are
 // dense — grouping must not reorder, drop or double-write frames.
 func TestGroupCommitDurableAndOrdered(t *testing.T) {
 	dir := t.TempDir()
 	var groups, grouped atomic.Int64
-	s, err := Open(dir, Options{Fsync: FsyncAlways, GroupCommit: true, CompactEvery: -1, Hooks: Hooks{
+	s, err := Open(dir, Options{Fsync: FsyncAlways, CompactEvery: -1, Hooks: Hooks{
 		GroupCommitDone: func(n int, _ time.Duration) {
 			groups.Add(1)
 			grouped.Add(int64(n))
@@ -100,20 +100,27 @@ func TestGroupCommitDurableAndOrdered(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces proves grouping actually happens: with many
-// concurrent waiters the committer must cover more than one append per fsync
-// at least once (fsync count strictly below append count). Whether any two
-// appends actually overlap in one cycle is a scheduling race — on a
-// filesystem where fsync is nearly free (tmpfs CI runners) the committer can
-// legitimately keep up 1:1 — so the race is retried a few times and the test
-// only fails if coalescing NEVER happens.
+// TestGroupCommitCoalesces proves grouping actually happens on a store opened
+// with nothing but FsyncAlways — group commit is that mode's only path, not
+// an option: with many concurrent waiters the committer must cover more than
+// one append per fsync at least once (a group deeper than one, fsync count
+// strictly below append count). Whether any two appends actually overlap in
+// one cycle is a scheduling race — on a filesystem where fsync is nearly free
+// (tmpfs CI runners) the committer can legitimately keep up 1:1 — so the race
+// is retried a few times and the test only fails if coalescing NEVER happens.
 func TestGroupCommitCoalesces(t *testing.T) {
 	const attempts = 10
 	for attempt := 1; attempt <= attempts; attempt++ {
-		var fsyncs, appends atomic.Int64
-		s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, GroupCommit: true, Hooks: Hooks{
+		var fsyncs, appends, deepest atomic.Int64
+		s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Hooks: Hooks{
 			FsyncDone:  func(time.Duration) { fsyncs.Add(1) },
 			AppendDone: func(Op, int, time.Duration) { appends.Add(1) },
+			// Fired by the one committer goroutine: no compare-and-swap needed.
+			GroupCommitDone: func(n int, _ time.Duration) {
+				if int64(n) > deepest.Load() {
+					deepest.Store(int64(n))
+				}
+			},
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -155,8 +162,8 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		}
 		// Create's resetWAL syncs the file image too, but via swapWAL, not
 		// FsyncDone — so FsyncDone counts exactly the commit-cycle fsyncs.
-		if a, f := appends.Load(), fsyncs.Load(); f < a {
-			t.Logf("attempt %d: %d appends covered by %d fsyncs", attempt, a, f)
+		if a, f, d := appends.Load(), fsyncs.Load(), deepest.Load(); f < a && d > 1 {
+			t.Logf("attempt %d: %d appends covered by %d fsyncs, deepest group %d", attempt, a, f, d)
 			return
 		}
 	}
@@ -168,7 +175,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // groups of exactly one.
 func TestGroupCommitSequentialDepthOne(t *testing.T) {
 	var bad atomic.Int64
-	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, GroupCommit: true, Hooks: Hooks{
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Hooks: Hooks{
 		GroupCommitDone: func(n int, _ time.Duration) {
 			if n != 1 {
 				bad.Add(1)
@@ -193,43 +200,108 @@ func TestGroupCommitSequentialDepthOne(t *testing.T) {
 	}
 }
 
-// TestGroupCommitIgnoredOutsideFsyncAlways: the option must be inert under
-// interval/never modes — no committer, appends resolve synchronously.
-func TestGroupCommitIgnoredOutsideFsyncAlways(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncInterval, FsyncNever} {
-		s, err := Open(t.TempDir(), Options{Fsync: mode, GroupCommit: true, FsyncInterval: time.Hour})
-		if err != nil {
+// TestGroupCommitSpansLogs: a commit cycle whose members interleave several
+// logs fsyncs each log once and resolves every member with its own log's
+// result — a removed log's members fail, the others succeed.
+func TestGroupCommitSpansLogs(t *testing.T) {
+	var fsyncs, depth atomic.Int64
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Hooks: Hooks{
+		FsyncDone:       func(time.Duration) { fsyncs.Add(1) },
+		GroupCommitDone: func(n int, _ time.Duration) { depth.Store(int64(n)) },
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var logs [3]*Log
+	for i := range logs {
+		if logs[i], err = s.Create(fmt.Sprint("s", i), testMeta()); err != nil {
 			t.Fatal(err)
 		}
-		if s.commitQ != nil {
-			t.Fatalf("mode %v: committer started despite non-always fsync", mode)
-		}
-		l, err := s.Create("s", testMeta())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := l.BeginBatch(testBatch(1, 2, 1), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.done != nil {
-			t.Fatalf("mode %v: Pending not resolved synchronously", mode)
-		}
-		if err := p.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+	}
+	if err := logs[2].Remove(); err != nil {
+		t.Fatal(err)
+	}
+	var group []*Pending
+	for _, i := range []int{0, 1, 2, 0, 1, 0, 2} {
+		group = append(group, &Pending{l: logs[i], op: OpBatch, start: time.Now(), done: make(chan struct{})})
+	}
+	members := append([]*Pending(nil), group...)
+	s.commitGroup(group)
+	if f, d := fsyncs.Load(), depth.Load(); f != 2 || d != int64(len(members)) {
+		t.Fatalf("%d fsyncs for a group of depth %d, want 2 fsyncs (one per live log) and depth %d", f, d, len(members))
+	}
+	for i, p := range members {
+		err := p.Wait()
+		if removed := p.l == logs[2]; removed != errors.Is(err, ErrLogRemoved) || (!removed && err != nil) {
+			t.Fatalf("member %d (log %s): %v", i, p.l.Name(), err)
 		}
 	}
 }
 
+// TestSyncerPerFsyncMode pins what each fsync mode runs: one syncer
+// goroutine under FsyncAlways (the committer, so a Pending resolves only once
+// its covering fsync is done) and under FsyncInterval (the ticker, so the
+// Pending comes back resolved and the log is left dirty), none under
+// FsyncNever (resolved, nothing marked).
+func TestSyncerPerFsyncMode(t *testing.T) {
+	for _, tc := range []struct {
+		mode             FsyncMode
+		syncer, resolved bool
+		dirtyAfterAppend bool
+	}{
+		{FsyncAlways, true, false, false},
+		{FsyncInterval, true, true, true},
+		{FsyncNever, false, true, false},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			s, err := Open(t.TempDir(), Options{Fsync: tc.mode, FsyncInterval: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.syncerDone != nil; got != tc.syncer {
+				t.Fatalf("syncer goroutine running = %v, want %v", got, tc.syncer)
+			}
+			l, err := s.Create("s", testMeta())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := l.BeginBatch(testBatch(1, 2, 1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.done == nil; got != tc.resolved {
+				t.Fatalf("Pending resolved synchronously = %v, want %v", got, tc.resolved)
+			}
+			if err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			l.mu.Lock()
+			dirty := l.dirty
+			l.mu.Unlock()
+			if dirty != tc.dirtyAfterAppend {
+				t.Fatalf("log dirty after the append = %v, want %v", dirty, tc.dirtyAfterAppend)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.syncer {
+				select {
+				case <-s.syncerDone:
+				default:
+					t.Fatal("syncer goroutine still running after Close")
+				}
+			}
+		})
+	}
+}
+
 // TestGroupCommitAfterCloseFallsBack: an append racing Close must either be
-// resolved by the committer or take the inline-fsync fallback — never hang,
-// never ack without durability. We call the fallback path directly since the
-// race window is tiny.
+// resolved by the committer or, finding it stopped, commit a group of one on
+// its own goroutine — never hang, never ack without durability. We stop the
+// committer directly since the race window is tiny.
 func TestGroupCommitAfterCloseFallsBack(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, GroupCommit: true})
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,11 +310,7 @@ func TestGroupCommitAfterCloseFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate the committer already stopped while the log is still open.
-	s.commitMu.Lock()
-	s.commitStopped = true
-	close(s.commitQ)
-	s.commitMu.Unlock()
-	<-s.commitDone
+	s.stopSyncer()
 
 	if err := l.AppendBatch(testBatch(1, 2, 1), nil); err != nil {
 		t.Fatalf("post-stop append did not fall back: %v", err)
@@ -258,7 +326,7 @@ func TestGroupCommitAfterCloseFallsBack(t *testing.T) {
 // TestGroupCommitRemovedLogResolvesPending: Pendings for a log removed before
 // its covering fsync resolve with ErrLogRemoved instead of hanging.
 func TestGroupCommitRemovedLogResolvesPending(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, GroupCommit: true})
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +348,12 @@ func TestGroupCommitRemovedLogResolvesPending(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCompactionConcurrent interleaves appends and CompactAt with
-// group commit on: compaction swaps the WAL under the committer and nothing
+// TestGroupCommitCompactionConcurrent interleaves appends and CompactAt under
+// FsyncAlways: compaction swaps the WAL under the committer and nothing
 // may be lost.
 func TestGroupCommitCompactionConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fsync: FsyncAlways, GroupCommit: true, CompactEvery: -1})
+	s, err := Open(dir, Options{Fsync: FsyncAlways, CompactEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,9 +220,10 @@ func TestHooksIntervalFlush(t *testing.T) {
 	}
 }
 
-// TestHooksAppendWait: WaitCtx on a group-commit store fires AppendWait on
+// TestHooksAppendWait: WaitCtx on an FsyncAlways store fires AppendWait on
 // the waiter's goroutine with the caller's context and a positive
-// enqueue→ack latency; plain Wait and non-group stores never fire it.
+// enqueue→ack latency; plain Wait, and stores that ack before any fsync,
+// never fire it.
 func TestHooksAppendWait(t *testing.T) {
 	type ctxKey struct{}
 	var (
@@ -246,7 +247,7 @@ func TestHooksAppendWait(t *testing.T) {
 		},
 	}
 
-	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, GroupCommit: true, Hooks: hooks})
+	s, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Hooks: hooks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +285,9 @@ func TestHooksAppendWait(t *testing.T) {
 		t.Fatalf("plain Wait fired AppendWait (now %d fires)", fires.Load())
 	}
 
-	// A non-group store resolves synchronously: WaitCtx is free and silent.
-	s2, err := Open(t.TempDir(), Options{Fsync: FsyncAlways, Hooks: hooks})
+	// A store that acks before any fsync resolves synchronously: WaitCtx is
+	// free and silent.
+	s2, err := Open(t.TempDir(), Options{Fsync: FsyncInterval, Hooks: hooks})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +304,6 @@ func TestHooksAppendWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fires.Load() != 1 {
-		t.Fatalf("non-group WaitCtx fired AppendWait (now %d fires)", fires.Load())
+		t.Fatalf("FsyncInterval WaitCtx fired AppendWait (now %d fires)", fires.Load())
 	}
 }

@@ -56,14 +56,19 @@
 // trusted.
 //
 // Durability depends on the fsync mode: FsyncAlways syncs every append before
-// it is acknowledged (an acknowledged write survives power loss);
-// FsyncInterval syncs dirty logs on a background ticker (a crash loses at
-// most the last interval); FsyncNever leaves syncing to the OS (a kill still
-// loses nothing, power loss may lose or tear the tail — which recovery
-// tolerates by truncating it). Snapshot compaction always uses
-// write-to-temp + fsync + rename, so a valid snapshot is replaced atomically
-// and records already folded into a snapshot are skipped on replay by
-// sequence number even if the log reset behind it did not complete.
+// it is acknowledged (an acknowledged write survives power loss), coalescing
+// concurrent appends into shared group-commit fsyncs; FsyncInterval syncs
+// dirty logs on a background ticker (a crash loses at most the last
+// interval); FsyncNever leaves syncing to the OS (a kill still loses nothing,
+// power loss may lose or tear the tail — which recovery tolerates by
+// truncating it). One syncer goroutine per store runs the group commits or
+// the ticker; FsyncNever runs none. In both syncing modes the store root is
+// synced after every stream directory it creates or renames, so a created
+// stream cannot vanish, nor a deleted one return, after power loss. Snapshot
+// compaction always uses write-to-temp + fsync + rename, so a valid snapshot
+// is replaced atomically and records already folded into a snapshot are
+// skipped on replay by sequence number even if the log reset behind it did
+// not complete.
 package persist
 
 import (
@@ -100,7 +105,8 @@ var (
 type FsyncMode int
 
 const (
-	// FsyncAlways syncs after every append, before it is acknowledged.
+	// FsyncAlways syncs before every append is acknowledged; concurrent
+	// appends share one group-commit fsync.
 	FsyncAlways FsyncMode = iota
 	// FsyncInterval syncs dirty logs on a background ticker.
 	FsyncInterval
@@ -219,7 +225,7 @@ type Record struct {
 // layer, the seam the daemon's metrics subsystem plugs into. Nil fields cost
 // one predictable branch on the paths they would instrument; non-nil fields
 // additionally pay the clock reads that time the operation. Callbacks must be
-// safe for concurrent use (appends, the background flusher, compactions and
+// safe for concurrent use (appends, the syncer goroutine, compactions and
 // recovery may all fire them) and must return quickly: they run inside the
 // log's critical section, so a slow callback stalls the ingest path it is
 // meant to observe.
@@ -228,10 +234,11 @@ type Hooks struct {
 	// record size in bytes and the total append latency (under FsyncAlways
 	// this includes the fsync; FsyncDone then also fires separately).
 	AppendDone func(op Op, bytes int, d time.Duration)
-	// FsyncDone fires after each successful fsync of a log file — per append
-	// under FsyncAlways, per dirty log per tick under FsyncInterval.
+	// FsyncDone fires after each successful fsync of a log file — per log
+	// per commit cycle under FsyncAlways, per dirty log per tick under
+	// FsyncInterval.
 	FsyncDone func(d time.Duration)
-	// FlushError fires when the background flusher's fsync fails (the log
+	// FlushError fires when the interval flush's fsync fails (the log
 	// stays dirty and is retried next tick; appends are NOT failed, so this
 	// is the only signal).
 	FlushError func(err error)
@@ -242,16 +249,16 @@ type Hooks struct {
 	CompactionDone func(d time.Duration, foldedRecords int)
 	// GroupCommitDone fires after each group-commit cycle with the number of
 	// appends the covering fsync acknowledged together (the group depth) and
-	// the latency of the cycle (fsync plus fan-out). Only fired when group
-	// commit is active (Options.GroupCommit under FsyncAlways).
+	// the latency of the cycle (fsync plus fan-out). Only fired under
+	// FsyncAlways.
 	GroupCommitDone func(groupSize int, d time.Duration)
 	// AppendWait fires after a group-commit waiter is released via
 	// (*Pending).WaitCtx, with the waiter's context and its enqueue→ack
 	// latency (frame written to fsync acknowledged). Unlike the other
 	// callbacks it runs on the waiter's own goroutine, outside any log
 	// lock, and receives the caller's context so per-request tracing can
-	// attribute the wait to the request that paid it. Never fired when
-	// group commit is inactive or when Wait (context-free) is used.
+	// attribute the wait to the request that paid it. Only fired under
+	// FsyncAlways, and never when Wait (context-free) is used.
 	AppendWait func(ctx context.Context, op Op, wait time.Duration)
 	// FlushCycleDone fires after each background flush tick that synced at
 	// least one dirty log, with the tick's total latency and the number of
@@ -268,7 +275,11 @@ type Hooks struct {
 
 // Options configures a Store.
 type Options struct {
-	// Fsync is the append flush policy (default FsyncAlways).
+	// Fsync is the append flush policy (default FsyncAlways). Under
+	// FsyncAlways each append writes its frame immediately (serialised per
+	// log, so sequence order is untouched) and then waits for the committer,
+	// whose next fsync of that log covers every frame written before it —
+	// one disk flush acknowledges the whole group.
 	Fsync FsyncMode
 	// FsyncInterval is the flush period under FsyncInterval
 	// (default 100ms).
@@ -276,15 +287,7 @@ type Options struct {
 	// CompactEvery is the number of appended records after which
 	// (*Log).ShouldCompact reports true (default 1024; negative disables).
 	CompactEvery int
-	// GroupCommit coalesces concurrent appends into shared fsyncs under
-	// FsyncAlways: each append writes its frame immediately (serialised per
-	// log, so sequence order is untouched) and then waits for a committer
-	// goroutine whose next fsync of that log covers every frame written
-	// before it — one disk flush acknowledges the whole group. Durability
-	// semantics are unchanged (an acknowledged append still survives power
-	// loss); only the cost is amortised across in-flight appends. Ignored
-	// under FsyncInterval/FsyncNever, which never fsync before
-	// acknowledging.
+	// Deprecated: ignored; group commit is the only FsyncAlways path.
 	GroupCommit bool
 	// Hooks are optional instrumentation callbacks (see Hooks).
 	Hooks Hooks

@@ -54,21 +54,22 @@ type Store struct {
 	logs   map[string]*Log
 	closed bool
 
-	stopFlush chan struct{}
-	flushDone chan struct{}
-
-	// Group-commit committer state (see groupcommit.go). commitMu guards the
-	// stopped flag against the queue close, so no append can race a send
-	// onto a closed channel.
+	// Syncer state (see syncer.go). commitMu guards the stopped flag against
+	// the queue close, so no append can race a send onto a closed channel.
 	commitMu      sync.Mutex
 	commitQ       chan *Pending
 	commitStopped bool
-	commitDone    chan struct{}
+	syncerDone    chan struct{}
+
+	// dirOpHook sees each directory created or renamed in the store root and
+	// each sync of the root, in order: op is "mkdir", "rename" or "syncdir",
+	// path the directory made, renamed to or synced. Tests replace the no-op.
+	dirOpHook func(op, path string)
 }
 
 // Open creates (if needed) the root directory, sweeps leftovers of
-// interrupted deletes and writes (*.tomb, *.tmp), and starts the background
-// flusher when opts.Fsync == FsyncInterval.
+// interrupted deletes and writes (*.tomb, *.tmp), and starts the syncer
+// goroutine unless opts.Fsync == FsyncNever.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("persist: empty store directory")
@@ -104,16 +105,14 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), logs: make(map[string]*Log)}
-	if s.opts.Fsync == FsyncInterval {
-		s.stopFlush = make(chan struct{})
-		s.flushDone = make(chan struct{})
-		go s.flushLoop()
-	}
-	if s.groupActive() {
+	s := &Store{dir: dir, opts: opts.withDefaults(), logs: make(map[string]*Log), dirOpHook: func(string, string) {}}
+	if s.opts.Fsync != FsyncNever {
+		// One syncer goroutine (syncer.go) serves both syncing modes. The
+		// queue's buffer lets appenders enqueue without waiting for the cycle
+		// in flight; its size only bounds how many wait there, not on commitMu.
 		s.commitQ = make(chan *Pending, 1024)
-		s.commitDone = make(chan struct{})
-		go s.commitLoop()
+		s.syncerDone = make(chan struct{})
+		go s.syncLoop()
 	}
 	return s, nil
 }
@@ -121,41 +120,7 @@ func Open(dir string, opts Options) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// flushLoop syncs dirty logs every FsyncInterval until Close.
-func (s *Store) flushLoop() {
-	defer close(s.flushDone)
-	t := time.NewTicker(s.opts.FsyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopFlush:
-			return
-		case <-t.C:
-			s.mu.Lock()
-			logs := make([]*Log, 0, len(s.logs))
-			for _, l := range s.logs {
-				logs = append(logs, l)
-			}
-			s.mu.Unlock()
-			cycleHook := s.opts.Hooks.FlushCycleDone
-			var start time.Time
-			if cycleHook != nil {
-				start = time.Now()
-			}
-			flushed := 0
-			for _, l := range logs {
-				if l.flush() {
-					flushed++
-				}
-			}
-			if cycleHook != nil && flushed > 0 {
-				cycleHook(time.Since(start), flushed)
-			}
-		}
-	}
-}
-
-// Close stops the flusher, syncs and closes every open log. The Store and
+// Close stops the syncer, syncs and closes every open log. The Store and
 // its logs are unusable afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -170,24 +135,7 @@ func (s *Store) Close() error {
 	}
 	s.logs = make(map[string]*Log)
 	s.mu.Unlock()
-	if s.stopFlush != nil {
-		close(s.stopFlush)
-		<-s.flushDone
-	}
-	if s.commitQ != nil {
-		// Stop order matters: flip the flag and close the queue under
-		// commitMu (so a concurrent append either made it into the queue or
-		// sees the flag and falls back to an inline fsync), then wait for
-		// the committer to drain — every outstanding Pending resolves before
-		// any log is closed underneath it.
-		s.commitMu.Lock()
-		if !s.commitStopped {
-			s.commitStopped = true
-			close(s.commitQ)
-		}
-		s.commitMu.Unlock()
-		<-s.commitDone
-	}
+	s.stopSyncer()
 	var first error
 	for _, l := range logs {
 		if err := l.Close(); err != nil && first == nil {
@@ -197,7 +145,7 @@ func (s *Store) Close() error {
 	return first
 }
 
-// register adds a log to the flusher set; it fails after Close.
+// register adds a log to the syncer set; it fails after Close.
 func (s *Store) register(l *Log) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -233,6 +181,13 @@ func (s *Store) Create(name string, meta Meta) (*Log, error) {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
+	s.dirOpHook("mkdir", dir)
+	// Every batch acked into the stream lives under this entry: an unsynced
+	// root fails the create.
+	if err := s.syncRoot(); err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
 	l := &Log{store: s, name: name, dir: dir, meta: meta}
 	if err := l.resetWAL(1); err != nil {
 		os.RemoveAll(dir)
@@ -263,6 +218,11 @@ func (s *Store) Replace(name string, meta Meta, snapshot []byte) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
+	s.dirOpHook("mkdir", dir)
+	// The restored state is acked on return: like Create, fail unsynced.
+	if err := s.syncRoot(); err != nil {
+		return nil, err
+	}
 	l := &Log{store: s, name: name, dir: dir, meta: meta}
 	l.seq = 1
 	if err := l.writeSnapshotLocked(1, snapshot); err != nil {
@@ -280,7 +240,7 @@ func (s *Store) Replace(name string, meta Meta, snapshot []byte) (*Log, error) {
 
 // Log is the durability handle of one stream. Appends are serialised by the
 // caller (the daemon holds the stream mutex) but the Log still locks
-// internally so the background flusher and compaction never race an append.
+// internally so the syncer and compaction never race an append.
 type Log struct {
 	store *Store
 	name  string
@@ -369,10 +329,7 @@ func (l *Log) swapWAL(img []byte, records, since int) error {
 		// A dir-sync failure after the rename is tolerable: a crash may then
 		// resurrect the OLD log, whose records the snapshot's sequence
 		// number already covers, so replay skips them.
-		if d, err := os.Open(l.dir); err == nil {
-			d.Sync()
-			d.Close()
-		}
+		syncDir(l.dir)
 	}
 	l.syncMu.Lock()
 	if l.f != nil {
@@ -388,12 +345,12 @@ func (l *Log) swapWAL(img []byte, records, since int) error {
 	return nil
 }
 
-// begin frames and writes one record and starts its durability. On a
-// non-group-commit store it applies the fsync policy inline and returns an
-// already-resolved Pending (Wait is free). Under group commit the record's
-// write and sequence assignment still happen here, serialised on l.mu, but
-// the fsync is delegated to the store's committer: the returned Pending
-// resolves after the next fsync of this log, which covers the frame.
+// begin frames and writes one record and starts its durability; the write
+// and the sequence number are serialised on l.mu. Under FsyncAlways the fsync
+// is delegated to the store's committer: the returned Pending resolves after
+// the next fsync of this log, which covers the frame. Under FsyncInterval the
+// log is marked dirty for the next tick, and under FsyncNever nothing is
+// synced; either way the Pending comes back resolved.
 func (l *Log) begin(op Op, payload []byte) (*Pending, error) {
 	l.mu.Lock()
 	if l.removed {
@@ -409,9 +366,9 @@ func (l *Log) begin(op Op, payload []byte) (*Pending, error) {
 		return nil, fmt.Errorf("persist: record of %d bytes exceeds the size bound", len(payload))
 	}
 	hooks := &l.store.opts.Hooks
-	group := l.store.groupActive()
+	mode := l.store.opts.Fsync
 	var start time.Time
-	if group || hooks.AppendDone != nil || hooks.FsyncDone != nil {
+	if mode == FsyncAlways || hooks.AppendDone != nil {
 		start = time.Now()
 	}
 	seq := l.seq + 1
@@ -426,74 +383,36 @@ func (l *Log) begin(op Op, payload []byte) (*Pending, error) {
 		l.mu.Unlock()
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if group {
-		// The frame is fully written and the sequence number consumed, so
-		// the counters advance now; durability (and the ack) comes from the
-		// committer's next fsync of this log. A fsync failure there poisons
-		// the log just like the inline path below.
-		l.seq = seq
-		l.size += int64(len(frame))
-		l.records++
-		l.since++
-		l.publishStatsLocked()
-		l.mu.Unlock()
-		p := &Pending{l: l, seq: seq, op: op, bytes: len(frame), start: start, done: make(chan struct{})}
-		l.store.enqueueCommit(p)
-		return p, nil
-	}
-	if l.store.opts.Fsync == FsyncAlways {
-		var syncStart time.Time
-		if hooks.FsyncDone != nil {
-			syncStart = time.Now()
-		}
-		if err := l.f.Sync(); err != nil {
-			// The frame IS fully written: if appends continued, the next one
-			// would reuse this sequence number and recovery would truncate
-			// everything from here on as a torn tail. Poison instead — the
-			// stream keeps answering reads, writes fail loudly until the
-			// next compaction or restart rebuilds the log.
-			l.failed = fmt.Errorf("fsync failed after a durable frame: %w", err)
-			l.mu.Unlock()
-			return nil, fmt.Errorf("persist: %w", err)
-		}
-		if hooks.FsyncDone != nil {
-			hooks.FsyncDone(time.Since(syncStart))
-		}
-	} else {
-		l.dirty = true
-	}
-	if hooks.AppendDone != nil {
-		hooks.AppendDone(op, len(frame), time.Since(start))
-	}
+	// The frame is fully written and the sequence number consumed, so the
+	// counters advance now, whatever the fsync mode.
 	l.seq = seq
 	l.size += int64(len(frame))
 	l.records++
 	l.since++
 	l.publishStatsLocked()
+	if mode != FsyncAlways {
+		if mode == FsyncInterval {
+			l.dirty = true
+		}
+		if hooks.AppendDone != nil {
+			hooks.AppendDone(op, len(frame), time.Since(start))
+		}
+		l.mu.Unlock()
+		return &Pending{l: l, seq: seq, op: op}, nil
+	}
 	l.mu.Unlock()
-	return &Pending{l: l, seq: seq, op: op}, nil
-}
-
-// append frames and writes one record and waits for durability. It returns
-// the record's sequence number.
-func (l *Log) append(op Op, payload []byte) (uint64, error) {
-	p, err := l.begin(op, payload)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.Wait(); err != nil {
-		return 0, err
-	}
-	return p.seq, nil
+	p := &Pending{l: l, seq: seq, op: op, bytes: len(frame), start: start, done: make(chan struct{})}
+	l.store.enqueueCommit(p)
+	return p, nil
 }
 
 // BeginBatch journals one validated ingest batch (ts may be nil for untimed
 // batches) and returns a Pending the caller Waits on for durability. Under
-// group commit this lets the caller overlap its own work (applying the batch
-// to in-memory state) with the covering fsync; elsewhere the Pending is
-// already resolved. The record is sequenced when BeginBatch returns, so
-// per-stream WAL order always matches apply order when callers hold the
-// stream mutex across BeginBatch, as the daemon does.
+// FsyncAlways this lets the caller overlap its own work (applying the batch
+// to in-memory state) with the covering group-commit fsync; under the other
+// modes the Pending is already resolved. The record is sequenced when
+// BeginBatch returns, so per-stream WAL order always matches apply order when
+// callers hold the stream mutex across BeginBatch, as the daemon does.
 func (l *Log) BeginBatch(points metric.Dataset, ts []int64) (*Pending, error) {
 	payload, err := encodeBatch(points, ts)
 	if err != nil {
@@ -522,7 +441,7 @@ func (l *Log) AppendBatch(points metric.Dataset, ts []int64) error {
 }
 
 // flush syncs buffered appends (FsyncInterval mode) and reports whether a
-// sync actually happened, so the flusher can attribute tick latency to the
+// sync actually happened, so the syncer can attribute tick latency to the
 // logs it flushed.
 func (l *Log) flush() bool {
 	l.mu.Lock()
@@ -739,6 +658,12 @@ func (l *Log) Remove() error {
 		}
 		return fmt.Errorf("persist: %w", err)
 	}
+	l.store.dirOpHook("rename", tomb)
+	// The rename commits the delete: unsynced, a power loss can bring the
+	// stream back, so the delete fails (the next Open sweeps the tombstone).
+	if err := l.store.syncRoot(); err != nil {
+		return err
+	}
 	if err := os.RemoveAll(tomb); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
@@ -768,7 +693,10 @@ func (l *Log) SetAside() error {
 	if err := os.Rename(l.dir, failed); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("persist: %w", err)
 	}
-	return nil
+	l.store.dirOpHook("rename", failed)
+	// Reported, but nothing acked depends on it: a lost rename only means the
+	// next boot meets the directory again and recovers or sets it aside.
+	return l.store.syncRoot()
 }
 
 // Close syncs and closes the log file without touching the durable state.
@@ -832,10 +760,15 @@ func (s *Store) Recover() ([]*Recovered, error) {
 		}
 		rec := s.recoverDir(e.Name())
 		if rec.Err != nil {
-			// Free the name but keep the bytes for forensics.
+			// Free the name but keep the bytes for forensics. Both errors
+			// are ignored: a rename that did not happen or did not last only
+			// means the next boot tries again.
 			failed := filepath.Join(s.dir, e.Name()) + failedSuffix
 			os.RemoveAll(failed)
-			os.Rename(filepath.Join(s.dir, e.Name()), failed)
+			if os.Rename(filepath.Join(s.dir, e.Name()), failed) == nil {
+				s.dirOpHook("rename", failed)
+				s.syncRoot()
+			}
 		}
 		out = append(out, rec)
 	}
@@ -1018,10 +951,38 @@ func atomicWrite(path string, data []byte, sync bool) error {
 		return fmt.Errorf("persist: %w", err)
 	}
 	if sync {
-		if d, err := os.Open(filepath.Dir(path)); err == nil {
-			d.Sync()
-			d.Close()
+		// Unsynced, the rename may not survive a crash, and the WAL reset a
+		// compaction makes next would then have dropped records that no
+		// durable snapshot holds.
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			return fmt.Errorf("persist: %w", err)
 		}
 	}
 	return nil
+}
+
+// syncRoot makes the store root's entries durable after a stream directory
+// is created or renamed there: POSIX does not promise a new or renamed entry
+// survives power loss until its parent directory is synced. Skipped under
+// FsyncNever, like every other sync.
+func (s *Store) syncRoot() error {
+	if s.opts.Fsync == FsyncNever {
+		return nil
+	}
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("persist: syncing the store root: %w", err)
+	}
+	s.dirOpHook("syncdir", s.dir)
+	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created, renamed or removed
+// in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close() // opened only to sync: the Sync error is the one that counts
+	return d.Sync()
 }

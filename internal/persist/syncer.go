@@ -14,8 +14,8 @@ const maxCommitGroup = 4096
 // Pending is an append whose frame is written (and sequenced) but whose
 // covering fsync may not have happened yet. Wait blocks until the append is
 // durable per the store's fsync policy and returns the append's final error.
-// A Pending from a non-group-commit store is already resolved when returned,
-// so Wait is free.
+// Under FsyncInterval and FsyncNever nothing is synced before the ack, so the
+// Pending is already resolved when returned and Wait is free.
 type Pending struct {
 	l     *Log
 	seq   uint64
@@ -48,13 +48,14 @@ func (p *Pending) Wait() error {
 // enqueue→ack time, so a traced request can record how long it sat in the
 // group-commit queue. The wait itself is not cancellable — durability was
 // already promised when the frame was written — so ctx is carried, not
-// watched. Resolved-synchronously Pendings (non-group stores) fire nothing.
+// watched. Resolved-synchronously Pendings (FsyncInterval, FsyncNever) fire
+// nothing.
 func (p *Pending) WaitCtx(ctx context.Context) error {
 	if p.done == nil {
 		return p.err
 	}
 	<-p.done
-	if hook := p.l.store.opts.Hooks.AppendWait; hook != nil && !p.start.IsZero() {
+	if hook := p.l.store.opts.Hooks.AppendWait; hook != nil {
 		hook(ctx, p.op, time.Since(p.start))
 	}
 	return p.err
@@ -65,19 +66,32 @@ func (p *Pending) resolve(err error) {
 	close(p.done)
 }
 
-// groupActive reports whether appends go through the committer goroutine.
-func (s *Store) groupActive() bool {
-	return s.opts.Fsync == FsyncAlways && s.opts.GroupCommit
+// stopSyncer is the one stop path: flip the flag and close the queue under
+// commitMu (so a concurrent append either made it into the queue or sees the
+// flag), then wait for the goroutine to drain — every outstanding Pending
+// resolves before any log is closed underneath it.
+func (s *Store) stopSyncer() {
+	if s.commitQ == nil {
+		return
+	}
+	s.commitMu.Lock()
+	if !s.commitStopped {
+		s.commitStopped = true
+		close(s.commitQ)
+	}
+	s.commitMu.Unlock()
+	<-s.syncerDone
 }
 
-// enqueueCommit hands a written-but-unsynced append to the committer. After
-// Close has stopped the committer, late appends fall back to an inline fsync
-// so no Pending is ever left unresolved.
+// enqueueCommit hands a written-but-unsynced append to the committer. An
+// append that races Close and finds the committer stopped commits a group of
+// one on its own goroutine, through the same code path, so no Pending is ever
+// left unresolved.
 func (s *Store) enqueueCommit(p *Pending) {
 	s.commitMu.Lock()
 	if s.commitStopped {
 		s.commitMu.Unlock()
-		p.resolve(p.l.syncInline())
+		s.commitGroup([]*Pending{p})
 		return
 	}
 	// A full queue blocks here while holding commitMu; the committer is
@@ -87,75 +101,98 @@ func (s *Store) enqueueCommit(p *Pending) {
 	s.commitMu.Unlock()
 }
 
-// commitLoop is the committer goroutine: it drains the queue into groups and
-// resolves each group with one fsync per distinct log.
-func (s *Store) commitLoop() {
-	defer close(s.commitDone)
+// syncLoop is the syncer goroutine. A waiter arriving on commitQ starts a
+// commit cycle; a tick (FsyncInterval only — the ticker channel is nil
+// otherwise, and nothing is ever queued then) flushes the dirty logs. Closing
+// commitQ stops it in either mode.
+func (s *Store) syncLoop() {
+	defer close(s.syncerDone)
+	var tick <-chan time.Time
+	if s.opts.Fsync == FsyncInterval {
+		t := time.NewTicker(s.opts.FsyncInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	group := make([]*Pending, 0, 64)
 	for {
-		p, ok := <-s.commitQ
-		if !ok {
-			return
-		}
-		group = append(group[:0], p)
-		// Everything already queued behind p joins this cycle's fsync; the
-		// non-blocking drain is what turns concurrent callers into a group.
-	drain:
-		for len(group) < maxCommitGroup {
-			select {
-			case q, more := <-s.commitQ:
-				if !more {
+		select {
+		case p, ok := <-s.commitQ:
+			if !ok {
+				return
+			}
+			group = append(group[:0], p)
+			// Everything already queued behind p joins this cycle's fsync;
+			// the non-blocking drain is what turns concurrent callers into a
+			// group.
+		drain:
+			for len(group) < maxCommitGroup {
+				select {
+				case q, more := <-s.commitQ:
+					if !more {
+						break drain
+					}
+					group = append(group, q)
+				default:
 					break drain
 				}
-				group = append(group, q)
-			default:
-				break drain
 			}
+			s.commitGroup(group)
+		case <-tick:
+			s.flushDirty()
 		}
-		s.commitGroup(group)
+	}
+}
+
+// flushDirty syncs every dirty log once (an FsyncInterval tick) and reports
+// the tick's latency when it synced anything.
+func (s *Store) flushDirty() {
+	s.mu.Lock()
+	logs := make([]*Log, 0, len(s.logs))
+	for _, l := range s.logs {
+		logs = append(logs, l)
+	}
+	s.mu.Unlock()
+	cycleHook := s.opts.Hooks.FlushCycleDone
+	var start time.Time
+	if cycleHook != nil {
+		start = time.Now()
+	}
+	flushed := 0
+	for _, l := range logs {
+		if l.flush() {
+			flushed++
+		}
+	}
+	if cycleHook != nil && flushed > 0 {
+		cycleHook(time.Since(start), flushed)
 	}
 }
 
 // commitGroup fsyncs each distinct log once and fans the result back out to
-// every member of the group, preserving per-log enqueue order.
+// every member of the group, preserving per-log enqueue order. Members are
+// cleared from the group as they resolve; a group almost always covers one
+// log (one hot stream), so this is one pass without allocation.
 func (s *Store) commitGroup(group []*Pending) {
 	hooks := &s.opts.Hooks
 	var start time.Time
 	if hooks.GroupCommitDone != nil {
 		start = time.Now()
 	}
-	// Fast path: groups almost always cover a single log (one hot stream),
-	// and then the grouping is allocation-free.
-	single := true
-	for _, p := range group[1:] {
-		if p.l != group[0].l {
-			single = false
-			break
+	n := len(group)
+	for i, p := range group {
+		if p == nil {
+			continue
 		}
-	}
-	if single {
-		err := group[0].l.commitSync(hooks)
-		for _, p := range group {
-			s.finish(p, err, hooks)
-		}
-	} else {
-		byLog := make(map[*Log][]*Pending, 4)
-		order := make([]*Log, 0, 4)
-		for _, p := range group {
-			if _, ok := byLog[p.l]; !ok {
-				order = append(order, p.l)
-			}
-			byLog[p.l] = append(byLog[p.l], p)
-		}
-		for _, l := range order {
-			err := l.commitSync(hooks)
-			for _, p := range byLog[l] {
-				s.finish(p, err, hooks)
+		err := p.l.commitSync(hooks)
+		for j := i; j < n; j++ {
+			if q := group[j]; q != nil && q.l == p.l {
+				s.finish(q, err, hooks)
+				group[j] = nil
 			}
 		}
 	}
 	if hooks.GroupCommitDone != nil {
-		hooks.GroupCommitDone(len(group), time.Since(start))
+		hooks.GroupCommitDone(n, time.Since(start))
 	}
 }
 
@@ -177,9 +214,11 @@ func (s *Store) finish(p *Pending, err error, hooks *Hooks) {
 // written to the fd after the fsync starts may or may not hit the disk with
 // it — harmless, their own covering fsync comes next cycle; a frame carried
 // into a swapped WAL is durable via the swap's full-image sync before the
-// rename. A fsync failure poisons the log exactly like an inline fsync
-// failure would: the frames ARE fully written, so continuing to append would
-// make recovery truncate them as a torn tail.
+// rename. A fsync failure poisons the log: the frames ARE fully written, so
+// continuing to append would reuse sequence numbers behind them and recovery
+// would truncate everything from there on as a torn tail. The stream keeps
+// answering reads; writes fail loudly until the next compaction or restart
+// rebuilds the log.
 func (l *Log) commitSync(hooks *Hooks) error {
 	l.mu.Lock()
 	if l.removed || l.f == nil {
@@ -210,10 +249,4 @@ func (l *Log) commitSync(hooks *Hooks) error {
 		hooks.FsyncDone(time.Since(syncStart))
 	}
 	return nil
-}
-
-// syncInline is the post-shutdown fallback: the committer is gone, so the
-// appender fsyncs its own frame.
-func (l *Log) syncInline() error {
-	return l.commitSync(&l.store.opts.Hooks)
 }

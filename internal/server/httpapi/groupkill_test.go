@@ -28,8 +28,8 @@ func gcTagBatch(w, idx int) kcenter.Dataset {
 }
 
 // TestKillRecoverGroupCommitConcurrent is the crash-safety half of the
-// group-commit contract: a real daemon running -fsync=always with group
-// commit on is SIGKILLed while concurrent writers (JSON and binary alike) are
+// group-commit contract: a real daemon running -fsync=always (group commit
+// is that mode's only path) is SIGKILLed while concurrent writers (JSON and binary alike) are
 // mid-flight, and afterwards
 //
 //   - every acknowledged batch is present in the recovered WAL (a shared
@@ -192,7 +192,7 @@ func TestKillRecoverGroupCommitConcurrent(t *testing.T) {
 		}
 	}
 	d := newDurableServer(t, dir, config{k: 4, budget: 48},
-		persist.Options{Fsync: persist.FsyncAlways, GroupCommit: true, CompactEvery: -1})
+		persist.Options{Fsync: persist.FsyncAlways, CompactEvery: -1})
 	got := snapshotBytes(t, d.http.URL, "gc")
 	want := snapshotBytes(t, ref.URL, "gc")
 	if !bytes.Equal(got, want) {

@@ -76,7 +76,6 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 		fsyncMode     = fs.String("fsync", "always", "WAL flush policy: always, interval or never")
 		fsyncInterval = fs.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync=interval")
 		compactEvery  = fs.Int("compact-every", 1024, "journaled records per stream that trigger snapshot compaction (negative disables)")
-		groupCommit   = fs.Bool("group-commit", true, "coalesce concurrent WAL appends into shared fsyncs under -fsync=always")
 		obsMaxStreams = fs.Int("obs-max-streams", 64, "per-stream series cap on /metrics (negative = unlimited)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -106,7 +105,6 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 			Fsync:         mode,
 			FsyncInterval: *fsyncInterval,
 			CompactEvery:  *compactEvery,
-			GroupCommit:   *groupCommit,
 			Hooks:         srv.eng.PersistHooks(),
 		})
 		if err != nil {

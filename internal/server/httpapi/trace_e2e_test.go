@@ -29,9 +29,8 @@ func newTracedDaemon(t *testing.T, cfg config) *tracedDaemon {
 	buf := &lockedBuf{}
 	srv.eng.Logger = obs.NewLogger(buf, obs.LevelInfo)
 	store, err := persist.Open(t.TempDir(), persist.Options{
-		Fsync:       persist.FsyncAlways,
-		GroupCommit: true,
-		Hooks:       srv.eng.PersistHooks(),
+		Fsync: persist.FsyncAlways,
+		Hooks: srv.eng.PersistHooks(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -228,9 +228,8 @@ func TestMetricsBinaryAndGroupCommitSeries(t *testing.T) {
 	dir := t.TempDir()
 	srv := newServer(config{k: 3, budget: 30})
 	store, err := persist.Open(dir, persist.Options{
-		Fsync:       persist.FsyncAlways,
-		GroupCommit: true,
-		Hooks:       srv.eng.Metrics.PersistHooks(),
+		Fsync: persist.FsyncAlways,
+		Hooks: srv.eng.Metrics.PersistHooks(),
 	})
 	if err != nil {
 		t.Fatal(err)
