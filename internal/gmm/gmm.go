@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"coresetclustering/internal/metric"
 )
@@ -59,12 +60,12 @@ type Result struct {
 }
 
 // Runner bundles the metric space with the parallelism degree of the
-// distance engine. Every per-iteration pass of the greedy (the farthest scan
-// and the nearest-center cache update of the dense phase, the survivor
-// evaluation of the pruned one) is chunked across Workers goroutines and
-// runs on the space's batched kernels in the surrogate domain; results are
-// bit-identical to the sequential path for any worker count (see the
-// determinism contract in internal/metric/parallel.go).
+// distance engine. Every per-iteration pass of the greedy (the dense phase's
+// nearest-center cache update, which finds the farthest point in the same
+// pass, and the pruned phase's survivor evaluation) is chunked across Workers
+// goroutines and runs on the space's batched kernels in the surrogate domain;
+// results are bit-identical to the sequential path for any worker count (see
+// the determinism contract in internal/metric/parallel.go).
 type Runner struct {
 	// Space is the metric space: its batched kernels and comparison-domain
 	// surrogate drive every inner loop. nil defaults to Euclidean.
@@ -192,16 +193,17 @@ func (r Runner) RunToSize(points metric.Dataset, targetSize, refCenters, seedInd
 // center costs n distance evaluations (the standard O(k*n) implementation of
 // GMM) — the cache is only ever min-merged against the single new center per
 // round via the space's batched UpdateNearest kernel, never rebuilt by a full
-// rescan. The two O(n) passes per iteration (farthest scan, cache update) run
-// on the parallel distance engine; per-point cache entries are only ever
-// written by the worker owning that point's chunk, so the caches stay
-// coherent without locks, and all reductions follow the engine's
-// deterministic ordering. On a space with the metric.Pruner capability the
-// state may move, once and for good, to the PRUNED phase of pruned.go, which
-// evaluates only the points a new center can capture; both phases leave the
-// same bits in every field below. Radii are converted out of the surrogate
-// domain once per selection round (one FromSurrogate per reported radius,
-// never one per evaluation).
+// rescan. A dense round is one O(n) pass on the parallel distance engine: the
+// kernel merges the caches and returns their maximum, and each chunk then
+// finds the first point holding it, so the next farthest point is known when
+// the update returns; per-point cache entries are only ever written by the
+// worker owning that point's chunk, so the caches stay coherent without
+// locks, and all reductions follow the engine's deterministic ordering. On a
+// space with the metric.Pruner capability the state may move, once and for
+// good, to the PRUNED phase of pruned.go, which evaluates only the points a
+// new center can capture; both phases leave the same bits in every field
+// below. Radii are converted out of the surrogate domain once per selection
+// round (one FromSurrogate per reported radius, never one per evaluation).
 type state struct {
 	sp       metric.Space
 	eng      metric.Engine
@@ -213,6 +215,12 @@ type state struct {
 	isCenter []bool    // isCenter[i] = points[i] was selected
 	cursor   int       // every point before cursor is a center (firstNonCenter)
 	evals    int64     // surrogate evaluations performed so far
+
+	// The farthest point after the last update, lowest index on ties, and
+	// its surrogate: both phases leave it here, so no round scans the caches
+	// a second time.
+	nextFar     int
+	nextFarDist float64
 
 	pruner // the pruned phase and the probe that enters it
 }
@@ -259,29 +267,34 @@ func (st *state) add(idx int) {
 }
 
 // updateCaches is the dense update: it min-merges the caches against a newly
-// selected center c (with index newIdx into centers) over ALL points and
-// returns the new maximum of minDist (-Inf for no points). The pass is
-// chunked across the engine's workers; each chunk's partial max is reduced in
-// chunk order, which yields the exact same float as the sequential scan (max
-// is associative and commutative).
+// selected center c (with index newIdx into centers) over ALL points, leaves
+// the farthest point in nextFar and returns the new maximum of minDist. The
+// pass is chunked across the engine's workers; a chunk's farthest point is
+// the first of its own points whose cache equals the maximum the kernel
+// returned, and the chunks reduce in order with a strict comparison, so the
+// lowest index wins ties as in a sequential left-to-right scan (max is
+// associative and commutative: the same float for any chunking).
 func (st *state) updateCaches(c metric.Point, newIdx int) float64 {
 	n := len(st.points)
 	st.evals += int64(n)
 	if st.eng.Sequential(n) {
-		return st.sp.UpdateNearest(st.minDist, st.closest, c, newIdx, st.points)
+		m := st.sp.UpdateNearest(st.minDist, st.closest, c, newIdx, st.points)
+		st.nextFar, st.nextFarDist = slices.Index(st.minDist, m), m
+		return m
 	}
 	nc := st.eng.NumChunks(n)
-	maxes := make([]float64, nc)
+	maxes, args := make([]float64, nc), make([]int, nc)
 	st.eng.ForEachChunk(n, func(chunk, lo, hi int) {
-		maxes[chunk] = st.sp.UpdateNearest(st.minDist[lo:hi], st.closest[lo:hi], c, newIdx, st.points[lo:hi])
+		m := st.sp.UpdateNearest(st.minDist[lo:hi], st.closest[lo:hi], c, newIdx, st.points[lo:hi])
+		maxes[chunk], args[chunk] = m, lo+slices.Index(st.minDist[lo:hi], m)
 	})
-	m := math.Inf(-1)
-	for _, v := range maxes {
-		if v > m {
-			m = v
+	st.nextFar, st.nextFarDist = -1, math.Inf(-1)
+	for chunk, v := range maxes {
+		if v > st.nextFarDist {
+			st.nextFar, st.nextFarDist = args[chunk], v
 		}
 	}
-	return m
+	return st.nextFarDist
 }
 
 func (st *state) size() int { return len(st.centers) }
@@ -296,13 +309,9 @@ func (st *state) addFarthest() bool {
 	if len(st.centers) >= len(st.points) {
 		return false
 	}
-	// Find the farthest point; ties resolve to the lowest index, as in a
-	// sequential left-to-right scan. Dense: a parallel argmax over the
-	// surrogate caches. Pruned: already known from the cluster summaries.
+	// The farthest point, lowest index on ties: the last update left it
+	// (dense: found in the same pass; pruned: read off the summaries).
 	far, farDist := st.nextFar, st.nextFarDist
-	if !st.isPruned() {
-		far, farDist = st.eng.ArgMax(st.minDist)
-	}
 	if far < 0 {
 		return false
 	}

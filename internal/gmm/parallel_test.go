@@ -200,3 +200,65 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestFarthestTiesAcrossChunks plants exact ties for the farthest point where
+// the one-pass dense round can get them wrong: copies of one far point on
+// both sides of every chunk boundary the engine draws at 2 and 3 workers, a
+// third copy further into the later chunk, one more at the last index. Each
+// round's farthest point is then one of those groups; the textbook oracle,
+// with its own sequential argmax, takes the lowest index, and so must the
+// chunked update (first equal entry within a chunk, strict comparison across
+// chunks) at every worker count. n >= 2*SequentialCutoff keeps the dense
+// round on the chunked path.
+func TestFarthestTiesAcrossChunks(t *testing.T) {
+	const dim, groups = 8, 16
+	n := 2*metric.SequentialCutoff + 101
+	rng := rand.New(rand.NewSource(5))
+	points := make(metric.Dataset, n)
+	for i := range points {
+		p := make(metric.Point, dim)
+		for j := range p {
+			p[j] = rng.Float64()
+		}
+		points[i] = p
+	}
+	var bounds []int
+	for _, w := range []int{2, 3} {
+		e := metric.NewEngine(w)
+		starts := make([]int, e.NumChunks(n))
+		e.ForEachChunk(n, func(chunk, lo, _ int) { starts[chunk] = lo })
+		bounds = append(bounds, starts[1:]...)
+	}
+	if len(bounds) != 3 {
+		t.Fatalf("chunk boundaries %v, want one at 2 workers and two at 3", bounds)
+	}
+	// Group g sits at distance 1000-10g along its own signed axis, so the
+	// groups are selected in order, one per round after the seed.
+	lowest := make([]int, groups)
+	for g := range groups {
+		far := make(metric.Point, dim)
+		far[g/2] = float64(1000 - 10*g)
+		if g%2 == 1 {
+			far[g/2] = -far[g/2]
+		}
+		b, o := bounds[g%len(bounds)], g/len(bounds)
+		lowest[g] = b - 1 - o
+		for _, i := range []int{b - 1 - o, b + o, b + o + 7, n - 1 - g} {
+			points[i] = far
+		}
+	}
+	k := groups + 4
+	want := referenceToSize(metric.EuclideanSpace, points, k, k, 0)
+	for g, i := range lowest {
+		if want.CenterIndices[g+1] != i {
+			t.Fatalf("oracle center %d = index %d, want group %d's lowest copy %d", g+1, want.CenterIndices[g+1], g, i)
+		}
+	}
+	for _, w := range []int{1, 2, 3} {
+		got, err := Runner{Space: metric.EuclideanSpace, Workers: w}.Run(points, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("workers=%d", w), want, got)
+	}
+}

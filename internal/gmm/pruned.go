@@ -2,6 +2,7 @@ package gmm
 
 import (
 	"math"
+	"slices"
 
 	"coresetclustering/internal/metric"
 )
@@ -17,11 +18,19 @@ import (
 // then single points on that test, and runs the space's batched DistancesTo
 // kernel on the rest, by index (metric.DistancesToIndexed) — the same
 // per-pair values UpdateNearest computes, so every cache entry, every radius
-// and every tie-break is bit-identical to the dense phase. The test itself lives in the space (metric.Pruner): it is
-// strict and rounded down by a slack that dominates the kernels' error, so a
-// point on the boundary is evaluated, never skipped. Spaces without the
-// capability (CosineSpace, custom distance functions) stay dense and perform
-// exactly k*n evaluations.
+// and every tie-break is bit-identical to the dense phase. The test itself
+// lives in the space (metric.Pruner): it is strict and rounded down by a
+// slack that dominates the kernels' error, so a point on the boundary is
+// evaluated, never skipped. Spaces without the capability (CosineSpace,
+// custom distance functions) stay dense and perform exactly k*n evaluations.
+//
+// Only what is captured moves. Gathering lists the points that fail the
+// tests and writes nothing else; most of those a round evaluates stay where
+// they are (on a round-1 partition about one in twelve is captured). The
+// apply step moves a captured point to the new center's list and flags the
+// cluster it left; only flagged clusters are compacted, and a cluster's
+// summary (its farthest point) is recomputed only when that point was the one
+// captured, a group's only when the point it names was.
 //
 // That test needs d(c, b), and evaluating c against every existing center is
 // work proportional to the number of centers, not to what c can capture — on
@@ -39,7 +48,7 @@ import (
 // of the other groups are evaluated in one batch and go through the
 // per-cluster and per-point tests as before; the pivots' own clusters are
 // tested against the pairs that were evaluated anyway. The next farthest point
-// is read off per-group summaries, recomputed only for the groups walked. The
+// is read off per-group summaries, through each center's group index. The
 // chain can only be less sharp than the pair it stands in for — the set of
 // clusters walked may shrink, never the set of points that can be captured —
 // so the output bits do not depend on it; a space may decline it (Angular
@@ -62,7 +71,9 @@ import (
 // on entering the phase, plus 12 per point of the largest set one round had to
 // evaluate (its index and its surrogate: the kernel reads the points in place
 // through metric.DistancesToIndexed), plus a few integers per center for the
-// groups.
+// lists' offsets and summaries and for the groups; of those, moving only
+// captures costs 9 bytes per center (its group index, the flag of a cluster
+// that lost a point and that cluster's slot in a round's scratch list).
 
 const (
 	// firstProbe is the center count of the first probe and probeGrowth the
@@ -112,17 +123,18 @@ type pruner struct {
 	// evaluated against — and grpMax[g], grpArg[g] summarise the members'
 	// clusters as clMax, clArg summarise one. The pivot's own cluster is not
 	// in its group's summary: it is tested against the evaluated pair.
-	grpHead, grpNext, grpArg []int32
-	grpReach, grpMax         []float64
-	via                      []float64 // this round's group thresholds (scratch),
-	walked                   []int32   // the groups it could not skip,
-	cand                     []int32   // their members,
-	candThr                  []float64 // and the members' skip thresholds
+	// grpOf[b] is the group center b joined (-1 for a pivot).
+	grpHead, grpNext, grpArg, grpOf []int32
+	grpReach, grpMax                []float64
+	via                             []float64 // this round's group thresholds (scratch),
+	cand                            []int32   // the members of the groups it could not skip,
+	candThr                         []float64 // and the members' skip thresholds
 
-	// The farthest point after the last update (pruned phase only): read off
-	// the summaries, it replaces the O(n) argmax of the dense phase.
-	nextFar     int
-	nextFarDist float64
+	// The clusters this round's captures left (scratch), flagged in clLost,
+	// and the groups whose farthest point was captured (scratch): only they
+	// are compacted or summarised again.
+	lost, lostGrp []int32
+	clLost        []bool
 }
 
 func (st *state) initPruner() {
@@ -222,10 +234,12 @@ func (st *state) bucket() {
 		fold(&st.clMax[b], &st.clArg[b], st.minDist[p], int32(p))
 	}
 
-	st.grpHead, st.grpArg, st.grpNext = make([]int32, m), make([]int32, m), make([]int32, m, 2*m)
+	st.grpHead, st.grpArg = make([]int32, m), make([]int32, m)
+	st.grpNext, st.grpOf = make([]int32, m, 2*m), make([]int32, m, 2*m)
 	st.grpReach, st.grpMax, st.via = make([]float64, m), make([]float64, m), make([]float64, m)
+	st.clLost = make([]bool, m, 2*m)
 	for g := range st.grpHead {
-		st.grpHead[g], st.grpArg[g] = -1, -1
+		st.grpHead[g], st.grpArg[g], st.grpOf[g] = -1, -1, -1
 		st.grpReach[g], st.grpMax[g] = math.Inf(-1), math.Inf(-1)
 	}
 }
@@ -239,17 +253,16 @@ func (st *state) bucket() {
 func (st *state) candidates(c metric.Point) {
 	copy(st.via, st.pivS)
 	st.half.HalfSurrogatesVia(st.via, st.grpReach, len(c))
-	walked, cand := st.walked[:0], st.cand[:0]
+	cand := st.cand[:0]
 	for g, t := range st.via {
 		if st.grpMax[g] < t {
 			continue
 		}
-		walked = append(walked, int32(g))
 		for b := st.grpHead[g]; b >= 0; b = st.grpNext[b] {
 			cand = append(cand, b)
 		}
 	}
-	st.walked, st.cand = walked, cand // keep the grown scratch
+	st.cand = cand // keep the grown scratch
 	if cap(st.candThr) < len(cand) {
 		st.candThr = make([]float64, cap(cand))
 	}
@@ -260,34 +273,32 @@ func (st *state) candidates(c metric.Point) {
 }
 
 // gather applies the skip test with threshold t to cluster b. A cluster whose
-// radius passes is skipped whole; in a walked cluster the members that pass
-// stay (compacted in place, their summary rebuilt), the others are appended
-// to surv for evaluation.
-func (st *state) gather(b int, t float64) {
+// radius passes is skipped whole; in a walked cluster the members that fail
+// are appended to surv for evaluation, and nothing moves: only a capture
+// changes a list. Most members of a walked cluster fail, so every one is
+// written and the count advances, without a branch, past those that fail.
+func (st *state) gather(surv []int32, b int, t float64) []int32 {
 	if st.clMax[b] < t {
-		return
+		return surv
 	}
-	minDist, surv := st.minDist, st.surv
-	seg := st.memb[st.clOff[b] : st.clOff[b]+st.clCnt[b]]
-	kept, mx, arg := 0, math.Inf(-1), int32(-1)
+	seg, minDist := st.memb[st.clOff[b]:st.clOff[b]+st.clCnt[b]], st.minDist
+	surv = slices.Grow(surv, len(seg))
+	k := len(surv)
+	surv = surv[:k+len(seg)]
 	for _, p := range seg {
-		d := minDist[p]
-		if d < t {
-			seg[kept] = p
-			kept++
-			fold(&mx, &arg, d, p)
-			continue
+		surv[k] = p
+		if !(minDist[p] < t) {
+			k++
 		}
-		surv = append(surv, p)
 	}
-	st.clCnt[b], st.clMax[b], st.clArg[b] = int32(kept), mx, arg
-	st.surv = surv // keep the grown scratch
+	return surv[:k]
 }
 
 // updatePruned is the pruned update: it min-merges the caches against the
 // newly selected center c (index newIdx into centers; pivS and thr hold it
-// against the pivots), touching only the points that fail the skip tests, and
-// returns the new maximum of minDist.
+// against the pivots), touching only the points that fail the skip tests,
+// leaves the farthest point in nextFar and returns the new maximum of
+// minDist.
 func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	// The new center's list starts at tail and can take up to n points. The
 	// lists are packed left when fewer than n slots remain, that is after at
@@ -300,14 +311,15 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	// Gather: the pivots' own clusters against the evaluated pairs, then the
 	// clusters of the groups that could not be skipped.
 	st.candidates(c)
-	st.surv = st.surv[:0]
+	surv := st.surv[:0]
 	for b, t := range st.thr {
-		st.gather(b, t)
+		surv = st.gather(surv, b, t)
 	}
 	for i, b := range st.cand {
-		st.gather(int(b), st.candThr[i])
+		surv = st.gather(surv, int(b), st.candThr[i])
 	}
-	surv, ns := st.surv, len(st.surv)
+	st.surv = surv // keep the grown scratch
+	ns := len(surv)
 	if cap(st.survDist) < ns {
 		st.survDist = make([]float64, cap(surv))
 	}
@@ -325,30 +337,70 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 		})
 	}
 
-	// Apply, sequentially: a captured point moves to the new center's list,
-	// the others return to the slots they left.
-	minDist := st.minDist
-	st.clOff = append(st.clOff, int32(st.tail))
-	st.clCnt = append(st.clCnt, 0)
-	st.clMax = append(st.clMax, math.Inf(-1))
-	st.clArg = append(st.clArg, -1)
+	// Apply, sequentially: a captured point moves to the new center's list
+	// and flags the cluster it left; the others stay where they are.
+	// The captures are first listed, without a branch, where the new list
+	// goes (as positions in surv), then applied.
+	minDist, closest, memb := st.minDist, st.closest, st.memb
+	at := st.tail
 	for i, p := range surv {
-		b := newIdx
-		if s := dist[i]; s < minDist[p] {
-			minDist[p] = s
-			st.closest[p] = newIdx
-		} else {
-			b = st.closest[p]
+		memb[at] = int32(i)
+		if dist[i] < minDist[p] {
+			at++
 		}
-		st.memb[st.clOff[b]+st.clCnt[b]] = p
-		st.clCnt[b]++
-		fold(&st.clMax[b], &st.clArg[b], minDist[p], p)
 	}
-	st.tail += int(st.clCnt[newIdx])
+	mx, arg := math.Inf(-1), int32(-1)
+	lost := st.lost[:0]
+	for j, i := range memb[st.tail:at] {
+		p, s := surv[i], dist[i]
+		if b := closest[p]; !st.clLost[b] {
+			st.clLost[b] = true
+			lost = append(lost, int32(b))
+		}
+		minDist[p], closest[p] = s, newIdx
+		memb[st.tail+j] = p
+		fold(&mx, &arg, s, p)
+	}
+	st.clOff = append(st.clOff, int32(st.tail))
+	st.clCnt = append(st.clCnt, int32(at-st.tail))
+	st.clMax = append(st.clMax, mx)
+	st.clArg = append(st.clArg, arg)
+	st.clLost = append(st.clLost, false)
+	st.tail = at
+
+	// The clusters that lost a point drop it (compacted in place, without a
+	// branch). Every other cache is unchanged, so a summary moves only when
+	// the point it names was captured: then the cluster is summarised again,
+	// and so is its group if the group's summary named that point too.
+	lostGrp := st.lostGrp[:0]
+	for _, b := range lost {
+		st.clLost[b] = false
+		seg := memb[st.clOff[b] : st.clOff[b]+st.clCnt[b]]
+		kept := 0
+		for _, p := range seg {
+			seg[kept] = p
+			if closest[p] == int(b) {
+				kept++
+			}
+		}
+		st.clCnt[b] = int32(kept)
+		far := st.clArg[b]
+		if closest[far] != newIdx {
+			continue
+		}
+		mx, arg := math.Inf(-1), int32(-1)
+		for _, p := range seg[:kept] {
+			fold(&mx, &arg, minDist[p], p)
+		}
+		st.clMax[b], st.clArg[b] = mx, arg
+		if g := st.grpOf[b]; g >= 0 && st.grpArg[g] == far {
+			lostGrp = append(lostGrp, g)
+		}
+	}
+	st.lost, st.lostGrp = lost, lostGrp // keep the grown scratch
 
 	// The new center joins the group of its nearest pivot (lowest index on
-	// ties), and the groups whose clusters were walked are summarised again;
-	// the group joined only gains one cluster.
+	// ties), which only gains one cluster.
 	g := 0
 	for j, s := range st.pivS {
 		if s < st.pivS[g] {
@@ -356,9 +408,10 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 		}
 	}
 	st.grpNext = append(st.grpNext, st.grpHead[g])
+	st.grpOf = append(st.grpOf, int32(g))
 	st.grpHead[g] = int32(newIdx)
 	st.grpReach[g] = math.Max(st.grpReach[g], st.pivS[g])
-	for _, w := range st.walked {
+	for _, w := range lostGrp {
 		mx, arg := math.Inf(-1), int32(-1)
 		for b := st.grpHead[w]; b >= 0; b = st.grpNext[b] {
 			fold(&mx, &arg, st.clMax[b], st.clArg[b])

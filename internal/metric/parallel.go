@@ -106,8 +106,10 @@ func chunkRanges(n, workers, minLen int) [][2]int {
 // chunks, on the calling goroutine plus at most Workers()-1 forked ones. fn
 // receives the chunk ordinal and its half-open index range; chunk 0 always
 // runs on the calling goroutine. fn must not touch state shared across chunks
-// without its own synchronisation. It is exported for consumers (such as the
-// GMM farthest-point scan) that fuse an update and a reduction into one pass.
+// without its own synchronisation. It is exported for consumers that fuse
+// their own per-chunk work and reduce the chunks' partial results in chunk
+// order: the dense GMM round merges a chunk's caches and finds its farthest
+// point in one pass, the pruned one evaluates a chunk of its survivors.
 // Items are assumed cheap (minChunk of them per chunk at least); when each
 // item performs substantial work of its own, use ForEachChunkCost.
 func (e Engine) ForEachChunk(n int, fn func(chunk, lo, hi int)) {
@@ -435,33 +437,6 @@ func (e Engine) RadiusExcluding(sp Space, points Dataset, centers Dataset, z int
 	// The radius with z outliers is the (n-z)-th smallest distance, i.e. we
 	// drop the z largest. Select rather than sort: len(points) can be large.
 	return sp.FromSurrogate(selectInPlace(dists, len(dists)-z-1))
-}
-
-// ArgMax returns the index of the largest value and the value itself,
-// scanning ascending with a strict comparison (lowest index wins ties),
-// chunked across the workers. An empty slice yields (-1, -Inf). It serves the
-// farthest-point scans of the greedy algorithms.
-func (e Engine) ArgMax(v []float64) (int, float64) {
-	if len(v) == 0 {
-		return -1, math.Inf(-1)
-	}
-	if e.Sequential(len(v)) {
-		return argMaxSeq(v, 0, len(v))
-	}
-	nc := e.NumChunks(len(v))
-	idxs := make([]int, nc)
-	vals := make([]float64, nc)
-	e.ForEachChunk(len(v), func(chunk, lo, hi int) {
-		idxs[chunk], vals[chunk] = argMaxSeq(v, lo, hi)
-	})
-	best, bestVal := -1, math.Inf(-1)
-	for c := 0; c < nc; c++ {
-		if vals[c] > bestVal {
-			bestVal = vals[c]
-			best = idxs[c]
-		}
-	}
-	return best, bestVal
 }
 
 // argMaxSeq is the sequential argmax over v[lo:hi] with global indices.

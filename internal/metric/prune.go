@@ -170,7 +170,10 @@ func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) 
 		if !(v >= minPrunable && v <= maxVia) {
 			continue
 		}
-		r := math.Max(reach[i], minPrunable) // NaN stays NaN and fails L > 0
+		r := reach[i] // max(reach, minPrunable) inline: NaN stays NaN and fails L > 0
+		if r < minPrunable {
+			r = minPrunable
+		}
 		if squared {
 			v, r = math.Sqrt(v), math.Sqrt(r)
 		}

@@ -2,11 +2,12 @@
 
 package metric
 
-// AVX fast paths for the Euclidean row kernels. The vector accumulation is
-// bit-identical to the pure-Go kernels by construction: one 256-bit
-// accumulator register per row holds exactly the four lanes (s0, s1, s2, s3)
-// of the canonical SquaredEuclidean order, and VSUBPD/VMULPD/VADDPD are the
-// same IEEE operations applied lane-wise.
+// AVX fast paths for the Euclidean row kernels: four of them, ArgNearest,
+// DistancesTo, DistancesTo by index and the GMM cache update (UpdateNearest).
+// The vector accumulation is bit-identical to the pure-Go kernels by
+// construction: one 256-bit accumulator register per row holds exactly the
+// four lanes (s0, s1, s2, s3) of the canonical SquaredEuclidean order, and
+// VSUBPD/VMULPD/VADDPD are the same IEEE operations applied lane-wise.
 //
 // The kernels are register-blocked: a pass evaluates four rows with four
 // independent accumulators, so each load of p serves four rows and the four
@@ -19,11 +20,24 @@ package metric
 // against the running best in one VCMPPD and resolves a block that can win
 // row by row with the scalar loop's strict comparison, so ties go to the
 // lowest index and +Inf/NaN rows are never chosen, as in the scalar loop. A
-// one-row loop handles len % 4. Only AVX1 instructions are used (the gate
-// below checks AVX1). The kernels require the dimensionality to be a multiple
-// of four (no remainder handling in assembly); other shapes take the pure-Go
-// path. Builds with the purego tag leave the assembly out, so every test runs
-// on the pure-Go order the kernels claim to match.
+// one-row loop handles len % 4.
+//
+// UpdateNearest merges a block's four sums into the caches without leaving
+// the registers: an ordered less-than VCMPPD against minDist, one VBLENDVPD
+// each into minDist and minIdx (a tie or a NaN sum keeps the entry and its
+// index, as the scalar strict < does), and a VMAXPD running max, so the dense
+// GMM round reads and writes each cache once. VMAXPD agrees with the scalar
+// "if v > m { m = v }" lane by lane — it returns the running max whenever the
+// comparison fails, NaN included — and the lanes' order can only matter
+// between equal values of different bits, -0 and +0; a cache never holds -0
+// (or NaN): it starts at +Inf and only ever takes a squared sum s < old. Go
+// merges the len % 4 tail rows.
+//
+// Only AVX1 instructions are used (the gate below checks AVX1). The kernels
+// require the dimensionality to be a multiple of four (no remainder handling
+// in assembly); other shapes take the pure-Go path. Builds with the purego
+// tag leave the assembly out, so every test runs on the pure-Go order the
+// kernels claim to match.
 //
 // Memory contract (same as the Go kernels' q[:len(p)] reslice, but enforced
 // by the caller instead of a bounds check): every point of the set must have
@@ -58,3 +72,13 @@ func distancesToEucAVX(p Point, set []Point, dst []float64)
 //
 //go:noescape
 func distancesToIdxEucAVX(p Point, points []Point, idx []int32, dst []float64) int
+
+// updateNearestEucAVX min-merges SquaredEuclidean(c, block[i]) into minDist[i]
+// (and newIdx into minIdx[i]) wherever it is strictly smaller, for the rows
+// of the whole blocks of four, i < len(block) &^ 3, and returns the maximum
+// of minDist over those rows after the merge (-Inf when there are none).
+// len(c) must be a positive multiple of 4 and len(minDist), len(minIdx) >=
+// len(block).
+//
+//go:noescape
+func updateNearestEucAVX(c Point, block []Point, minDist []float64, minIdx []int, newIdx int) float64

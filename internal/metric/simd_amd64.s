@@ -26,7 +26,7 @@ novx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// The shared pieces of the three kernels. A BLOCK is four rows, whose
+// The shared pieces of the four kernels. A BLOCK is four rows, whose
 // coordinate bases are in R9, R12, R13 and Q3 (a register the kernel names);
 // DI holds p's base, CX len(p) and R10 the coordinate index.
 //
@@ -340,5 +340,78 @@ itail:
 
 iout:
 	MOVQ R8, ret+96(FP)
+	VZEROUPPER
+	RET
+
+// func updateNearestEucAVX(c Point, block []Point, minDist []float64, minIdx []int, newIdx int) float64
+//
+// The GMM cache update over the whole blocks of four rows of the set (the
+// caller merges the len % 4 tail rows): the sums of distancesToEucAVX, then,
+// in registers, minDist[i], minIdx[i] = s, newIdx wherever s < minDist[i]
+// (ordered, quiet: a NaN sum never wins, a tie keeps the entry and its index)
+// and a running maximum of the merged caches, returned (-Inf for no block).
+// Every block is stored back, blended, without a branch: skipping the stores
+// of a block no sum wins measured about 12 % slower on GMM rounds over 2 500
+// and 7 500 points, the branch mispredicting while captures are common.
+// Requires len(c) % 4 == 0, len(c) > 0, and len(minDist), len(minIdx) >=
+// len(block).
+//
+// Register use as in distancesToEucAVX, with DX the number of rows in whole
+// blocks, BX minDist's base and AX minIdx's base; Y9 newIdx in all four
+// lanes, Y10 the lane-wise running max, Y11-Y13 the block's caches, indices
+// and win mask.
+TEXT ·updateNearestEucAVX(SB), NOSPLIT, $0-112
+	MOVQ         c_base+0(FP), DI
+	MOVQ         c_len+8(FP), CX
+	MOVQ         block_base+24(FP), SI
+	MOVQ         block_len+32(FP), DX
+	ANDQ         $-4, DX
+	MOVQ         minDist_base+48(FP), BX
+	MOVQ         minIdx_base+72(FP), AX
+	VBROADCASTSD newIdx+96(FP), Y9
+
+	// max = -Inf in all four lanes, broadcast from the return slot
+	MOVQ         $0xFFF0000000000000, R8
+	MOVQ         R8, ret+104(FP)
+	VBROADCASTSD ret+104(FP), Y10
+	XORQ         R8, R8
+
+	PCALIGN $64               // as in argNearestEucAVX
+ublockloop:
+	CMPQ R8, DX
+	JGE  udone
+	MOVQ (SI), R9
+	MOVQ 24(SI), R12
+	MOVQ 48(SI), R13
+	MOVQ 72(SI), R11
+	ZERO4
+
+ublockdim:
+	DIM4(R11)
+	CMPQ R10, CX
+	JLT  ublockdim
+
+	REDUCE4
+	VMOVUPD   (BX)(R8*8), Y11
+	VCMPPD    $0x11, Y11, Y6, Y13 // lane r: s < minDist (ordered, quiet)
+	VMOVUPD   (AX)(R8*8), Y12
+	VBLENDVPD Y13, Y6, Y11, Y11 // minDist = s where s won
+	VBLENDVPD Y13, Y9, Y12, Y12 // minIdx = newIdx where s won
+	VMOVUPD   Y11, (BX)(R8*8)
+	VMOVUPD   Y12, (AX)(R8*8)
+
+	// max = minDist > max ? minDist : max, lane by lane: VMAXPD returns its
+	// second source whenever the comparison fails, as the scalar keeps m.
+	VMAXPD Y10, Y11, Y10
+	ADDQ   $96, SI
+	ADDQ   $4, R8
+	JMP    ublockloop
+
+udone:
+	VEXTRACTF128 $1, Y10, X11
+	VMAXPD       X11, X10, X10
+	VPERMILPD    $1, X10, X11
+	VMAXSD       X11, X10, X10
+	VMOVSD       X10, ret+104(FP)
 	VZEROUPPER
 	RET

@@ -19,3 +19,7 @@ func distancesToEucAVX(p Point, set []Point, dst []float64) {
 func distancesToIdxEucAVX(p Point, points []Point, idx []int32, dst []float64) int {
 	panic("metric: AVX kernel called on a build without it")
 }
+
+func updateNearestEucAVX(c Point, block []Point, minDist []float64, minIdx []int, newIdx int) float64 {
+	panic("metric: AVX kernel called on a build without it")
+}

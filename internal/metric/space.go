@@ -368,26 +368,19 @@ func (euclideanSpace) ArgNearest(p Point, set Dataset) (float64, int) {
 }
 
 func (euclideanSpace) UpdateNearest(minDist []float64, minIdx []int, c Point, newIdx int, block Dataset) float64 {
-	if haveAVXKernels && len(c) >= 4 && len(c)%4 == 0 && len(block) > 0 {
-		// Batch through the vector kernel in stack-sized runs: same values
-		// as the scalar path (the kernel is bit-identical), zero heap
-		// allocations.
-		var buf [256]float64
-		m := math.Inf(-1)
-		for start := 0; start < len(block); start += len(buf) {
-			end := start + len(buf)
-			if end > len(block) {
-				end = len(block)
+	if haveAVXKernels && len(c) >= 4 && len(c)%4 == 0 && len(block) >= 4 {
+		// The kernel merges the whole blocks of four in registers (the
+		// reslices are the bounds checks it does not make); the tail rows
+		// take the scalar merge, in order after them.
+		minDist, minIdx = minDist[:len(block)], minIdx[:len(block)]
+		m := updateNearestEucAVX(c, block, minDist, minIdx, newIdx)
+		for i := len(block) &^ 3; i < len(block); i++ {
+			if s := SquaredEuclidean(c, block[i]); s < minDist[i] {
+				minDist[i] = s
+				minIdx[i] = newIdx
 			}
-			distancesToEucAVX(c, block[start:end], buf[:end-start])
-			for i := start; i < end; i++ {
-				if s := buf[i-start]; s < minDist[i] {
-					minDist[i] = s
-					minIdx[i] = newIdx
-				}
-				if minDist[i] > m {
-					m = minDist[i]
-				}
+			if minDist[i] > m {
+				m = minDist[i]
 			}
 		}
 		return m

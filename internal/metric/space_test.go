@@ -1,8 +1,11 @@
 package metric
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -381,9 +384,11 @@ func kernelParitySets(rng *rand.Rand, q Point, n int) []Dataset {
 // TestAVXKernelsMatchPureGo pins the assembly fast paths against the pure-Go
 // kernels bit for bit, across the dimensionalities the gate accepts, every
 // set length 0-13 (whole blocks of four and every tail) and 301, and the
-// shapes of kernelParitySets. The indexed kernel runs on the same sets with
-// shuffled, repeated indices. On builds without AVX the test is skipped (the
-// pure-Go path is the only one).
+// shapes of kernelParitySets plus rows at +-2^500 and rows whose differences
+// are subnormal. The indexed kernel runs on the same sets with shuffled,
+// repeated indices, and the cache update on every cacheFixtures prefill with
+// prefilled indices. On builds without AVX the test is skipped (the pure-Go
+// path is the only one).
 func TestAVXKernelsMatchPureGo(t *testing.T) {
 	if !haveAVXKernels {
 		t.Skip("no AVX kernels on this machine")
@@ -393,7 +398,17 @@ func TestAVXKernelsMatchPureGo(t *testing.T) {
 	for _, dim := range []int{4, 8, 16, 32} {
 		for _, n := range lengths {
 			q := randPoint(rng, dim)
-			for si, set := range kernelParitySets(rng, q, n) {
+			sets := kernelParitySets(rng, q, n)
+			centres := slices.Repeat([]Point{q}, len(sets))
+			paritySets := len(sets)
+			// Rows at +-2^500, and rows whose differences are subnormal,
+			// each against a centre of their own magnitude.
+			for _, exp := range []int{500, -520} {
+				rows := extremeRows(rng, dim, n+1, exp)
+				centres, sets = append(centres, rows[n]), append(sets, rows[:n])
+			}
+			for si, set := range sets {
+				q := centres[si]
 				s, idx := argNearestEucAVX(q, set)
 				wantS, wantIdx := scalarArgNearest(q, set)
 				if math.Float64bits(s) != math.Float64bits(wantS) || idx != wantIdx {
@@ -406,6 +421,20 @@ func TestAVXKernelsMatchPureGo(t *testing.T) {
 					if want := SquaredEuclidean(q, p); math.Float64bits(dst[i]) != math.Float64bits(want) {
 						t.Fatalf("dim=%d n=%d set %d: distancesToEucAVX[%d] = %v, want %v", dim, n, si, i, dst[i], want)
 					}
+				}
+
+				// The cache update, against every cache fixture (of the long
+				// length's kernelParitySets, the first 60 only: the rest add
+				// nothing new).
+				for fi, fx := range cacheFixtures {
+					if si >= 60 && si < paritySets {
+						continue
+					}
+					minDist, minIdx := make([]float64, n), make([]int, n)
+					for i, p := range set {
+						minDist[i], minIdx[i] = fx(rng, SquaredEuclidean(q, p)), rng.Intn(2*n+1)-n
+					}
+					checkUpdateNearestKernel(t, fmt.Sprintf("dim=%d n=%d set %d caches %d", dim, n, si, fi), q, set, minDist, minIdx, 7)
 				}
 
 				if n == 0 {
@@ -436,6 +465,160 @@ func TestAVXKernelsMatchPureGo(t *testing.T) {
 	if s, idx := argNearestEucAVX(q, far); !math.IsInf(s, 1) || idx != -1 {
 		t.Fatalf("all rows +Inf: argNearestEucAVX = (%v,%d), want (+Inf,-1)", s, idx)
 	}
+}
+
+// extremeRows returns n rows whose coordinates are +-2^exp with random signs
+// and small random offsets in units of 2^(exp-4): at exp = 500 (the admission
+// bound) the sums come near 2^1007, at exp = -520 the differences' squares
+// are subnormal or underflow to zero.
+func extremeRows(rng *rand.Rand, dim, n, exp int) Dataset {
+	set := make(Dataset, n)
+	for i := range set {
+		p := make(Point, dim)
+		for j := range p {
+			p[j] = math.Ldexp(float64(16*(2*rng.Intn(2)-1)+rng.Intn(3)-1), exp-4)
+		}
+		set[i] = p
+	}
+	return set
+}
+
+// cacheFixtures prefill one cache entry from the surrogate s the update is
+// about to compute for it: a fresh +Inf, an exact tie (the entry and its
+// index must stay), a neighbour one ulp either side, zero, the smallest
+// subnormal, a random share of s, and NaN (never produced by the library,
+// which only ever stores a computed s < old, but the strict comparisons
+// still agree on it). Every fixture mixes them except the first two.
+var cacheFixtures = []func(rng *rand.Rand, s float64) float64{
+	func(*rand.Rand, float64) float64 { return math.Inf(1) },
+	func(_ *rand.Rand, s float64) float64 { return s },
+	func(rng *rand.Rand, s float64) float64 { return cacheValue(rng.Intn(256), s) },
+}
+
+// cacheValue maps a selector to one of the cache values cacheFixtures
+// describes.
+func cacheValue(sel int, s float64) float64 {
+	switch sel % 9 {
+	case 0:
+		return math.Inf(1)
+	case 1, 2:
+		return s
+	case 3:
+		return math.Nextafter(s, math.Inf(-1))
+	case 4:
+		return math.Nextafter(s, math.Inf(1))
+	case 5:
+		return 0
+	case 6:
+		return math.SmallestNonzeroFloat64
+	case 7:
+		return s * float64(sel/9) / 28
+	default:
+		return math.NaN()
+	}
+}
+
+// scalarUpdateNearest is the pure-Go merge the kernel claims to match.
+func scalarUpdateNearest(minDist []float64, minIdx []int, c Point, newIdx int, block Dataset) float64 {
+	m := math.Inf(-1)
+	for i, q := range block {
+		if s := SquaredEuclidean(c, q); s < minDist[i] {
+			minDist[i], minIdx[i] = s, newIdx
+		}
+		if minDist[i] > m {
+			m = minDist[i]
+		}
+	}
+	return m
+}
+
+// checkUpdateNearestKernel runs updateNearestEucAVX and the scalar merge on
+// copies of the same caches and requires the same bits: every cache entry,
+// every index, the returned max, and the tail rows (len % 4) left untouched
+// by the kernel. EuclideanSpace.UpdateNearest, kernel plus Go tail, must then
+// match the scalar merge over the whole block.
+func checkUpdateNearestKernel(t *testing.T, label string, c Point, block Dataset, minDist []float64, minIdx []int, newIdx int) {
+	t.Helper()
+	whole := len(block) &^ 3
+	wantD, wantI := slices.Clone(minDist), slices.Clone(minIdx)
+	wantM := scalarUpdateNearest(wantD[:whole], wantI[:whole], c, newIdx, block[:whole])
+	gotD, gotI := slices.Clone(minDist), slices.Clone(minIdx)
+	gotM := updateNearestEucAVX(c, block, gotD, gotI, newIdx)
+	copy(wantD[whole:], minDist[whole:])
+	copy(wantI[whole:], minIdx[whole:])
+	requireSameCaches(t, label+": updateNearestEucAVX", gotD, gotI, gotM, wantD, wantI, wantM)
+
+	wantD, wantI = slices.Clone(minDist), slices.Clone(minIdx)
+	wantM = scalarUpdateNearest(wantD, wantI, c, newIdx, block)
+	gotD, gotI = slices.Clone(minDist), slices.Clone(minIdx)
+	gotM = EuclideanSpace.UpdateNearest(gotD, gotI, c, newIdx, block)
+	requireSameCaches(t, label+": UpdateNearest", gotD, gotI, gotM, wantD, wantI, wantM)
+}
+
+func requireSameCaches(t *testing.T, label string, gotD []float64, gotI []int, gotM float64, wantD []float64, wantI []int, wantM float64) {
+	t.Helper()
+	if math.Float64bits(gotM) != math.Float64bits(wantM) {
+		t.Fatalf("%s: max = %v, want %v", label, gotM, wantM)
+	}
+	for i := range wantD {
+		if math.Float64bits(gotD[i]) != math.Float64bits(wantD[i]) || gotI[i] != wantI[i] {
+			t.Fatalf("%s: row %d = (%v,%d), want (%v,%d)", label, i, gotD[i], gotI[i], wantD[i], wantI[i])
+		}
+	}
+}
+
+// FuzzUpdateNearestKernel drives updateNearestEucAVX with byte-derived
+// blocks and caches. The first byte picks the dimensionality (4 to 16) and
+// the centre's coordinates come next; then every row takes its coordinates,
+// a cache selector (see cacheValue: ties, +Inf, ulp neighbours, zero,
+// subnormal, NaN) and a prefilled index. A coordinate byte below 40 picks a
+// special value (+-2^500, +-2^600, subnormals, zeros), any other a small
+// integer in quarters, so exact ties and duplicate rows are common.
+func FuzzUpdateNearestKernel(f *testing.F) {
+	if !haveAVXKernels {
+		f.Skip("no AVX kernels on this machine")
+	}
+	f.Add([]byte{0, 50, 60, 70, 80, 50, 60, 70, 80, 1, 2, 90, 90, 90, 90, 0, 3})
+	f.Add([]byte{1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39})
+	f.Add(bytes.Repeat([]byte{2, 200, 41, 7, 0}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		dim := 4 * (1 + int(data[0])%4)
+		data = data[1:]
+		coord := func(b byte) float64 {
+			if b >= 40 {
+				return float64(int(b)-148) / 4
+			}
+			v := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 0x1p-520, 0x1p500, 0x1p600, 1, 0x1p-1022}[b%8]
+			if b&8 != 0 {
+				v = -v
+			}
+			return v
+		}
+		if len(data) < dim {
+			return
+		}
+		c := make(Point, dim)
+		for j := range c {
+			c[j] = coord(data[j])
+		}
+		data = data[dim:]
+		var block Dataset
+		var minDist []float64
+		var minIdx []int
+		for ; len(data) >= dim+2; data = data[dim+2:] {
+			p := make(Point, dim)
+			for j := range p {
+				p[j] = coord(data[j])
+			}
+			block = append(block, p)
+			minDist = append(minDist, cacheValue(int(data[dim]), SquaredEuclidean(c, p)))
+			minIdx = append(minIdx, int(data[dim+1])-128)
+		}
+		checkUpdateNearestKernel(t, fmt.Sprintf("dim=%d n=%d", dim, len(block)), c, block, minDist, minIdx, 9)
+	})
 }
 
 // TestIndexedKernelStopsAtBadIndex: the indexed kernel checks every index

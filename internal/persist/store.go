@@ -65,6 +65,9 @@ type Store struct {
 	// each sync of the root, in order: op is "mkdir", "rename" or "syncdir",
 	// path the directory made, renamed to or synced. Tests replace the no-op.
 	dirOpHook func(op, path string)
+	// dirSync fsyncs a directory of the store (syncDir); tests replace it to
+	// fail one sync.
+	dirSync func(dir string) error
 }
 
 // Open creates (if needed) the root directory, sweeps leftovers of
@@ -105,7 +108,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			}
 		}
 	}
-	s := &Store{dir: dir, opts: opts.withDefaults(), logs: make(map[string]*Log), dirOpHook: func(string, string) {}}
+	s := &Store{dir: dir, opts: opts.withDefaults(), logs: make(map[string]*Log), dirOpHook: func(string, string) {}, dirSync: syncDir}
 	if s.opts.Fsync != FsyncNever {
 		// One syncer goroutine (syncer.go) serves both syncing modes. The
 		// queue's buffer lets appenders enqueue without waiting for the cycle
@@ -190,6 +193,7 @@ func (s *Store) Create(name string, meta Meta) (*Log, error) {
 	}
 	l := &Log{store: s, name: name, dir: dir, meta: meta}
 	if err := l.resetWAL(1); err != nil {
+		l.abandon()
 		os.RemoveAll(dir)
 		return nil, err
 	}
@@ -229,6 +233,7 @@ func (s *Store) Replace(name string, meta Meta, snapshot []byte) (*Log, error) {
 		return nil, err
 	}
 	if err := l.resetWAL(1); err != nil {
+		l.abandon()
 		return nil, err
 	}
 	if err := s.register(l); err != nil {
@@ -294,8 +299,11 @@ func (l *Log) resetWAL(seq uint64) error {
 }
 
 // swapWAL atomically replaces the WAL file with the given image (a complete
-// file: header plus records) and adopts its descriptor and counters. Callers
-// hold l.mu or have exclusive access.
+// file: header plus records) and adopts its descriptor and counters. Once
+// the rename is done the new file is the log whatever else fails, so a
+// failed sync of the stream directory after it is returned with the new
+// descriptor adopted and the log poisoned. Callers hold l.mu or have
+// exclusive access.
 func (l *Log) swapWAL(img []byte, records, since int) error {
 	// Write the replacement under a temp name and keep ITS file descriptor:
 	// the fd follows the inode through the rename, so there is no window in
@@ -325,12 +333,6 @@ func (l *Log) swapWAL(img []byte, records, since int) error {
 		os.Remove(tmp)
 		return fmt.Errorf("persist: %w", err)
 	}
-	if sync {
-		// A dir-sync failure after the rename is tolerable: a crash may then
-		// resurrect the OLD log, whose records the snapshot's sequence
-		// number already covers, so replay skips them.
-		syncDir(l.dir)
-	}
 	l.syncMu.Lock()
 	if l.f != nil {
 		l.f.Close()
@@ -341,8 +343,32 @@ func (l *Log) swapWAL(img []byte, records, since int) error {
 	l.records = records
 	l.since = since
 	l.failed = nil
+	if sync {
+		// Until the stream directory is synced the rename may not survive a
+		// power loss, and every record appended after it lives only in the
+		// new inode: under Create, Replace, recovery's recreateWAL and
+		// AdoptMeta the rename is what makes the WAL exist at all, and after
+		// a compaction the batches acked next would be lost with it. The
+		// caller fails; a compacted log stays poisoned, as after a failed
+		// commit fsync.
+		if err := l.store.dirSync(l.dir); err != nil {
+			l.failed = fmt.Errorf("syncing the stream directory after a WAL swap: %w", err)
+		}
+	}
 	l.publishStatsLocked()
+	if l.failed != nil {
+		return fmt.Errorf("persist: %w", l.failed)
+	}
 	return nil
+}
+
+// abandon closes the descriptor of a handle that failed before it was handed
+// out.
+func (l *Log) abandon() {
+	if l.f != nil {
+		l.f.Close()
+		l.f = nil
+	}
 }
 
 // begin frames and writes one record and starts its durability; the write
@@ -862,6 +888,7 @@ func (s *Store) recoverDir(entry string) *Recovered {
 		// the metadata only lives in the snapshot, the daemon re-derives it
 		// from the sketch and calls AdoptMeta.
 		if err := l.recreateWAL(); err != nil {
+			l.abandon()
 			rec.Err = err
 			return rec
 		}
@@ -969,7 +996,7 @@ func (s *Store) syncRoot() error {
 	if s.opts.Fsync == FsyncNever {
 		return nil
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := s.dirSync(s.dir); err != nil {
 		return fmt.Errorf("persist: syncing the store root: %w", err)
 	}
 	s.dirOpHook("syncdir", s.dir)
