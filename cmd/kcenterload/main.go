@@ -28,6 +28,11 @@
 // breakdown (batches, points and p50/p95/p99 per address), so a slow or
 // overloaded backend is visible immediately instead of hiding inside the
 // aggregate percentiles.
+//
+// The report is always printed. The exit status is then non-zero if any batch
+// errored (a transport failure or a status other than 200, or 400 for a
+// windowed batch behind the stream clock) or if no batch was acknowledged, and
+// 0 otherwise; a writer stops at its first error.
 package main
 
 import (
@@ -451,10 +456,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				tr.LatencyMsP50, tr.LatencyMsP95, tr.LatencyMsP99)
 		}
 	}
-	if rep.Batches == 0 {
-		if rep.FirstError != "" {
-			return fmt.Errorf("no batch was acknowledged: %s", rep.FirstError)
-		}
+	switch {
+	case rep.Errors > 0:
+		return fmt.Errorf("%d batches errored, the first with: %s", rep.Errors, rep.FirstError)
+	case rep.Batches == 0:
 		return errors.New("no batch was acknowledged")
 	}
 	return nil

@@ -158,16 +158,31 @@ func TestLoadFlagValidation(t *testing.T) {
 	}
 }
 
+// TestLoadReportsServerError: a run that saw a batch error fails, after
+// printing its report, whether no batch was acked (every one answered 500) or
+// some were (one in five).
 func TestLoadReportsServerError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"boom","code":"internal"}`, http.StatusInternalServerError)
-	}))
-	t.Cleanup(srv.Close)
-	addr := strings.TrimPrefix(srv.URL, "http://")
-	var out bytes.Buffer
-	err := run(context.Background(), []string{"-addr", addr, "-batches", "3", "-concurrency", "1"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "status 500") {
-		t.Fatalf("run against a 500-ing server returned %v, want status-500 error", err)
+	for _, every := range []int64{1, 5} {
+		var seen atomic.Int64
+		fake := &fakeDaemon{}
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if seen.Add(1)%every == 0 {
+				http.Error(w, `{"error":"boom","code":"internal"}`, http.StatusInternalServerError)
+				return
+			}
+			fake.handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(srv.Close)
+		addr := strings.TrimPrefix(srv.URL, "http://")
+		var out bytes.Buffer
+		err := run(context.Background(), []string{"-addr", addr, "-batches", "20", "-concurrency", "2", "-json"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "status 500") {
+			t.Fatalf("500 in every %d batches: run returned %v, want a status-500 error", every, err)
+		}
+		var rep report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil || rep.Errors == 0 || (rep.Batches > 0) != (every > 1) {
+			t.Errorf("500 in every %d batches: report %+v (%v)", every, rep, err)
+		}
 	}
 }
 

@@ -363,9 +363,9 @@
 // Profiling (net/http/pprof, expvar) and the trace surface are opt-in on a
 // separate -debug-addr listener so they never ride the ingest port. CI
 // keeps instrumentation honest: a smoke job boots a daemon, fails on
-// missing series, and walks a traced request end to end, and BENCH_obs.json
-// gates both the metrics-instrumented and tracer-instrumented ingest paths
-// within 5% of stripped builds. See the README's Observability and Tracing
+// missing series, and walks a traced request end to end, and the
+// BenchmarkGateIngestMetrics/Tracing gates hold the metrics-instrumented and
+// tracer-instrumented ingest paths within 5% of stripped builds. See the README's Observability and Tracing
 // sections for the metric name table and operational details.
 //
 // The cmd/ directory provides a clustering CLI, a dataset generator, and a

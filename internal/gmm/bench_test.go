@@ -2,9 +2,11 @@ package gmm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"coresetclustering/internal/benchgate"
 	"coresetclustering/internal/metric"
 )
 
@@ -39,43 +41,101 @@ func benchBlobs(n int, seed int64) metric.Dataset {
 	return ds
 }
 
-// BenchmarkGMM times Runner.RunToSize against the textbook loop of
-// reference_test.go in the same binary, at the three shapes the repository
-// runs GMM at — a round-1 partition grown to a coreset, the round-2 union, a
-// streaming/window extraction — on blobs (structure to prune) and on uniform
-// points (none: the probe must keep the run dense, at dense speed). Both
-// sides run sequentially so the ratio is about work, not scheduling. The CI
-// gate reads the impl/ref pairs.
-func BenchmarkGMM(b *testing.B) {
-	shapes := []struct {
-		n, size int
-		label   string
-	}{{2500, 800, "tau"}, {19200, 100, "k"}, {320, 20, "k"}}
+type gmmShape struct {
+	n, size int
+	label   string
+}
+
+// forEachGMMRow calls f for every row of the GMM benchmarks: the three shapes
+// the repository runs GMM at (a round-1 partition grown to a coreset, the
+// round-2 union, a streaming/window extraction) on blobs (structure to prune)
+// and on uniform points (none).
+func forEachGMMRow(f func(name string, sh gmmShape, points metric.Dataset)) {
 	for _, data := range []string{"blobs", "uniform"} {
-		for _, sh := range shapes {
+		for _, sh := range []gmmShape{{2500, 800, "tau"}, {19200, 100, "k"}, {320, 20, "k"}} {
 			points := uniformFixture(sh.n, 16, int64(sh.n))
 			if data == "blobs" {
 				points = benchBlobs(sh.n, int64(sh.n))
 			}
-			name := fmt.Sprintf("%s/n=%d,%s=%d", data, sh.n, sh.label, sh.size)
-			b.Run(name+"/impl", func(b *testing.B) {
-				r := Runner{Space: metric.EuclideanSpace, Workers: 1}
-				var evals int64
-				for b.Loop() {
-					res, err := r.RunToSize(points, sh.size, sh.size, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					evals = res.Evaluations
-				}
-				b.ReportMetric(float64(evals), "evals/op")
-			})
-			b.Run(name+"/ref", func(b *testing.B) {
-				for b.Loop() {
-					referenceToSize(metric.EuclideanSpace, points, sh.size, sh.size, 0)
-				}
-				b.ReportMetric(float64(sh.n*sh.size), "evals/op")
-			})
+			f(fmt.Sprintf("%s/n=%d,%s=%d", data, sh.n, sh.label, sh.size), sh, points)
 		}
 	}
+}
+
+// BenchmarkGMM times Runner.RunToSize against the textbook loop of
+// reference_test.go in the same binary at every row, for the perf trajectory;
+// BenchmarkGateGMM gates the ratio. Both sides run sequentially so the ratio
+// is about work, not scheduling.
+func BenchmarkGMM(b *testing.B) {
+	forEachGMMRow(func(name string, sh gmmShape, points metric.Dataset) {
+		b.Run(name+"/impl", func(b *testing.B) {
+			r := Runner{Space: metric.EuclideanSpace, Workers: 1}
+			var evals int64
+			for b.Loop() {
+				res, err := r.RunToSize(points, sh.size, sh.size, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evals = res.Evaluations
+			}
+			b.ReportMetric(float64(evals), "evals/op")
+		})
+		b.Run(name+"/ref", func(b *testing.B) {
+			for b.Loop() {
+				referenceToSize(metric.EuclideanSpace, points, sh.size, sh.size, 0)
+			}
+			b.ReportMetric(float64(sh.n*sh.size), "evals/op")
+		})
+	})
+}
+
+// TestGMMEvaluationCounts pins the work claim on exact counts: the
+// evaluations RunToSize spends at every row, for one worker and for four. The
+// textbook loop spends n*size; on uniform points the pruned path may exceed
+// that only by its probes' cost. A count that rises is a regression whatever
+// the timings say.
+func TestGMMEvaluationCounts(t *testing.T) {
+	want := map[string]int64{
+		"blobs/n=2500,tau=800": 232395, "blobs/n=19200,k=100": 699902, "blobs/n=320,k=20": 6400,
+		"uniform/n=2500,tau=800": 2001575, "uniform/n=19200,k=100": 1920152, "uniform/n=320,k=20": 6400,
+	}
+	forEachGMMRow(func(name string, sh gmmShape, points metric.Dataset) {
+		for _, workers := range []int{1, 4} {
+			res, err := Runner{Space: metric.EuclideanSpace, Workers: workers}.RunToSize(points, sh.size, sh.size, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Evaluations != want[name] {
+				t.Errorf("%s, %d workers: %d evaluations, want %d", name, workers, res.Evaluations, want[name])
+			}
+		}
+	})
+}
+
+// BenchmarkGateGMM is the exact-pruning gate (protocol in internal/benchgate):
+// on blobs at the round-1 shape the pruned phase must pay, at least 2.5x the
+// textbook loop; on uniform points and at the extraction shape there is
+// nothing to prune or too few rounds to win it back, and the probe must keep
+// the run dense at dense speed, at most 1.05x slower. The round-2 union on
+// blobs has no bound. Both sides run one worker.
+func BenchmarkGateGMM(b *testing.B) {
+	forEachGMMRow(func(name string, sh gmmShape, points metric.Dataset) {
+		if name == "blobs/n=19200,k=100" {
+			return
+		}
+		b.Run(name, func(b *testing.B) {
+			r := Runner{Space: metric.EuclideanSpace, Workers: 1}
+			impl := func() {
+				if _, err := r.RunToSize(points, sh.size, sh.size, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ref := func() { referenceToSize(metric.EuclideanSpace, points, sh.size, sh.size, 0) }
+			if name == "blobs/n=2500,tau=800" {
+				benchgate.MedianRatio(b, "ref/impl", 2.5, math.Inf(1), ref, impl)
+			} else {
+				benchgate.MedianRatio(b, "impl/ref", 0, 1.05, impl, ref)
+			}
+		})
+	})
 }

@@ -30,6 +30,14 @@ var ErrEmptyInput = errors.New("gmm: empty input dataset")
 // ErrInvalidK is returned when k is not positive.
 var ErrInvalidK = errors.New("gmm: k must be positive")
 
+// ErrNonFiniteDistance is returned when a selected center is left at +Inf or
+// NaN from the centers, itself included: the space answered a non-finite
+// d(c, c), where 0 is due, and the farthest point would be a center again. No
+// built-in space does that on the admitted domain (|c| <= 2^500). A point that
+// only overflows against the others (+Inf to them, 0 to itself) is still the
+// farthest point, and the run goes on.
+var ErrNonFiniteDistance = errors.New("gmm: a center is at a non-finite distance from the centers, itself included")
+
 // Result describes the outcome of a GMM run.
 type Result struct {
 	// Centers are the selected centers, in selection order (the first center
@@ -97,6 +105,9 @@ func (r Runner) Run(points metric.Dataset, k int, seedIndex int) (*Result, error
 			break
 		}
 	}
+	if st.err != nil {
+		return nil, st.err
+	}
 	return st.result(k), nil
 }
 
@@ -141,6 +152,9 @@ func (r Runner) RunIncremental(points metric.Dataset, minCenters int, stopFracti
 			break
 		}
 	}
+	if st.err != nil {
+		return nil, st.err
+	}
 	res := st.result(minCenters)
 	res.RadiusAtK = radiusAtMin
 	return res, nil
@@ -180,6 +194,9 @@ func (r Runner) RunToSize(points metric.Dataset, targetSize, refCenters, seedInd
 			break
 		}
 	}
+	if st.err != nil {
+		return nil, st.err
+	}
 	if math.IsNaN(radiusAtRef) {
 		radiusAtRef = st.currentRadius()
 	}
@@ -215,6 +232,7 @@ type state struct {
 	isCenter []bool    // isCenter[i] = points[i] was selected
 	cursor   int       // every point before cursor is a center (firstNonCenter)
 	evals    int64     // surrogate evaluations performed so far
+	err      error     // ErrNonFiniteDistance once a center's own cache is +Inf or NaN
 
 	// The farthest point after the last update, lowest index on ties, and
 	// its surrogate: both phases leave it here, so no round scans the caches
@@ -247,7 +265,8 @@ func newState(r Runner, points metric.Dataset, seedIndex int) *state {
 }
 
 // add makes points[idx] the next center: it min-merges the caches against it
-// — in the phase the state is in — and records the new TRUE radius.
+// — in the phase the state is in — and records the new TRUE radius. A center
+// its own update leaves at +Inf or NaN sets st.err, which ends the run.
 func (st *state) add(idx int) {
 	c := st.points[idx]
 	newIdx := len(st.centers)
@@ -256,6 +275,9 @@ func (st *state) add(idx int) {
 		m = st.updatePruned(c, newIdx)
 	} else {
 		m = st.updateCaches(c, newIdx)
+	}
+	if v := st.minDist[idx]; math.IsInf(v, 1) || math.IsNaN(v) {
+		st.err = ErrNonFiniteDistance
 	}
 	st.centers = append(st.centers, idx)
 	st.isCenter[idx] = true
@@ -303,10 +325,10 @@ func (st *state) currentRadius() float64 { return st.radii[len(st.radii)-1] }
 
 // addFarthest selects the point farthest from the current center set as the
 // next center and updates the cached distances. It returns false when every
-// point is already a center (radius 0 with all points covered exactly), in
-// which case no new center is added.
+// point is already a center (radius 0 with all points covered exactly) or a
+// round has failed (st.err), in which case no new center is added.
 func (st *state) addFarthest() bool {
-	if len(st.centers) >= len(st.points) {
+	if st.err != nil || len(st.centers) >= len(st.points) {
 		return false
 	}
 	// The farthest point, lowest index on ties: the last update left it

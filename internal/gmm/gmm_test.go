@@ -1,6 +1,7 @@
 package gmm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -71,6 +72,29 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := (Runner{}).RunToSize(ds, 1, 1, 7); err == nil {
 		t.Error("RunToSize: out-of-range seed accepted")
+	}
+}
+
+// TestRunNonFiniteDistance: a space that answers +Inf or NaN for every pair,
+// d(x, x) included, leaves every cache at +Inf, so the farthest point would be
+// a center again; each entry point must say so instead of repeating the seed
+// at radius +Inf, whichever point seeds the run.
+func TestRunNonFiniteDistance(t *testing.T) {
+	ds := metric.Dataset{{0}, {1}, {2}, {3}}
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		r := Runner{Space: metric.SpaceFromDistance("nonfinite", func(a, b metric.Point) float64 { return v })}
+		for _, seed := range []int{0, 2} {
+			for name, run := range map[string]func() (*Result, error){
+				"Run":            func() (*Result, error) { return r.Run(ds, 3, seed) },
+				"Run(k=1)":       func() (*Result, error) { return r.Run(ds, 1, seed) },
+				"RunIncremental": func() (*Result, error) { return r.RunIncremental(ds, 2, 0.5, 0, seed) },
+				"RunToSize":      func() (*Result, error) { return r.RunToSize(ds, 3, 2, seed) },
+			} {
+				if res, err := run(); !errors.Is(err, ErrNonFiniteDistance) {
+					t.Errorf("%s with d = %v, seed %d: got %+v, %v; want ErrNonFiniteDistance", name, v, seed, res, err)
+				}
+			}
+		}
 	}
 }
 

@@ -26,9 +26,11 @@ import (
 // Determinism: every surrogate here is computed by exactly the floating-point
 // operations that prefix the true distance (e.g. the squared-Euclidean sum is
 // the pre-Sqrt value of Euclidean), and FromSurrogate applies the exact
-// remaining operation. Because Sqrt/Acos are correctly rounded and monotone
-// non-decreasing, max- and order-statistic reductions commute with the
-// conversion bit for bit: FromSurrogate(max(s_i)) == max(FromSurrogate(s_i)).
+// remaining operation. Max- and order-statistic reductions commute with the
+// conversion bit for bit, FromSurrogate(max(s_i)) == max(FromSurrogate(s_i)),
+// because FromSurrogate is monotone non-decreasing in s. Nothing else is
+// needed: not correct rounding, which math.Sqrt has and math.Acos (behind the
+// angular surrogate) does not.
 // Argmin/argmax INDICES agree with the true-domain scan except in the
 // measure-zero case where two distinct surrogates round to the same true
 // distance; the golden and cross-path equivalence tests pin the behaviour on

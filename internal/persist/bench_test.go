@@ -2,11 +2,30 @@ package persist
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"coresetclustering/internal/benchgate"
 )
+
+// benchLog opens a store with compaction off under opts in a temporary
+// directory, closed when b ends, and creates one stream in it.
+func benchLog(b *testing.B, opts Options) *Log {
+	opts.CompactEvery = -1
+	s, err := Open(b.TempDir(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return l
+}
 
 // BenchmarkPersistAppend measures WAL append throughput (64-point batches of
 // dimension 8) under each fsync mode. FsyncAlways is bound by the device;
@@ -15,15 +34,7 @@ func BenchmarkPersistAppend(b *testing.B) {
 	batch := testBatch(64, 8, 1)
 	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
 		b.Run(mode.String(), func(b *testing.B) {
-			s, err := Open(b.TempDir(), Options{Fsync: mode, CompactEvery: -1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
-			if err != nil {
-				b.Fatal(err)
-			}
+			l := benchLog(b, Options{Fsync: mode})
 			b.SetBytes(int64(64 * 8 * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -36,58 +47,68 @@ func BenchmarkPersistAppend(b *testing.B) {
 }
 
 // BenchmarkIngestWALAppend measures concurrent append throughput under each
-// fsync mode, plus one reference: fsync=always/serialised takes a
-// benchmark-local mutex around every AppendBatch, so each append waits for its
-// own fsync — the per-batch-fsync baseline, built without product code. The
-// CI ingest gate holds fsync=always to at least 5x that reference, because
-// coalescing concurrent callers into shared fsyncs is the whole win. 64
-// concurrent appenders (per GOMAXPROCS) model a loaded daemon's parallel
-// ingest handlers. Under FsyncAlways each run also reports how many appends
-// one fsync covered on average (appends/fsync, from GroupCommitDone).
+// fsync mode: 64 concurrent appenders (per GOMAXPROCS) model a loaded daemon's
+// parallel ingest handlers. Under FsyncAlways each run also reports how many
+// appends one fsync covered on average (appends/fsync, from GroupCommitDone);
+// BenchmarkGateGroupCommit gates what that coalescing buys.
 func BenchmarkIngestWALAppend(b *testing.B) {
 	batch := testBatch(16, 8, 1)
-	run := func(b *testing.B, mode FsyncMode, serialise bool) {
-		var groups, grouped atomic.Int64
-		s, err := Open(b.TempDir(), Options{Fsync: mode, CompactEvery: -1, Hooks: Hooks{
-			GroupCommitDone: func(n int, _ time.Duration) {
-				groups.Add(1)
-				grouped.Add(int64(n))
-			},
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mu sync.Mutex
-		b.SetBytes(int64(16 * 8 * 8))
-		b.SetParallelism(64)
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if serialise {
-					mu.Lock()
+	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
+		b.Run("fsync="+mode.String(), func(b *testing.B) {
+			var groups, grouped atomic.Int64
+			l := benchLog(b, Options{Fsync: mode, Hooks: Hooks{
+				GroupCommitDone: func(n int, _ time.Duration) {
+					groups.Add(1)
+					grouped.Add(int64(n))
+				},
+			}})
+			b.SetBytes(int64(16 * 8 * 8))
+			b.SetParallelism(64)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					if err := l.AppendBatch(batch, nil); err != nil {
+						b.Error(err)
+						return
+					}
 				}
-				err := l.AppendBatch(batch, nil)
-				if serialise {
-					mu.Unlock()
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
+			})
+			if g := groups.Load(); g > 0 {
+				b.ReportMetric(float64(grouped.Load())/float64(g), "appends/fsync")
 			}
 		})
-		if g := groups.Load(); g > 0 {
-			b.ReportMetric(float64(grouped.Load())/float64(g), "appends/fsync")
+	}
+}
+
+// BenchmarkGateGroupCommit is the group-commit gate (protocol in
+// internal/benchgate): a burst of 64 concurrent appends under fsync=always
+// must finish at least 5x sooner than the same burst serialised behind a
+// benchmark-local mutex, where each append waits for its own fsync, because
+// coalescing concurrent callers into shared fsyncs is the whole win.
+func BenchmarkGateGroupCommit(b *testing.B) {
+	l := benchLog(b, Options{Fsync: FsyncAlways})
+	batch := testBatch(16, 8, 1)
+	burst := func(serialise bool) func() {
+		var mu sync.Mutex
+		return func() {
+			var wg sync.WaitGroup
+			for range 64 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if serialise {
+						mu.Lock()
+						defer mu.Unlock()
+					}
+					if err := l.AppendBatch(batch, nil); err != nil {
+						b.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
 		}
 	}
-	for _, mode := range []FsyncMode{FsyncNever, FsyncInterval, FsyncAlways} {
-		b.Run("fsync="+mode.String(), func(b *testing.B) { run(b, mode, false) })
-	}
-	b.Run("fsync=always/serialised", func(b *testing.B) { run(b, FsyncAlways, true) })
+	benchgate.MedianRatio(b, "serialised/grouped", 5, math.Inf(1), burst(true), burst(false))
 }
 
 // BenchmarkPersistCreateRemove measures the latency of the two namespace
@@ -164,15 +185,7 @@ func BenchmarkPersistRecovery(b *testing.B) {
 // BenchmarkPersistCompact measures snapshot compaction latency (snapshot
 // write + atomic rename + log reset) for a representative sketch size.
 func BenchmarkPersistCompact(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{Fsync: FsyncNever, CompactEvery: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	l, err := s.Create("bench", Meta{K: 4, Budget: 32, Space: "euclidean"})
-	if err != nil {
-		b.Fatal(err)
-	}
+	l := benchLog(b, Options{Fsync: FsyncNever})
 	sketch := make([]byte, 64<<10)
 	for i := range sketch {
 		sketch[i] = byte(i)

@@ -58,8 +58,8 @@ func newBenchDaemon(b *testing.B) (ts *httptest.Server, streamURL string) {
 }
 
 // reportPercentiles attaches p50/p99 of the recorded per-query latencies to
-// the benchmark line, so the CI gate can compare medians instead of means
-// (means are dominated by the occasional query that lands mid-batch).
+// the benchmark line: means are dominated by the occasional query that lands
+// mid-batch.
 func reportPercentiles(b *testing.B, lat []time.Duration) {
 	b.Helper()
 	if len(lat) == 0 {
@@ -72,9 +72,7 @@ func reportPercentiles(b *testing.B, lat []time.Duration) {
 
 // BenchmarkQueryCentersIdle is the no-load baseline on the cache-miss path:
 // each iteration bumps the stream's version off the clock, so every timed
-// GET /centers runs a real extraction against a fresh view. The CI gate in
-// BENCH_query.json holds the same query's p50 under sustained ingest to
-// within 2x of this.
+// GET /centers runs a real extraction against a fresh view.
 func BenchmarkQueryCentersIdle(b *testing.B) {
 	_, url := newBenchDaemon(b)
 	body := benchIngestBody(b, 100, 8, 2)
@@ -93,13 +91,12 @@ func BenchmarkQueryCentersIdle(b *testing.B) {
 }
 
 // BenchmarkQueryCentersUnderIngest measures GET /centers while a writer
-// streams 100-point batches at ~1 kHz (about 100k points/s) into the same
-// stream. Queries answer from the published view without the ingest mutex,
-// so the p50 must stay within 2x of the idle baseline; in the old
-// fully-serialised daemon every read queued behind whole batch applies and,
-// worst case, a compaction's fsyncs. The writer is paced rather than
-// saturating so the gate measures lock avoidance, not raw CPU time-sharing
-// on small runners.
+// streams 100-point batches at up to ~1 kHz into the same stream. Reads come
+// back to back and the writer publishes a new version at most once a
+// millisecond, so most reads land on a version an earlier read already
+// extracted: the p50 is mostly the view memo's hit latency beside a busy
+// writer, below the idle all-miss baseline. It does not show that reads
+// avoid the ingest mutex; TestReadsDoNotTakeIngestMutex pins that.
 func BenchmarkQueryCentersUnderIngest(b *testing.B) {
 	_, url := newBenchDaemon(b)
 	body := benchIngestBody(b, 100, 8, 3)

@@ -478,7 +478,9 @@ func TestSnapshotContentLength(t *testing.T) {
 
 // TestReadsDoNotTakeIngestMutex proves the wait-free claim structurally:
 // with a stream's ingest mutex HELD, stats, centers and snapshot must all
-// still answer (the acceptance criterion behind the query-latency benchmark).
+// still answer. This test, not a latency benchmark, pins the claim: a read
+// that queues behind the mutex fails here, while a reader timed beside a busy
+// writer mostly hits the view memo and does not notice.
 func TestReadsDoNotTakeIngestMutex(t *testing.T) {
 	srv := newServer(config{k: 3, budget: 30})
 	ts := httptest.NewServer(srv.routes())

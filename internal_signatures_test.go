@@ -124,6 +124,9 @@ var testOnlyAllowed = map[string]string{
 	"internal/window.Window.CoverageBound":    "waits for ROADMAP item 5",
 	"internal/metric.CoresetSizeForDimension": "waits for ROADMAP item 5",
 	"internal/metric.WeightedSet.TotalWeight": "waits for ROADMAP item 14's Σw = observed audit",
+	// The gate protocol lives in a non-test file so that every package's
+	// gates can import it.
+	"internal/benchgate.MedianRatio": "only the BenchmarkGate* functions call it",
 	// bench/ is changed only by a benchmark change, so its test-only uses stay.
 	"internal/metric.Point.Scale": "bench/check_test.go uses it",
 	"internal/metric.Flat.Coords": "bench/gen/gen_test.go uses it",
