@@ -365,8 +365,9 @@
 // keeps instrumentation honest: a smoke job boots a daemon, fails on
 // missing series, and walks a traced request end to end, and the
 // BenchmarkGateIngestMetrics/Tracing gates hold the metrics-instrumented and
-// tracer-instrumented ingest paths within 5% of stripped builds. See the README's Observability and Tracing
-// sections for the metric name table and operational details.
+// tracer-instrumented ingest paths within 5% of stripped builds. See the
+// README's Observability and Tracing sections for the metric name table and
+// operational details.
 //
 // The cmd/ directory provides a clustering CLI, a dataset generator, and a
 // driver that reproduces every figure of the paper's evaluation; the

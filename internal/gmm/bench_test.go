@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coresetclustering/internal/benchgate"
@@ -46,10 +47,10 @@ type gmmShape struct {
 	label   string
 }
 
-// forEachGMMRow calls f for every row of the GMM benchmarks: the three shapes
-// the repository runs GMM at (a round-1 partition grown to a coreset, the
-// round-2 union, a streaming/window extraction) on blobs (structure to prune)
-// and on uniform points (none).
+// forEachGMMRow calls f for every row of TestGMMEvaluationCounts and
+// BenchmarkGateGMM: the three shapes the repository runs GMM at (a round-1
+// partition grown to a coreset, the round-2 union, a streaming/window
+// extraction) on blobs (structure to prune) and on uniform points (none).
 func forEachGMMRow(f func(name string, sh gmmShape, points metric.Dataset)) {
 	for _, data := range []string{"blobs", "uniform"} {
 		for _, sh := range []gmmShape{{2500, 800, "tau"}, {19200, 100, "k"}, {320, 20, "k"}} {
@@ -60,33 +61,6 @@ func forEachGMMRow(f func(name string, sh gmmShape, points metric.Dataset)) {
 			f(fmt.Sprintf("%s/n=%d,%s=%d", data, sh.n, sh.label, sh.size), sh, points)
 		}
 	}
-}
-
-// BenchmarkGMM times Runner.RunToSize against the textbook loop of
-// reference_test.go in the same binary at every row, for the perf trajectory;
-// BenchmarkGateGMM gates the ratio. Both sides run sequentially so the ratio
-// is about work, not scheduling.
-func BenchmarkGMM(b *testing.B) {
-	forEachGMMRow(func(name string, sh gmmShape, points metric.Dataset) {
-		b.Run(name+"/impl", func(b *testing.B) {
-			r := Runner{Space: metric.EuclideanSpace, Workers: 1}
-			var evals int64
-			for b.Loop() {
-				res, err := r.RunToSize(points, sh.size, sh.size, 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				evals = res.Evaluations
-			}
-			b.ReportMetric(float64(evals), "evals/op")
-		})
-		b.Run(name+"/ref", func(b *testing.B) {
-			for b.Loop() {
-				referenceToSize(metric.EuclideanSpace, points, sh.size, sh.size, 0)
-			}
-			b.ReportMetric(float64(sh.n*sh.size), "evals/op")
-		})
-	})
 }
 
 // TestGMMEvaluationCounts pins the work claim on exact counts: the
@@ -117,8 +91,12 @@ func TestGMMEvaluationCounts(t *testing.T) {
 // textbook loop; on uniform points and at the extraction shape there is
 // nothing to prune or too few rounds to win it back, and the probe must keep
 // the run dense at dense speed, at most 1.05x slower. The round-2 union on
-// blobs has no bound. Both sides run one worker.
+// blobs has no bound. Both sides run one worker on one P (GOMAXPROCS 1 for
+// the gate's duration), so the garbage collector cannot borrow an idle CPU
+// for either side and the ratio is about work, not scheduling.
 func BenchmarkGateGMM(b *testing.B) {
+	prev := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	forEachGMMRow(func(name string, sh gmmShape, points metric.Dataset) {
 		if name == "blobs/n=19200,k=100" {
 			return

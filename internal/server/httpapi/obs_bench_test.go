@@ -15,7 +15,7 @@ import (
 // closure that drives one full ingest request — middleware, decode, validate,
 // apply, publish — through ServeHTTP in-process. A loopback socket would add
 // TCP/scheduler noise an order of magnitude larger than the instrumentation
-// cost these benchmarks exist to measure.
+// cost the two gates below exist to measure.
 func benchIngestHandler(b *testing.B, metrics, traced bool) func() {
 	srv := newServer(config{k: 8, budget: 64, workers: 1})
 	if !metrics {
@@ -26,7 +26,6 @@ func benchIngestHandler(b *testing.B, metrics, traced bool) func() {
 	}
 	handler := srv.routes()
 	body := benchIngestBody(b, 100, 8, 1)
-	b.SetBytes(int64(len(body)))
 	post := func() {
 		req := httptest.NewRequest(http.MethodPost, "/streams/bench/points", bytes.NewReader(body))
 		w := httptest.NewRecorder()
@@ -37,28 +36,6 @@ func benchIngestHandler(b *testing.B, metrics, traced bool) func() {
 	}
 	post() // create the stream outside the timed loop
 	return post
-}
-
-// BenchmarkObsIngestInstrumented and BenchmarkObsIngestBare give the absolute
-// cost of one ingest request with the metric registry live and stripped, for
-// the perf trajectory. Two runs in sequence are hostage to CPU frequency drift
-// between them (±10 % on a busy host, far more than the handful of wait-free
-// atomics measured), so BenchmarkGateIngestMetrics, not their ratio, gates the
-// overhead.
-func BenchmarkObsIngestInstrumented(b *testing.B) {
-	post := benchIngestHandler(b, true, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
-	}
-}
-
-func BenchmarkObsIngestBare(b *testing.B) {
-	post := benchIngestHandler(b, false, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post()
-	}
 }
 
 // BenchmarkGateIngestMetrics is the metrics-overhead gate (protocol in

@@ -45,9 +45,11 @@ func benchProtoIngest(b *testing.B, proto string) (post func(), size int) {
 
 // BenchmarkIngestHTTP measures the full handler path — route, decode,
 // validate, apply, respond — for the same 64-point batch through each wire
-// protocol, for the perf trajectory; BenchmarkGateIngestBinary gates the
-// ratio. allocs/op guards the pooled JSON decode buffers and the binary
-// path's zero per-point allocation against regression.
+// protocol; BenchmarkGateIngestBinary gates the time ratio. It stays for
+// allocs/op, which only it reports: run it by hand
+// (`go test -run XXX -bench IngestHTTP ./internal/server/httpapi`) to see the
+// pooled JSON decode buffers and the binary path's zero per-point allocation
+// hold. No gate or artifact reads it.
 func BenchmarkIngestHTTP(b *testing.B) {
 	for _, proto := range []string{"json", "binary"} {
 		b.Run("proto="+proto, func(b *testing.B) {
