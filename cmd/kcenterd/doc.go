@@ -87,7 +87,7 @@
 // The daemon is observable end to end. Every request carries an
 // X-Request-ID (assigned if the client did not send a well-formed one, and
 // echoed back) that tags its structured log lines; logs are levelled
-// key=value records on stderr, filtered by -log-level, and any request
+// log/slog text records on stderr, filtered by -log-level, and any request
 // slower than -slow-request (default 1s, 0 disables) is logged at warn
 // with its route, status and duration. GET /metrics serves Prometheus
 // text exposition: per-route×status HTTP counters and latency histograms,

@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -274,8 +275,8 @@ func (w *worker) makeBatch() {
 	}
 }
 
-// encode serialises the current batch per the configured protocol, reusing
-// the worker's buffer. Window runs stamp every point of the batch with the
+// encode serialises the current batch per the configured protocol; the
+// binary frame reuses the worker's buffer. Window runs stamp every point of the batch with the
 // same coarse tick so timestamps are trivially non-decreasing in-batch.
 func (w *worker) encode(tick int64) (body []byte, contentType string, err error) {
 	var ts []int64
@@ -293,36 +294,12 @@ func (w *worker) encode(tick int64) (body []byte, contentType string, err error)
 		Points     metric.Dataset `json:"points"`
 		Timestamps []int64        `json:"timestamps,omitempty"`
 	}{Points: w.flat.Dataset(), Timestamps: ts}
-	w.buf, err = appendJSON(w.buf[:0], &req)
-	return w.buf, "application/json", err
+	body, err = json.Marshal(&req)
+	return body, "application/json", err
 }
 
 func (w *worker) windowed() bool {
 	return w.cfg.window > 0 || w.cfg.windowDur > 0
-}
-
-// appendJSON marshals v onto dst, reusing its capacity.
-func appendJSON(dst []byte, v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
-
-// bytesReader avoids a fresh bytes.Reader allocation per request.
-type bytesReader struct {
-	b []byte
-	i int
-}
-
-func (r *bytesReader) Read(p []byte) (int, error) {
-	if r.i >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.i:])
-	r.i += n
-	return n, nil
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -497,13 +474,12 @@ func (w *worker) drive(ctx context.Context, cfg *loadConfig, sent *atomic.Int64,
 			w.fail(ti, err.Error())
 			return
 		}
-		req, err := http.NewRequestWithContext(ctx, "POST", w.urls[ti], &bytesReader{b: body})
+		req, err := http.NewRequestWithContext(ctx, "POST", w.urls[ti], bytes.NewReader(body))
 		if err != nil {
 			w.fail(ti, err.Error())
 			return
 		}
 		req.Header.Set("Content-Type", contentType)
-		req.ContentLength = int64(len(body))
 		t0 := time.Now()
 		resp, err := w.client.Do(req)
 		if err != nil {

@@ -343,9 +343,9 @@
 //
 // internal/obs is a zero-dependency observability core: wait-free metric
 // primitives (atomic counters, gauges and fixed-bucket latency histograms
-// with p50/p99 snapshots, rendered in Prometheus text exposition format)
-// and a levelled structured key=value logger with per-request IDs. The
-// daemon threads it through every layer — per-route HTTP counters and
+// with p50/p99 snapshots, rendered in Prometheus text exposition format);
+// logs are log/slog text records tagged with per-request IDs. The daemon
+// threads it through every layer — per-route HTTP counters and
 // latency histograms with slow-request logging (-slow-request), WAL
 // append/fsync/compaction/recovery timings via persist.Hooks, and stream
 // ingest/eviction/view-publish/cache counters — and serves the result on

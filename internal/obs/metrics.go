@@ -1,7 +1,7 @@
 // Package obs is the daemon's zero-dependency observability core: a metrics
 // registry (atomic counters, gauges and fixed-bucket histograms, rendered in
-// the Prometheus text exposition format) plus a levelled structured logger
-// (key=value lines with per-request IDs).
+// the Prometheus text exposition format) plus a span tracer. Logging is the
+// standard library's log/slog.
 //
 // The package exists so every layer of kcenterd — HTTP handlers, the
 // persistence engine, the stream publish path — reports into one contract

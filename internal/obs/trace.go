@@ -157,13 +157,12 @@ func (tr *Trace) newSpanLocked(parent SpanID, name string) *Span {
 	return sp
 }
 
-// newTraceID returns a fresh random trace ID (never zero). If the system
-// randomness source fails, a process-unique counter keeps IDs distinct.
+// newTraceID returns a fresh random trace ID, never the all-zero ID that W3C
+// trace context forbids (crypto/rand.Read never fails since Go 1.24).
 func newTraceID() TraceID {
 	var id TraceID
-	if _, err := rand.Read(id[:]); err != nil || id.IsZero() {
-		id[0] = 1
-		binary.BigEndian.PutUint64(id[8:], reqIDCounter.Add(1))
+	for id.IsZero() {
+		rand.Read(id[:])
 	}
 	return id
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 
@@ -23,12 +24,12 @@ type Config struct {
 
 // Engine hosts the stream table and implements every daemon operation as a
 // transport-agnostic method. The observability handles are plain fields so
-// an embedder (or a benchmark) can strip instrumentation by nilling them:
-// every recording site is nil-safe.
+// an embedder (or a benchmark) can strip instrumentation by nilling Metrics
+// and Tracer, whose recording sites are nil-safe; Logger must stay set.
 type Engine struct {
 	Cfg     Config
 	Store   *persist.Store // nil = in-memory only
-	Logger  *obs.Logger    // nil-safe; nil drops everything
+	Logger  *slog.Logger   // never nil; New installs one that discards everything
 	Metrics *Metrics       // nil disables instrumentation entirely
 	Tracer  *obs.Tracer    // nil disables tracing; every recording site is nil-safe
 
@@ -42,8 +43,9 @@ type Engine struct {
 	failed   map[string]string
 }
 
-// New builds an engine with normalised defaults. The caller wires Store,
-// Logger, Metrics and Tracer afterwards (or leaves them nil).
+// New builds an engine with normalised defaults and a logger that discards
+// everything. The caller wires Store, Logger, Metrics and Tracer afterwards
+// (or leaves Store, Metrics and Tracer nil).
 func New(cfg Config) *Engine {
 	if cfg.Budget <= 0 {
 		cfg.Budget = 8 * (cfg.K + cfg.Z)
@@ -56,6 +58,7 @@ func New(cfg Config) *Engine {
 	}
 	return &Engine{
 		Cfg:     cfg,
+		Logger:  slog.New(slog.DiscardHandler),
 		streams: make(map[string]*Stream),
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -56,12 +57,18 @@ func (a addrSink) Write(p []byte) (int, error) {
 // it is shut down (and must exit cleanly) when the test ends.
 func (r role) start(t *testing.T, extra ...string) string {
 	t.Helper()
+	return r.startLogged(t, io.Discard, extra...)
+}
+
+// startLogged is start with the role's log lines also written to log.
+func (r role) startLogged(t *testing.T, log io.Writer, extra ...string) string {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	addr := make(addrSink, 1)
 	args := append(append([]string{"-addr", "127.0.0.1:0"}, r.args...), extra...)
 	var err error
 	stopped := make(chan struct{})
-	go func() { err = r.run(ctx, args, addr); close(stopped) }()
+	go func() { err = r.run(ctx, args, io.MultiWriter(addr, log)); close(stopped) }()
 	t.Cleanup(func() {
 		cancel()
 		<-stopped
@@ -78,6 +85,44 @@ func (r role) start(t *testing.T, extra ...string) string {
 		t.Fatalf("%s did not start listening within 10 s", r.name)
 	}
 	return ""
+}
+
+// lockedLog collects a role's log lines while its handlers still write them.
+type lockedLog struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestLogLevelReachesHandler: -log-level sets the level of the role's log
+// handler, so the per-request debug line is written at debug and dropped at
+// info.
+func TestLogLevelReachesHandler(t *testing.T) {
+	for _, r := range roles {
+		for level, want := range map[string]bool{"info": false, "debug": true} {
+			var log lockedLog
+			t.Run(r.name+"/"+level, func(t *testing.T) {
+				base := r.startLogged(t, &log, "-log-level", level)
+				get(t, base+"/healthz", nil)
+			})
+			// The subtest's cleanup has shut the role down, so every line
+			// its handlers logged is in log by now.
+			if got := strings.Contains(log.String(), "level=DEBUG msg=request "); got != want {
+				t.Errorf("%s at -log-level %s: debug request line logged = %v, want %v\n%s", r.name, level, got, want, log.String())
+			}
+		}
+	}
 }
 
 // post sends body and returns the status and the error code of the answer

@@ -2,8 +2,11 @@ package httpapi
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -50,6 +53,14 @@ func requestIDOK(id string) bool {
 	return true
 }
 
+// newRequestID returns a fresh random 16-hex-digit request ID
+// (crypto/rand.Read never fails since Go 1.24).
+func newRequestID() string {
+	var buf [8]byte
+	rand.Read(buf[:])
+	return hex.EncodeToString(buf[:])
+}
+
 // HTTPMetrics is a role's request-level series: per-route counters and
 // latency histograms, in-flight and slow-request counts.
 type HTTPMetrics struct {
@@ -84,7 +95,7 @@ func NewHTTPMetrics(reg *obs.Registry, prefix string) *HTTPMetrics {
 type Middleware struct {
 	Metrics *HTTPMetrics  // nil records no HTTP series
 	Tracer  *obs.Tracer   // nil opens no spans and sends no X-Trace-ID
-	Logger  *obs.Logger   // nil-safe
+	Logger  *slog.Logger  // nil discards
 	Slow    time.Duration // slow-request threshold (0 = disabled)
 }
 
@@ -119,10 +130,13 @@ func Handler(routes http.Handler, maxBody int64, m Middleware) http.Handler {
 // mux pattern that matched, and a warn-level log line — carrying the trace ID
 // and the per-stage breakdown — when the request exceeds the slow threshold.
 func (mw Middleware) wrap(next http.Handler) http.Handler {
+	if mw.Logger == nil {
+		mw.Logger = slog.New(slog.DiscardHandler)
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-ID")
 		if !requestIDOK(reqID) {
-			reqID = obs.NewRequestID()
+			reqID = newRequestID()
 		}
 		// Response headers are set under their canonical spelling (the bytes
 		// on the wire either way): Set would otherwise allocate the canonical
@@ -189,7 +203,7 @@ func (mw Middleware) wrap(next http.Handler) http.Handler {
 				"method", r.Method, "route", route,
 				"status", status, "duration", elapsed,
 				"stages", root.Breakdown())
-		} else if mw.Logger.Enabled(obs.LevelDebug) {
+		} else if mw.Logger.Enabled(r.Context(), slog.LevelDebug) {
 			mw.Logger.Debug("request",
 				"requestId", reqID, "method", r.Method, "route", route,
 				"status", status, "duration", elapsed)
@@ -201,7 +215,7 @@ func (mw Middleware) wrap(next http.Handler) http.Handler {
 // the headers alone; otherwise the process-lifetime registry is rendered
 // first, then the scrape-time series fill puts into a throwaway registry, so
 // both share the golden-tested formatter.
-func WriteMetrics(w http.ResponseWriter, r *http.Request, lifetime *obs.Registry, log *obs.Logger, fill func(scrape *obs.Registry)) {
+func WriteMetrics(w http.ResponseWriter, r *http.Request, lifetime *obs.Registry, log *slog.Logger, fill func(scrape *obs.Registry)) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if r.Method == http.MethodHead {
 		// Probes want the headers, not a full render of every series.
@@ -213,7 +227,7 @@ func WriteMetrics(w http.ResponseWriter, r *http.Request, lifetime *obs.Registry
 	if err := lifetime.WritePrometheus(w); err != nil {
 		return // client went away; nothing sensible left to send
 	}
-	if err := scrape.WritePrometheus(w); err != nil && log.Enabled(obs.LevelDebug) {
+	if err := scrape.WritePrometheus(w); err != nil {
 		log.Debug("metrics scrape write failed", "error", err)
 	}
 }

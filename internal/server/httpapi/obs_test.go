@@ -2,8 +2,11 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/hex"
+	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -348,7 +351,7 @@ func TestDebugSurfaceIsSeparate(t *testing.T) {
 func TestSlowRequestLog(t *testing.T) {
 	var buf lockedBuf
 	srv := newServer(config{k: 2, budget: 16, Common: Common{SlowRequest: time.Nanosecond}})
-	srv.eng.Logger = obs.NewLogger(&buf, obs.LevelInfo)
+	srv.eng.Logger = slog.New(slog.NewTextHandler(&buf, nil))
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
 
@@ -400,5 +403,64 @@ func TestBareServerStillServes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/metrics on a bare server: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRegisterFlags: the shared flags parse into Common.
+func TestRegisterFlags(t *testing.T) {
+	parse := func(args ...string) (Common, error) {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		common := RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			return Common{}, err
+		}
+		return common()
+	}
+	t.Run("log-level", func(t *testing.T) {
+		if c, err := parse(); err != nil || c.LogLevel != slog.LevelInfo {
+			t.Fatalf("default -log-level: %v, %v; want INFO", c.LogLevel, err)
+		}
+		for in, want := range map[string]slog.Level{
+			"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+			"warning": slog.LevelWarn, "error": slog.LevelError, "INFO": slog.LevelInfo,
+		} {
+			if c, err := parse("-log-level", in); err != nil || c.LogLevel != want {
+				t.Errorf("-log-level %s: %v, %v; want %v", in, c.LogLevel, err, want)
+			}
+		}
+		for _, in := range []string{"loud", "INFO+2", ""} {
+			if _, err := parse("-log-level", in); err == nil {
+				t.Errorf("-log-level %q accepted, want an error", in)
+			}
+		}
+	})
+}
+
+func TestNewRequestID(t *testing.T) {
+	a, b := newRequestID(), newRequestID()
+	if a == b {
+		t.Fatal("request IDs must be unique")
+	}
+	if _, err := hex.DecodeString(a); err != nil || len(a) != 16 {
+		t.Fatalf("request ID %q, want 16 hex chars", a)
+	}
+}
+
+// TestMiddlewareWithoutLogger: a Middleware with no Logger set logs through
+// a discarding one, on the slow-request warn path and the debug-level check
+// alike.
+func TestMiddlewareWithoutLogger(t *testing.T) {
+	for _, mw := range []Middleware{
+		{},
+		{Tracer: obs.NewTracer(1, 16)},
+		{Tracer: obs.NewTracer(1, 16), Slow: time.Nanosecond},
+	} {
+		h := Handler(http.NotFoundHandler(), 1<<10, mw)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/x", nil))
+		if rec.Code != http.StatusNotFound || rec.Header().Get("X-Request-Id") == "" {
+			t.Errorf("%+v: status %d, X-Request-Id %q", mw, rec.Code, rec.Header().Get("X-Request-Id"))
+		}
 	}
 }

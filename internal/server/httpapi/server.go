@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"strconv"
@@ -92,7 +93,7 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	logger := obs.NewLogger(out, c.LogLevel)
+	logger := slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{Level: c.LogLevel}))
 	srv := newServer(config{
 		Common: c,
 		k:      *k, z: *z, budget: *budget, workers: *workers, dist: *dist,

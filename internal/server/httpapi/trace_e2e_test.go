@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,7 +28,7 @@ func newTracedDaemon(t *testing.T, cfg config) *tracedDaemon {
 	t.Helper()
 	srv := newServer(cfg)
 	buf := &lockedBuf{}
-	srv.eng.Logger = obs.NewLogger(buf, obs.LevelInfo)
+	srv.eng.Logger = slog.New(slog.NewTextHandler(buf, nil))
 	store, err := persist.Open(t.TempDir(), persist.Options{
 		Fsync: persist.FsyncAlways,
 		Hooks: srv.eng.PersistHooks(),

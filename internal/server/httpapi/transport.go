@@ -8,10 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -36,7 +38,7 @@ const defaultMaxBody = 64 << 20
 type Common struct {
 	Addr        string        // listen address
 	DebugAddr   string        // pprof, expvar and /debug/traces listener ("" = none)
-	LogLevel    obs.Level     // -log-level, read by the roles' Run
+	LogLevel    slog.Level    // -log-level, read by the roles' Run
 	MaxBody     int64         // request-body cap in bytes (0 = 64 MiB)
 	SlowRequest time.Duration // slow-request log threshold (0 = disabled)
 	TraceSample int           // head-sample 1 in N requests (0 = 16)
@@ -74,9 +76,17 @@ func RegisterFlags(fs *flag.FlagSet) func() (Common, error) {
 	fs.IntVar(&c.TraceBuffer, "trace-buffer", 256, "completed traces retained for /debug/traces (0 disables tracing)")
 	return func() (Common, error) {
 		out := c
-		var err error
-		if out.LogLevel, err = obs.ParseLevel(level); err != nil {
-			return Common{}, err
+		switch strings.ToLower(level) {
+		case "debug":
+			out.LogLevel = slog.LevelDebug
+		case "info":
+			out.LogLevel = slog.LevelInfo
+		case "warn", "warning":
+			out.LogLevel = slog.LevelWarn
+		case "error":
+			out.LogLevel = slog.LevelError
+		default:
+			return Common{}, fmt.Errorf("unknown -log-level %q (want debug, info, warn or error)", level)
 		}
 		switch {
 		case out.MaxBody <= 0:
@@ -100,7 +110,7 @@ func RegisterFlags(fs *flag.FlagSet) func() (Common, error) {
 // data are never reachable through the ingest port. On the way out both are
 // shut down gracefully, draining in-flight requests for up to 10 s. msg and
 // kv make the "listening" log line.
-func Serve(ctx context.Context, c Common, h http.Handler, t *obs.Tracer, log *obs.Logger, msg string, kv ...any) error {
+func Serve(ctx context.Context, c Common, h http.Handler, t *obs.Tracer, log *slog.Logger, msg string, kv ...any) error {
 	ln, err := net.Listen("tcp", c.Addr)
 	if err != nil {
 		return err

@@ -45,7 +45,7 @@ type shardProc struct {
 	log  *bytes.Buffer
 }
 
-func freeAddr(t *testing.T) string {
+func freeAddr(t testing.TB) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -58,7 +58,7 @@ func freeAddr(t *testing.T) string {
 
 // startShard launches a shard daemon child on a fresh port. extraArgs is
 // appended to the base flag set (e.g. "-persist-dir <dir> -fsync always").
-func startShard(t *testing.T, extraArgs string) *shardProc {
+func startShard(t testing.TB, extraArgs string) *shardProc {
 	t.Helper()
 	sp := &shardProc{addr: freeAddr(t)}
 	sp.args = "-addr " + sp.addr + " -k 4 -budget 64"
@@ -72,7 +72,7 @@ func startShard(t *testing.T, extraArgs string) *shardProc {
 
 // launchShard (re)starts the child with the shard's recorded args — the
 // restart path of the kill/rejoin test.
-func launchShard(t *testing.T, sp *shardProc) {
+func launchShard(t testing.TB, sp *shardProc) {
 	t.Helper()
 	sp.log = &bytes.Buffer{}
 	sp.cmd = exec.Command(os.Args[0])
@@ -92,7 +92,7 @@ func stopShard(sp *shardProc) {
 	}
 }
 
-func waitShardHealthy(t *testing.T, sp *shardProc) {
+func waitShardHealthy(t testing.TB, sp *shardProc) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -110,7 +110,7 @@ func waitShardHealthy(t *testing.T, sp *shardProc) {
 
 // newTestRouter assembles an in-process router over the given shards with a
 // tiny merge interval so tests observe fresh views without sleeping.
-func newTestRouter(t *testing.T, shards []*shardProc) (*httptest.Server, *server) {
+func newTestRouter(t testing.TB, shards []*shardProc) (*httptest.Server, *server) {
 	t.Helper()
 	addrs := make([]string, len(shards))
 	for i, sp := range shards {

@@ -241,7 +241,7 @@ func (s *server) refreshKnown() {
 			span.End()
 		}
 		cancel()
-		if err != nil && s.logger.Enabled(obs.LevelDebug) {
+		if err != nil {
 			s.logger.Debug("background merge refresh failed", "stream", name, "err", err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -60,7 +61,7 @@ type server struct {
 	shards []*shard
 	eng    *engine.Engine // merge-only; hosts no streams
 	client *http.Client
-	logger *obs.Logger
+	logger *slog.Logger
 	tracer *obs.Tracer
 	m      *metrics
 
@@ -143,7 +144,7 @@ func newServer(cfg config) *server {
 		cfg:    cfg,
 		eng:    engine.New(engine.Config{}),
 		client: &http.Client{Transport: shardTransport()},
-		logger: obs.NewLogger(io.Discard, obs.LevelInfo),
+		logger: slog.New(slog.DiscardHandler),
 		tracer: obs.NewTracer(cfg.TraceSample, cfg.TraceBuffer),
 		m:      newMetrics(),
 		views:  make(map[string]*mergedView),
@@ -214,7 +215,7 @@ func Run(ctx context.Context, args []string, out io.Writer) error {
 		shardTimeout:  *shardTimeout,
 		retries:       *retries,
 	})
-	srv.logger = obs.NewLogger(out, c.LogLevel)
+	srv.logger = slog.New(slog.NewTextHandler(out, &slog.HandlerOptions{Level: c.LogLevel}))
 	defer close(srv.closed)
 
 	if srv.cfg.probeInterval > 0 {
