@@ -215,7 +215,7 @@ func (cfg *loadConfig) ingestURL(addr string) string {
 }
 
 // worker is one writer goroutine's state: a private RNG, a private reusable
-// encode buffer and its latency samples.
+// encode buffer and its per-target tallies.
 type worker struct {
 	id       int
 	cfg      *loadConfig
@@ -225,19 +225,17 @@ type worker struct {
 	rng      *rand.Rand
 	buf      []byte
 	flat     *metric.Flat
-	lat      []time.Duration
 	slow     []slowSample // worker-local slowest traced acks, worst first
-	batches  int64
-	points   int64
 	rejected int64
-	errors   int64
 	firstErr string
+	tallies  []tally // indexed like cfg.targets
+}
 
-	// Per-target tallies, indexed like cfg.targets.
-	tLat     [][]time.Duration
-	tBatches []int64
-	tPoints  []int64
-	tErrors  []int64
+// tally counts one target's acknowledged batches, their points and ack
+// latencies, and its errored batches.
+type tally struct {
+	lat                     []time.Duration
+	batches, points, errors int64
 }
 
 // noteSlow keeps the worker's topSlow slowest acks that carried a trace ID
@@ -331,16 +329,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var wg sync.WaitGroup
 	for i := range workers {
 		w := &worker{
-			id:       i,
-			cfg:      cfg,
-			urls:     urls,
-			next:     i, // stagger the round-robin start across workers
-			client:   &http.Client{Timeout: cfg.timeout},
-			rng:      rand.New(rand.NewSource(int64(i) + 1)),
-			tLat:     make([][]time.Duration, len(urls)),
-			tBatches: make([]int64, len(urls)),
-			tPoints:  make([]int64, len(urls)),
-			tErrors:  make([]int64, len(urls)),
+			id:      i,
+			cfg:     cfg,
+			urls:    urls,
+			next:    i, // stagger the round-robin start across workers
+			client:  &http.Client{Timeout: cfg.timeout},
+			rng:     rand.New(rand.NewSource(int64(i) + 1)),
+			tallies: make([]tally, len(urls)),
 		}
 		w.flat, err = metric.NewFlat(cfg.dim, cfg.batch)
 		if err != nil {
@@ -364,18 +359,42 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Dim:         cfg.dim,
 		ElapsedSec:  elapsed.Seconds(),
 	}
-	var all []time.Duration
+	perTarget := make([]tally, len(cfg.targets))
 	var slow []slowSample
 	for _, w := range workers {
-		rep.Batches += w.batches
-		rep.Points += w.points
 		rep.Rejected += w.rejected
-		rep.Errors += w.errors
 		if rep.FirstError == "" {
 			rep.FirstError = w.firstErr
 		}
-		all = append(all, w.lat...)
 		slow = append(slow, w.slow...)
+		for ti, t := range w.tallies {
+			pt := &perTarget[ti]
+			pt.lat = append(pt.lat, t.lat...)
+			pt.batches += t.batches
+			pt.points += t.points
+			pt.errors += t.errors
+		}
+	}
+	// The aggregate is the sum of the targets; the per-target breakdown is
+	// only worth the noise when targets differ.
+	var all []time.Duration
+	for ti, t := range perTarget {
+		rep.Batches += t.batches
+		rep.Points += t.points
+		rep.Errors += t.errors
+		all = append(all, t.lat...)
+		if len(cfg.targets) > 1 {
+			sort.Slice(t.lat, func(i, j int) bool { return t.lat[i] < t.lat[j] })
+			rep.Targets = append(rep.Targets, targetReport{
+				Target:       cfg.targets[ti],
+				Batches:      t.batches,
+				Points:       t.points,
+				Errors:       t.errors,
+				LatencyMsP50: percentileMs(t.lat, 0.50),
+				LatencyMsP95: percentileMs(t.lat, 0.95),
+				LatencyMsP99: percentileMs(t.lat, 0.99),
+			})
+		}
 	}
 	sort.Slice(slow, func(i, j int) bool { return slow[i].LatencyMs > slow[j].LatencyMs })
 	if len(slow) > topSlow {
@@ -390,25 +409,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	rep.LatencyMsP50 = percentileMs(all, 0.50)
 	rep.LatencyMsP95 = percentileMs(all, 0.95)
 	rep.LatencyMsP99 = percentileMs(all, 0.99)
-
-	// Per-target breakdown: only worth the noise when targets differ.
-	if len(cfg.targets) > 1 {
-		for ti, target := range cfg.targets {
-			tr := targetReport{Target: target}
-			var tlat []time.Duration
-			for _, w := range workers {
-				tr.Batches += w.tBatches[ti]
-				tr.Points += w.tPoints[ti]
-				tr.Errors += w.tErrors[ti]
-				tlat = append(tlat, w.tLat[ti]...)
-			}
-			sort.Slice(tlat, func(i, j int) bool { return tlat[i] < tlat[j] })
-			tr.LatencyMsP50 = percentileMs(tlat, 0.50)
-			tr.LatencyMsP95 = percentileMs(tlat, 0.95)
-			tr.LatencyMsP99 = percentileMs(tlat, 0.99)
-			rep.Targets = append(rep.Targets, tr)
-		}
-	}
 
 	if cfg.jsonOut {
 		enc := json.NewEncoder(out)
@@ -494,12 +494,10 @@ func (w *worker) drive(ctx context.Context, cfg *loadConfig, sent *atomic.Int64,
 		case resp.StatusCode == http.StatusOK:
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
-			w.batches++
-			w.points += int64(cfg.batch)
-			w.lat = append(w.lat, ack)
-			w.tBatches[ti]++
-			w.tPoints[ti] += int64(cfg.batch)
-			w.tLat[ti] = append(w.tLat[ti], ack)
+			t := &w.tallies[ti]
+			t.batches++
+			t.points += int64(cfg.batch)
+			t.lat = append(t.lat, ack)
 			w.noteSlow(ack, resp.Header.Get("X-Trace-ID"))
 		case resp.StatusCode == http.StatusBadRequest && w.windowed():
 			// Expected under concurrent windowed load: this batch's tick
@@ -517,8 +515,7 @@ func (w *worker) drive(ctx context.Context, cfg *loadConfig, sent *atomic.Int64,
 }
 
 func (w *worker) fail(ti int, msg string) {
-	w.errors++
-	w.tErrors[ti]++
+	w.tallies[ti].errors++
 	if w.firstErr == "" {
 		w.firstErr = msg
 	}

@@ -212,3 +212,62 @@ func TestLoadWindowedTrailer(t *testing.T) {
 		t.Error("windowed binary batches carried no KCTS trailer")
 	}
 }
+
+// TestLoadTargetsSumToAggregate spreads a run over two fake daemons: each
+// target's batches match what its daemon acked, and the per-target batches,
+// points and errors sum to the aggregate, also when one target fails.
+func TestLoadTargetsSumToAggregate(t *testing.T) {
+	for _, failB := range []bool{false, true} {
+		a, b := &fakeDaemon{}, &fakeDaemon{}
+		srvA := httptest.NewServer(a.handler())
+		t.Cleanup(srvA.Close)
+		srvB := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if failB {
+				http.Error(w, `{"error":"boom","code":"internal"}`, http.StatusInternalServerError)
+				return
+			}
+			b.handler().ServeHTTP(w, r)
+		}))
+		t.Cleanup(srvB.Close)
+		addrA := strings.TrimPrefix(srvA.URL, "http://")
+		addrB := strings.TrimPrefix(srvB.URL, "http://")
+
+		var out bytes.Buffer
+		err := run(context.Background(), []string{
+			"-targets", addrA + "," + addrB, "-batch", "8", "-dim", "2",
+			"-concurrency", "3", "-batches", "20", "-json",
+		}, &out)
+		if (err != nil) != failB {
+			t.Fatalf("failB=%v: run returned %v\noutput: %s", failB, err, out.String())
+		}
+		var rep report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatalf("report is not one JSON object: %v\n%s", err, out.String())
+		}
+		if len(rep.Targets) != 2 || rep.Targets[0].Target != addrA || rep.Targets[1].Target != addrB {
+			t.Fatalf("failB=%v: per-target breakdown %+v, want %s then %s", failB, rep.Targets, addrA, addrB)
+		}
+		var batches, points, errs int64
+		for _, tr := range rep.Targets {
+			batches += tr.Batches
+			points += tr.Points
+			errs += tr.Errors
+		}
+		if batches != rep.Batches || points != rep.Points || errs != rep.Errors {
+			t.Errorf("failB=%v: targets sum to %d batches / %d points / %d errors, aggregate %d / %d / %d",
+				failB, batches, points, errs, rep.Batches, rep.Points, rep.Errors)
+		}
+		if got := a.jsonBatches.Load() + a.binaryBatches.Load(); rep.Targets[0].Batches != got || got == 0 {
+			t.Errorf("failB=%v: target A reports %d batches, its daemon acked %d", failB, rep.Targets[0].Batches, got)
+		}
+		if got := b.jsonBatches.Load() + b.binaryBatches.Load(); rep.Targets[1].Batches != got {
+			t.Errorf("failB=%v: target B reports %d batches, its daemon acked %d", failB, rep.Targets[1].Batches, got)
+		}
+		if !failB && rep.Batches != 20 {
+			t.Errorf("failB=false: %d batches acked, want 20", rep.Batches)
+		}
+		if failB && (rep.Errors == 0 || rep.Targets[1].Errors != rep.Errors) {
+			t.Errorf("failB=true: %d errors, %d of them on B; want every error on B", rep.Errors, rep.Targets[1].Errors)
+		}
+	}
+}

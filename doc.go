@@ -370,7 +370,7 @@
 // operational details.
 //
 // The cmd/ directory provides a clustering CLI, a dataset generator, and a
-// driver that reproduces every figure of the paper's evaluation; the
-// examples/ directory contains runnable programs for common scenarios
-// (examples/durable walks the journal -> crash -> recover loop by hand).
+// driver that reproduces every figure of the paper's evaluation. The
+// package Examples, whose output go test checks, show the common scenarios:
+// batch and streaming clustering, merging shard sketches, and windows.
 package kcenter

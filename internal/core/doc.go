@@ -20,4 +20,13 @@
 //
 // The MapReduce algorithms are oblivious to D: it appears only in the
 // analysis, never as an input.
+//
+// The daemon's router runs the same two rounds over the network, and shares
+// round 2 with this package: engine.Merge unions the shards' sketches and
+// extracts through clusterer.Result, which calls gmm.Runner.Run (k-center)
+// and outliers.SolveIn (z outliers) on the merged coreset, as KCenter and
+// KCenterOutliers do on the coreset union here. Round 1 differs by
+// construction and stays separate: here it is a static GMM coreset of a
+// partition held in memory, there a doubling coreset that each shard's stream
+// maintains one point at a time.
 package core

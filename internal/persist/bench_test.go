@@ -38,7 +38,7 @@ func BenchmarkPersistAppend(b *testing.B) {
 			b.SetBytes(int64(64 * 8 * 8))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := l.AppendBatch(batch, nil); err != nil {
+				if err := appendBatch(l, batch, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -67,7 +67,7 @@ func BenchmarkIngestWALAppend(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if err := l.AppendBatch(batch, nil); err != nil {
+					if err := appendBatch(l, batch, nil); err != nil {
 						b.Error(err)
 						return
 					}
@@ -100,7 +100,7 @@ func BenchmarkGateGroupCommit(b *testing.B) {
 						mu.Lock()
 						defer mu.Unlock()
 					}
-					if err := l.AppendBatch(batch, nil); err != nil {
+					if err := appendBatch(l, batch, nil); err != nil {
 						b.Error(err)
 					}
 				}()
@@ -157,7 +157,7 @@ func BenchmarkPersistRecovery(b *testing.B) {
 			}
 			batch := testBatch(16, 8, 1)
 			for i := 0; i < records; i++ {
-				if err := l.AppendBatch(batch, nil); err != nil {
+				if err := appendBatch(l, batch, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +193,7 @@ func BenchmarkPersistCompact(b *testing.B) {
 	batch := testBatch(16, 8, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := l.AppendBatch(batch, nil); err != nil {
+		if err := appendBatch(l, batch, nil); err != nil {
 			b.Fatal(err)
 		}
 		if err := l.Compact(sketch); err != nil {

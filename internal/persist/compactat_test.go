@@ -18,17 +18,17 @@ func TestCompactAtPreservesTailAcrossRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two records up to the capture point, then two more "concurrent" ones.
-	if err := l.AppendBatch(testBatch(4, 2, 1), nil); err != nil { // seq 2
+	if err := appendBatch(l, testBatch(4, 2, 1), nil); err != nil { // seq 2
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(3, 2, 2), nil); err != nil { // seq 3
+	if err := appendBatch(l, testBatch(3, 2, 2), nil); err != nil { // seq 3
 		t.Fatal(err)
 	}
 	capture := l.LastSeq()
 	if capture != 3 {
 		t.Fatalf("capture seq = %d, want 3", capture)
 	}
-	if err := l.AppendBatch(testBatch(2, 2, 3), nil); err != nil { // seq 4
+	if err := appendBatch(l, testBatch(2, 2, 3), nil); err != nil { // seq 4
 		t.Fatal(err)
 	}
 	if err := appendAdvance(l, 9); err != nil { // seq 5
@@ -92,7 +92,7 @@ func TestCompactAtAtTipMatchesCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(5, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(5, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CompactAt(l.LastSeq(), []byte("tip")); err != nil {
@@ -109,7 +109,7 @@ func TestCompactAtRejectsBadCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(1, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(1, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CompactAt(0, []byte("x")); err == nil {
@@ -124,7 +124,7 @@ func TestCompactAtRejectsBadCapture(t *testing.T) {
 	if err := l.CompactAt(2, []byte("newer")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(1, 2, 2), nil); err != nil {
+	if err := appendBatch(l, testBatch(1, 2, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CompactAt(1, []byte("stale")); err == nil || !strings.Contains(err.Error(), "snapshot horizon") {
@@ -148,7 +148,7 @@ func TestCompactAtConcurrentAppends(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < appends; i++ {
-			if err := l.AppendBatch(testBatch(1, 2, int64(i)), nil); err != nil {
+			if err := appendBatch(l, testBatch(1, 2, int64(i)), nil); err != nil {
 				t.Errorf("append %d: %v", i, err)
 				return
 			}

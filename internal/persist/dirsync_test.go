@@ -139,7 +139,7 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range 3 {
-				if err := l.AppendBatch(testBatch(4, 2, int64(i)), nil); err != nil {
+				if err := appendBatch(l, testBatch(4, 2, int64(i)), nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -147,7 +147,7 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 			if err := l.CompactAt(l.LastSeq(), []byte("three batches")); !errors.Is(err, errDirSync) {
 				t.Fatalf("CompactAt = %v, want the directory sync failure", err)
 			}
-			if err := l.AppendBatch(testBatch(4, 2, 9), nil); !errors.Is(err, errDirSync) || !strings.Contains(err.Error(), "poisoned") {
+			if err := appendBatch(l, testBatch(4, 2, 9), nil); !errors.Is(err, errDirSync) || !strings.Contains(err.Error(), "poisoned") {
 				t.Fatalf("append after the failed compaction = %v, want the poisoned log's error", err)
 			}
 			if l.ShouldCompact() {

@@ -43,7 +43,7 @@ func TestGroupCommitDurableAndOrdered(t *testing.T) {
 				// Tag each batch in its first coordinate so recovery can
 				// account for every ack.
 				b := metric.Dataset{{float64(w*1000 + i), 1}}
-				if err := l.AppendBatch(b, nil); err != nil {
+				if err := appendBatch(l, b, nil); err != nil {
 					errs <- fmt.Errorf("writer %d batch %d: %w", w, i, err)
 					return
 				}
@@ -191,7 +191,7 @@ func TestGroupCommitSequentialDepthOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := l.AppendBatch(testBatch(2, 2, int64(i)), nil); err != nil {
+		if err := appendBatch(l, testBatch(2, 2, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -312,7 +312,7 @@ func TestGroupCommitAfterCloseFallsBack(t *testing.T) {
 	// Simulate the committer already stopped while the log is still open.
 	s.stopSyncer()
 
-	if err := l.AppendBatch(testBatch(1, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(1, 2, 1), nil); err != nil {
 		t.Fatalf("post-stop append did not fall back: %v", err)
 	}
 	if l.LastSeq() != 2 {
@@ -368,7 +368,7 @@ func TestGroupCommitCompactionConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := l.AppendBatch(metric.Dataset{{float64(w*1000 + i), 2}}, nil); err != nil {
+				if err := appendBatch(l, metric.Dataset{{float64(w*1000 + i), 2}}, nil); err != nil {
 					t.Error(err)
 					return
 				}

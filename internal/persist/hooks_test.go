@@ -89,7 +89,7 @@ func TestHooksAppendFsyncCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.AppendBatch(hookBatch(4), nil); err != nil {
+		if err := appendBatch(l, hookBatch(4), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,11 +117,11 @@ func TestHooksAppendFsyncCompact(t *testing.T) {
 	}
 
 	// CompactAt with a tail: two more appends, capture at the first.
-	if err := l.AppendBatch(hookBatch(2), nil); err != nil {
+	if err := appendBatch(l, hookBatch(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	capture := l.LastSeq()
-	if err := l.AppendBatch(hookBatch(2), nil); err != nil {
+	if err := appendBatch(l, hookBatch(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.CompactAt(capture, []byte("sketch-2")); err != nil {
@@ -145,7 +145,7 @@ func TestHooksTornTailAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(hookBatch(5), nil); err != nil {
+	if err := appendBatch(l, hookBatch(5), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -201,7 +201,7 @@ func TestHooksIntervalFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(hookBatch(2), nil); err != nil {
+	if err := appendBatch(l, hookBatch(2), nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

@@ -14,6 +14,15 @@ import (
 	"coresetclustering/internal/metric"
 )
 
+// appendBatch journals one ingest batch and waits until it is durable.
+func appendBatch(l *Log, points metric.Dataset, ts []int64) error {
+	p, err := l.BeginBatch(points, ts)
+	if err != nil {
+		return err
+	}
+	return p.Wait()
+}
+
 // appendAdvance journals a clock advance and waits until it is durable.
 func appendAdvance(l *Log, ts int64) error {
 	p, err := l.BeginAdvance(ts)
@@ -59,10 +68,10 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	b1 := testBatch(10, 3, 1)
 	b2 := testBatch(5, 3, 2)
 	ts := []int64{7, 7, 8, 9, 12}
-	if err := l.AppendBatch(b1, nil); err != nil {
+	if err := appendBatch(l, b1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(b2, ts); err != nil {
+	if err := appendBatch(l, b2, ts); err != nil {
 		t.Fatal(err)
 	}
 	if err := appendAdvance(l, 42); err != nil {
@@ -125,7 +134,7 @@ func TestCompactionResetsLogAndSkipsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := l.AppendBatch(testBatch(4, 2, int64(i)), nil); err != nil {
+		if err := appendBatch(l, testBatch(4, 2, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +147,7 @@ func TestCompactionResetsLogAndSkipsReplay(t *testing.T) {
 	}
 	// One more batch after the compaction: only it should replay.
 	post := testBatch(7, 2, 99)
-	if err := l.AppendBatch(post, nil); err != nil {
+	if err := appendBatch(l, post, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -177,7 +186,7 @@ func TestCrashBetweenSnapshotAndLogReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.AppendBatch(testBatch(4, 2, int64(i)), nil); err != nil {
+		if err := appendBatch(l, testBatch(4, 2, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,10 +231,10 @@ func TestTornTailTruncatedOnRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(6, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(6, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(6, 2, 2), nil); err != nil {
+	if err := appendBatch(l, testBatch(6, 2, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	walPath := filepath.Join(s.Dir(), encodeName("demo"), walFile)
@@ -286,7 +295,7 @@ func TestCorruptMidFileTruncatesRest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.AppendBatch(testBatch(4, 2, int64(i)), nil); err != nil {
+		if err := appendBatch(l, testBatch(4, 2, int64(i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +335,7 @@ func TestRemoveTombstonesAndFreesName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(3, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(3, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Remove(); err != nil {
@@ -340,7 +349,7 @@ func TestRemoveTombstonesAndFreesName(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recreate after remove: %v", err)
 	}
-	if err := l2.AppendBatch(testBatch(2, 2, 2), nil); err != nil {
+	if err := appendBatch(l2, testBatch(2, 2, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -389,7 +398,7 @@ func TestOpenSweepsStreamDirTmp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(3, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(3, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	streamDir := filepath.Join(s.Dir(), encodeName("demo"))
@@ -471,7 +480,7 @@ func TestReplaceInstallsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(testBatch(3, 2, 1), nil); err != nil {
+	if err := appendBatch(l, testBatch(3, 2, 1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Remove(); err != nil {
@@ -482,7 +491,7 @@ func TestReplaceInstallsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.AppendBatch(testBatch(2, 2, 2), nil); err != nil {
+	if err := appendBatch(l2, testBatch(2, 2, 2), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -513,7 +522,7 @@ func TestFsyncModesAppend(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				if err := l.AppendBatch(testBatch(3, 2, int64(i)), nil); err != nil {
+				if err := appendBatch(l, testBatch(3, 2, int64(i)), nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -456,16 +456,6 @@ func (l *Log) BeginAdvance(ts int64) (*Pending, error) {
 	return l.begin(OpAdvance, encodeAdvance(ts))
 }
 
-// AppendBatch journals one validated ingest batch (ts may be nil for untimed
-// batches). The append is durable per the store's fsync mode when it returns.
-func (l *Log) AppendBatch(points metric.Dataset, ts []int64) error {
-	p, err := l.BeginBatch(points, ts)
-	if err != nil {
-		return err
-	}
-	return p.Wait()
-}
-
 // flush syncs buffered appends (FsyncInterval mode) and reports whether a
 // sync actually happened, so the syncer can attribute tick latency to the
 // logs it flushed.

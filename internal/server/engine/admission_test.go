@@ -92,7 +92,11 @@ func TestOverboundWALRecordSetAsideAtBoot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := lg.AppendBatch(batch, nil); err != nil {
+		p, err := lg.BeginBatch(batch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -66,9 +66,9 @@ func (f flavour) stamps(n int, from int64) []int64 {
 	return ts
 }
 
-func mustCenters(t *testing.T, v *QueryView, st *Stream) metric.Dataset {
+func mustCenters(t *testing.T, v *QueryView) metric.Dataset {
 	t.Helper()
-	centers, _, err := v.Centers(ExtractKey{K: st.K, Z: st.Z})
+	centers, _, err := v.Centers()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFlavoursViewIsolation(t *testing.T) {
 			if got, want := mustViewSnapshot(t, held), mustViewSnapshot(t, want); !bytes.Equal(got, want) {
 				t.Error("held view's snapshot changed under later ingests")
 			}
-			if !sameDataset(mustCenters(t, held, st), mustCenters(t, want, twinSt)) {
+			if !sameDataset(mustCenters(t, held), mustCenters(t, want)) {
 				t.Error("held view's centers changed under later ingests")
 			}
 			newest := st.View()

@@ -24,7 +24,7 @@ func (e *Engine) Centers(ctx context.Context, name string) (StreamStats, kcenter
 	}
 	v := st.view.Load()
 	_, extract := obs.StartSpan(ctx, "extract")
-	centers, hit, err := v.Centers(ExtractKey{K: st.K, Z: st.Z})
+	centers, hit, err := v.Centers()
 	if hit {
 		extract.SetAttr("cache", "hit")
 	} else {

@@ -11,16 +11,6 @@ import (
 	"coresetclustering/internal/persist"
 )
 
-// ExtractKey identifies one cached extraction within a view. Today the only
-// key in play is the stream's own (k, z) — the version axis of the cache is
-// the view itself, which dies on the next publish.
-type ExtractKey struct{ K, Z int }
-
-type extractResult struct {
-	centers kcenter.Dataset
-	err     error
-}
-
 // QueryView is the immutable published read side of a stream: a point-in-time
 // clone of the clusterer plus the scalar stats that describe it, swapped in
 // atomically after every acknowledged mutation. Readers answer from the
@@ -46,7 +36,9 @@ type QueryView struct {
 	Window        *WindowStats // nil for insertion-only streams
 
 	mu          sync.Mutex
-	extractions map[ExtractKey]*extractResult
+	centers     kcenter.Dataset
+	centersErr  error
+	centersDone bool
 	snap        []byte
 	snapErr     error
 	snapDone    bool
@@ -55,20 +47,17 @@ type QueryView struct {
 	snapTag string // SketchTag(snap), filled by the first SnapshotTag
 }
 
-// Centers returns the view's extraction for the given parameters, memoised;
-// hit reports whether the cache already held it.
-func (v *QueryView) Centers(key ExtractKey) (centers kcenter.Dataset, hit bool, err error) {
+// Centers returns the view's extraction with the stream's own (k, z),
+// memoised; hit reports whether the cache already held it.
+func (v *QueryView) Centers() (centers kcenter.Dataset, hit bool, err error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if r, ok := v.extractions[key]; ok {
-		return r.centers, true, r.err
+	if !v.centersDone {
+		v.centers, v.centersErr = v.core.Centers()
+		v.centersDone = true
+		return v.centers, false, v.centersErr
 	}
-	c, err := v.core.Centers()
-	if v.extractions == nil {
-		v.extractions = make(map[ExtractKey]*extractResult, 1)
-	}
-	v.extractions[key] = &extractResult{centers: c, err: err}
-	return c, false, err
+	return v.centers, true, v.centersErr
 }
 
 // Snapshot returns the view's serialized sketch, memoised; hit reports

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"coresetclustering/internal/server/engine"
 )
 
 // benchIngestBody pre-marshals one deterministic ingest batch.
@@ -47,14 +49,16 @@ func benchGet(b *testing.B, url string) {
 	}
 }
 
-// newBenchDaemon starts an in-memory daemon with one seeded stream.
-func newBenchDaemon(b *testing.B) (ts *httptest.Server, streamURL string) {
+// newBenchDaemon starts an in-memory daemon with one seeded stream, named
+// "bench" in the returned engine.
+func newBenchDaemon(b *testing.B) (eng *engine.Engine, streamURL string) {
 	b.Helper()
-	ts = httptest.NewServer(newServer(config{k: 8, budget: 64, workers: 1}).routes())
+	srv := newServer(config{k: 8, budget: 64, workers: 1})
+	ts := httptest.NewServer(srv.routes())
 	b.Cleanup(ts.Close)
 	streamURL = ts.URL + "/streams/bench"
 	benchPost(b, streamURL+"/points", benchIngestBody(b, 500, 8, 1))
-	return ts, streamURL
+	return srv.eng, streamURL
 }
 
 // reportPercentiles attaches p50/p99 of the recorded per-query latencies to
@@ -91,14 +95,16 @@ func BenchmarkQueryCentersIdle(b *testing.B) {
 }
 
 // BenchmarkQueryCentersUnderIngest measures GET /centers while a writer
-// streams 100-point batches at up to ~1 kHz into the same stream. Reads come
-// back to back and the writer publishes a new version at most once a
-// millisecond, so most reads land on a version an earlier read already
-// extracted: the p50 is mostly the view memo's hit latency beside a busy
-// writer, below the idle all-miss baseline. It does not show that reads
-// avoid the ingest mutex; TestReadsDoNotTakeIngestMutex pins that.
+// streams 100-point batches at up to ~1 kHz into the same stream. Before each
+// timed read it waits, off the clock, until the writer has published a version
+// after the previous read returned, so every read extracts a view no earlier
+// read has seen: the p50 is the cache-miss latency beside a busy writer, to
+// set against the idle all-miss baseline. miss-share reports the share of
+// timed reads the stream counted as extraction-cache misses. It does not show
+// that reads avoid the ingest mutex; TestReadsDoNotTakeIngestMutex pins that.
 func BenchmarkQueryCentersUnderIngest(b *testing.B) {
-	_, url := newBenchDaemon(b)
+	eng, url := newBenchDaemon(b)
+	st, _ := eng.Lookup("bench")
 	body := benchIngestBody(b, 100, 8, 3)
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -120,16 +126,34 @@ func BenchmarkQueryCentersUnderIngest(b *testing.B) {
 		}
 	}()
 	lat := make([]time.Duration, 0, b.N)
+	before := benchCacheStats(b, eng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for seen := st.View().Version; st.View().Version == seen; {
+			time.Sleep(100 * time.Microsecond)
+		}
+		b.StartTimer()
 		t0 := time.Now()
 		benchGet(b, url+"/centers")
 		lat = append(lat, time.Since(t0))
 	}
 	b.StopTimer()
+	after := benchCacheStats(b, eng)
 	close(stop)
 	<-done
 	reportPercentiles(b, lat)
+	b.ReportMetric(float64(after.Misses-before.Misses)/float64(b.N), "miss-share")
+}
+
+// benchCacheStats reads the extraction-cache counters of the bench stream.
+func benchCacheStats(b *testing.B, eng *engine.Engine) engine.CacheStats {
+	b.Helper()
+	stats, err := eng.Stats("bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return stats.Cache
 }
 
 // BenchmarkQueryCentersCacheHit measures the steady-state read path at a
