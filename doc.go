@@ -150,6 +150,19 @@
 // RunStats.FinalPassEvaluations reports what the pass spent; Radius and
 // RadiusExcluding, which have no hint, scan densely.
 //
+// The streaming algorithms' update rule compares each observed point with
+// the current coreset centers. On the same spaces (the Angular chain
+// declines, so not there) it answers from a pivot index once plain scans
+// since the centers last changed have cost about k^2 evaluations: about
+// 2*sqrt(k) pivots chosen farthest-first, every other center in the group of
+// its nearest pivot, and per center and pivot a threshold below which the
+// whole group is provably strictly farther than that center. A point is
+// evaluated against the pivots, the nearest pivot's group and only the
+// groups its current best center cannot rule out, so the nearest center —
+// and every coreset, snapshot and answer built on it — is the scan's, bit
+// for bit. Merge rounds discard the index, clones and snapshots never carry
+// it, and it is dropped when it stops saving half the evaluations.
+//
 // # Parallelism and determinism
 //
 // All distance-dominated passes (the Gonzalez farthest-point scans,

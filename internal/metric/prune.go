@@ -6,8 +6,10 @@ import "math"
 // consumer needs to prove, WITHOUT evaluating it, that a distance cannot win
 // a nearest-centre comparison. It states two rounding contracts, once, and
 // prune_test.go tests them here. The consumers are the pruned phase of
-// internal/gmm (both contracts) and the hinted nearest-centre pass of
-// parallel.go (the first).
+// internal/gmm (both contracts), the hinted nearest-centre pass of
+// parallel.go (the first), and the doubling algorithm's update rule in
+// internal/streaming (both: its pivot index chains a threshold per centre and
+// pivot, and skips a group on the first contract's test).
 //
 // Contract 1, the lemma. Let b be the centre currently closest to a point p
 // and c another centre. If d(c, b) >= 2*d(p, b) then, by the triangle

@@ -25,10 +25,14 @@ import (
 //	(e) phi <= r*_tau(S), the optimal tau-center radius of the points
 //	    processed so far.
 //
-// The per-point update rule runs on the metric space's batched ArgNearest
-// kernel over a maintained point view of the centers (no per-point
-// allocations); the one conversion out of the surrogate domain per processed
-// point is the only square root (Euclidean) the hot path pays.
+// The per-point update rule asks for the nearest center over a maintained
+// point view of the centers (no per-point allocations): the metric space's
+// batched ArgNearest kernel while the centers are few or were just
+// renumbered, and a pivot index (nearest.go) that evaluates only the centers
+// the triangle inequality cannot rule out once the scans have cost about k^2
+// evaluations — the same answer, bit for bit. The one conversion out of the
+// surrogate domain per processed point is the only square root (Euclidean)
+// the hot path pays.
 //
 // Points are immutable once admitted: a processed point is retained by
 // reference and its coordinates are never written, here or in any package
@@ -45,6 +49,11 @@ type Doubling struct {
 
 	initBuf   metric.Dataset // first tau+1 points, buffered until initialisation
 	processed int64
+
+	near      *nearIndex // answers the update rule's query; nil while the plain scan does
+	scanned   int        // evaluations the plain scan spent since the centers last changed structurally
+	backoff   int        // indexes dropped since then (nearest.go)
+	nearStats nearStats  // what the index did, for the tests
 }
 
 // NewDoublingIn returns a Doubling processor on the given metric space (nil
@@ -75,7 +84,7 @@ func (d *Doubling) Process(p metric.Point) error {
 	}
 	if d.centers != nil {
 		// Update rule.
-		s, closest := d.space.ArgNearest(p, d.pts)
+		s, closest := d.nearest(p)
 		near := d.space.FromSurrogate(s)
 		if closest < 0 || !(near <= math.MaxFloat64) {
 			return fmt.Errorf("%w: nearest center at %v", ErrNonFiniteDistance, near)
@@ -105,7 +114,14 @@ func (d *Doubling) Process(p metric.Point) error {
 	} else {
 		d.centers = append(d.centers, metric.WeightedPoint{P: p, W: 1})
 		d.pts = append(d.pts, p)
-		err = d.mergeToBudget()
+		if len(d.centers) > d.tau {
+			err = d.mergeToBudget()
+		} else if d.near != nil {
+			d.nearStats.adds++
+			if d.near.add(p, len(d.pts)-1) {
+				d.nearStats.refreshes++
+			}
+		}
 	}
 	if err != nil {
 		*d = *undo
@@ -200,6 +216,7 @@ func halfOf(minDist float64) float64 {
 // invariant (b) states it; the minimum is reduced in the surrogate domain and
 // converted once. Survivors are compacted in place: the headers are owned.
 func (d *Doubling) mergeCloserThan(threshold float64) float64 {
+	d.discardNear()
 	n := len(d.centers)
 	buf := make([]float64, 2*n)
 	row, near := buf[:n], buf[n:] // near[j]: min surrogate from a survivor before j
@@ -247,6 +264,7 @@ func (d *Doubling) mergeCloserThan(threshold float64) float64 {
 // copy-on-write query views are built from.
 func (d *Doubling) Clone() *Doubling {
 	cp := *d
+	cp.near = nil
 	// slices.Clone keeps nil nil: centers' nil-ness is semantic (still
 	// buffering).
 	cp.centers = slices.Clone(d.centers)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"coresetclustering/internal/metric"
@@ -324,5 +325,110 @@ func TestMergeSweepAtExactThresholds(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// clone copies the oracle's headers, as Doubling.Clone does.
+func (r *refDoubling) clone() *refDoubling {
+	cp := *r
+	cp.centers = slices.Clone(r.centers)
+	cp.initBuf = slices.Clone(r.initBuf)
+	return &cp
+}
+
+// tieGridStream is a drifting stream on the integer lattice: a 40x40 slab of
+// integer points climbing one unit in z every 40 points, so distances take a
+// handful of exactly representable values and ties between centers are the
+// rule, not the exception.
+func tieGridStream(seed int64, n int) metric.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	ds := make(metric.Dataset, n)
+	for i := range ds {
+		ds[i] = metric.Point{float64(rng.Intn(40)), float64(rng.Intn(40)), float64(i/40 + rng.Intn(3))}
+	}
+	return ds
+}
+
+// TestNearestIndexMatchesReference drives the production Doubling, whose
+// update rule answers from the pivot index once it pays, beside the oracle,
+// whose update rule scans with ArgNearest, over drifting streams long enough
+// to build, grow, refresh, discard, drop and rebuild the index; and again
+// through a mid-stream Clone and a State -> Restore round trip that keep
+// processing. Every batch must leave the two in the same state, bit for bit.
+// On AngularSpace (whose chain declines) and CosineSpace (no Pruner) the
+// index must never be built.
+func TestNearestIndexMatchesReference(t *testing.T) {
+	const tau, batch = 400, 100
+	streams := map[string]metric.Dataset{
+		"blobs": driftingStream(7, 6000, 16, 40, 0.05),
+		"grid":  tieGridStream(8, 6000),
+		// One blob: every center is about as far from a point as any other,
+		// so the index cannot pay and is dropped.
+		"noise": driftingStream(9, 6000, 8, 1, 0.03),
+	}
+	var total nearStats
+	rebuilt := false
+	for _, sp := range []metric.Space{metric.EuclideanSpace, metric.ManhattanSpace, metric.ChebyshevSpace, metric.AngularSpace, metric.CosineSpace} {
+		for name, ds := range streams {
+			t.Run(sp.Name()+"/"+name, func(t *testing.T) {
+				d, err := NewDoublingIn(sp, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := &refDoubling{space: sp, tau: tau}
+				// The three lineages: the original throughout, a clone taken
+				// at the first third, a restored state at the second.
+				type pair struct {
+					d *Doubling
+					r *refDoubling
+				}
+				lines := []pair{{d, r}}
+				most := 0
+				for lo := 0; lo < len(ds); lo += batch {
+					switch lo {
+					case len(ds) / 3 / batch * batch:
+						lines = append(lines, pair{d.Clone(), r.clone()})
+					case 2 * len(ds) / 3 / batch * batch:
+						rd, err := RestoreDoublingIn(sp, d.State())
+						if err != nil {
+							t.Fatal(err)
+						}
+						lines = append(lines, pair{rd, r.clone()})
+					}
+					for i, l := range lines {
+						for _, p := range ds[lo:min(lo+batch, len(ds))] {
+							if err := l.d.Process(p); err != nil {
+								t.Fatal(err)
+							}
+							l.r.process(p)
+						}
+						assertMatchesReference(t, fmt.Sprintf("lineage %d after point %d", i, lo+batch), l.d, l.r)
+					}
+					most = max(most, len(d.centers))
+				}
+				if most < 300 {
+					t.Errorf("the stream held at most %d centers; the test needs at least 300", most)
+				}
+				for _, l := range lines {
+					s := l.d.nearStats
+					if sp == metric.AngularSpace || sp == metric.CosineSpace {
+						if s.builds != 0 {
+							t.Errorf("the index was built %d times on a space that cannot chain", s.builds)
+						}
+						continue
+					}
+					total.builds += s.builds
+					rebuilt = rebuilt || s.builds > 1
+					total.adds += s.adds
+					total.refreshes += s.refreshes
+					total.discards += s.discards
+					total.drops += s.drops
+				}
+			})
+		}
+	}
+	t.Logf("index transitions over all runs: %+v", total)
+	if !rebuilt || total.adds == 0 || total.refreshes == 0 || total.discards == 0 || total.drops == 0 {
+		t.Errorf("some index transition never ran (a rebuild: %v): %+v", rebuilt, total)
 	}
 }
