@@ -51,10 +51,14 @@
 // writes them: a point is immutable from the moment Observe (ObserveAll,
 // ObserveAt) accepts it, and the caller must not modify it afterwards.
 // Everything inside builds on that — Clone, Snapshot, the sliding window's
-// bucket merges and query unions, and the sketch merge chain copy only
-// (point, weight) headers and share the coordinate arrays, so their cost does
-// not grow with the dimension and a query allocates a constant number of
-// objects. Centers is where points leave the clusterer: it returns copies,
+// query unions and the sketch merge chain copy only (point, weight) headers
+// and share the coordinate arrays, so their cost does not grow with the
+// dimension and a query allocates a constant number of objects. One step
+// copies coordinates: when a window coalesce reduces two buckets to the
+// budget, the survivors' rows go into one block the new bucket owns. A window
+// therefore keeps alive the arrays of only its most recent points (at most
+// chi·base·15 + base of them at the default base), not every array its span
+// arrived in. Centers is where points leave the clusterer: it returns copies,
 // which are the caller's to keep or change.
 //
 // # Admission

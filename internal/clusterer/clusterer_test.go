@@ -98,10 +98,12 @@ func TestReturnedCentersDoNotAliasState(t *testing.T) {
 
 // TestObservedPointsAreNeverWritten pins the invariant every header-only copy
 // in streaming, window, clusterer and sketch stands on: a point, once
-// observed, is retained by reference and its coordinates are never written.
-// The run crosses doubling merge rounds, window coalesces with GMM
-// reductions, Clone, queries on originals and clones, Snapshot/Restore and
-// the sketch merge chain over states that share the observed arrays.
+// observed, is never written. It is retained by reference, except where a
+// window coalesce's GMM reduction copies its survivors into a block of their
+// own; that copy only reads the observed arrays. The run crosses doubling
+// merge rounds, window coalesces with GMM reductions, Clone, queries on
+// originals and clones, Snapshot/Restore and the sketch merge chain over
+// states that share the observed arrays.
 func TestObservedPointsAreNeverWritten(t *testing.T) {
 	data := blobs(rand.New(rand.NewSource(4)), 4000, 5)
 	pristine := data.Clone()

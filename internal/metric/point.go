@@ -119,11 +119,23 @@ func (ds Dataset) Dim() int {
 	return ds[0].Dim()
 }
 
-// Clone returns a deep copy of the dataset.
+// Clone returns a deep copy of the dataset whose coordinates lie in one new
+// block, row after row in dataset order: a scan over the copy walks memory
+// strictly forward however scattered the originals were. Each row's capacity
+// ends at its own last coordinate, so appending to one row never writes its
+// neighbour.
 func (ds Dataset) Clone() Dataset {
+	n := 0
+	for _, p := range ds {
+		n += len(p)
+	}
+	block := make([]float64, n)
 	out := make(Dataset, len(ds))
+	off := 0
 	for i, p := range ds {
-		out[i] = p.Clone()
+		end := off + copy(block[off:], p)
+		out[i] = block[off:end:end]
+		off = end
 	}
 	return out
 }

@@ -2,8 +2,10 @@ package metric
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestPointDim(t *testing.T) {
@@ -134,6 +136,24 @@ func TestDatasetClone(t *testing.T) {
 	cp[0][0] = 42
 	if ds[0][0] == 42 {
 		t.Fatal("Clone shares point storage")
+	}
+	// One block, rows in order, each row's capacity ending at its own end.
+	ds = Dataset{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	cp = ds.Clone()
+	if !reflect.DeepEqual(cp, ds) {
+		t.Fatalf("Clone = %v, want %v", cp, ds)
+	}
+	for i := 1; i < len(cp); i++ {
+		if unsafe.Add(unsafe.Pointer(&cp[i-1][0]), 3*8) != unsafe.Pointer(&cp[i][0]) {
+			t.Fatalf("row %d does not follow row %d in one block", i, i-1)
+		}
+		if cap(cp[i-1]) != 3 {
+			t.Fatalf("row %d has capacity %d, want 3", i-1, cap(cp[i-1]))
+		}
+	}
+	_ = append(cp[0], 42)
+	if cp[1][0] != 4 {
+		t.Fatal("appending to a cloned row wrote its neighbour")
 	}
 }
 

@@ -135,12 +135,16 @@ func Decode(data []byte) (*Sketch, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes after %d points", ErrCorrupt, remaining-need, count)
 	}
 
+	// One count×dim block holds every coordinate, row after row: one
+	// allocation per sketch, and a restored state scans dense rows.
 	s.Points = make(metric.WeightedSet, count)
+	block := make([]float64, uint64(count)*uint64(dim))
 	off := headerSize
 	for i := range s.Points {
 		w := int64(binary.BigEndian.Uint64(data[off : off+8]))
 		off += 8
-		p := make(metric.Point, dim)
+		p := metric.Point(block[:dim:dim])
+		block = block[dim:]
 		for j := range p {
 			p[j] = math.Float64frombits(binary.BigEndian.Uint64(data[off : off+8]))
 			off += 8

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"coresetclustering/internal/gmm"
 	"coresetclustering/internal/metric"
@@ -92,6 +93,37 @@ func TestRoundTripGolden(t *testing.T) {
 				t.Errorf("re-encoding is not byte-identical (%d vs %d bytes)", len(enc), len(enc2))
 			}
 		})
+	}
+}
+
+// TestDecodeAllocatesOneBlock pins Decode to a fixed number of allocations
+// whatever the point count: every coordinate lands in one count×dim block,
+// rows back to back in coreset order.
+func TestDecodeAllocatesOneBlock(t *testing.T) {
+	allocs := func(n int) float64 {
+		enc, err := Encode(streamSketch(t, clusteredData(n, 16, 8, 5), 8, 400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < len(dec.Points); i++ {
+			prev, p := dec.Points[i-1].P, dec.Points[i].P
+			if unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), 8*len(prev)) != unsafe.Pointer(unsafe.SliceData(p)) {
+				t.Fatalf("%d points: row %d does not follow row %d in one block", n, i, i-1)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Decode(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10), allocs(3000)
+	if small != large || large > 3 {
+		t.Errorf("Decode allocates %v times for 10 points and %v for 3000, want the same count, at most 3", small, large)
 	}
 }
 

@@ -3,6 +3,7 @@ package window_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"coresetclustering/internal/clusterer"
@@ -48,7 +49,44 @@ func BenchmarkWindowIngest(b *testing.B) {
 // BenchmarkWindowQuery measures query latency (union + GMM extraction)
 // against a filled window, across window sizes. Each iteration observes one
 // point first, as a live stream does between queries.
+//
+// The W rows cycle over one dataset, so their buckets' rows share one array
+// whatever the layout. The drift row is shaped like a live ingest instead:
+// d = 16, k 20, tau 320, W = 100 000, a linearly drifting mixture, every
+// 256-point batch in its own array, filled with 2W points before timing.
 func BenchmarkWindowQuery(b *testing.B) {
+	b.Run("drift,d=16,k=20,tau=320,W=100000", func(b *testing.B) {
+		const (
+			W     = 100_000
+			batch = 256
+		)
+		s, err := clusterer.New(clusterer.Params{Kind: sketch.KindKCenter, K: 20, Tau: 320, WindowSize: W})
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := window.NewDriftSource(7, 16)
+		for i := 0; i < 2*W; i += batch {
+			for _, p := range src.Next(batch) {
+				if err := s.Observe(p, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		var next metric.Dataset
+		for range 64 {
+			next = append(next, src.Next(batch)...)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Observe(next[i%len(next)], 0); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Centers(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, W := range []int64{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("W=%d", W), func(b *testing.B) {
 			const (
@@ -104,5 +142,48 @@ func BenchmarkWindowSnapshot(b *testing.B) {
 		if _, err := clusterer.Restore(blob, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWindowRetained reports the heap a count window keeps alive after
+// 2W points of a drifting 16-d stream fed in 256-point batches, each in its
+// own array and dropped once observed: retained-KiB is runtime HeapAlloc
+// after a GC, less the same figure before the window was built, and
+// coords-KiB what the retained points' coordinates alone take. An op is one
+// GC with the window live.
+func BenchmarkWindowRetained(b *testing.B) {
+	for _, W := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("W=%d", W), func(b *testing.B) {
+			const (
+				tau   = 320
+				dim   = 16
+				batch = 256
+			)
+			var ms runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&ms)
+			base := ms.HeapAlloc
+			w, err := window.New(window.Config{Tau: tau, MaxCount: int64(W)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			src := window.NewDriftSource(7, dim)
+			for i := 0; i < 2*W; i += batch {
+				for _, p := range src.Next(batch) {
+					if err := w.Observe(p, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ms.HeapAlloc-base)/1024, "retained-KiB")
+			b.ReportMetric(float64(w.WorkingMemory()*dim*8)/1024, "coords-KiB")
+			runtime.KeepAlive(w)
+		})
 	}
 }

@@ -6,4 +6,5 @@ package window
 var (
 	ClusteredData     = clusteredData
 	AssertSameDataset = assertSameDataset
+	NewDriftSource    = newDriftSource
 )

@@ -50,9 +50,16 @@
 // invariant distance engine. Results are therefore bit-identical across
 // worker counts and across a snapshot -> restore round-trip.
 //
-// Points are immutable once observed (see streaming.Doubling): buckets,
-// clones, coalesced buckets and query unions hold headers over the same
-// coordinate arrays, and nothing in this package writes a coordinate.
+// Points are immutable once observed (see streaming.Doubling), and nothing in
+// this package writes a coordinate. Open and replayed buckets, clones and
+// query unions hold headers over the caller's coordinate arrays. A bucket
+// built by a reduction instead owns one block holding its survivors' rows in
+// coreset order, copied once when it is built. So only the unreduced buckets
+// pin caller arrays: at most chi buckets per level below the first reduced
+// level, plus the open one, a run of at most chi*base*15 + base recent points
+// at the default base tau/4, whatever W is. The query-time union then reads
+// about one dense block per live bucket instead of rows scattered over the
+// whole window.
 package window
 
 import (
@@ -314,21 +321,25 @@ func (w *Window) mergeBucketStates(a, b *streaming.Doubling) (*streaming.Doublin
 	phiSrc := max(a.Phi(), b.Phi())
 	union := make(metric.WeightedSet, 0, a.WorkingMemory()+b.WorkingMemory())
 	union = foldDuplicates(b.AppendCoreset(a.AppendCoreset(union)))
+	pts := union.Points()
 	if len(union) > w.tau {
-		pts := union.Points()
 		res, err := gmm.Runner{Space: w.space, Workers: 1}.Run(pts, w.tau, 0)
 		if err != nil {
 			return nil, err
 		}
 		folded := make(metric.WeightedSet, len(res.Centers))
-		for i, c := range res.Centers {
-			folded[i] = metric.WeightedPoint{P: c}
-		}
 		for i, wp := range union {
 			folded[res.Assignment[i]].W += wp.W
 		}
-		union = folded
+		union, pts = folded, res.Centers
 		phiSrc += float64(res.Radius / 8) // rounded apart: no fused multiply-add on arm64
+	}
+	// The reduced bucket owns its survivors: one block in coreset order, never
+	// written afterwards. Its inputs' rows lie scattered over every batch
+	// array they arrived in; the copy lets those arrays go and gives the
+	// query-time union and the next coalesce's GMM dense rows to scan.
+	for i, p := range pts.Clone() {
+		union[i].P = p
 	}
 	return streaming.RestoreDoublingIn(w.space, streaming.DoublingState{
 		Tau:         w.tau,
