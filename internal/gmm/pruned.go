@@ -125,7 +125,7 @@ type pruner struct {
 	// in its group's summary: it is tested against the evaluated pair.
 	// grpOf[b] is the group center b joined (-1 for a pivot).
 	grpHead, grpNext, grpArg, grpOf []int32
-	grpReach, grpMax                []float64
+	grpReach, grpBound, grpMax      []float64 // grpBound[g]: Pruner.ReachBounds of grpReach[g], converted when it grows
 	via                             []float64 // this round's group thresholds (scratch),
 	cand                            []int32   // the members of the groups it could not skip,
 	candThr                         []float64 // and the members' skip thresholds
@@ -236,12 +236,14 @@ func (st *state) bucket() {
 
 	st.grpHead, st.grpArg = make([]int32, m), make([]int32, m)
 	st.grpNext, st.grpOf = make([]int32, m, 2*m), make([]int32, m, 2*m)
-	st.grpReach, st.grpMax, st.via = make([]float64, m), make([]float64, m), make([]float64, m)
+	st.grpReach, st.grpBound = make([]float64, m), make([]float64, m)
+	st.grpMax, st.via = make([]float64, m), make([]float64, m)
 	st.clLost = make([]bool, m, 2*m)
 	for g := range st.grpHead {
 		st.grpHead[g], st.grpArg[g], st.grpOf[g] = -1, -1, -1
-		st.grpReach[g], st.grpMax[g] = math.Inf(-1), math.Inf(-1)
+		st.grpReach[g], st.grpBound[g], st.grpMax[g] = math.Inf(-1), math.Inf(-1), math.Inf(-1)
 	}
+	st.half.ReachBounds(st.grpBound, len(st.points[0]))
 }
 
 // candidates is the group level of the pruned update: with the incoming
@@ -252,7 +254,7 @@ func (st *state) bucket() {
 // thresholds in candThr.
 func (st *state) candidates(c metric.Point) {
 	copy(st.via, st.pivS)
-	st.half.HalfSurrogatesVia(st.via, st.grpReach, len(c))
+	st.half.HalfSurrogatesVia(st.via, st.grpBound, len(c))
 	cand := st.cand[:0]
 	for g, t := range st.via {
 		if st.grpMax[g] < t {
@@ -410,7 +412,10 @@ func (st *state) updatePruned(c metric.Point, newIdx int) float64 {
 	st.grpNext = append(st.grpNext, st.grpHead[g])
 	st.grpOf = append(st.grpOf, int32(g))
 	st.grpHead[g] = int32(newIdx)
-	st.grpReach[g] = math.Max(st.grpReach[g], st.pivS[g])
+	if r := math.Max(st.grpReach[g], st.pivS[g]); r != st.grpReach[g] {
+		st.grpReach[g], st.grpBound[g] = r, r
+		st.half.ReachBounds(st.grpBound[g:g+1], len(c))
+	}
 	for _, w := range lostGrp {
 		mx, arg := math.Inf(-1), int32(-1)
 		for b := st.grpHead[w]; b >= 0; b = st.grpNext[b] {

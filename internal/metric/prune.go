@@ -66,17 +66,25 @@ type Pruner interface {
 	// the caller converts one value per center per round.)
 	HalfSurrogates(s []float64, dim int)
 
+	// ReachBounds replaces, in place, every reach[i] — the largest computed
+	// Surrogate(b, v_i) over the points b a chained answer must hold for —
+	// by the upper bound on their true distance to v_i that
+	// HalfSurrogatesVia reads in its place. A caller keeps the bound beside
+	// the reach and converts again only when the reach grows, not on every
+	// query.
+	ReachBounds(reach []float64, dim int)
+
 	// HalfSurrogatesVia is HalfSurrogates for pairs that were never
 	// evaluated. s[i] is the computed Surrogate(c, v_i) of a point c against
-	// a pivot v_i and reach[i] the largest computed Surrogate(b, v_i) over
-	// the points b the answer must hold for (the space turns it into an upper
-	// bound on their true distance to v_i). Every s[i] is replaced, in place,
+	// a pivot v_i and bound[i] is ReachBounds of the largest computed
+	// Surrogate(b, v_i) over the points b the answer must hold for. Every
+	// s[i] is replaced, in place,
 	// by a value at or below HalfSurrogates(Surrogate(c, b)) for each of
 	// those b, or by -Inf ("nothing promised: evaluate") for zero,
 	// denormal-range, infinite or NaN inputs and when the bound
 	// d(c, v_i) - d(b, v_i) is not positive. A space may decline by always
 	// answering -Inf; its consumers then evaluate what they evaluated before.
-	HalfSurrogatesVia(s, reach []float64, dim int)
+	HalfSurrogatesVia(s, bound []float64, dim int)
 }
 
 // PrunerOf returns the pruning capability of sp, or nil when the space does
@@ -162,9 +170,24 @@ func scaledHalves(s []float64, factor float64, dim int) {
 	}
 }
 
-// scaledHalvesVia is HalfSurrogatesVia for the same surrogates; squared says
-// whether the surrogate is the square of the distance or the distance.
-func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) {
+// scaledReachBounds is ReachBounds for the same surrogates, hi of the
+// argument above; squared says whether the surrogate is the square of the
+// distance or the distance.
+func scaledReachBounds(reach []float64, squared bool, dim int) {
+	eps := pruneSlack(dim)
+	for i, r := range reach {
+		if r < minPrunable { // max(reach, minPrunable) inline: NaN stays NaN and fails L > 0
+			r = minPrunable
+		}
+		if squared {
+			r = math.Sqrt(r)
+		}
+		reach[i] = float64(r * (1 + eps))
+	}
+}
+
+// scaledHalvesVia is HalfSurrogatesVia for the same surrogates.
+func scaledHalvesVia(s, bound []float64, factor float64, squared bool, dim int) {
 	eps := pruneSlack(dim)
 	scale := factor * (1 - float64(2*eps))
 	for i, v := range s {
@@ -172,14 +195,10 @@ func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) 
 		if !(v >= minPrunable && v <= maxVia) {
 			continue
 		}
-		r := reach[i] // max(reach, minPrunable) inline: NaN stays NaN and fails L > 0
-		if r < minPrunable {
-			r = minPrunable
-		}
 		if squared {
-			v, r = math.Sqrt(v), math.Sqrt(r)
+			v = math.Sqrt(v)
 		}
-		l := float64(v*(1-eps)) - float64(r*(1+eps))
+		l := float64(v*(1-eps)) - bound[i]
 		if !(l > 0) {
 			continue
 		}
@@ -195,25 +214,31 @@ func scaledHalvesVia(s, reach []float64, factor float64, squared bool, dim int) 
 // HalfSurrogates: the surrogate is d^2, so half the distance is s/4.
 func (euclideanSpace) HalfSurrogates(s []float64, dim int) { scaledHalves(s, 0.25, dim) }
 
-// HalfSurrogatesVia: the distances are the square roots.
-func (euclideanSpace) HalfSurrogatesVia(s, reach []float64, dim int) {
-	scaledHalvesVia(s, reach, 0.25, true, dim)
+// ReachBounds and HalfSurrogatesVia: the distances are the square roots.
+func (euclideanSpace) ReachBounds(reach []float64, dim int) { scaledReachBounds(reach, true, dim) }
+
+func (euclideanSpace) HalfSurrogatesVia(s, bound []float64, dim int) {
+	scaledHalvesVia(s, bound, 0.25, true, dim)
 }
 
 // HalfSurrogates: the surrogate is the distance itself.
 func (manhattanSpace) HalfSurrogates(s []float64, dim int) { scaledHalves(s, 0.5, dim) }
 
-// HalfSurrogatesVia: the surrogate is the distance itself.
-func (manhattanSpace) HalfSurrogatesVia(s, reach []float64, dim int) {
-	scaledHalvesVia(s, reach, 0.5, false, dim)
+// ReachBounds and HalfSurrogatesVia: the surrogate is the distance itself.
+func (manhattanSpace) ReachBounds(reach []float64, dim int) { scaledReachBounds(reach, false, dim) }
+
+func (manhattanSpace) HalfSurrogatesVia(s, bound []float64, dim int) {
+	scaledHalvesVia(s, bound, 0.5, false, dim)
 }
 
 // HalfSurrogates: the surrogate is the distance itself.
 func (chebyshevSpace) HalfSurrogates(s []float64, dim int) { scaledHalves(s, 0.5, dim) }
 
-// HalfSurrogatesVia: the surrogate is the distance itself.
-func (chebyshevSpace) HalfSurrogatesVia(s, reach []float64, dim int) {
-	scaledHalvesVia(s, reach, 0.5, false, dim)
+// ReachBounds and HalfSurrogatesVia: the surrogate is the distance itself.
+func (chebyshevSpace) ReachBounds(reach []float64, dim int) { scaledReachBounds(reach, false, dim) }
+
+func (chebyshevSpace) HalfSurrogatesVia(s, bound []float64, dim int) {
+	scaledHalvesVia(s, bound, 0.5, false, dim)
 }
 
 // HalfSurrogates for the angular metric, whose surrogate is -cos(theta) of the
@@ -257,6 +282,9 @@ func (angularSpace) HalfSurrogates(s []float64, dim int) {
 		}
 	}
 }
+
+// ReachBounds leaves the reaches as they are: the chain declines.
+func (angularSpace) ReachBounds([]float64, int) {}
 
 // HalfSurrogatesVia declines: chaining two angles' absolute cosine errors
 // through a difference needs an argument of its own, and the angular space's

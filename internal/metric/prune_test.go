@@ -136,7 +136,9 @@ func TestHalfSurrogatesPromisesNothingOutsideItsRange(t *testing.T) {
 // via is the scalar form of HalfSurrogatesVia.
 func via(pr Pruner, s, reach float64, dim int) float64 {
 	v := []float64{s}
-	pr.HalfSurrogatesVia(v, []float64{reach}, dim)
+	bound := []float64{reach}
+	pr.ReachBounds(bound, dim)
+	pr.HalfSurrogatesVia(v, bound, dim)
 	return v[0]
 }
 

@@ -245,6 +245,95 @@ func DistancesToIndexed(sp Space, dst []float64, p Point, points Dataset, idx []
 	}
 }
 
+// SurrogateAtMost returns the largest surrogate T with
+// sp.FromSurrogate(T) <= d, so that a threshold on true distances can be
+// applied in the surrogate domain without converting every value: for every
+// s such that neither s nor FromSurrogate(s) is NaN,
+//
+//	FromSurrogate(s) <= d  exactly when  s <= T.
+//
+// T is +Inf when every surrogate qualifies and NaN when none does (s <= NaN
+// holds for no s).
+//
+// It assumes only what Radius and the max reductions already assume:
+// FromSurrogate is monotone non-decreasing wherever it is not NaN, and NaN
+// only below that range (the square root of a negative). Correct rounding is
+// not needed, and neither is an exact inverse: ToSurrogate(d) is only where
+// the search starts, at or a few ulps from T on every built-in space. From
+// there it gallops over the floats in their order — steps of 1, 2, 4, ...
+// ulps — until it brackets T, then bisects the bracket: at most about 130
+// FromSurrogate calls, usually a handful.
+func SurrogateAtMost(sp Space, d float64) float64 {
+	within := func(k uint64) bool {
+		v := sp.FromSurrogate(fromOrderedKey(k))
+		return v <= d || math.IsNaN(v)
+	}
+	lo, hi := orderedKey(math.Inf(-1)), orderedKey(math.Inf(1))
+	start := sp.ToSurrogate(d)
+	if math.IsNaN(start) {
+		start = 0
+	}
+	k := orderedKey(start)
+	if within(k) {
+		lo = k
+		for step := uint64(1); ; step *= 2 {
+			if lo == hi {
+				return math.Inf(1)
+			}
+			next := hi
+			if step < hi-lo {
+				next = lo + step
+			}
+			if !within(next) {
+				hi = next
+				break
+			}
+			lo = next
+		}
+	} else {
+		hi = k
+		for step := uint64(1); ; step *= 2 {
+			if lo == hi {
+				return math.NaN()
+			}
+			next := lo
+			if step < hi-lo {
+				next = hi - step
+			}
+			if within(next) {
+				lo = next
+				break
+			}
+			hi = next
+		}
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; within(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return fromOrderedKey(lo)
+}
+
+// orderedKey maps a float that is not NaN to an unsigned integer in the same
+// order, -Inf lowest and -0 just below +0; fromOrderedKey inverts it.
+func orderedKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 == 0 {
+		return b | 1<<63
+	}
+	return ^b
+}
+
+func fromOrderedKey(k uint64) float64 {
+	if k>>63 == 1 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
+}
+
 // --- Euclidean ---
 
 type euclideanSpace struct{}

@@ -30,9 +30,10 @@ import (
 // batched ArgNearest kernel while the centers are few or were just
 // renumbered, and a pivot index (nearest.go) that evaluates only the centers
 // the triangle inequality cannot rule out once the scans have cost about k^2
-// evaluations — the same answer, bit for bit. The one conversion out of the
-// surrogate domain per processed point is the only square root (Euclidean)
-// the hot path pays.
+// evaluations — the same answer, bit for bit. The answer is compared with the
+// rule's two true-distance limits, 8*phi and the largest finite float, in the
+// surrogate domain, against limits converted once per value of phi
+// (metric.SurrogateAtMost): the hot path pays no square root (Euclidean).
 //
 // Points are immutable once admitted: a processed point is retained by
 // reference and its coordinates are never written, here or in any package
@@ -53,7 +54,20 @@ type Doubling struct {
 	near      *nearIndex // answers the update rule's query; nil while the plain scan does
 	scanned   int        // evaluations the plain scan spent since the centers last changed structurally
 	backoff   int        // indexes dropped since then (nearest.go)
+	replaying bool       // MergeDoublings is replaying buffers into this processor: no index is built
 	nearStats nearStats  // what the index did, for the tests
+
+	lim limits // the update rule's limits in the surrogate domain
+}
+
+// limits are the update rule's two true-distance limits as surrogates, for
+// the phi they were taken at: a nearest surrogate s is covered when
+// s <= cover (FromSurrogate(s) <= 8*phi) and finite when s <= finite
+// (FromSurrogate(s) <= math.MaxFloat64), exactly (metric.SurrogateAtMost).
+type limits struct {
+	set           bool
+	phi           float64
+	cover, finite float64
 }
 
 // NewDoublingIn returns a Doubling processor on the given metric space (nil
@@ -84,12 +98,14 @@ func (d *Doubling) Process(p metric.Point) error {
 	}
 	if d.centers != nil {
 		// Update rule.
-		s, closest := d.nearest(p)
-		near := d.space.FromSurrogate(s)
-		if closest < 0 || !(near <= math.MaxFloat64) {
-			return fmt.Errorf("%w: nearest center at %v", ErrNonFiniteDistance, near)
+		if !d.lim.set || d.lim.phi != d.phi {
+			d.lim = limits{true, d.phi, metric.SurrogateAtMost(d.space, 8*d.phi), metric.SurrogateAtMost(d.space, math.MaxFloat64)}
 		}
-		if near <= 8*d.phi {
+		s, closest := d.nearest(p)
+		if closest < 0 || !(s <= d.lim.finite) {
+			return fmt.Errorf("%w: nearest center at %v", ErrNonFiniteDistance, d.space.FromSurrogate(s))
+		}
+		if s <= d.lim.cover {
 			d.processed++
 			d.centers[closest].W++
 			return nil
@@ -131,13 +147,21 @@ func (d *Doubling) Process(p metric.Point) error {
 
 // initialize turns the buffered first tau+1 points into the initial weighted
 // center set and applies the merge rule until invariants (a) and (b) hold.
+//
+// Its two merges are one sweep over the pairs and one walk over a few of
+// them. The sweep that collapses duplicates also records every surviving
+// pair within 4*halfOf(the minimum so far) — the phi the second merge will
+// use, from a minimum that can only fall, so no pair that merge can take is
+// missed — and the merge at 4*phi then reads only those pairs, in the order a
+// sweep would meet them (mergeCloserThan).
 func (d *Doubling) initialize() error {
 	d.centers = metric.Unweighted(d.initBuf) // tau+1 headers: room for the update rule's append
 	d.pts, d.initBuf = d.initBuf, nil
 	// Collapse exact duplicates first so that coincident initial points do
 	// not force phi to zero forever; the same sweep yields the survivors'
 	// minimum pairwise distance.
-	minDist := d.mergeCloserThan(0)
+	var near pairLog
+	minDist := d.mergeCloserThan(0, &near)
 	if len(d.centers) == 1 {
 		// All initial points coincide: a single center remains and phi stays
 		// zero until genuinely distinct points arrive (invariant (e) holds
@@ -148,7 +172,7 @@ func (d *Doubling) initialize() error {
 	if d.phi = halfOf(minDist); !(8*d.phi <= math.MaxFloat64) {
 		return fmt.Errorf("%w: the initial points' minimum distance is %v", ErrNonFiniteDistance, minDist)
 	}
-	d.mergeCloserThan(4 * d.phi)
+	d.mergeCloserThan(4*d.phi, &near)
 	return d.mergeToBudget()
 }
 
@@ -181,7 +205,7 @@ func (d *Doubling) merge() error {
 		d.phi *= 2
 	}
 	if 8*d.phi <= math.MaxFloat64 {
-		d.mergeCloserThan(4 * d.phi)
+		d.mergeCloserThan(4*d.phi, nil)
 		if len(d.centers) < n || d.phi > phi {
 			return nil
 		}
@@ -212,11 +236,40 @@ func halfOf(minDist float64) float64 {
 // row holds Surrogate(survivor, later), the argument order of the scalar rule
 // Distance(survivor, candidate) and of MinPairwiseDistance, so nothing is
 // asked of the space beyond the Space contract (in particular no bitwise
-// symmetry). The threshold is compared in the true distance domain, as
-// invariant (b) states it; the minimum is reduced in the surrogate domain and
-// converted once. Survivors are compacted in place: the headers are owned.
-func (d *Doubling) mergeCloserThan(threshold float64) float64 {
+// symmetry). The threshold is the true distance invariant (b) states, decided
+// in the surrogate domain: s <= metric.SurrogateAtMost(threshold) holds
+// exactly when FromSurrogate(s) <= threshold, given only that FromSurrogate
+// is monotone non-decreasing, so a pair costs a comparison and no conversion
+// (no square root on Euclidean). The minimum is reduced in the surrogate
+// domain and converted once. Survivors are compacted in place: the headers
+// are owned.
+//
+// With a pairLog the sweep does one of two more things (initialize):
+//   - an empty log records, row by row, every pair the sweep leaves apart
+//     whose surrogate is at most SurrogateAtMost(4*halfOf(the minimum so
+//     far)), renumbered as the survivors are;
+//   - a recorded log stands in for the rows: the merge walks those pairs
+//     only, in the order a sweep meets them, evaluates nothing and measures
+//     no minimum (it returns +Inf). It merges what the sweep would: a pair it
+//     does not hold was either taken by the first pass or is farther apart
+//     than any threshold the recorded minimum can lead to.
+//
+// A log holds at most pairsPerCenter pairs per center. When it is full it
+// drops the pairs the fallen minimum no longer admits, and if that frees less
+// than a quarter of it, it is abandoned and the next merge sweeps all pairs:
+// either way the merge is exact. Lattice inputs, where many pairs tie near
+// the minimum, go that way; a drifting 16-dimensional stream at tau = 320
+// records about 12 pairs per center, of which 3 or 4 are still admitted at
+// the end.
+func (d *Doubling) mergeCloserThan(threshold float64, log *pairLog) float64 {
 	d.discardNear()
+	limit := metric.SurrogateAtMost(d.space, threshold)
+	walk := log != nil && log.ready
+	record := log != nil && !walk && !log.full
+	bound := math.NaN() // a pair is recorded when its surrogate is <= bound: none while NaN
+	if record {
+		bound = math.Inf(1) // before any minimum, every pair
+	}
 	n := len(d.centers)
 	buf := make([]float64, 2*n)
 	row, near := buf[:n], buf[n:] // near[j]: min surrogate from a survivor before j
@@ -226,7 +279,7 @@ func (d *Doubling) mergeCloserThan(threshold float64) float64 {
 		into[j] = -1
 	}
 	minS := math.Inf(1)
-	kept := 0
+	kept, next := 0, 0
 	for j, c := range d.centers {
 		if t := into[j]; t >= 0 {
 			d.centers[t].W += c.W
@@ -234,26 +287,109 @@ func (d *Doubling) mergeCloserThan(threshold float64) float64 {
 		}
 		if near[j] < minS {
 			minS = near[j]
+			if record && !log.full {
+				bound = metric.SurrogateAtMost(d.space, 4*halfOf(d.space.FromSurrogate(minS)))
+			}
 		}
 		d.centers[kept], d.pts[kept] = c, c.P
+		if walk {
+			for next < len(log.a) && int(log.a[next]) < j {
+				next++ // the row of a center this walk discarded
+			}
+			for ; next < len(log.a) && int(log.a[next]) == j; next++ {
+				if l := log.b[next]; into[l] < 0 && log.s[next] <= limit {
+					into[l] = int32(kept)
+				}
+			}
+			kept++
+			continue
+		}
 		r := row[j+1:]
 		d.space.DistancesTo(r, c.P, d.pts[j+1:])
 		for l, s := range r {
 			l += j + 1
 			switch {
 			case into[l] >= 0:
-			case d.space.FromSurrogate(s) <= threshold:
+			case s <= limit:
 				into[l] = int32(kept)
-			case s < near[l]:
-				near[l] = s
+			default:
+				if s < near[l] {
+					near[l] = s
+				}
+				if s <= bound {
+					bound = log.add(int32(kept), int32(l), s, bound, n)
+				}
 			}
 		}
 		kept++
+	}
+	if record && !log.full {
+		log.renumber(into)
 	}
 	clear(d.centers[kept:]) // drop the references to the discarded points
 	clear(d.pts[kept:])
 	d.centers, d.pts = d.centers[:kept], d.pts[:kept]
 	return d.space.FromSurrogate(minS)
+}
+
+// pairsPerCenter caps a pairLog at pairsPerCenter*n pairs of 16 bytes for n
+// centers: 80 KiB at tau = 320, 512 KiB at tau = 2048, held for one
+// initialisation.
+const pairsPerCenter = 16
+
+// pairLog carries the pairs one mergeCloserThan sweep records to the merge
+// that follows it. Pair i is (a[i], b[i]) at surrogate s[i], a the survivor
+// whose row it is, in row order and ascending b within a row.
+type pairLog struct {
+	a, b  []int32
+	s     []float64
+	ready bool // recorded, renumbered: the next merge walks it
+	full  bool // abandoned past its cap: the next merge sweeps
+}
+
+// add records a pair and returns the bound to record under from now on: the
+// same, or NaN once the log is abandoned.
+func (pl *pairLog) add(a, b int32, s, bound float64, n int) float64 {
+	if len(pl.s) == pairsPerCenter*n {
+		k := 0
+		for i, v := range pl.s {
+			if v <= bound {
+				pl.a[k], pl.b[k], pl.s[k] = pl.a[i], pl.b[i], v
+				k++
+			}
+		}
+		pl.a, pl.b, pl.s = pl.a[:k], pl.b[:k], pl.s[:k]
+		if 4*k > 3*pairsPerCenter*n {
+			*pl = pairLog{full: true}
+			return math.NaN()
+		}
+	}
+	pl.a, pl.b, pl.s = append(pl.a, a), append(pl.b, b), append(pl.s, s)
+	return bound
+}
+
+// renumber gives the recorded pairs' later centers their indices among the
+// survivors of the sweep that recorded them (into[l] >= 0 marks l
+// discarded; into is overwritten) and drops the pairs whose later center a
+// survivor after the recording one took.
+func (pl *pairLog) renumber(into []int32) {
+	k := int32(0)
+	for j, t := range into {
+		if t < 0 {
+			into[j], k = k, k+1
+		} else {
+			into[j] = -1
+		}
+	}
+	m := 0
+	for i, b := range pl.b {
+		if nb := into[b]; nb >= 0 {
+			pl.a[m], pl.b[m], pl.s[m] = pl.a[i], nb, pl.s[i]
+			m++
+		}
+	}
+	pl.a, pl.b, pl.s = pl.a[:m], pl.b[:m], pl.s[:m]
+	pl.ready = true
 }
 
 // Clone returns an independent copy of the processor: the copy and the
@@ -397,11 +533,16 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	}
 	if !anyInitialized {
 		// Every shard is still buffering: replaying the raw points through a
-		// fresh processor reproduces the exact single-stream semantics.
+		// fresh processor reproduces the exact single-stream semantics. The
+		// replay builds no pivot index: its tail is at most a budget of points
+		// and its output is sealed or serialised, so an index would be built
+		// for a few queries and dropped. A caller that keeps processing gets
+		// one at its first point, the scans having long paid for it.
 		out, err := NewDoublingIn(sp, tau)
 		if err != nil {
 			return nil, err
 		}
+		out.replaying = true
 		for _, d := range ds {
 			for _, p := range d.initBuf {
 				if err := out.Process(p); err != nil {
@@ -409,6 +550,7 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 				}
 			}
 		}
+		out.replaying = false
 		return out, nil
 	}
 	var phi float64
@@ -429,7 +571,7 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	// Collapse exact duplicates across shards (free: zero-distance merges
 	// never hurt coverage); the same sweep measures the survivors' minimum
 	// pairwise distance.
-	minDist := out.mergeCloserThan(0)
+	minDist := out.mergeCloserThan(0, nil)
 	// Centers from different shards can lie arbitrarily close together, so
 	// the union can violate invariant (b) even when it fits the budget. One
 	// merge-rule round restores it: phi doubles, the shards' 8*phi coverage

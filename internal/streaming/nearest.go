@@ -41,12 +41,15 @@ import (
 //
 // When it is used. The index is built once the plain scans since the centers
 // last changed structurally have cost about k^2 evaluations — its build costs
-// 2*k*sqrt(k) — so short replays (a window's merges, a restored state's first
-// points) stay on the scan. It is dropped when, over dropWindow queries, it
-// evaluates more than half the centers per query; the count starts again and
-// the next build waits twice as long, until a merge round. It is never built
-// on a space without metric.Pruner (CosineSpace, custom distances) or whose
-// chain declines (AngularSpace): there it could only walk every group.
+// 2*k*sqrt(k) — so short runs (a restored state's first points) stay on the
+// scan. MergeDoublings' replay of buffered shards never builds it: a window
+// replays a budget of points past initialisation and seals the result, and a
+// build there served about twenty queries. It is dropped when, over
+// dropWindow queries, it evaluates more than half the centers per query; the
+// count starts again and the next build waits twice as long, until a merge
+// round. It is never built on a space without metric.Pruner (CosineSpace,
+// custom distances) or whose chain declines (AngularSpace): there it could
+// only walk every group.
 //
 // Why 2*sqrt(k) pivots: the groups are smaller and their reaches shorter, so
 // more of them are ruled out. On the benchmark's 16-dimensional drifting
@@ -76,12 +79,13 @@ type nearIndex struct {
 	mem    [][]int32        // mem[j]: the other centers in pivot j's group, ascending
 	memPts []metric.Dataset // and their points
 	reach  []float64        // reach[j]: the largest surrogate from a member of group j to pivot j (-Inf while empty)
+	bound  []float64        // bound[j]: Pruner.ReachBounds of reach[j], converted when it grows
 	sv     []float64        // sv[b*np+j]: the computed surrogate between center b and pivot j
 	thr    []float64        // thr[b*np+j]: sv[b*np+j] chained through reach[j]
 
 	pivS []float64 // the last query's surrogates to the pivots, which add reads
 	buf  []float64 // scratch: a group's surrogates, a column being refreshed
-	fill []float64 // scratch: a refreshed column's reach, repeated
+	fill []float64 // scratch: a refreshed column's reach bound, repeated
 
 	queries, evals int // in the current drop window
 }
@@ -100,8 +104,9 @@ func chainOf(sp metric.Space, dim int) metric.Pruner {
 	if half == nil {
 		return nil
 	}
-	s := []float64{sp.ToSurrogate(1)}
-	half.HalfSurrogatesVia(s, []float64{sp.ToSurrogate(0)}, dim)
+	s, r := []float64{sp.ToSurrogate(1)}, []float64{sp.ToSurrogate(0)}
+	half.ReachBounds(r, dim)
+	half.HalfSurrogatesVia(s, r, dim)
 	if !(s[0] > math.Inf(-1)) {
 		return nil
 	}
@@ -166,9 +171,11 @@ func buildNearIndex(sp metric.Space, pts metric.Dataset) *nearIndex {
 		// math.Max keeps a NaN: that group's thresholds promise nothing.
 		x.reach[j] = math.Max(x.reach[j], x.sv[b*np+int(j)])
 	}
+	x.bound = append([]float64(nil), x.reach...)
+	half.ReachBounds(x.bound, dim)
 	x.thr = append([]float64(nil), x.sv...)
 	for b := 0; b < k; b++ {
-		half.HalfSurrogatesVia(x.thr[b*np:(b+1)*np], x.reach, dim)
+		half.HalfSurrogatesVia(x.thr[b*np:(b+1)*np], x.bound, dim)
 	}
 	x.pivS = make([]float64, np)
 	return x
@@ -236,13 +243,14 @@ func (x *nearIndex) add(p metric.Point, b int) (refreshed bool) {
 	x.mem[g], x.memPts[g] = append(x.mem[g], int32(b)), append(x.memPts[g], p)
 	dim := len(p)
 	if r := math.Max(x.reach[g], x.pivS[g]); r != x.reach[g] {
-		x.reach[g] = r
+		x.reach[g], x.bound[g] = r, r
+		x.half.ReachBounds(x.bound[g:g+1], dim)
 		x.refresh(g, dim)
 		refreshed = true
 	}
 	x.sv = append(x.sv, x.pivS...)
 	x.thr = append(x.thr, x.pivS...)
-	x.half.HalfSurrogatesVia(x.thr[b*x.np:], x.reach, dim)
+	x.half.HalfSurrogatesVia(x.thr[b*x.np:], x.bound, dim)
 	return refreshed
 }
 
@@ -257,7 +265,7 @@ func (x *nearIndex) refresh(g, dim int) {
 	}
 	col, fill := x.buf[:k], x.fill[:k]
 	for b := range col {
-		col[b], fill[b] = x.sv[b*x.np+g], x.reach[g]
+		col[b], fill[b] = x.sv[b*x.np+g], x.bound[g]
 	}
 	x.half.HalfSurrogatesVia(col, fill, dim)
 	for b, t := range col {
@@ -269,10 +277,10 @@ func (x *nearIndex) refresh(g, dim int) {
 // when there is one, building it when the scans since the last structural
 // change have cost about k^2 evaluations — twice that for every index
 // dropped since, so that where the index cannot serve its builds cost a
-// vanishing share of the scans.
+// vanishing share of the scans — unless MergeDoublings is replaying.
 func (d *Doubling) nearest(p metric.Point) (float64, int) {
 	k := len(d.pts)
-	if d.near == nil && d.scanned >= k*k<<d.backoff {
+	if d.near == nil && !d.replaying && d.scanned >= k*k<<d.backoff {
 		d.scanned = 0
 		if d.near = buildNearIndex(d.space, d.pts); d.near != nil {
 			d.nearStats.builds++

@@ -316,7 +316,7 @@ func TestMergeSweepAtExactThresholds(t *testing.T) {
 				d := &Doubling{space: sp, tau: len(ds), centers: metric.Unweighted(ds), pts: append(metric.Dataset(nil), ds...)}
 				r := &refDoubling{space: sp, tau: len(ds), centers: metric.Unweighted(ds)}
 				d.processed, r.processed = int64(len(ds)), int64(len(ds))
-				got := d.mergeCloserThan(thr)
+				got := d.mergeCloserThan(thr, nil)
 				r.mergeCloserThan(thr)
 				what := fmt.Sprintf("%s/%s threshold %v", sp.Name(), name, thr)
 				assertMatchesReference(t, what, d, r)
@@ -430,5 +430,75 @@ func TestNearestIndexMatchesReference(t *testing.T) {
 	t.Logf("index transitions over all runs: %+v", total)
 	if !rebuilt || total.adds == 0 || total.refreshes == 0 || total.discards == 0 || total.drops == 0 {
 		t.Errorf("some index transition never ran (a rebuild: %v): %+v", rebuilt, total)
+	}
+}
+
+// TestInitializeWalkMatchesReference runs initialisation's two merges — the
+// sweep at 0 recording pairs, the merge at 4*phi walking them — over whole
+// datasets and checks the survivors against the scalar rule's two sweeps. A
+// 7x7x7 lattice, whose pairs tie at the minimum and at its small multiples,
+// overflows the log and must fall back to the full sweep; the drifting
+// 16-dimensional stream must walk. Both datasets then go through Process
+// beside the oracle, initialisation and all.
+func TestInitializeWalkMatchesReference(t *testing.T) {
+	var lattice metric.Dataset
+	for x := 0; x < 7; x++ {
+		for y := 0; y < 7; y++ {
+			for z := 0; z < 7; z++ {
+				lattice = append(lattice, metric.Point{float64(x), float64(y), float64(z)})
+			}
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(lattice), func(i, j int) { lattice[i], lattice[j] = lattice[j], lattice[i] })
+	datasets := mergeRuleDatasets()
+	datasets["lattice"] = lattice
+	datasets["drift"] = driftingStream(3, 321, 16, 40, 5e-4)
+	walked, fell := map[string]bool{}, map[string]bool{}
+	for _, sp := range mergeRuleSpaces() {
+		for name, ds := range datasets {
+			d := &Doubling{space: sp, tau: len(ds), centers: metric.Unweighted(ds), pts: append(metric.Dataset(nil), ds...)}
+			r := &refDoubling{space: sp, tau: len(ds), centers: metric.Unweighted(ds)}
+			d.processed, r.processed = int64(len(ds)), int64(len(ds))
+			var log pairLog
+			minDist := d.mergeCloserThan(0, &log)
+			r.mergeCloserThan(0)
+			what := fmt.Sprintf("%s/%s", sp.Name(), name)
+			assertMatchesReference(t, what+" after the sweep at 0", d, r)
+			if len(d.centers) < 2 {
+				continue
+			}
+			d.phi = halfOf(minDist)
+			r.phi = d.phi
+			walk := log.ready
+			d.mergeCloserThan(4*d.phi, &log)
+			r.mergeCloserThan(4 * r.phi)
+			assertMatchesReference(t, fmt.Sprintf("%s after the merge at 4*phi (walked: %v)", what, walk), d, r)
+			walked[name] = walked[name] || walk
+			fell[name] = fell[name] || log.full
+		}
+	}
+	if !walked["drift"] || fell["drift"] {
+		t.Errorf("the drifting stream did not walk its pairs on every space (walked on some: %v, fell back on some: %v)", walked["drift"], fell["drift"])
+	}
+	if !fell["lattice"] {
+		t.Error("the lattice never overflowed the pair log")
+	}
+
+	for _, name := range []string{"lattice", "drift"} {
+		ds := datasets[name]
+		for _, tau := range []int{len(ds) - 1, len(ds) / 2} {
+			d, err := NewDoublingIn(metric.EuclideanSpace, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &refDoubling{space: metric.EuclideanSpace, tau: tau}
+			for i, p := range ds {
+				if err := d.Process(p); err != nil {
+					t.Fatal(err)
+				}
+				r.process(p)
+				assertMatchesReference(t, fmt.Sprintf("%s, tau=%d, after point %d", name, tau, i), d, r)
+			}
+		}
 	}
 }

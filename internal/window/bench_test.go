@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"coresetclustering/internal/clusterer"
 	"coresetclustering/internal/metric"
@@ -21,7 +22,54 @@ func benchData(n int) metric.Dataset {
 // BenchmarkWindowIngest measures steady-state ingest throughput (points/op)
 // into a count window, across window sizes. The window is pre-filled so
 // coalescing and eviction run at their steady-state amortised cost.
+//
+// The drift row is shaped like a live ingest instead: d = 16, tau 320,
+// W = 100 000, a linearly drifting mixture, every 256-point batch in its own
+// array, filled with W points before timing. An op is one batch; it reports
+// ns/point, and evals/point from a twin window on a CountingSpace fed the
+// same batches untimed (the counter's atomic adds would distort the timing).
 func BenchmarkWindowIngest(b *testing.B) {
+	b.Run("drift,d=16,tau=320,W=100000", func(b *testing.B) {
+		const (
+			W     = 100_000
+			batch = 256
+		)
+		cs := metric.NewCountingSpace(metric.EuclideanSpace)
+		w, err := window.New(window.Config{Tau: 320, MaxCount: W})
+		if err != nil {
+			b.Fatal(err)
+		}
+		twin, err := window.New(window.Config{Space: cs, Tau: 320, MaxCount: W})
+		if err != nil {
+			b.Fatal(err)
+		}
+		observe := func(w *window.Window, pts metric.Dataset) {
+			for _, p := range pts {
+				if err := w.Observe(p, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		src := window.NewDriftSource(7, 16)
+		for i := 0; i < W; i += batch {
+			next := src.Next(batch)
+			observe(w, next)
+			observe(twin, next)
+		}
+		cs.Reset()
+		var elapsed time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			next := src.Next(batch)
+			t0 := time.Now()
+			observe(w, next)
+			elapsed += time.Since(t0)
+			observe(twin, next)
+		}
+		points := float64(b.N) * batch
+		b.ReportMetric(float64(elapsed.Nanoseconds())/points, "ns/point")
+		b.ReportMetric(float64(cs.Evaluations())/points, "evals/point")
+	})
 	for _, W := range []int64{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("W=%d", W), func(b *testing.B) {
 			const tau = 64
