@@ -99,7 +99,12 @@ func (d *Doubling) Process(p metric.Point) error {
 	if d.centers != nil {
 		// Update rule.
 		if !d.lim.set || d.lim.phi != d.phi {
-			d.lim = limits{true, d.phi, metric.SurrogateAtMost(d.space, 8*d.phi), metric.SurrogateAtMost(d.space, math.MaxFloat64)}
+			d.lim = limits{
+				set:    true,
+				phi:    d.phi,
+				cover:  metric.SurrogateAtMost(d.space, 8*d.phi),
+				finite: metric.SurrogateAtMost(d.space, math.MaxFloat64),
+			}
 		}
 		s, closest := d.nearest(p)
 		if closest < 0 || !(s <= d.lim.finite) {
@@ -160,8 +165,8 @@ func (d *Doubling) initialize() error {
 	// Collapse exact duplicates first so that coincident initial points do
 	// not force phi to zero forever; the same sweep yields the survivors'
 	// minimum pairwise distance.
-	var near pairLog
-	minDist := d.mergeCloserThan(0, &near)
+	var pairs pairLog
+	minDist := d.mergeCloserThan(0, &pairs)
 	if len(d.centers) == 1 {
 		// All initial points coincide: a single center remains and phi stays
 		// zero until genuinely distinct points arrive (invariant (e) holds
@@ -172,7 +177,7 @@ func (d *Doubling) initialize() error {
 	if d.phi = halfOf(minDist); !(8*d.phi <= math.MaxFloat64) {
 		return fmt.Errorf("%w: the initial points' minimum distance is %v", ErrNonFiniteDistance, minDist)
 	}
-	d.mergeCloserThan(4*d.phi, &near)
+	d.mergeCloserThan(4*d.phi, &pairs)
 	return d.mergeToBudget()
 }
 
@@ -261,11 +266,11 @@ func halfOf(minDist float64) float64 {
 // the minimum, go that way; a drifting 16-dimensional stream at tau = 320
 // records about 12 pairs per center, of which 3 or 4 are still admitted at
 // the end.
-func (d *Doubling) mergeCloserThan(threshold float64, log *pairLog) float64 {
+func (d *Doubling) mergeCloserThan(threshold float64, pairs *pairLog) float64 {
 	d.discardNear()
 	limit := metric.SurrogateAtMost(d.space, threshold)
-	walk := log != nil && log.ready
-	record := log != nil && !walk && !log.full
+	walk := pairs != nil && pairs.ready
+	record := pairs != nil && !walk && !pairs.full
 	bound := math.NaN() // a pair is recorded when its surrogate is <= bound: none while NaN
 	if record {
 		bound = math.Inf(1) // before any minimum, every pair
@@ -287,17 +292,17 @@ func (d *Doubling) mergeCloserThan(threshold float64, log *pairLog) float64 {
 		}
 		if near[j] < minS {
 			minS = near[j]
-			if record && !log.full {
+			if record && !pairs.full {
 				bound = metric.SurrogateAtMost(d.space, 4*halfOf(d.space.FromSurrogate(minS)))
 			}
 		}
 		d.centers[kept], d.pts[kept] = c, c.P
 		if walk {
-			for next < len(log.a) && int(log.a[next]) < j {
+			for next < len(pairs.a) && int(pairs.a[next]) < j {
 				next++ // the row of a center this walk discarded
 			}
-			for ; next < len(log.a) && int(log.a[next]) == j; next++ {
-				if l := log.b[next]; into[l] < 0 && log.s[next] <= limit {
+			for ; next < len(pairs.a) && int(pairs.a[next]) == j; next++ {
+				if l := pairs.b[next]; into[l] < 0 && pairs.s[next] <= limit {
 					into[l] = int32(kept)
 				}
 			}
@@ -317,14 +322,14 @@ func (d *Doubling) mergeCloserThan(threshold float64, log *pairLog) float64 {
 					near[l] = s
 				}
 				if s <= bound {
-					bound = log.add(int32(kept), int32(l), s, bound, n)
+					bound = pairs.add(int32(kept), int32(l), s, bound, n)
 				}
 			}
 		}
 		kept++
 	}
-	if record && !log.full {
-		log.renumber(into)
+	if record && !pairs.full {
+		pairs.renumber(into)
 	}
 	clear(d.centers[kept:]) // drop the references to the discarded points
 	clear(d.pts[kept:])
