@@ -54,9 +54,7 @@ func driftingStream(seed int64, n, dim, blobs int, drift float64) metric.Dataset
 // each with the benchmark's drift for it. evals pins what the processor
 // spends on the stream (CountingSpace evaluations, merge rule included) and
 // centers where it ends; the plain scan spends 16 024 977 and 99 045 369
-// evaluations on the same streams, to the same final states. (Before
-// initialisation walked the pairs its first sweep recorded instead of
-// sweeping twice, the pins read 4 967 404 and 16 117 952.)
+// evaluations on the same streams, to the same final states.
 var observeCases = []struct {
 	tau, n  int
 	drift   float64

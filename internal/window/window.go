@@ -358,8 +358,7 @@ func (w *Window) mergeBucketStates(a, b *streaming.Doubling) (*streaming.Doublin
 // hashes that collide) in an open-addressing table of more than twice as
 // many slots as points — at most 2*tau+2 points, so 8 bytes per point and 4
 // per slot, dropped on return — and Point.Equal confirms each candidate, so
-// a collision costs a comparison, never a wrong fold. The quadratic scan it
-// replaces was a fifth of a coalesce's time outside GMM.
+// a collision costs a comparison, never a wrong fold.
 func foldDuplicates(set metric.WeightedSet, hash func(metric.Point) uint64) metric.WeightedSet {
 	bitsLen := bits.Len(uint(2 * len(set)))
 	slots := make([]int32, 1<<bitsLen) // 1 + the entry of out holding the slot, 0 when empty
