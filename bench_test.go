@@ -316,21 +316,6 @@ func BenchmarkStreamingDoubling(b *testing.B) {
 	}
 }
 
-// BenchmarkOutliersCluster measures one invocation of the weighted
-// OutliersCluster greedy on a coreset-sized input.
-func BenchmarkOutliersCluster(b *testing.B) {
-	ds := benchPoints(1000, 7, 5)
-	set := metric.Unweighted(ds)
-	diam := metric.Diameter(metric.Euclidean, ds)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := outliers.Cluster(metric.EuclideanSpace, set, 10, diam/10, 0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablation benchmarks ----------------------------------------------------
 
 // BenchmarkAblationStoppingRule compares the two coreset stopping rules: the

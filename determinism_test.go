@@ -394,11 +394,11 @@ func TestFusedTailMatchesTwoPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := eng.Radius(metric.EuclideanSpace, ds, kc.Centers); kc.Radius != want {
-			t.Fatalf("%s KCenter radius = %v, want %v", part.Name(), kc.Radius, want)
+			t.Fatalf("%T KCenter radius = %v, want %v", part, kc.Radius, want)
 		}
 		for i, want := range eng.Assign(metric.EuclideanSpace, ds, kc.Centers) {
 			if kc.Assignment[i] != want {
-				t.Fatalf("%s KCenter assignment[%d] = %d, want %d", part.Name(), i, kc.Assignment[i], want)
+				t.Fatalf("%T KCenter assignment[%d] = %d, want %d", part, i, kc.Assignment[i], want)
 			}
 		}
 		ko, err := core.KCenterOutliers(ds, core.OutliersConfig{K: k, Z: z, Ell: 5, CoresetSize: 4 * (k + z), EpsHat: 0.25, Partitioner: part})
@@ -406,16 +406,16 @@ func TestFusedTailMatchesTwoPasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := eng.RadiusExcluding(metric.EuclideanSpace, ds, ko.Centers, z); ko.Radius != want {
-			t.Fatalf("%s KCenterOutliers radius = %v, want %v", part.Name(), ko.Radius, want)
+			t.Fatalf("%T KCenterOutliers radius = %v, want %v", part, ko.Radius, want)
 		}
 		wantD, wantI := eng.NearestBatch(metric.EuclideanSpace, ds, ko.Centers)
 		for i := range wantI {
 			if ko.Assignment[i] != wantI[i] || ko.Distances[i] != wantD[i] {
-				t.Fatalf("%s KCenterOutliers point %d = (%v, %d), want (%v, %d)", part.Name(), i, ko.Distances[i], ko.Assignment[i], wantD[i], wantI[i])
+				t.Fatalf("%T KCenterOutliers point %d = (%v, %d), want (%v, %d)", part, i, ko.Distances[i], ko.Assignment[i], wantD[i], wantI[i])
 			}
 		}
 		if kc.FinalPassEvaluations > int64(n*k/2) || ko.FinalPassEvaluations > int64(n*k/2) {
-			t.Fatalf("%s: final passes cost %d and %d evaluations of n*k = %d: the hints did not follow their points", part.Name(), kc.FinalPassEvaluations, ko.FinalPassEvaluations, n*k)
+			t.Fatalf("%T: final passes cost %d and %d evaluations of n*k = %d: the hints did not follow their points", part, kc.FinalPassEvaluations, ko.FinalPassEvaluations, n*k)
 		}
 	}
 }

@@ -357,7 +357,7 @@ func TestLemma7OutlierDistributionProperty(t *testing.T) {
 	ell := 8
 	bound := randomizedOutlierBound(nOut, ell, len(ds))
 	for trial := 0; trial < 20; trial++ {
-		parts, err := (mapreduce.RandomPartitioner{Rand: rng}).Partition(ds, ell)
+		parts, _, err := (mapreduce.RandomPartitioner{Rand: rng}).PartitionOrigins(ds, ell)
 		if err != nil {
 			t.Fatal(err)
 		}

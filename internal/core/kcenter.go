@@ -28,8 +28,9 @@ type KCenterConfig struct {
 	K int
 	// Ell is the number of partitions (the parallelism of the first round).
 	Ell int
-	// Eps is the precision parameter of the coreset stopping rule. Exactly
-	// one of Eps and CoresetSize must be positive.
+	// Eps is the precision parameter of the coreset stopping rule, which
+	// runs until it holds or the partition is exhausted. Exactly one of Eps
+	// and CoresetSize must be positive.
 	Eps float64
 	// CoresetSize is the per-partition coreset size tau (the experiments use
 	// tau = mu*K). Exactly one of Eps and CoresetSize must be positive.
@@ -50,9 +51,6 @@ type KCenterConfig struct {
 	// sequential path. Results are bit-identical for any value. In the first
 	// round the budget is divided among the concurrently running partitions.
 	Workers int
-	// MaxCoresetSize caps the eps-driven coreset size per partition
-	// (0 = unbounded); ignored by the fixed-size rule.
-	MaxCoresetSize int
 }
 
 func (c *KCenterConfig) normalize(n int) error {
@@ -137,7 +135,6 @@ func KCenter(points metric.Dataset, cfg KCenterConfig) (*KCenterResult, error) {
 		Eps:        cfg.Eps,
 		Size:       cfg.CoresetSize,
 		RefCenters: cfg.K,
-		MaxSize:    cfg.MaxCoresetSize,
 		Workers:    exec.PerPartitionWorkers(len(parts)),
 		Space:      cfg.Space,
 	}
@@ -207,35 +204,22 @@ type layout struct {
 	// origins[i][j] is the input index of parts[i][j]; nil means the parts
 	// are consecutive ranges of the input.
 	origins [][]int
-	// known is false when the partitioner cannot report origins: no hints.
-	known bool
 }
 
 func split(p mapreduce.Partitioner, points metric.Dataset, ell int) (layout, error) {
-	lay := layout{}
-	var err error
-	if op, ok := p.(mapreduce.OriginPartitioner); ok {
-		lay.known = true
-		lay.parts, lay.origins, err = op.PartitionOrigins(points, ell)
-	} else {
-		lay.parts, err = p.Partition(points, ell)
-	}
+	parts, origins, err := p.PartitionOrigins(points, ell)
 	if err != nil {
-		return lay, fmt.Errorf("core: partitioning failed: %w", err)
+		return layout{}, fmt.Errorf("core: partitioning failed: %w", err)
 	}
-	return lay, nil
+	return layout{parts: parts, origins: origins}, nil
 }
 
 // proxyHints returns the hints of the final pass, for NearestRadius to call
 // if it takes them: in input order, the center that unionCenter says the
 // second round gave to each point's first-round proxy. unionCenter()[u]
 // belongs to the u-th point of the coreset union (coresets in partition
-// order, the nil ones of empty parts left out). It returns nil when the
-// layout does not know where the parts' points came from.
+// order, the nil ones of empty parts left out).
 func (lay layout) proxyHints(n int, coresets []*coreset.Coreset, unionCenter func() []int) func() []int {
-	if !lay.known {
-		return nil
-	}
 	return func() []int {
 		center := unionCenter()
 		hints := make([]int, n)

@@ -15,7 +15,8 @@ import (
 
 // OutliersConfig configures the 2-round MapReduce algorithm for the k-center
 // problem with z outliers (Section 3.2 of the paper), in both its
-// deterministic and randomized-partitioning variants.
+// deterministic and randomized-partitioning variants. The second round always
+// runs the paper's binary + geometric radius search.
 type OutliersConfig struct {
 	// K is the number of centers, Z the outlier budget.
 	K int
@@ -57,12 +58,6 @@ type OutliersConfig struct {
 	// path. Results are bit-identical for any value. In the first round the
 	// budget is divided among the concurrently running partitions.
 	Workers int
-	// MaxCoresetSize caps the eps-driven per-partition coreset size
-	// (0 = unbounded); ignored by the fixed-size rule.
-	MaxCoresetSize int
-	// SearchStrategy selects the radius-search strategy of the second round;
-	// the zero value is the paper's binary + geometric search.
-	SearchStrategy outliers.SearchStrategy
 }
 
 func (c *OutliersConfig) normalize(n int) error {
@@ -182,7 +177,6 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 		Eps:        cfg.EpsHat,
 		Size:       cfg.CoresetSize,
 		RefCenters: refCenters,
-		MaxSize:    cfg.MaxCoresetSize,
 		Workers:    exec.PerPartitionWorkers(len(parts)),
 		Space:      cfg.Space,
 	}
@@ -215,7 +209,7 @@ func KCenterOutliers(points metric.Dataset, cfg OutliersConfig) (*OutliersResult
 
 	// Round 2: radius search over the weighted union.
 	start = time.Now()
-	solved, err := outliers.SolveIn(cfg.Space, union, cfg.K, int64(cfg.Z), cfg.EpsHat, cfg.SearchStrategy, cfg.Workers)
+	solved, err := outliers.SolveIn(cfg.Space, union, cfg.K, int64(cfg.Z), cfg.EpsHat, outliers.SearchBinaryGeometric, cfg.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("core: second-round solve failed: %w", err)
 	}

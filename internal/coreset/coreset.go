@@ -29,9 +29,11 @@ var ErrInvalidSpec = errors.New("coreset: invalid spec")
 //   - Eps > 0 selects the paper's precision-driven stopping rule: run GMM
 //     incrementally and stop at the first iteration tau >= RefCenters such
 //     that the residual radius is at most (Eps/2) times the radius attained
-//     after RefCenters centers.
+//     after RefCenters centers, or when the partition is exhausted.
 //   - Size > 0 selects the fixed-size rule used by the paper's experiments:
 //     run GMM for exactly Size iterations (tau = mu*k or mu*(k+z)).
+//
+// Either rule takes the partition's first point as the first center.
 type Spec struct {
 	// Eps is the precision parameter of the eps-driven stopping rule.
 	Eps float64
@@ -42,12 +44,6 @@ type Spec struct {
 	// variant) for the problem with outliers. It must be positive when Eps is
 	// used and is optional (but recorded) when Size is used.
 	RefCenters int
-	// MaxSize caps the coreset size when the eps-driven rule is used
-	// (0 = no cap). It guards against pathological inputs where the radius
-	// plateaus.
-	MaxSize int
-	// SeedIndex is the index of the first GMM center within the partition.
-	SeedIndex int
 	// Workers is the parallelism degree of the distance engine used by the
 	// underlying GMM run: <= 0 selects one worker per CPU, 1 forces the
 	// sequential path. The coreset is bit-identical for any value.
@@ -71,9 +67,6 @@ func (s Spec) validate() error {
 	}
 	if s.Eps > 0 && s.RefCenters <= 0 {
 		return fmt.Errorf("%w: eps-driven rule requires RefCenters > 0", ErrInvalidSpec)
-	}
-	if s.SeedIndex < 0 {
-		return fmt.Errorf("%w: negative seed index %d", ErrInvalidSpec, s.SeedIndex)
 	}
 	return nil
 }
@@ -127,11 +120,6 @@ func Build(dist metric.Distance, partition metric.Dataset, spec Spec) (*Coreset,
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	seed := spec.SeedIndex
-	if seed >= len(partition) {
-		seed = 0
-	}
-
 	sp := spec.Space
 	if sp == nil {
 		sp = metric.SpaceFor(dist)
@@ -140,9 +128,9 @@ func Build(dist metric.Distance, partition metric.Dataset, spec Spec) (*Coreset,
 	var res *gmm.Result
 	var err error
 	if spec.Eps > 0 {
-		res, err = runner.RunIncremental(partition, spec.RefCenters, spec.Eps/2, spec.MaxSize, seed)
+		res, err = runner.RunIncremental(partition, spec.RefCenters, spec.Eps/2, 0, 0)
 	} else {
-		res, err = runner.RunToSize(partition, spec.Size, spec.RefCenters, seed)
+		res, err = runner.RunToSize(partition, spec.Size, spec.RefCenters, 0)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("coreset: gmm failed: %w", err)

@@ -35,7 +35,6 @@ func TestSpecValidate(t *testing.T) {
 		{"negative eps", Spec{Eps: -1, RefCenters: 3}, true},
 		{"negative size", Spec{Size: -1}, true},
 		{"eps without ref", Spec{Eps: 0.5}, true},
-		{"negative seed", Spec{Size: 5, SeedIndex: -1}, true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -112,29 +111,6 @@ func TestBuildEpsRule(t *testing.T) {
 	// Stopping rule: proxy radius <= (eps/2) * radius after k centers.
 	if c.ProxyRadius > (eps/2)*c.RadiusAtRef+1e-12 {
 		t.Errorf("stopping rule violated: %v > %v", c.ProxyRadius, (eps/2)*c.RadiusAtRef)
-	}
-}
-
-func TestBuildEpsRuleMaxSizeCap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	ds := randomDataset(rng, 500, 3, 10)
-	c, err := Build(metric.Euclidean, ds, Spec{Eps: 0.01, RefCenters: 3, MaxSize: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() > 40 {
-		t.Errorf("MaxSize not respected: %d", c.Size())
-	}
-}
-
-func TestBuildSeedOutOfRangeFallsBack(t *testing.T) {
-	ds := metric.Dataset{{0}, {1}, {2}}
-	c, err := Build(metric.Euclidean, ds, Spec{Size: 2, SeedIndex: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Size() != 2 {
-		t.Errorf("size = %d, want 2", c.Size())
 	}
 }
 

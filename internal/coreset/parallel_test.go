@@ -29,7 +29,7 @@ func TestBuildDeterminismAcrossWorkers(t *testing.T) {
 		ds := parallelTestDataset(n, 3, int64(n))
 		for _, spec := range []Spec{
 			{Size: 60, RefCenters: 15},
-			{Eps: 0.5, RefCenters: 15, MaxSize: 400},
+			{Eps: 0.5, RefCenters: 15},
 		} {
 			seqSpec, parSpec := spec, spec
 			seqSpec.Workers = 1

@@ -23,8 +23,12 @@ func TestGenerateFamilies(t *testing.T) {
 			if len(ds) != 500 {
 				t.Fatalf("generated %d points, want 500", len(ds))
 			}
-			if ds.Dim() != name.Dim() {
-				t.Errorf("dimension = %d, want %d", ds.Dim(), name.Dim())
+			want := 7
+			if name == Wiki {
+				want = 50
+			}
+			if ds.Dim() != want {
+				t.Errorf("dimension = %d, want %d", ds.Dim(), want)
 			}
 			if err := ds.Validate(); err != nil {
 				t.Errorf("generated dataset invalid: %v", err)

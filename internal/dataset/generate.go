@@ -37,16 +37,6 @@ const (
 	Wiki Name = "wiki"
 )
 
-// Dim returns the dimensionality of the dataset family.
-func (n Name) Dim() int {
-	switch n {
-	case Wiki:
-		return 50
-	default:
-		return 7
-	}
-}
-
 // DefaultK returns the number of centers the paper uses for this family in
 // the k-center experiments (Figure 2).
 func (n Name) DefaultK() int {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"coresetclustering/internal/core"
 	"coresetclustering/internal/dataset"
@@ -147,7 +148,8 @@ func RunFigure6(cfg Figure6Config) (*Figure6Result, error) {
 // Figure7Config parameterises the processor-scalability experiment of
 // Figure 7: the randomized MapReduce algorithm is run with parallelism ell =
 // 1, 2, 4, ... while keeping the size of the union of the coresets fixed
-// (tau_ell = UnionSize / ell), and the time is split into the coreset phase
+// (tau_ell = U / ell with U = 4*(max(Ells)*K + 6*Z), the paper's
+// 8*(16k + 6z) at laptop scale), and the time is split into the coreset phase
 // and the OutliersCluster phase.
 type Figure7Config struct {
 	Datasets []dataset.Name
@@ -155,13 +157,10 @@ type Figure7Config struct {
 	K        int
 	Z        int
 	// Ells are the parallelism values (paper: 1, 2, 4, 8, 16).
-	Ells []int
-	// UnionSize is the fixed size of the union of the coresets (paper:
-	// 8*(16k + 6z)). Zero derives it as Mu*(MaxEll*K + 6*Z) with Mu = 4.
-	UnionSize int
-	EpsHat    float64
-	Runs      int
-	Seed      int64
+	Ells   []int
+	EpsHat float64
+	Runs   int
+	Seed   int64
 	// Workers is the distance-engine parallelism of every clustering run
 	// (<= 0 selects one worker per CPU, 1 forces the sequential path).
 	// The default configuration pins 1: Figure 7 measures time versus the
@@ -218,16 +217,7 @@ func RunFigure7(cfg Figure7Config) (*Figure7Result, error) {
 		return nil, fmt.Errorf("experiments: invalid Figure 7 config %+v", cfg)
 	}
 	cfg.Runs = clampRuns(cfg.Runs)
-	unionSize := cfg.UnionSize
-	if unionSize <= 0 {
-		maxEll := 0
-		for _, ell := range cfg.Ells {
-			if ell > maxEll {
-				maxEll = ell
-			}
-		}
-		unionSize = 4 * (maxEll*cfg.K + 6*cfg.Z)
-	}
+	unionSize := 4 * (slices.Max(cfg.Ells)*cfg.K + 6*cfg.Z)
 	workloads, err := buildWorkloads(cfg.Datasets, cfg.N, func(dataset.Name) int { return cfg.K }, cfg.Z, cfg.Seed)
 	if err != nil {
 		return nil, err

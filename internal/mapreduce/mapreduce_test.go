@@ -92,9 +92,6 @@ func TestUniformPartitioner(t *testing.T) {
 	if _, err := (UniformPartitioner{}).Partition(ds, 0); err == nil {
 		t.Error("ell=0 accepted")
 	}
-	if got := (UniformPartitioner{}).Name(); got != "uniform" {
-		t.Errorf("Name = %q", got)
-	}
 }
 
 func TestUniformPartitionerMorePartsThanPoints(t *testing.T) {
@@ -117,7 +114,7 @@ func TestRandomPartitionerProperty(t *testing.T) {
 		n := 1 + rng.Intn(200)
 		ell := 1 + rng.Intn(8)
 		ds := randomDataset(rng, n, 2)
-		parts, err := RandomPartitioner{Rand: rng}.Partition(ds, ell)
+		parts, _, err := RandomPartitioner{Rand: rng}.PartitionOrigins(ds, ell)
 		if err != nil {
 			return false
 		}
@@ -129,22 +126,19 @@ func TestRandomPartitionerProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	if _, err := (RandomPartitioner{}).Partition(metric.Dataset{{1}}, -1); err == nil {
+	if _, _, err := (RandomPartitioner{}).PartitionOrigins(metric.Dataset{{1}}, -1); err == nil {
 		t.Error("negative ell accepted")
-	}
-	if got := (RandomPartitioner{}).Name(); got != "random" {
-		t.Errorf("Name = %q", got)
 	}
 }
 
 func TestRandomPartitionerNilRandIsDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := randomDataset(rng, 50, 2)
-	a, err := RandomPartitioner{}.Partition(ds, 4)
+	a, _, err := RandomPartitioner{}.PartitionOrigins(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RandomPartitioner{}.Partition(ds, 4)
+	b, _, err := RandomPartitioner{}.PartitionOrigins(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +154,7 @@ func TestAdversarialPartitioner(t *testing.T) {
 	ds := randomDataset(rng, 40, 2)
 	targeted := []int{35, 36, 37, 38, 39}
 	ap := AdversarialPartitioner{Targeted: targeted}
-	parts, err := ap.Partition(ds, 4)
+	parts, _, err := ap.PartitionOrigins(ds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +177,11 @@ func TestAdversarialPartitioner(t *testing.T) {
 			t.Errorf("targeted point %d not in part 0", ti)
 		}
 	}
-	if _, err := (AdversarialPartitioner{Targeted: []int{99}}).Partition(ds, 2); err == nil {
+	if _, _, err := (AdversarialPartitioner{Targeted: []int{99}}).PartitionOrigins(ds, 2); err == nil {
 		t.Error("out-of-range targeted index accepted")
 	}
-	if _, err := ap.Partition(ds, 0); err == nil {
+	if _, _, err := ap.PartitionOrigins(ds, 0); err == nil {
 		t.Error("ell=0 accepted")
-	}
-	if got := ap.Name(); got != "adversarial" {
-		t.Errorf("Name = %q", got)
 	}
 }
 

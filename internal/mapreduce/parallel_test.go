@@ -83,10 +83,10 @@ func TestDefaultParallelismFollowsGOMAXPROCS(t *testing.T) {
 
 // TestPartitionOrigins: every partitioner of the package reports where its
 // parts' points came from — nil for the uniform split, whose parts are
-// consecutive ranges — and Partition returns the same parts.
+// consecutive ranges.
 func TestPartitionOrigins(t *testing.T) {
 	points := randomDataset(rand.New(rand.NewSource(8)), 101, 2)
-	for _, p := range []OriginPartitioner{
+	for _, p := range []Partitioner{
 		UniformPartitioner{},
 		RandomPartitioner{},
 		AdversarialPartitioner{Targeted: []int{3, 50, 99, 100}},
@@ -96,32 +96,28 @@ func TestPartitionOrigins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := p.Partition(points, ell)
-			if err != nil || len(plain) != len(parts) {
-				t.Fatalf("%s ell=%d: Partition gives %d parts (%v), PartitionOrigins %d", p.Name(), ell, len(plain), err, len(parts))
+			if len(parts) != ell {
+				t.Fatalf("%T ell=%d: %d parts", p, ell, len(parts))
 			}
-			if (origins == nil) != (p.Name() == "uniform") {
-				t.Fatalf("%s ell=%d: origins nil = %v", p.Name(), ell, origins == nil)
+			if _, uniform := p.(UniformPartitioner); (origins == nil) != uniform {
+				t.Fatalf("%T ell=%d: origins nil = %v", p, ell, origins == nil)
 			}
 			seen, next := make([]bool, len(points)), 0
 			for i, part := range parts {
-				if len(plain[i]) != len(part) {
-					t.Fatalf("%s ell=%d: part %d has %d points, Partition gave %d", p.Name(), ell, i, len(part), len(plain[i]))
-				}
 				for j, q := range part {
 					at := next
 					if origins != nil {
 						at = origins[i][j]
 					}
 					next++
-					if seen[at] || &points[at][0] != &q[0] || &plain[i][j][0] != &q[0] {
-						t.Fatalf("%s ell=%d: parts[%d][%d] is not input point %d, or that point was placed twice", p.Name(), ell, i, j, at)
+					if seen[at] || &points[at][0] != &q[0] {
+						t.Fatalf("%T ell=%d: parts[%d][%d] is not input point %d, or that point was placed twice", p, ell, i, j, at)
 					}
 					seen[at] = true
 				}
 			}
 			if next != len(points) {
-				t.Fatalf("%s ell=%d: %d points placed, want %d", p.Name(), ell, next, len(points))
+				t.Fatalf("%T ell=%d: %d points placed, want %d", p, ell, next, len(points))
 			}
 		}
 	}

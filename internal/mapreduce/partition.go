@@ -9,26 +9,16 @@ import (
 )
 
 // Partitioner splits a dataset into ell parts, the first-round distribution of
-// the 2-round algorithms. Implementations must return exactly ell parts whose
-// concatenation is a permutation of the input; empty parts are allowed when
-// ell exceeds the input size.
+// the 2-round algorithms, and says where every point of every part came from,
+// which lets the solvers carry per-point knowledge gained on the parts (a
+// point's first-round proxy) back to input order.
 type Partitioner interface {
-	// Partition splits points into ell parts.
-	Partition(points metric.Dataset, ell int) ([]metric.Dataset, error)
-	// Name identifies the partitioner in experiment reports.
-	Name() string
-}
-
-// OriginPartitioner is the optional capability of a Partitioner that can say
-// where every point of every part came from, which lets the solvers carry
-// per-point knowledge gained on the parts (a point's first-round proxy) back
-// to input order. All partitioners of this package have it.
-type OriginPartitioner interface {
-	Partitioner
-	// PartitionOrigins is Partition plus origins[i][j], the index in points
-	// of parts[i][j]. A nil origins means the parts are consecutive
-	// contiguous ranges of the input: parts[i][j] is the point at the summed
-	// lengths of the parts before i, plus j.
+	// PartitionOrigins returns exactly ell parts whose concatenation is a
+	// permutation of points (empty parts are allowed when ell exceeds the
+	// input size), and origins[i][j], the index in points of parts[i][j]. A
+	// nil origins means the parts are consecutive contiguous ranges of the
+	// input: parts[i][j] is the point at the summed lengths of the parts
+	// before i, plus j.
 	PartitionOrigins(points metric.Dataset, ell int) (parts []metric.Dataset, origins [][]int, err error)
 }
 
@@ -40,10 +30,7 @@ var ErrInvalidPartitions = errors.New("mapreduce: number of partitions must be p
 // paper's deterministic algorithms).
 type UniformPartitioner struct{}
 
-// Name implements Partitioner.
-func (UniformPartitioner) Name() string { return "uniform" }
-
-// Partition implements Partitioner.
+// Partition splits points into ell consecutive ranges of near-equal length.
 func (UniformPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Dataset, error) {
 	if ell <= 0 {
 		return nil, ErrInvalidPartitions
@@ -56,8 +43,8 @@ func (UniformPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Da
 	return parts, nil
 }
 
-// PartitionOrigins implements OriginPartitioner: the parts are consecutive
-// ranges, so there is nothing to report.
+// PartitionOrigins implements Partitioner: the parts are consecutive ranges,
+// so there is nothing to report.
 func (up UniformPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
 	parts, err := up.Partition(points, ell)
 	return parts, nil, err
@@ -101,16 +88,7 @@ type RandomPartitioner struct {
 	Rand *rand.Rand
 }
 
-// Name implements Partitioner.
-func (RandomPartitioner) Name() string { return "random" }
-
-// Partition implements Partitioner.
-func (rp RandomPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Dataset, error) {
-	parts, _, err := rp.PartitionOrigins(points, ell)
-	return parts, err
-}
-
-// PartitionOrigins implements OriginPartitioner.
+// PartitionOrigins implements Partitioner.
 func (rp RandomPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
 	if ell <= 0 {
 		return nil, nil, ErrInvalidPartitions
@@ -137,16 +115,7 @@ type AdversarialPartitioner struct {
 	Targeted []int
 }
 
-// Name implements Partitioner.
-func (AdversarialPartitioner) Name() string { return "adversarial" }
-
-// Partition implements Partitioner.
-func (ap AdversarialPartitioner) Partition(points metric.Dataset, ell int) ([]metric.Dataset, error) {
-	parts, _, err := ap.PartitionOrigins(points, ell)
-	return parts, err
-}
-
-// PartitionOrigins implements OriginPartitioner.
+// PartitionOrigins implements Partitioner.
 func (ap AdversarialPartitioner) PartitionOrigins(points metric.Dataset, ell int) ([]metric.Dataset, [][]int, error) {
 	if ell <= 0 {
 		return nil, nil, ErrInvalidPartitions

@@ -99,17 +99,6 @@ func (f *Flat) Dataset() Dataset {
 	return out
 }
 
-// Validate checks every coordinate for NaN/Inf.
-func (f *Flat) Validate() error {
-	for i, c := range f.buf {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("%w: point %d coordinate %d = %v",
-				ErrInvalidCoordinate, i/f.dim, i%f.dim, c)
-		}
-	}
-	return nil
-}
-
 // Binary flat-buffer format (all integers and float bit patterns
 // big-endian, matching the sketch codec's conventions):
 //

@@ -44,9 +44,6 @@ func TestFlatBasics(t *testing.T) {
 	if &f.Coords()[4*3+2] != &ds[4][2] {
 		t.Fatal("coordinate backing storage is not shared")
 	}
-	if err := f.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFlatFromDatasetRoundTrip(t *testing.T) {

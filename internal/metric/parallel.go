@@ -59,8 +59,8 @@ type Engine struct {
 // sequential path everywhere.
 func NewEngine(workers int) Engine { return Engine{workers: workers} }
 
-// Workers returns the effective parallelism degree of the engine.
-func (e Engine) Workers() int {
+// degree returns the effective parallelism degree of the engine.
+func (e Engine) degree() int {
 	if e.workers > 0 {
 		return e.workers
 	}
@@ -113,7 +113,7 @@ func chunkRanges(n, workers, minLen int) [][2]int {
 // Items are assumed cheap (minChunk of them per chunk at least); when each
 // item performs substantial work of its own, use ForEachChunkCost.
 func (e Engine) ForEachChunk(n int, fn func(chunk, lo, hi int)) {
-	e.run(chunkRanges(n, e.Workers(), minChunk), fn)
+	e.run(chunkRanges(n, e.degree(), minChunk), fn)
 }
 
 // ForEachChunkCost is ForEachChunk for loops whose items are themselves
@@ -125,7 +125,7 @@ func (e Engine) ForEachChunkCost(n, itemCost int, fn func(chunk, lo, hi int)) {
 	if itemCost < 1 {
 		itemCost = 1
 	}
-	e.run(chunkRanges(n, e.Workers(), minChunk/itemCost), fn)
+	e.run(chunkRanges(n, e.degree(), minChunk/itemCost), fn)
 }
 
 func (e Engine) run(chunks [][2]int, fn func(chunk, lo, hi int)) {
@@ -150,14 +150,14 @@ func (e Engine) run(chunks [][2]int, fn func(chunk, lo, hi int)) {
 
 // NumChunks reports how many chunks ForEachChunk will use for an input of n
 // items: the size consumers should allocate for per-chunk partial results.
-func (e Engine) NumChunks(n int) int { return len(chunkRanges(n, e.Workers(), minChunk)) }
+func (e Engine) NumChunks(n int) int { return len(chunkRanges(n, e.degree(), minChunk)) }
 
 // NumChunksCost is NumChunks for ForEachChunkCost.
 func (e Engine) NumChunksCost(n, itemCost int) int {
 	if itemCost < 1 {
 		itemCost = 1
 	}
-	return len(chunkRanges(n, e.Workers(), minChunk/itemCost))
+	return len(chunkRanges(n, e.degree(), minChunk/itemCost))
 }
 
 // Sequential reports whether a pass performing evals distance-evaluation-
@@ -166,41 +166,7 @@ func (e Engine) NumChunksCost(n, itemCost int) int {
 // implementing their own fused kernels (gmm, outliers) use it as the gate so
 // the cutoff policy lives in one place.
 func (e Engine) Sequential(evals int) bool {
-	return e.Workers() == 1 || evals < SequentialCutoff
-}
-
-// DistanceToSet returns min_{x in set} d(p, x) in the TRUE distance domain
-// together with the index of the closest point, chunking the candidate set
-// across the workers and reducing the per-chunk surrogate minima in chunk
-// order (lowest index wins ties). An empty set yields (+Inf, -1).
-func (e Engine) DistanceToSet(sp Space, p Point, set Dataset) (float64, int) {
-	if len(set) == 0 {
-		return math.Inf(1), -1
-	}
-	if e.Sequential(len(set)) {
-		s, idx := sp.ArgNearest(p, set)
-		return sp.FromSurrogate(s), idx
-	}
-	nc := e.NumChunks(len(set))
-	bests := make([]float64, nc)
-	idxs := make([]int, nc)
-	e.ForEachChunk(len(set), func(chunk, lo, hi int) {
-		s, idx := sp.ArgNearest(p, set[lo:hi])
-		bests[chunk] = s
-		if idx >= 0 {
-			idx += lo
-		}
-		idxs[chunk] = idx
-	})
-	best := math.Inf(1)
-	idx := -1
-	for c := 0; c < nc; c++ {
-		if idxs[c] >= 0 && bests[c] < best {
-			best = bests[c]
-			idx = idxs[c]
-		}
-	}
-	return sp.FromSurrogate(best), idx
+	return e.degree() == 1 || evals < SequentialCutoff
 }
 
 // surrogateNearest computes, for every point, the surrogate distance to and

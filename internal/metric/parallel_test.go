@@ -72,8 +72,6 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 			ds[i+7] = ds[i].Clone()
 		}
 		centers := ds[:minInt(9, n)]
-		query := ds[n/2]
-		wantDist, wantIdx := DistanceToSet(Euclidean, query, ds)
 		wantAssign := Assign(Euclidean, ds, centers)
 		wantRadius := Radius(Euclidean, ds, centers)
 		wantExcl := RadiusExcluding(Euclidean, ds.Clone(), centers, n/10)
@@ -84,9 +82,6 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 
 		for _, w := range []int{0, 1, 2, 3, 8} {
 			e := NewEngine(w)
-			if d, i := e.DistanceToSet(EuclideanSpace, query, ds); d != wantDist || i != wantIdx {
-				t.Fatalf("n=%d w=%d DistanceToSet = (%v,%d), want (%v,%d)", n, w, d, i, wantDist, wantIdx)
-			}
 			got := e.Assign(EuclideanSpace, ds, centers)
 			for i := range got {
 				if got[i] != wantAssign[i] {
@@ -116,9 +111,6 @@ func TestParallelKernelsMatchSequential(t *testing.T) {
 func TestParallelKernelsEdgeCases(t *testing.T) {
 	e := NewEngine(4)
 	ds := randDataset(50, 3, 1)
-	if d, i := e.DistanceToSet(EuclideanSpace, ds[0], nil); !math.IsInf(d, 1) || i != -1 {
-		t.Fatalf("DistanceToSet on empty set = (%v,%d), want (+Inf,-1)", d, i)
-	}
 	if r := e.Radius(EuclideanSpace, nil, ds[:3]); r != 0 {
 		t.Fatalf("Radius of empty points = %v, want 0", r)
 	}
@@ -157,15 +149,15 @@ func TestForEachChunkCostScalesChunking(t *testing.T) {
 
 // TestEngineWorkers checks the worker-count normalisation.
 func TestEngineWorkers(t *testing.T) {
-	if w := NewEngine(5).Workers(); w != 5 {
-		t.Fatalf("Workers() = %d, want 5", w)
+	if w := NewEngine(5).degree(); w != 5 {
+		t.Fatalf("degree() = %d, want 5", w)
 	}
-	if w := NewEngine(0).Workers(); w < 1 {
-		t.Fatalf("Workers() = %d for auto, want >= 1", w)
+	if w := NewEngine(0).degree(); w < 1 {
+		t.Fatalf("degree() = %d for auto, want >= 1", w)
 	}
 	var zero Engine
-	if w := zero.Workers(); w < 1 {
-		t.Fatalf("zero-value Workers() = %d, want >= 1", w)
+	if w := zero.degree(); w < 1 {
+		t.Fatalf("zero-value degree() = %d, want >= 1", w)
 	}
 }
 
@@ -224,11 +216,6 @@ func TestEngineConcurrentCallers(t *testing.T) {
 						errc <- errMismatch("Assign", c, iter)
 						return
 					}
-				}
-				d, i := e.DistanceToSet(EuclideanSpace, ds[c], ds)
-				if i != c || d != 0 {
-					errc <- errMismatch("DistanceToSet", c, iter)
-					return
 				}
 			}
 		}(c)

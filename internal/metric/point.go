@@ -51,16 +51,6 @@ func (p Point) Equal(q Point) bool {
 	return true
 }
 
-// Validate returns an error if the point contains NaN or infinite coordinates.
-func (p Point) Validate() error {
-	for i, c := range p {
-		if math.IsNaN(c) || math.IsInf(c, 0) {
-			return fmt.Errorf("%w: coordinate %d = %v", ErrInvalidCoordinate, i, c)
-		}
-	}
-	return nil
-}
-
 // String renders the point as a comma-separated coordinate list.
 func (p Point) String() string {
 	var b strings.Builder
@@ -73,30 +63,6 @@ func (p Point) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Add returns p + q as a new point.
-func (p Point) Add(q Point) (Point, error) {
-	if len(p) != len(q) {
-		return nil, ErrDimensionMismatch
-	}
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] + q[i]
-	}
-	return r, nil
-}
-
-// Sub returns p - q as a new point.
-func (p Point) Sub(q Point) (Point, error) {
-	if len(p) != len(q) {
-		return nil, ErrDimensionMismatch
-	}
-	r := make(Point, len(p))
-	for i := range p {
-		r[i] = p[i] - q[i]
-	}
-	return r, nil
 }
 
 // Scale returns a*p as a new point.
@@ -151,8 +117,10 @@ func (ds Dataset) Validate() error {
 		if p.Dim() != d {
 			return fmt.Errorf("%w: point %d has dimension %d, want %d", ErrDimensionMismatch, i, p.Dim(), d)
 		}
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("point %d: %w", i, err)
+		for j, c := range p {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return fmt.Errorf("point %d: %w: coordinate %d = %v", i, ErrInvalidCoordinate, j, c)
+			}
 		}
 	}
 	return nil

@@ -60,16 +60,16 @@ func TestPointEqual(t *testing.T) {
 }
 
 func TestPointValidate(t *testing.T) {
-	if err := (Point{1, 2, 3}).Validate(); err != nil {
+	if err := (Dataset{{1, 2, 3}}).Validate(); err != nil {
 		t.Errorf("valid point rejected: %v", err)
 	}
-	if err := (Point{1, math.NaN()}).Validate(); err == nil {
+	if err := (Dataset{{1, math.NaN()}}).Validate(); err == nil {
 		t.Error("NaN accepted")
 	}
-	if err := (Point{math.Inf(1)}).Validate(); err == nil {
+	if err := (Dataset{{math.Inf(1)}}).Validate(); err == nil {
 		t.Error("+Inf accepted")
 	}
-	if err := (Point{math.Inf(-1)}).Validate(); err == nil {
+	if err := (Dataset{{math.Inf(-1)}}).Validate(); err == nil {
 		t.Error("-Inf accepted")
 	}
 }
@@ -83,27 +83,6 @@ func TestPointString(t *testing.T) {
 
 func TestPointArithmetic(t *testing.T) {
 	a := Point{1, 2}
-	b := Point{3, 5}
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sum.Equal(Point{4, 7}) {
-		t.Errorf("Add = %v, want (4,7)", sum)
-	}
-	diff, err := b.Sub(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !diff.Equal(Point{2, 3}) {
-		t.Errorf("Sub = %v, want (2,3)", diff)
-	}
-	if _, err := a.Add(Point{1}); err == nil {
-		t.Error("Add with mismatched dims should fail")
-	}
-	if _, err := a.Sub(Point{1}); err == nil {
-		t.Error("Sub with mismatched dims should fail")
-	}
 	if got := a.Scale(2); !got.Equal(Point{2, 4}) {
 		t.Errorf("Scale = %v, want (2,4)", got)
 	}

@@ -103,8 +103,8 @@ var (
 	CosineSpace    Space = cosineSpace{}
 )
 
-// namedSpaces lists the built-in spaces by name; SpaceByName and SpaceNames
-// iterate it in this order.
+// namedSpaces lists the built-in spaces; SpaceByName and SpaceFor iterate it
+// in this order.
 var namedSpaces = []Space{
 	EuclideanSpace,
 	ManhattanSpace,
@@ -122,15 +122,6 @@ func SpaceByName(name string) Space {
 		}
 	}
 	return nil
-}
-
-// SpaceNames lists the names of the built-in spaces.
-func SpaceNames() []string {
-	out := make([]string, len(namedSpaces))
-	for i, sp := range namedSpaces {
-		out[i] = sp.Name()
-	}
-	return out
 }
 
 // SpaceFor returns the Space for a scalar distance function: the native
@@ -800,9 +791,6 @@ func NewCountingSpace(sp Space) *CountingSpace {
 
 // Evaluations returns the number of point-pair evaluations so far.
 func (c *CountingSpace) Evaluations() int64 { return c.evals.Load() }
-
-// Reset sets the evaluation counter back to zero.
-func (c *CountingSpace) Reset() { c.evals.Store(0) }
 
 func (c *CountingSpace) Name() string   { return c.inner.Name() }
 func (c *CountingSpace) Dist() Distance { return c.inner.Dist() }

@@ -44,8 +44,8 @@ func (c *Counter) Add(delta int64) {
 	}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// value returns the current count.
+func (c *Counter) value() int64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down, stored as a float64.
 type Gauge struct {
@@ -66,8 +66,8 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+// value returns the current value.
+func (g *Gauge) value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefDurationBuckets is the default latency histogram layout: exponential
 // upper bounds from 100µs to 10s (in seconds, the Prometheus convention for
@@ -134,10 +134,10 @@ type HistogramSnapshot struct {
 	Counts []uint64
 }
 
-// Snapshot copies the histogram's counters. Concurrent observers may land
+// snapshot copies the histogram's counters. Concurrent observers may land
 // between the individual loads, so the copy is approximately — not
 // transactionally — consistent, which is the usual monitoring contract.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+func (h *Histogram) snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
@@ -149,51 +149,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	return s
 }
-
-// quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts by
-// linear interpolation inside the bucket holding the target rank, the same
-// estimate Prometheus' histogram_quantile computes. Values beyond the last
-// finite bound are clamped to it; an empty histogram reports NaN.
-func (s HistogramSnapshot) quantile(q float64) float64 {
-	total := uint64(0)
-	for _, c := range s.Counts {
-		total += c
-	}
-	if total == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	cum := 0.0
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Bounds[i-1]
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: clamp to the highest finite bound.
-			return s.Bounds[len(s.Bounds)-1]
-		}
-		hi := s.Bounds[i]
-		if cum+float64(c) >= rank {
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum += float64(c)
-	}
-	return s.Bounds[len(s.Bounds)-1]
-}
-
-// P50 estimates the median.
-func (s HistogramSnapshot) P50() float64 { return s.quantile(0.5) }
 
 // metricKind discriminates families in the registry.
 type metricKind uint8
@@ -446,11 +401,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			ls := labelString(f.labels, values[i])
 			switch m := c.(type) {
 			case *Counter:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, m.Value())
+				fmt.Fprintf(&b, "%s%s %d\n", f.name, ls, m.value())
 			case *Gauge:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatFloat(m.Value()))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, ls, formatFloat(m.value()))
 			case *Histogram:
-				s := m.Snapshot()
+				s := m.snapshot()
 				cum := uint64(0)
 				for j, bound := range s.Bounds {
 					cum += s.Counts[j]

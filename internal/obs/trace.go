@@ -41,8 +41,8 @@ type TraceID [16]byte
 // String returns the canonical 32-hex-digit form.
 func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
 
-// IsZero reports whether the ID is the invalid all-zero value.
-func (id TraceID) IsZero() bool { return id == TraceID{} }
+// isZero reports whether the ID is the invalid all-zero value.
+func (id TraceID) isZero() bool { return id == TraceID{} }
 
 // SpanID is a W3C-compatible 8-byte span identifier.
 type SpanID [8]byte
@@ -50,8 +50,8 @@ type SpanID [8]byte
 // String returns the canonical 16-hex-digit form.
 func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
 
-// IsZero reports whether the ID is the invalid all-zero value.
-func (id SpanID) IsZero() bool { return id == SpanID{} }
+// isZero reports whether the ID is the invalid all-zero value.
+func (id SpanID) isZero() bool { return id == SpanID{} }
 
 // maxSpansPerTrace bounds one trace's span list so a pathological handler
 // (or a runaway loop instrumented by accident) cannot grow memory without
@@ -161,7 +161,7 @@ func (tr *Trace) newSpanLocked(parent SpanID, name string) *Span {
 // trace context forbids (crypto/rand.Read never fails since Go 1.24).
 func newTraceID() TraceID {
 	var id TraceID
-	for id.IsZero() {
+	for id.isZero() {
 		rand.Read(id[:])
 	}
 	return id
@@ -186,7 +186,7 @@ func parseTraceparent(s string) (id TraceID, parent SpanID, sampled, ok bool) {
 	hex.Decode(parent[:], []byte(s[36:52]))
 	var flags [1]byte
 	hex.Decode(flags[:], []byte(s[53:55]))
-	if id.IsZero() || parent.IsZero() {
+	if id.isZero() || parent.isZero() {
 		return TraceID{}, SpanID{}, false, false
 	}
 	return id, parent, flags[0]&0x01 != 0, true
@@ -322,7 +322,7 @@ func (sp *Span) SetName(name string) {
 	tr := sp.trace
 	tr.mu.Lock()
 	sp.name = name
-	if sp.parent.IsZero() {
+	if sp.parent.isZero() {
 		tr.name = name
 	}
 	tr.mu.Unlock()
@@ -369,7 +369,7 @@ func (sp *Span) End() {
 		}
 	}
 	finished := false
-	if sp.parent.IsZero() && !tr.done {
+	if sp.parent.isZero() && !tr.done {
 		tr.done = true
 		tr.dur = sp.dur
 		finished = tr.sampled || tr.forced != ""
@@ -477,9 +477,6 @@ func (t *Tracer) Find(idHex string) *Trace {
 	return nil
 }
 
-// ID returns the trace's 32-hex-digit identifier.
-func (tr *Trace) ID() string { return tr.id.String() }
-
 // Name returns the trace's display name (the root span's final name).
 func (tr *Trace) Name() string {
 	tr.mu.Lock()
@@ -559,7 +556,7 @@ func (tr *Trace) Detail() TraceDetail {
 			Dropped:  tr.dropped,
 		},
 	}
-	if !tr.remote.IsZero() {
+	if !tr.remote.isZero() {
 		d.RemoteParent = tr.remote.String()
 	}
 	if len(tr.spans) == 0 {

@@ -41,7 +41,7 @@ func TestParseTraceparent(t *testing.T) {
 				t.Fatalf("parseTraceparent(%q) ok = %v, want %v", tc.header, ok, tc.ok)
 			}
 			if !ok {
-				if !id.IsZero() || !parent.IsZero() || sampled {
+				if !id.isZero() || !parent.isZero() || sampled {
 					t.Fatalf("rejected header leaked values: id=%v parent=%v sampled=%v", id, parent, sampled)
 				}
 				return
@@ -152,7 +152,7 @@ func TestRingEviction(t *testing.T) {
 			t.Errorf("recent[%d] = %q, want %q (newest first)", i, got, want)
 		}
 	}
-	if tr.Find(recent[0].ID()) != recent[0] {
+	if tr.Find(recent[0].id.String()) != recent[0] {
 		t.Error("Find does not return the retained trace by ID")
 	}
 	if tr.Find(strings.Repeat("0", 32)) != nil {

@@ -99,3 +99,25 @@ func BenchmarkCandidateRadii(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOutliersCluster measures one invocation of the weighted
+// OutliersCluster greedy on a coreset-sized input.
+func BenchmarkOutliersCluster(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	ds := make(metric.Dataset, 1000)
+	for i := range ds {
+		ds[i] = make(metric.Point, 7)
+		for j := range ds[i] {
+			ds[i][j] = rng.NormFloat64()
+		}
+	}
+	set := metric.Unweighted(ds)
+	diam := metric.Diameter(metric.Euclidean, ds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster(metric.EuclideanSpace, set, 10, diam/10, 0.25); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -53,26 +53,7 @@ type ClusterResult struct {
 	UncoveredWeight int64
 }
 
-// Cluster runs OutliersCluster(T, k, r, epsHat) exactly as in Algorithm 1 of
-// the paper. In each iteration it selects, among all points of T, the point x
-// whose ball of radius (1+2*epsHat)*r contains the largest aggregate weight of
-// still-uncovered points, then marks as covered every uncovered point within
-// distance (3+4*epsHat)*r of x. It stops after k centers or when everything is
-// covered. Distances are those of the space sp (nil: Euclidean).
-func Cluster(sp metric.Space, set metric.WeightedSet, k int, r, epsHat float64) (*ClusterResult, error) {
-	if err := validateClusterParams(set, k, r, epsHat); err != nil {
-		return nil, err
-	}
-	if sp == nil {
-		sp = metric.EuclideanSpace
-	}
-	eng := metric.NewEngine(1)
-	ev := newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat)
-	ev.probe(r)
-	return ev.result(), nil
-}
-
-// validateClusterParams checks the shared preconditions of Cluster and Solve.
+// validateClusterParams checks the preconditions of an OutliersCluster run.
 func validateClusterParams(set metric.WeightedSet, k int, r, epsHat float64) error {
 	if len(set) == 0 {
 		return ErrEmptyInput

@@ -12,6 +12,25 @@ import (
 	"coresetclustering/internal/metric"
 )
 
+// cluster runs OutliersCluster(T, k, r, epsHat) exactly as in Algorithm 1 of
+// the paper. In each iteration it selects, among all points of T, the point x
+// whose ball of radius (1+2*epsHat)*r contains the largest aggregate weight of
+// still-uncovered points, then marks as covered every uncovered point within
+// distance (3+4*epsHat)*r of x. It stops after k centers or when everything is
+// covered. Distances are those of the space sp (nil: Euclidean).
+func cluster(sp metric.Space, set metric.WeightedSet, k int, r, epsHat float64) (*ClusterResult, error) {
+	if err := validateClusterParams(set, k, r, epsHat); err != nil {
+		return nil, err
+	}
+	if sp == nil {
+		sp = metric.EuclideanSpace
+	}
+	eng := metric.NewEngine(1)
+	ev := newEvaluator(eng, newDistRows(eng, sp, set.Points()), set, k, epsHat)
+	ev.probe(r)
+	return ev.result(), nil
+}
+
 func randomDataset(rng *rand.Rand, n, dim int, scale float64) metric.Dataset {
 	ds := make(metric.Dataset, n)
 	for i := range ds {
@@ -52,16 +71,16 @@ func datasetWithOutliers(rng *rand.Rand, k, perCluster, nOut, dim int) (metric.D
 
 func TestClusterErrors(t *testing.T) {
 	set := metric.Unweighted(metric.Dataset{{0}, {1}})
-	if _, err := Cluster(metric.EuclideanSpace, nil, 1, 1, 0); err == nil {
+	if _, err := cluster(metric.EuclideanSpace, nil, 1, 1, 0); err == nil {
 		t.Error("empty set accepted")
 	}
-	if _, err := Cluster(metric.EuclideanSpace, set, 0, 1, 0); err == nil {
+	if _, err := cluster(metric.EuclideanSpace, set, 0, 1, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Cluster(metric.EuclideanSpace, set, 1, -1, 0); err == nil {
+	if _, err := cluster(metric.EuclideanSpace, set, 1, -1, 0); err == nil {
 		t.Error("negative radius accepted")
 	}
-	if _, err := Cluster(metric.EuclideanSpace, set, 1, 1, -0.5); err == nil {
+	if _, err := cluster(metric.EuclideanSpace, set, 1, 1, -0.5); err == nil {
 		t.Error("negative epsHat accepted")
 	}
 }
@@ -133,7 +152,7 @@ func TestClusterCoversEverythingWithLargeRadius(t *testing.T) {
 	ds := randomDataset(rng, 40, 2, 10)
 	set := metric.Unweighted(ds)
 	diam := metric.Diameter(metric.Euclidean, ds)
-	res, err := Cluster(metric.EuclideanSpace, set, 1, diam, 0)
+	res, err := cluster(metric.EuclideanSpace, set, 1, diam, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +168,7 @@ func TestClusterRespectsK(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ds := randomDataset(rng, 50, 2, 100)
 	set := metric.Unweighted(ds)
-	res, err := Cluster(metric.EuclideanSpace, set, 3, 0.01, 0.5)
+	res, err := cluster(metric.EuclideanSpace, set, 3, 0.01, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +185,7 @@ func TestClusterUncoveredDefinition(t *testing.T) {
 	set := metric.Unweighted(ds)
 	r := 5.0
 	epsHat := 0.25
-	res, err := Cluster(metric.EuclideanSpace, set, 4, r, epsHat)
+	res, err := cluster(metric.EuclideanSpace, set, 4, r, epsHat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +214,7 @@ func TestClusterGreedyPicksHeaviestBall(t *testing.T) {
 		{P: metric.Point{100}, W: 50},
 		{P: metric.Point{200}, W: 7},
 	}
-	res, err := Cluster(metric.EuclideanSpace, set, 1, 1, 0)
+	res, err := cluster(metric.EuclideanSpace, set, 1, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +242,7 @@ func TestLemma5CoverageProperty(t *testing.T) {
 		}
 		set := metric.Unweighted(ds)
 		for _, epsHat := range []float64{0, 0.1, 0.5} {
-			res, err := Cluster(metric.EuclideanSpace, set, k, opt, epsHat)
+			res, err := cluster(metric.EuclideanSpace, set, k, opt, epsHat)
 			if err != nil {
 				return false
 			}

@@ -237,12 +237,12 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 					radii = append(radii, pd(rng.Intn(sh.n), rng.Intn(sh.n)))
 				}
 				for _, r := range radii {
-					got, err := Cluster(sp, set, sh.k, r, epsHat)
+					got, err := cluster(sp, set, sh.k, r, epsHat)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if d := diffCluster(got, referenceCluster(pd, set, sh.k, r, epsHat)); d != "" {
-						t.Fatalf("%s: Cluster(r=%v): %s", name, r, d)
+						t.Fatalf("%s: cluster(r=%v): %s", name, r, d)
 					}
 				}
 
@@ -343,7 +343,7 @@ func TestClusterAboveMatrixCap(t *testing.T) {
 		t.Fatalf("%d points got a cached matrix", n)
 	}
 	set := metric.Unweighted(pts)
-	got, err := Cluster(metric.EuclideanSpace, set, 2, 512, 0)
+	got, err := cluster(metric.EuclideanSpace, set, 2, 512, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

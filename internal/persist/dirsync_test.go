@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,14 +93,16 @@ func TestNamespaceOpsSyncStoreRoot(t *testing.T) {
 
 var errDirSync = errors.New("injected directory sync failure")
 
-// failNextDirSync makes the store's next sync of dir fail with errDirSync;
-// every other sync, and every later one of dir, goes through.
-func failNextDirSync(s *Store, dir string) {
-	armed := true
+// failDirSync lets the store's next skip syncs of dir through and makes the
+// one after them fail with errDirSync; every other sync, and every later one
+// of dir, goes through.
+func failDirSync(s *Store, dir string, skip int) {
 	s.dirSync = func(d string) error {
-		if armed && d == dir {
-			armed = false
-			return errDirSync
+		if d == dir {
+			skip--
+			if skip == -1 {
+				return errDirSync
+			}
 		}
 		return syncDir(d)
 	}
@@ -116,7 +120,7 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 			s := openStore(t, Options{Fsync: mode})
 			streamDir := func(name string) string { return filepath.Join(s.Dir(), encodeName(name)) }
 
-			failNextDirSync(s, streamDir("a"))
+			failDirSync(s, streamDir("a"), 0)
 			if _, err := s.Create("a", testMeta()); !errors.Is(err, errDirSync) {
 				t.Fatalf("Create = %v, want the directory sync failure", err)
 			}
@@ -127,7 +131,7 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 				t.Fatalf("Create after the failure: %v", err)
 			}
 
-			failNextDirSync(s, streamDir("b"))
+			failDirSync(s, streamDir("b"), 0)
 			if _, err := s.Replace("b", testMeta(), []byte("sketch")); !errors.Is(err, errDirSync) {
 				t.Fatalf("Replace = %v, want the directory sync failure", err)
 			}
@@ -143,7 +147,7 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			failNextDirSync(s, streamDir("c"))
+			failDirSync(s, streamDir("c"), 1) // the snapshot's sync passes, the WAL swap's fails
 			if err := l.CompactAt(l.LastSeq(), []byte("three batches")); !errors.Is(err, errDirSync) {
 				t.Fatalf("CompactAt = %v, want the directory sync failure", err)
 			}
@@ -158,19 +162,20 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 			}
 
 			// Recovery: without its WAL, stream c is rebuilt from the
-			// snapshot alone — the rebuild fails on the sync, and a rebuild
-			// that succeeds leaves AdoptMeta to journal the metadata, which
-			// fails on it too.
+			// snapshot alone. A rebuild that fails on the sync recovers the
+			// stream with its log poisoned; the next boot rebuilds the WAL
+			// and takes appends; and AdoptMeta, which journals the
+			// metadata, fails on the sync too.
 			if err := os.Remove(filepath.Join(streamDir("c"), walFile)); err != nil {
 				t.Fatal(err)
 			}
-			for _, step := range []string{"rebuild", "adopt"} {
+			for _, step := range []string{"rebuild", "reopen", "adopt"} {
 				s2, err := Open(s.Dir(), Options{Fsync: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if step == "rebuild" {
-					failNextDirSync(s2, streamDir("c"))
+					failDirSync(s2, streamDir("c"), 0)
 				}
 				recs, err := s2.Recover()
 				if err != nil {
@@ -185,22 +190,105 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 				switch {
 				case rec == nil:
 					t.Fatalf("%s: stream c not recovered: %+v", step, recs)
+				case rec.Err != nil:
+					t.Fatalf("%s: recovery error %v, want the stream recovered", step, rec.Err)
 				case step == "rebuild":
-					if !errors.Is(rec.Err, errDirSync) {
-						t.Fatalf("rebuild: recovery error %v, want the directory sync failure", rec.Err)
+					if err := appendBatch(rec.Log, testBatch(4, 2, 9), nil); !errors.Is(err, errDirSync) || !strings.Contains(err.Error(), "poisoned") {
+						t.Fatalf("rebuild: append = %v, want the poisoned log's error", err)
 					}
-					// Recovery set the directory aside; put it back.
-					if err := os.Rename(streamDir("c")+failedSuffix, streamDir("c")); err != nil {
-						t.Fatal(err)
+				case step == "reopen":
+					if err := appendBatch(rec.Log, testBatch(4, 2, 9), nil); err != nil {
+						t.Fatalf("reopen: append = %v", err)
 					}
 				default:
 					if rec.Err != nil || rec.HaveMeta || string(rec.Snapshot) != "three batches" {
 						t.Fatalf("adopt: recovered %+v, want the snapshot without metadata", rec)
 					}
-					failNextDirSync(s2, streamDir("c"))
+					failDirSync(s2, streamDir("c"), 0)
 					if err := rec.Log.AdoptMeta(testMeta()); !errors.Is(err, errDirSync) {
 						t.Fatalf("AdoptMeta = %v, want the directory sync failure", err)
 					}
+				}
+				if err := s2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotDirSyncFailure: a failed sync of the stream directory after the
+// snapshot rename fails the compaction before the WAL is rewritten, so the
+// log stays appendable, and recovery returns every acked batch whichever
+// snapshot the disk kept. Under both syncing modes.
+func TestSnapshotDirSyncFailure(t *testing.T) {
+	for _, mode := range []FsyncMode{FsyncAlways, FsyncInterval} {
+		t.Run(mode.String(), func(t *testing.T) {
+			s := openStore(t, Options{Fsync: mode})
+			dir := filepath.Join(s.Dir(), encodeName("c"))
+			l, err := s.Create("c", testMeta())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []uint64
+			ack := func() {
+				t.Helper()
+				if err := appendBatch(l, testBatch(4, 2, int64(len(acked))), nil); err != nil {
+					t.Fatal(err)
+				}
+				acked = append(acked, l.LastSeq())
+			}
+			// Each snapshot's payload names the sequence number it covers.
+			compact := func() error { return l.CompactAt(l.LastSeq(), []byte(strconv.FormatUint(l.LastSeq(), 10))) }
+			ack()
+			ack()
+			if err := compact(); err != nil {
+				t.Fatal(err)
+			}
+			ack()
+			oldSnap, err := os.ReadFile(filepath.Join(dir, snapFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			failDirSync(s, dir, 0)
+			if err := compact(); !errors.Is(err, errDirSync) {
+				t.Fatalf("CompactAt = %v, want the directory sync failure", err)
+			}
+			ack()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for _, kept := range []string{"new", "old"} {
+				if kept == "old" {
+					// The rename did not last: the disk kept the old snapshot.
+					if err := os.WriteFile(filepath.Join(dir, snapFile), oldSnap, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				s2, err := Open(s.Dir(), Options{Fsync: mode})
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := s2.Recover()
+				if err != nil || len(recs) != 1 || recs[0].Err != nil {
+					t.Fatalf("%s snapshot: recovered %+v, %v", kept, recs, err)
+				}
+				rec := recs[0]
+				if got := string(rec.Snapshot); got != strconv.FormatUint(rec.Stats.SnapshotSeq, 10) {
+					t.Fatalf("%s snapshot: payload %q at sequence %d", kept, got, rec.Stats.SnapshotSeq)
+				}
+				var want, got []uint64
+				for _, seq := range acked {
+					if seq > rec.Stats.SnapshotSeq {
+						want = append(want, seq)
+					}
+				}
+				for _, r := range rec.Tail {
+					got = append(got, r.Seq)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s snapshot at sequence %d: replays %v, want %v of the acked %v", kept, rec.Stats.SnapshotSeq, got, want, acked)
 				}
 				if err := s2.Close(); err != nil {
 					t.Fatal(err)

@@ -234,7 +234,7 @@ func TestGroupCommitSpansLogs(t *testing.T) {
 	for i, p := range members {
 		err := p.Wait()
 		if removed := p.l == logs[2]; removed != errors.Is(err, ErrLogRemoved) || (!removed && err != nil) {
-			t.Fatalf("member %d (log %s): %v", i, p.l.Name(), err)
+			t.Fatalf("member %d (log %s): %v", i, p.l.name, err)
 		}
 	}
 }

@@ -276,12 +276,6 @@ type Log struct {
 	statsCache atomic.Pointer[LogStats]
 }
 
-// Name returns the stream name the log belongs to.
-func (l *Log) Name() string { return l.name }
-
-// Meta returns the stream metadata journaled in the create record.
-func (l *Log) Meta() Meta { return l.meta }
-
 // resetWAL atomically replaces the WAL with a fresh one holding only the
 // header and a create record carrying seq (the metadata must survive log
 // resets; replay skips it by sequence number when a snapshot covers it).
@@ -424,10 +418,10 @@ func (l *Log) begin(op Op, payload []byte) (*Pending, error) {
 			hooks.AppendDone(op, len(frame), time.Since(start))
 		}
 		l.mu.Unlock()
-		return &Pending{l: l, seq: seq, op: op}, nil
+		return &Pending{l: l, op: op}, nil
 	}
 	l.mu.Unlock()
-	p := &Pending{l: l, seq: seq, op: op, bytes: len(frame), start: start, done: make(chan struct{})}
+	p := &Pending{l: l, op: op, bytes: len(frame), start: start, done: make(chan struct{})}
 	l.store.enqueueCommit(p)
 	return p, nil
 }
@@ -493,57 +487,60 @@ func (l *Log) ShouldCompact() bool {
 
 // writeSnapshotLocked writes the snapshot file atomically: temp file, fsync,
 // rename, directory fsync. lastSeq is the newest WAL sequence number the
-// snapshot's state includes; replay skips records at or below it.
+// snapshot's state includes; replay skips records at or below it. A failure
+// leaves the WAL untouched, so replay still finds every record whichever
+// snapshot the disk kept.
 func (l *Log) writeSnapshotLocked(lastSeq uint64, sketch []byte) error {
-	if err := atomicWrite(filepath.Join(l.dir, snapFile), encodeSnapshot(lastSeq, sketch), l.store.opts.Fsync != FsyncNever); err != nil {
-		return err
+	path := filepath.Join(l.dir, snapFile)
+	tmp := path + tmpSuffix
+	sync := l.store.opts.Fsync != FsyncNever
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("persist: %w", err)
+	}
+	if _, err := f.Write(encodeSnapshot(lastSeq, sketch)); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("persist: %w", err)
+	}
+	if sync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			os.Remove(tmp)
+			return fmt.Errorf("persist: %w", err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("persist: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("persist: %w", err)
+	}
+	if sync {
+		// Unsynced, the rename may not survive a crash, and the WAL reset a
+		// compaction makes next would then have dropped records that no
+		// durable snapshot holds.
+		if err := l.store.dirSync(l.dir); err != nil {
+			return fmt.Errorf("persist: syncing the stream directory after a snapshot write: %w", err)
+		}
 	}
 	l.snapSeq = lastSeq
 	return nil
 }
 
-// Compact folds the log into a snapshot: the sketch (the stream's complete
-// serialized state, captured by the caller under the stream mutex) replaces
-// every journaled record, and the WAL is reset. Crash-safe at every point:
-// the snapshot rename is atomic, and until the WAL reset lands the old
-// records are skipped on replay by sequence number.
-func (l *Log) Compact(sketch []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.removed {
-		return ErrLogRemoved
-	}
-	hooks := &l.store.opts.Hooks
-	var start time.Time
-	if hooks.CompactionDone != nil {
-		start = time.Now()
-	}
-	folded := l.records
-	if folded > 0 && l.meta.validate() == nil {
-		folded-- // the re-written create record is metadata, not folded data
-	}
-	if err := l.writeSnapshotLocked(l.seq, sketch); err != nil {
-		return err
-	}
-	if err := l.resetWAL(l.seq); err != nil {
-		return err
-	}
-	l.compactions++
-	l.dirty = false
-	l.publishStatsLocked()
-	if hooks.CompactionDone != nil {
-		hooks.CompactionDone(time.Since(start), folded)
-	}
-	return nil
-}
+// Compact is CompactAt at the log's tip, for a caller that blocked appends
+// while it captured the sketch.
+func (l *Log) Compact(sketch []byte) error { return l.CompactAt(l.LastSeq(), sketch) }
 
 // CompactAt folds the log into a snapshot captured at captureSeq — a sequence
-// number that may be OLDER than the log's current tip. Unlike Compact, which
-// assumes the caller blocked appends while capturing the sketch, CompactAt is
-// built for compaction off the ingest path: appends may land between the
-// capture and this call, and every record with a sequence number beyond
-// captureSeq is carried over verbatim into the rewritten WAL, so no
-// acknowledged write is lost. Crash-safe at every point, like Compact.
+// number that may be OLDER than the log's current tip. Appends may land
+// between the capture and this call: every record with a sequence number
+// beyond captureSeq is carried over verbatim into the rewritten WAL, so no
+// acknowledged write is lost. Crash-safe at every point: the snapshot rename
+// is atomic, and until the WAL rewrite lands the folded records are skipped
+// on replay by sequence number.
 func (l *Log) CompactAt(captureSeq uint64, sketch []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -752,7 +749,9 @@ type Recovered struct {
 	Tail []Record
 	// Stats summarises what recovery found, for the stats endpoint.
 	Stats RecoveryStats
-	// Log is the live handle, positioned to append; nil when Err is set.
+	// Log is the live handle, positioned to append; nil when Err is set. When
+	// a missing or headerless WAL could not be rebuilt, the log is poisoned:
+	// appends are refused until AdoptMeta or the next boot rebuilds it.
 	Log *Log
 	// Err is set when the stream could not be recovered (its directory has
 	// been set aside with the ".failed" suffix, freeing the name).
@@ -874,13 +873,15 @@ func (s *Store) recoverDir(entry string) *Recovered {
 	// header is missing.
 	l := &Log{store: s, name: name, dir: dir, meta: rec.Meta, seq: lastSeq, snapSeq: snapSeq}
 	if res.ValidLen < fileHeaderSize {
-		// Even the header was lost (or never synced). Rebuild the file; when
-		// the metadata only lives in the snapshot, the daemon re-derives it
-		// from the sketch and calls AdoptMeta.
-		if err := l.recreateWAL(); err != nil {
-			l.abandon()
-			rec.Err = err
-			return rec
+		// Even the header was lost (or never synced). Rebuild the file; the
+		// metadata then lives only in the snapshot, and the daemon re-derives
+		// it from the sketch and calls AdoptMeta. A rebuild that fails loses
+		// nothing the snapshot and the tail hold, so the stream is recovered
+		// with its log poisoned, as a failed compaction swap leaves it:
+		// appends are refused until AdoptMeta or the next boot rebuilds the
+		// WAL.
+		if err := l.recreateWAL(); err != nil && l.failed == nil {
+			l.failed = err
 		}
 	} else {
 		if res.ValidLen < int64(len(img)) {
@@ -937,45 +938,6 @@ func (l *Log) AdoptMeta(meta Meta) error {
 	}
 	l.meta = meta
 	return l.resetWAL(l.seq)
-}
-
-// atomicWrite writes data to path via a temp file and rename, syncing the
-// file and its directory when sync is true.
-func atomicWrite(path string, data []byte, sync bool) error {
-	tmp := path + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("persist: %w", err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: %w", err)
-	}
-	if sync {
-		// Unsynced, the rename may not survive a crash, and the WAL reset a
-		// compaction makes next would then have dropped records that no
-		// durable snapshot holds.
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			return fmt.Errorf("persist: %w", err)
-		}
-	}
-	return nil
 }
 
 // syncRoot makes the store root's entries durable after a stream directory

@@ -18,7 +18,6 @@ const maxCommitGroup = 4096
 // Pending is already resolved when returned and Wait is free.
 type Pending struct {
 	l     *Log
-	seq   uint64
 	op    Op
 	bytes int
 	start time.Time
@@ -29,10 +28,6 @@ type Pending struct {
 	done chan struct{}
 	err  error
 }
-
-// Seq returns the record's sequence number, assigned at write time — valid
-// immediately, even before Wait returns.
-func (p *Pending) Seq() uint64 { return p.seq }
 
 // Wait blocks until the append's covering fsync completes (or fails) and
 // returns the append's final error. It is safe to call multiple times.

@@ -43,14 +43,14 @@ func TestOverboundBatchRefusedBeforeJournal(t *testing.T) {
 			b1 := randomBatch(rng, 40, 3)
 			f.start(t, e, "s", b1, f.stamps(len(b1), 0))
 			st, _ := e.Lookup("s")
-			seq := st.Log().LastSeq()
+			seq := st.log.Load().LastSeq()
 			before := snapshotOf(t, e, "s", "before")
 
 			repro := reproBatch()
 			if _, err := e.Ingest(context.Background(), "s", repro, f.stamps(len(repro), 50), -1, f.params); CodeOf(err) != CodeInvalidPoint {
 				t.Fatalf("repro batch: code %q (%v), want %q", CodeOf(err), err, CodeInvalidPoint)
 			}
-			if got := st.Log().LastSeq(); got != seq {
+			if got := st.log.Load().LastSeq(); got != seq {
 				t.Fatalf("the refused batch was journaled: last sequence %d -> %d", seq, got)
 			}
 			if after := snapshotOf(t, e, "s", "after"); !bytes.Equal(after.snap, before.snap) {
@@ -266,7 +266,7 @@ func FuzzAdmitThenApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzInput(data)
 		fl := flavours[int(in.next())%len(flavours)]
-		space := metric.SpaceNames()[int(in.next())%len(metric.SpaceNames())]
+		space := sketch.SpaceNames()[int(in.next())%len(sketch.SpaceNames())]
 		dim := 1 + int(in.next()%3)
 		e := New(Config{K: 3, Budget: 24, Dist: space})
 		ctx := context.Background()

@@ -244,7 +244,7 @@ func TestFlavoursBootRecovery(t *testing.T) {
 				if compact {
 					st, _ := e.Lookup("s")
 					v := st.View()
-					if err := st.Log().CompactAt(v.WalSeq, mustViewSnapshot(t, v)); err != nil {
+					if err := st.log.Load().CompactAt(v.WalSeq, mustViewSnapshot(t, v)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -120,10 +120,10 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// PersistHooks adapts the metric set to the persistence layer's
+// persistHooks adapts the metric set to the persistence layer's
 // instrumentation seam. A nil receiver returns the zero Hooks, leaving the
 // persistence hot paths on their uninstrumented branch.
-func (m *Metrics) PersistHooks() persist.Hooks {
+func (m *Metrics) persistHooks() persist.Hooks {
 	if m == nil {
 		return persist.Hooks{}
 	}
@@ -165,7 +165,7 @@ func (m *Metrics) PersistHooks() persist.Hooks {
 // trace-attribution callbacks (group-commit wait as a span on the waiting
 // request's trace, flusher cycles as sampled background traces).
 func (e *Engine) PersistHooks() persist.Hooks {
-	hooks := e.Metrics.PersistHooks()
+	hooks := e.Metrics.persistHooks()
 	if t := e.Tracer; t != nil {
 		hooks.AppendWait = func(ctx context.Context, op persist.Op, wait time.Duration) {
 			obs.RecordSpan(ctx, "wal.wait", wait, "op", op.String())

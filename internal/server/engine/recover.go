@@ -74,8 +74,11 @@ func (e *Engine) rebuildStream(rec *persist.Recovered) (*Stream, error) {
 			return nil, fmt.Errorf("snapshot metadata %+v does not match journaled metadata %+v", meta, rec.Meta)
 		}
 		if !rec.HaveMeta {
+			// A WAL that cannot be rebuilt costs the stream its appends, not
+			// its state: the log stays poisoned, reads answer from the
+			// snapshot and the tail, and the next boot rebuilds the WAL.
 			if err := rec.Log.AdoptMeta(meta); err != nil {
-				return nil, err
+				e.Logger.Error("journal not rebuilt, appends refused until the next boot", "stream", rec.Name, "err", err)
 			}
 		}
 	} else {

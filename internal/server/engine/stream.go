@@ -139,9 +139,6 @@ type Stream struct {
 // View returns the newest published query view; it never blocks on Mu.
 func (st *Stream) View() *QueryView { return st.view.Load() }
 
-// Log returns the stream's durability handle (nil without a store).
-func (st *Stream) Log() *persist.Log { return st.log.Load() }
-
 // newStream wraps a clusterer — fresh, restored or recovered — as a hosted
 // stream; every parameter the stream reports is read off the clusterer.
 func newStream(core *clusterer.Clusterer) *Stream {

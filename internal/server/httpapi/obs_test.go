@@ -148,7 +148,7 @@ func TestMetricsPersistSeries(t *testing.T) {
 	store.Close()
 	store, err = persist.Open(dir, persist.Options{
 		Fsync: persist.FsyncAlways,
-		Hooks: srv.eng.Metrics.PersistHooks(),
+		Hooks: srv.eng.PersistHooks(),
 	})
 	if err != nil {
 		t.Fatal(err)

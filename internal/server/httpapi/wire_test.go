@@ -229,7 +229,7 @@ func TestMetricsBinaryAndGroupCommitSeries(t *testing.T) {
 	srv := newServer(config{k: 3, budget: 30})
 	store, err := persist.Open(dir, persist.Options{
 		Fsync: persist.FsyncAlways,
-		Hooks: srv.eng.Metrics.PersistHooks(),
+		Hooks: srv.eng.PersistHooks(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -578,14 +579,28 @@ func fetch(t *testing.T, method, url, ifNoneMatch string) (*http.Response, []byt
 	return resp, body
 }
 
+// sample reads one series of the router's metrics exposition; a series not
+// exposed yet reads 0.
+func sample(srv *server, series string) int64 {
+	var b strings.Builder
+	_ = srv.m.Reg.WritePrometheus(&b) // a strings.Builder does not fail
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, _ := strconv.ParseInt(v, 10, 64)
+			return n
+		}
+	}
+	return 0
+}
+
 // pullCounts reads kcenterd_router_shard_pulls_total for one shard.
 type pullCounts struct{ modified, notModified, absent int64 }
 
 func pullsOf(srv *server, sp *shardProc) pullCounts {
 	return pullCounts{
-		modified:    srv.m.ShardPulls.With(sp.addr, "modified").Value(),
-		notModified: srv.m.ShardPulls.With(sp.addr, "not_modified").Value(),
-		absent:      srv.m.ShardPulls.With(sp.addr, "absent").Value(),
+		modified:    sample(srv, fmt.Sprintf("kcenterd_router_shard_pulls_total{shard=%q,result=\"modified\"}", sp.addr)),
+		notModified: sample(srv, fmt.Sprintf("kcenterd_router_shard_pulls_total{shard=%q,result=\"not_modified\"}", sp.addr)),
+		absent:      sample(srv, fmt.Sprintf("kcenterd_router_shard_pulls_total{shard=%q,result=\"absent\"}", sp.addr)),
 	}
 }
 
@@ -638,7 +653,7 @@ func TestClusterConditionalRefresh(t *testing.T) {
 		t.Fatalf("first refresh: status %d observed %d", resp.StatusCode, first.Observed)
 	}
 	const idleRefreshes = 5
-	hits := srv.m.MergeCacheHits.Value()
+	hits := sample(srv, "kcenterd_router_merge_cache_hits_total")
 	for i := 0; i < idleRefreshes; i++ {
 		var again centersResponse
 		getJSON(t, centersURL, &again)
@@ -647,10 +662,10 @@ func TestClusterConditionalRefresh(t *testing.T) {
 				i, again.Observed, again.MergedAgeMs, again.Centers)
 		}
 	}
-	if got := srv.m.Merges.Value(); got != 1 {
+	if got := sample(srv, "kcenterd_router_merges_total"); got != 1 {
 		t.Fatalf("%d merges after %d refreshes of an idle stream, want 1", got, 1+idleRefreshes)
 	}
-	if got := srv.m.MergeCacheHits.Value() - hits; got != idleRefreshes {
+	if got := sample(srv, "kcenterd_router_merge_cache_hits_total") - hits; got != idleRefreshes {
 		t.Fatalf("%d cache hits for %d revalidated refreshes", got, idleRefreshes)
 	}
 	for i, sp := range shards {
@@ -674,7 +689,7 @@ func TestClusterConditionalRefresh(t *testing.T) {
 	if moved.Observed != 400 || moved.Shards != 2 {
 		t.Fatalf("after one shard moved: observed %d from %d shards, want 400 from 2", moved.Observed, moved.Shards)
 	}
-	if got := srv.m.Merges.Value(); got != 2 {
+	if got := sample(srv, "kcenterd_router_merges_total"); got != 2 {
 		t.Fatalf("%d merges after one shard moved, want 2", got)
 	}
 	if got, want := pullsOf(srv, shards[0]), (pullCounts{modified: 2, notModified: idleRefreshes}); got != want {
@@ -723,7 +738,7 @@ func TestClusterConditionalRefresh(t *testing.T) {
 	// WAL rejoin: the recovered state is byte-identical, so its ETag is the
 	// one the router holds — the first refresh is correct and merge-free.
 	launchShard(t, victim)
-	merges, before := srv.m.Merges.Value(), pullsOf(srv, victim)
+	merges, before := sample(srv, "kcenterd_router_merges_total"), pullsOf(srv, victim)
 	var rejoined centersResponse
 	if resp := getJSON(t, centersURL, &rejoined); resp.StatusCode != http.StatusOK {
 		t.Fatalf("refresh after rejoin: status %d", resp.StatusCode)
@@ -735,9 +750,9 @@ func TestClusterConditionalRefresh(t *testing.T) {
 		t.Fatal("merged sketch after rejoin differs from an unconditional pull-and-merge")
 	}
 	after := pullsOf(srv, victim)
-	if after.notModified != before.notModified+1 || after.modified != before.modified || srv.m.Merges.Value() != merges {
+	if after.notModified != before.notModified+1 || after.modified != before.modified || sample(srv, "kcenterd_router_merges_total") != merges {
 		t.Fatalf("byte-identical rejoin cost a transfer or a merge: pulls %+v -> %+v, merges %d -> %d",
-			before, after, merges, srv.m.Merges.Value())
+			before, after, merges, sample(srv, "kcenterd_router_merges_total"))
 	}
 
 	// The refresher's trace names the same decisions: what each shard
@@ -823,11 +838,11 @@ func TestRouterForgetsUnknownStreams(t *testing.T) {
 
 	sends := make([]int64, len(shards))
 	for i, sp := range shards {
-		sends[i] = srv.m.ShardSends.With(sp.addr).Value()
+		sends[i] = sample(srv, fmt.Sprintf("kcenterd_router_shard_sends_total{shard=%q}", sp.addr))
 	}
 	srv.refreshKnown()
 	for i, sp := range shards {
-		if got := srv.m.ShardSends.With(sp.addr).Value() - sends[i]; got != 1 {
+		if got := sample(srv, fmt.Sprintf("kcenterd_router_shard_sends_total{shard=%q}", sp.addr)) - sends[i]; got != 1 {
 			t.Fatalf("a refresher pass sent %d requests to shard %d, want 1 (the live stream)", got, i)
 		}
 	}

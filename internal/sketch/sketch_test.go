@@ -407,7 +407,7 @@ func TestMergeQualityProperty(t *testing.T) {
 // built-in, nil is Euclidean, and a custom function, id 0 and an unknown
 // name are all ErrUnknownDistance.
 func TestDistanceRegistry(t *testing.T) {
-	for _, name := range metric.SpaceNames() {
+	for _, name := range SpaceNames() {
 		sp, id, err := SpaceByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -439,7 +439,7 @@ func TestDistanceRegistry(t *testing.T) {
 // adapter that merely names itself after a built-in (but wraps a different
 // function) is rejected instead of serializing under the wrong metric.
 func TestSpaceRegistry(t *testing.T) {
-	for _, name := range metric.SpaceNames() {
+	for _, name := range SpaceNames() {
 		sp, id, err := SpaceByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -30,10 +30,9 @@ type BaseOutliers struct {
 
 // outlierInstance is one radius guess of BaseOutliers.
 type outlierInstance struct {
-	r        float64
-	centers  metric.Dataset
-	free     metric.Dataset
-	restarts int
+	r       float64
+	centers metric.Dataset
+	free    metric.Dataset
 }
 
 // NewBaseOutliers returns a BaseOutliers on the metric space sp (nil defaults
@@ -164,7 +163,6 @@ func (b *BaseOutliers) restart(inst *outlierInstance) {
 	inst.centers = nil
 	inst.free = nil
 	inst.r *= 2
-	inst.restarts++
 	for _, c := range oldCenters {
 		// Previous centers certified at least z+1 points each, so they stay
 		// centers unless another retained center already covers them.
@@ -180,7 +178,7 @@ func (b *BaseOutliers) restart(inst *outlierInstance) {
 	b.promote(inst)
 }
 
-// WorkingMemory implements Processor.
+// WorkingMemory returns the number of points currently retained.
 func (b *BaseOutliers) WorkingMemory() int {
 	if b.instances == nil {
 		return len(b.initBuf)
@@ -191,9 +189,6 @@ func (b *BaseOutliers) WorkingMemory() int {
 	}
 	return total
 }
-
-// Processed implements Processor.
-func (b *BaseOutliers) Processed() int64 { return b.processed }
 
 // Result returns the centers of the guess with the smallest radius whose
 // center count does not exceed k. If the stream ended before initialisation,
@@ -234,13 +229,4 @@ func (b *BaseOutliers) Result() (metric.Dataset, error) {
 		}
 	}
 	return centers, nil
-}
-
-// Restarts reports the total number of instance restarts across all guesses.
-func (b *BaseOutliers) Restarts() int {
-	total := 0
-	for _, inst := range b.instances {
-		total += inst.restarts
-	}
-	return total
 }

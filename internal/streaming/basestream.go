@@ -35,9 +35,8 @@ func (b *BaseStream) distToSet(p metric.Point, set metric.Dataset) float64 {
 
 // guessInstance is one radius guess of BaseStream.
 type guessInstance struct {
-	r        float64
-	centers  metric.Dataset
-	restarts int
+	r       float64
+	centers metric.Dataset
 }
 
 // NewBaseStream returns a BaseStream on the metric space sp (nil defaults to
@@ -114,7 +113,6 @@ func (b *BaseStream) insert(inst *guessInstance, p metric.Point) {
 		old := inst.centers
 		inst.centers = nil
 		inst.r *= 2
-		inst.restarts++
 		for _, c := range old {
 			if b.distToSet(c, inst.centers) > 2*inst.r {
 				inst.centers = append(inst.centers, c)
@@ -122,21 +120,6 @@ func (b *BaseStream) insert(inst *guessInstance, p metric.Point) {
 		}
 	}
 }
-
-// WorkingMemory implements Processor.
-func (b *BaseStream) WorkingMemory() int {
-	if b.instances == nil {
-		return len(b.initBuf)
-	}
-	total := 0
-	for _, inst := range b.instances {
-		total += len(inst.centers)
-	}
-	return total
-}
-
-// Processed implements Processor.
-func (b *BaseStream) Processed() int64 { return b.processed }
 
 // Result returns the centers of the guess with the smallest radius. If the
 // stream ended before initialisation (fewer than k+2 points), the buffered
@@ -159,14 +142,4 @@ func (b *BaseStream) Result() (metric.Dataset, error) {
 		}
 	}
 	return best.centers.Clone(), nil
-}
-
-// Restarts reports the total number of instance restarts, a diagnostic of how
-// far the initial lower bound was from the final radius.
-func (b *BaseStream) Restarts() int {
-	total := 0
-	for _, inst := range b.instances {
-		total += inst.restarts
-	}
-	return total
 }

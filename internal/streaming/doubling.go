@@ -82,9 +82,6 @@ func NewDoublingIn(sp metric.Space, tau int) (*Doubling, error) {
 	return &Doubling{space: sp, tau: tau}, nil
 }
 
-// Space returns the metric space the processor runs on.
-func (d *Doubling) Space() metric.Space { return d.space }
-
 // ErrNonFiniteDistance is the algorithm's one failure: a distance that is not
 // finite leaves a point without a nearest center, or the merge rule without
 // progress. No built-in space answers one on admitted points (MaxCoordinate).
@@ -596,7 +593,7 @@ func MergeDoublings(ds ...*Doubling) (*Doubling, error) {
 	return out, nil
 }
 
-// WorkingMemory implements Processor.
+// WorkingMemory returns the number of points currently retained.
 func (d *Doubling) WorkingMemory() int {
 	if d.centers == nil {
 		return len(d.initBuf)
@@ -604,7 +601,7 @@ func (d *Doubling) WorkingMemory() int {
 	return len(d.centers)
 }
 
-// Processed implements Processor.
+// Processed returns the number of points consumed so far.
 func (d *Doubling) Processed() int64 { return d.processed }
 
 // Phi returns the current lower bound phi on r*_tau of the processed prefix.

@@ -23,15 +23,10 @@ import (
 	"coresetclustering/internal/metric"
 )
 
-// Processor is a streaming algorithm: it consumes points one at a time and
-// can report its current working-memory footprint (in points).
+// Processor is a streaming algorithm: it consumes points one at a time.
 type Processor interface {
 	// Process consumes the next point of the stream.
 	Process(p metric.Point) error
-	// WorkingMemory returns the number of points currently retained.
-	WorkingMemory() int
-	// Processed returns the number of points consumed so far.
-	Processed() int64
 }
 
 // The admission rule: what a stream accepts, decided here once and asked by

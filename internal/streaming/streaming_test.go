@@ -231,15 +231,24 @@ func TestBaseStreamQuality(t *testing.T) {
 	if r > 30 {
 		t.Errorf("radius = %v, want small for well-separated blobs", r)
 	}
-	if bs.WorkingMemory() > 4*k {
-		t.Errorf("working memory %d exceeds m*k = %d", bs.WorkingMemory(), 4*k)
+	if bs.workingMemory() > 4*k {
+		t.Errorf("working memory %d exceeds m*k = %d", bs.workingMemory(), 4*k)
 	}
-	if bs.Processed() != int64(len(ds)) {
-		t.Errorf("processed = %d, want %d", bs.Processed(), len(ds))
+	if bs.processed != int64(len(ds)) {
+		t.Errorf("processed = %d, want %d", bs.processed, len(ds))
 	}
-	if bs.Restarts() < 0 {
-		t.Error("negative restarts")
+}
+
+// workingMemory is the number of points a BaseStream retains.
+func (b *BaseStream) workingMemory() int {
+	if b.instances == nil {
+		return len(b.initBuf)
 	}
+	total := 0
+	for _, inst := range b.instances {
+		total += len(inst.centers)
+	}
+	return total
 }
 
 func TestBaseStreamShortStream(t *testing.T) {
@@ -326,11 +335,8 @@ func TestBaseOutliersQuality(t *testing.T) {
 	if bo.WorkingMemory() > 4*((k+1)*(z+1)+k+1) {
 		t.Errorf("working memory %d exceeds budget", bo.WorkingMemory())
 	}
-	if bo.Processed() != int64(len(ds)) {
-		t.Errorf("processed = %d, want %d", bo.Processed(), len(ds))
-	}
-	if bo.Restarts() < 0 {
-		t.Error("negative restarts")
+	if bo.processed != int64(len(ds)) {
+		t.Errorf("processed = %d, want %d", bo.processed, len(ds))
 	}
 }
 

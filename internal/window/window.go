@@ -523,12 +523,6 @@ func (w *Window) Space() metric.Space { return w.space }
 // Tau returns the coreset budget.
 func (w *Window) Tau() int { return w.tau }
 
-// Chi returns the per-level bucket capacity.
-func (w *Window) Chi() int { return w.chi }
-
-// Base returns the level-0 bucket size.
-func (w *Window) Base() int { return w.base }
-
 // MaxCount returns the count bound (0 = none).
 func (w *Window) MaxCount() int64 { return w.maxCount }
 

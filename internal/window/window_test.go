@@ -57,11 +57,11 @@ func TestNewValidation(t *testing.T) {
 		}
 	}
 	w := mustWindow(t, Config{Tau: 8, MaxCount: 100})
-	if w.Chi() != DefaultChi {
-		t.Errorf("default chi = %d, want %d", w.Chi(), DefaultChi)
+	if w.chi != DefaultChi {
+		t.Errorf("default chi = %d, want %d", w.chi, DefaultChi)
 	}
-	if w.Base() != 2 { // tau/4
-		t.Errorf("default base = %d, want 2", w.Base())
+	if w.base != 2 { // tau/4
+		t.Errorf("default base = %d, want 2", w.base)
 	}
 }
 
@@ -191,8 +191,8 @@ func TestMemoryBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	w := mustWindow(t, Config{Tau: tau, MaxCount: W})
 	data := clusteredData(rng, n, 4, 6, 1)
-	levels := int(math.Log2(float64(W)/float64(w.Base()))) + 2
-	maxBuckets := w.Chi()*levels + 1 // +1 for the open bucket
+	levels := int(math.Log2(float64(W)/float64(w.base))) + 2
+	maxBuckets := w.chi*levels + 1 // +1 for the open bucket
 	for i, p := range data {
 		if err := w.Observe(p, 0); err != nil {
 			t.Fatal(err)

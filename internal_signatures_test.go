@@ -2,10 +2,18 @@ package kcenter_test
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,7 +117,8 @@ func forEachNonTestFile(t *testing.T, fset *token.FileSet, root string, fn func(
 }
 
 // testOnlyAllowed names the exported internal functions and methods that no
-// non-test file outside their own file uses, each with its reason.
+// non-test file outside their own file uses, and the knob fields that no
+// non-test file sets, each with its reason.
 var testOnlyAllowed = map[string]string{
 	// Reference oracles: tests check the production algorithms against them.
 	"internal/gmm.BruteForceOptimalRadius":             "oracle: exact k-center optimum by exhaustive search",
@@ -118,6 +127,20 @@ var testOnlyAllowed = map[string]string{
 	"internal/metric.Diameter":                         "oracle: scalar diameter that bounds the optimum in property tests",
 	"internal/metric.Minkowski":                        "oracle: a metric with no built-in Space, to drive the adapter path",
 	"internal/metric.NewCounter":                       "oracle: counts scalar evaluations to check evaluation accounting",
+	"internal/metric.Counter.Distance":                 "oracle: the counted scalar distance",
+	"internal/metric.Counter.Calls":                    "oracle: reads the scalar evaluation count",
+	"internal/metric.Counter.Reset":                    "oracle: zeroes the scalar evaluation count",
+	"internal/metric.DistanceToSet":                    "oracle: scalar nearest-center scan the batched kernels are held to",
+	"internal/metric.Assign":                           "oracle: scalar assignment the engine's Assign is held to",
+	// Invariant checkers: tests assert the paper's invariants after every step.
+	"internal/streaming.Doubling.CheckInvariants": "checks the doubling coreset's structural invariants (a), (b) and (d)",
+	"internal/window.Window.CheckInvariants":      "checks the bucket ring's structure and every bucket's coverage",
+	// Observation points of tests that must pass unedited or compare layouts.
+	"internal/clusterer.Clusterer.Result": "TestFingerprints and the root metamorphic relations pin SearchRadius and UncoveredWeight through it",
+	"internal/window.Window.Buckets":      "the root metamorphic relations compare bucket layouts through it",
+	// Size knobs the experiment tests shrink; the CLI runs the paper's k.
+	"internal/experiments.Figure2Config.K": "the experiment tests' size knob (zero selects each dataset's DefaultK)",
+	"internal/experiments.Figure3Config.K": "the experiment tests' size knob (zero selects each dataset's DefaultK)",
 	// Certificate ingredients: ROADMAP item 5 turns them into a radius certificate.
 	"internal/coreset.MaxProxyRadius":         "waits for ROADMAP item 5",
 	"internal/coreset.TheoreticalSizeBound":   "waits for ROADMAP item 5",
@@ -130,69 +153,281 @@ var testOnlyAllowed = map[string]string{
 	// bench/ is changed only by a benchmark change, so its test-only uses stay.
 	"internal/metric.Point.Scale": "bench/check_test.go uses it",
 	"internal/metric.Flat.Coords": "bench/gen/gen_test.go uses it",
+	"internal/metric.Flat.Dim":    "bench/gen/gen_test.go uses it",
 }
 
-// TestNoTestOnlyInternalExports keeps production code free of exported
-// internal functions that only tests reach: every exported top-level func and
-// method of a non-test file under internal/ must be referenced by name from
-// another non-test .go file of the repository, or be in testOnlyAllowed. An
-// allow-list entry that is now used, or no longer declared, is an error too.
+// TestNoTestOnlyInternalExports keeps production code free of internal
+// surface that only tests reach. It type-checks every non-test package of the
+// repository, bench/ included, and resolves each use to the object it names.
+// Every exported top-level func and method of a non-test file under internal/
+// must be used by another non-test file; a method also counts as used when an
+// interface method it implements is used, and String, Error and Unwrap are
+// exempt. Every field of a struct named *Config, *Options, Spec or Params
+// under internal/ must be set by a non-test file, through a composite-literal
+// key, an assignment or &x.F. Anything else needs an entry in
+// testOnlyAllowed, and an entry that is now used, or no longer declared, is an
+// error too.
 func TestNoTestOnlyInternalExports(t *testing.T) {
-	fset := token.NewFileSet()
-	type decl struct{ key, file string }
-	var decls []decl
-	uses := map[string]map[string]bool{} // name -> non-test files that reference it
-	forEachNonTestFile(t, fset, ".", func(path string, f *ast.File) {
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() || !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				continue
-			}
-			key := filepath.ToSlash(filepath.Dir(path)) + "."
-			if fn.Recv != nil {
-				typ := fn.Recv.List[0].Type
-				if star, ok := typ.(*ast.StarExpr); ok {
-					typ = star.X
-				}
-				switch idx := typ.(type) {
-				case *ast.IndexExpr:
-					typ = idx.X
-				case *ast.IndexListExpr:
-					typ = idx.X
-				}
-				key += typ.(*ast.Ident).Name + "."
-			}
-			decls = append(decls, decl{key + fn.Name.Name, path})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if uses[id.Name] == nil {
-					uses[id.Name] = map[string]bool{}
-				}
-				uses[id.Name][path] = true
-			}
-			return true
-		})
-	})
-	seen := map[string]bool{}
-	for _, d := range decls {
-		seen[d.key] = true
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		used := false
-		for file := range uses[name] {
-			used = used || file != d.file
-		}
-		_, allowed := testOnlyAllowed[d.key]
-		switch {
-		case !used && !allowed:
-			t.Errorf("%s: only tests use %s; delete it, unexport it, move it to a _test.go file, or allow-list it with a reason", d.file, d.key)
-		case used && allowed:
-			t.Errorf("testOnlyAllowed[%q] is stale: %s now has a production caller", d.key, d.key)
+	unused := testOnlySurface(t, ".", "coresetclustering")
+	for _, key := range slices.Sorted(maps.Keys(unused)) {
+		if _, ok := testOnlyAllowed[key]; !ok {
+			t.Errorf("%s: only tests reach %s; delete it, unexport it, move it to a _test.go file, or allow-list it with a reason", unused[key], key)
 		}
 	}
 	for key := range testOnlyAllowed {
-		if !seen[key] {
-			t.Errorf("testOnlyAllowed[%q] is stale: no non-test file under internal/ declares it", key)
+		if _, ok := unused[key]; !ok {
+			t.Errorf("testOnlyAllowed[%q] is stale: it is not declared under internal/, or a non-test file now reaches it", key)
 		}
 	}
+}
+
+// TestTestOnlySurfaceFixture runs the scan on testdata/gatefixture, whose
+// comments say which of its names only tests reach, so that the gate cannot
+// slide back to matching identifiers by name.
+func TestTestOnlySurfaceFixture(t *testing.T) {
+	unused := testOnlySurface(t, "testdata/gatefixture", "gatefixture")
+	want := []string{"internal/fix.Box.Reset", "internal/fix.Grow", "internal/fix.Spec.Limit"}
+	if got := slices.Sorted(maps.Keys(unused)); !slices.Equal(got, want) {
+		t.Errorf("reported %q, want %q", got, want)
+	}
+}
+
+// testOnlySurface type-checks every non-test package under root, whose import
+// path is module (dot directories and testdata aside; the standard library
+// comes from export data), and returns the internal names that only tests
+// reach, each with its file.
+func testOnlySurface(t *testing.T, root, module string) map[string]string {
+	t.Helper()
+	imp := &treeImporter{fset: token.NewFileSet(), pkgs: map[string]*typedPkg{}}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case !d.IsDir():
+			return nil
+		case path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(path, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		p := &typedPkg{dir: filepath.ToSlash(rel)}
+		for _, name := range bp.GoFiles {
+			f, err := parser.ParseFile(imp.fset, filepath.Join(path, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			p.files = append(p.files, f)
+		}
+		importPath := module
+		if p.dir != "." {
+			importPath += "/" + p.dir
+		}
+		imp.pkgs[importPath] = p
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One go list call finds the export data of every package outside the
+	// tree; asking the default importer instead costs a go list per package.
+	var std []string
+	for _, p := range imp.pkgs {
+		for _, f := range p.files {
+			for _, spec := range f.Imports {
+				path, _ := strconv.Unquote(spec.Path.Value)
+				if imp.pkgs[path] == nil && path != "unsafe" && !slices.Contains(std, path) {
+					std = append(std, path)
+				}
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(std) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, std...)...).Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, " ")
+			exports[path] = file
+		}
+	}
+	imp.std = importer.ForCompiler(imp.fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	for path := range imp.pkgs {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	uses := map[types.Object]map[string]bool{} // func or method -> non-test files that use it
+	var ifaceUses []*types.Func                // interface methods some non-test file uses
+	set := map[types.Object]bool{}             // fields some non-test file sets
+	for _, p := range imp.pkgs {
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			fn = fn.Origin()
+			if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceUses = append(ifaceUses, fn)
+			}
+			if uses[fn] == nil {
+				uses[fn] = map[string]bool{}
+			}
+			uses[fn][imp.fset.Position(id.Pos()).Filename] = true
+		}
+		setField := func(x ast.Expr) {
+			if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+				if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					set[s.Obj().(*types.Var).Origin()] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					typ := p.info.TypeOf(n)
+					if ptr, ok := typ.(*types.Pointer); ok {
+						typ = ptr.Elem()
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							set[p.info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+						} else {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						setField(lhs)
+					}
+				case *ast.IncDecStmt:
+					setField(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						setField(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	usedElsewhere := func(fn *types.Func, file string) bool {
+		for f := range uses[fn] {
+			if f != file {
+				return true
+			}
+		}
+		recv := fn.Signature().Recv()
+		if recv == nil {
+			return false
+		}
+		for _, m := range ifaceUses {
+			iface := m.Signature().Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == fn.Name() && (types.Implements(recv.Type(), iface) || types.Implements(types.NewPointer(recv.Type()), iface)) {
+				return true
+			}
+		}
+		return false
+	}
+
+	unused := map[string]string{}
+	for _, p := range imp.pkgs {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		for _, f := range p.files {
+			file := imp.fset.Position(f.Pos()).Filename
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if !d.Name.IsExported() || d.Name.Name == "String" || d.Name.Name == "Error" || d.Name.Name == "Unwrap" {
+						continue
+					}
+					fn := p.info.Defs[d.Name].(*types.Func)
+					key := p.dir + "."
+					if recv := fn.Signature().Recv(); recv != nil {
+						typ := recv.Type()
+						if ptr, ok := typ.(*types.Pointer); ok {
+							typ = ptr.Elem()
+						}
+						key += typ.(*types.Named).Obj().Name() + "."
+					}
+					key += fn.Name()
+					if !usedElsewhere(fn, file) {
+						unused[key] = file
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						ts, ok := spec.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						name := ts.Name.Name
+						st, ok := p.info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+						if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || name == "Spec" || name == "Params") {
+							continue
+						}
+						for i := range st.NumFields() {
+							key := p.dir + "." + name + "." + st.Field(i).Name()
+							if !set[st.Field(i)] {
+								unused[key] = file
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return unused
+}
+
+// typedPkg is one non-test package of a scanned tree.
+type typedPkg struct {
+	dir   string // slash-separated, relative to the tree's root
+	files []*ast.File
+	info  *types.Info
+	pkg   *types.Package // nil until the package is checked
+}
+
+// treeImporter type-checks the packages of a tree from source on first
+// import and takes every other package from its export data.
+type treeImporter struct {
+	fset *token.FileSet
+	pkgs map[string]*typedPkg // by import path
+	std  types.Importer
+}
+
+func (im *treeImporter) Import(path string) (*types.Package, error) {
+	p, ok := im.pkgs[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	if p.pkg != nil {
+		return p.pkg, nil
+	}
+	p.info = &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	conf := types.Config{Importer: im}
+	var err error
+	p.pkg, err = conf.Check(path, im.fset, p.files, p.info)
+	return p.pkg, err
 }
