@@ -270,6 +270,10 @@ func TestSpaceByName(t *testing.T) {
 	if sp := SpaceByName("no-such-space"); sp != nil {
 		t.Errorf("SpaceByName(unknown) = %v, want nil", sp)
 	}
+	// sketch's registry tests list the same built-in spaces by hand.
+	if got := len(namedSpaces); got != len(spaceCases) {
+		t.Errorf("namedSpaces lists %d spaces, want %d", got, len(spaceCases))
+	}
 }
 
 // TestCountingSpace checks the evaluation accounting of every kernel.

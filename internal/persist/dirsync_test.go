@@ -165,7 +165,8 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 			// snapshot alone. A rebuild that fails on the sync recovers the
 			// stream with its log poisoned; the next boot rebuilds the WAL
 			// and takes appends; and AdoptMeta, which journals the
-			// metadata, fails on the sync too.
+			// metadata, poisons the log whether it fails before the rename
+			// (here a directory squats on the temp name) or on the sync.
 			if err := os.Remove(filepath.Join(streamDir("c"), walFile)); err != nil {
 				t.Fatal(err)
 			}
@@ -204,9 +205,25 @@ func TestWALSwapDirSyncFailure(t *testing.T) {
 					if rec.Err != nil || rec.HaveMeta || string(rec.Snapshot) != "three batches" {
 						t.Fatalf("adopt: recovered %+v, want the snapshot without metadata", rec)
 					}
+					tmp := filepath.Join(streamDir("c"), walFile+tmpSuffix)
+					if err := os.Mkdir(tmp, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					if err := rec.Log.AdoptMeta(testMeta()); err == nil {
+						t.Fatal("AdoptMeta over a directory at the temp name succeeded")
+					}
+					if err := appendBatch(rec.Log, testBatch(4, 2, 10), nil); err == nil || !strings.Contains(err.Error(), "poisoned") {
+						t.Fatalf("append after AdoptMeta failed before the rename = %v, want the poisoned log's error", err)
+					}
+					if err := os.Remove(tmp); err != nil {
+						t.Fatal(err)
+					}
 					failDirSync(s2, streamDir("c"), 0)
 					if err := rec.Log.AdoptMeta(testMeta()); !errors.Is(err, errDirSync) {
 						t.Fatalf("AdoptMeta = %v, want the directory sync failure", err)
+					}
+					if err := appendBatch(rec.Log, testBatch(4, 2, 10), nil); !errors.Is(err, errDirSync) || !strings.Contains(err.Error(), "poisoned") {
+						t.Fatalf("append after AdoptMeta failed on the sync = %v, want the poisoned log's error", err)
 					}
 				}
 				if err := s2.Close(); err != nil {

@@ -926,7 +926,10 @@ func (l *Log) recreateWAL() error {
 }
 
 // AdoptMeta fills in the metadata of a log recovered without a create record
-// (snapshot-only recovery) and journals it so the next boot has it again.
+// (snapshot-only recovery) and journals it so the next boot has it again. A
+// rewrite that fails leaves the log poisoned, wherever it failed: a WAL
+// without a create record must take no appends, because the next boot's
+// AdoptMeta rewrites it from the sequence number alone.
 func (l *Log) AdoptMeta(meta Meta) error {
 	if err := meta.validate(); err != nil {
 		return fmt.Errorf("persist: %v", err)
@@ -937,7 +940,11 @@ func (l *Log) AdoptMeta(meta Meta) error {
 		return ErrLogRemoved
 	}
 	l.meta = meta
-	return l.resetWAL(l.seq)
+	err := l.resetWAL(l.seq)
+	if err != nil && l.failed == nil {
+		l.failed = err
+	}
+	return err
 }
 
 // syncRoot makes the store root's entries durable after a stream directory

@@ -158,8 +158,9 @@ var testOnlyAllowed = map[string]string{
 
 // TestNoTestOnlyInternalExports keeps production code free of internal
 // surface that only tests reach. It type-checks every non-test package of the
-// repository, bench/ included, and resolves each use to the object it names.
-// Every exported top-level func and method of a non-test file under internal/
+// repository, bench/ included, and resolves each use to the object it names,
+// once with the host's files and once with the purego tag's, which are the
+// files every other architecture builds. Every exported top-level func and method of a non-test file under internal/
 // must be used by another non-test file; a method also counts as used when an
 // interface method it implements is used, and String, Error and Unwrap are
 // exempt. Every field of a struct named *Config, *Options, Spec or Params
@@ -195,10 +196,67 @@ func TestTestOnlySurfaceFixture(t *testing.T) {
 // testOnlySurface type-checks every non-test package under root, whose import
 // path is module (dot directories and testdata aside; the standard library
 // comes from export data), and returns the internal names that only tests
-// reach, each with its file.
+// reach, each with its file. It scans the tree twice, once with the host's
+// file set and once with the purego tag, which selects the files every other
+// architecture builds (metric's simd_other.go for simd_amd64.go): a name is
+// reported when no build that declares it uses it.
 func testOnlySurface(t *testing.T, root, module string) map[string]string {
 	t.Helper()
-	imp := &treeImporter{fset: token.NewFileSet(), pkgs: map[string]*typedPkg{}}
+	purego := build.Default
+	purego.BuildTags = append(slices.Clone(purego.BuildTags), "purego")
+	var imps []*treeImporter
+	fset := token.NewFileSet()
+	for _, ctxt := range []*build.Context{&build.Default, &purego} {
+		imp := &treeImporter{fset: fset, pkgs: map[string]*typedPkg{}}
+		loadTree(t, ctxt, imp, root, module)
+		imps = append(imps, imp)
+	}
+	// One go list call finds the export data of every package outside the
+	// tree; asking the default importer instead costs a go list per package.
+	var std []string
+	for _, imp := range imps {
+		for _, p := range imp.pkgs {
+			for _, f := range p.files {
+				for _, spec := range f.Imports {
+					path, _ := strconv.Unquote(spec.Path.Value)
+					if imp.pkgs[path] == nil && path != "unsafe" && !slices.Contains(std, path) {
+						std = append(std, path)
+					}
+				}
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(std) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, std...)...).Output()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, " ")
+			exports[path] = file
+		}
+	}
+	stdImp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+	declared := map[string]string{} // internal name -> its file
+	used := map[string]bool{}       // internal names a non-test file reaches in some build
+	for _, imp := range imps {
+		imp.std = stdImp
+		scanTree(t, imp, declared, used)
+	}
+	unused := map[string]string{}
+	for key, file := range declared {
+		if !used[key] {
+			unused[key] = file
+		}
+	}
+	return unused
+}
+
+// loadTree parses the non-test files of every package under root that ctxt
+// selects into imp.
+func loadTree(t *testing.T, ctxt *build.Context, imp *treeImporter, root, module string) {
+	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
@@ -208,7 +266,7 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 		case path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata"):
 			return filepath.SkipDir
 		}
-		bp, err := build.ImportDir(path, 0)
+		bp, err := ctxt.ImportDir(path, 0)
 		if _, ok := err.(*build.NoGoError); ok {
 			return nil
 		} else if err != nil {
@@ -236,31 +294,13 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One go list call finds the export data of every package outside the
-	// tree; asking the default importer instead costs a go list per package.
-	var std []string
-	for _, p := range imp.pkgs {
-		for _, f := range p.files {
-			for _, spec := range f.Imports {
-				path, _ := strconv.Unquote(spec.Path.Value)
-				if imp.pkgs[path] == nil && path != "unsafe" && !slices.Contains(std, path) {
-					std = append(std, path)
-				}
-			}
-		}
-	}
-	exports := map[string]string{}
-	if len(std) > 0 {
-		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, std...)...).Output()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			path, file, _ := strings.Cut(line, " ")
-			exports[path] = file
-		}
-	}
-	imp.std = importer.ForCompiler(imp.fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exports[path]) })
+}
+
+// scanTree type-checks the packages of imp and records in declared every
+// exported internal func, method and knob field with its file, and in used
+// those that a non-test file other than their own reaches (a field: sets).
+func scanTree(t *testing.T, imp *treeImporter, declared map[string]string, used map[string]bool) {
+	t.Helper()
 	for path := range imp.pkgs {
 		if _, err := imp.Import(path); err != nil {
 			t.Fatal(err)
@@ -345,7 +385,6 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 		return false
 	}
 
-	unused := map[string]string{}
 	for _, p := range imp.pkgs {
 		if !strings.HasPrefix(p.dir, "internal/") {
 			continue
@@ -368,8 +407,9 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 						key += typ.(*types.Named).Obj().Name() + "."
 					}
 					key += fn.Name()
-					if !usedElsewhere(fn, file) {
-						unused[key] = file
+					declared[key] = file
+					if usedElsewhere(fn, file) {
+						used[key] = true
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
@@ -384,8 +424,9 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 						}
 						for i := range st.NumFields() {
 							key := p.dir + "." + name + "." + st.Field(i).Name()
-							if !set[st.Field(i)] {
-								unused[key] = file
+							declared[key] = file
+							if set[st.Field(i)] {
+								used[key] = true
 							}
 						}
 					}
@@ -393,7 +434,6 @@ func testOnlySurface(t *testing.T, root, module string) map[string]string {
 			}
 		}
 	}
-	return unused
 }
 
 // typedPkg is one non-test package of a scanned tree.
